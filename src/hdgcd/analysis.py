@@ -17,15 +17,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from hdgcd.assembly import bracket, default_quad_order, get_context
+from hdgcd.assembly import (bracket, default_quad_order, eval_field, get_context,
+                            neumann_data)
 from hdgcd.fespace import (get_edge_basis, get_element_basis, project_all_edges,
                            project_all_elements, quad_triangle)
-from hdgcd.mesh import BoundaryTag
 from hdgcd.solver import HdgSolution
 
 ERROR_QUAD_ORDER = 12
-_NEUMANN = int(BoundaryTag.NEUMANN)
-_DIRICHLET = int(BoundaryTag.DIRICHLET)
 
 
 @dataclass(frozen=True)
@@ -78,13 +76,6 @@ def _region_mask(region, mesh):
     return region.element_mask(mesh), region.name
 
 
-def _eval_on(func, x, y):
-    vals = np.asarray(func(x, y), dtype=float)
-    if vals.shape != x.shape:
-        vals = np.broadcast_to(vals, x.shape).astype(float)
-    return vals
-
-
 def _physical_points(mesh, ref_points):
     v0 = mesh.vertices[mesh.triangles[:, 0]]
     return v0[:, None, :] + np.einsum("qd,tad->tqa", ref_points, mesh.jacobians)
@@ -98,7 +89,7 @@ def error_l2(solution, exact, region=None, quad_order=ERROR_QUAD_ORDER):
     vals = basis.values(rule.points)           # (nq, nd)
     uh = solution.u @ vals.T                   # (nt, nq)
     pts = _physical_points(mesh, rule.points)
-    ue = _eval_on(exact, pts[..., 0], pts[..., 1])
+    ue = eval_field(exact, pts[..., 0], pts[..., 1], "exact")
     mask, _ = _region_mask(region, mesh)
     per_elem = ((uh - ue) ** 2 @ rule.weights) * mesh.det_jacobians
     return float(np.sqrt(per_elem[mask].sum()))
@@ -112,9 +103,7 @@ def error_h1_broken(solution, exact_grad, region=None, quad_order=ERROR_QUAD_ORD
     dref = basis.gradients(rule.points)        # (nq, nd, 2)
     grads = np.einsum("ti,qib,tab->tqa", solution.u, dref, mesh.inv_jacobians_t)
     pts = _physical_points(mesh, rule.points)
-    gx, gy = exact_grad(pts[..., 0], pts[..., 1])
-    gx = np.broadcast_to(np.asarray(gx, dtype=float), grads[..., 0].shape)
-    gy = np.broadcast_to(np.asarray(gy, dtype=float), grads[..., 1].shape)
+    gx, gy = eval_field(exact_grad, pts[..., 0], pts[..., 1], "exact_grad", vector=True)
     diff = (grads[..., 0] - gx) ** 2 + (grads[..., 1] - gy) ** 2
     mask, _ = _region_mask(region, mesh)
     per_elem = (diff @ rule.weights) * mesh.det_jacobians
@@ -143,7 +132,7 @@ def project_to_hdg(exact, dofmap, quad_order=ERROR_QUAD_ORDER):
     else:
         active = np.nonzero(dofmap.vertex_dofs >= 0)[0]
         vx = mesh.vertices[active]
-        uhat[dofmap.vertex_dofs[active]] = _eval_on(exact, vx[:, 0], vx[:, 1])
+        uhat[dofmap.vertex_dofs[active]] = eval_field(exact, vx[:, 0], vx[:, 1], "exact")
     return HdgSolution(mesh=mesh, dofmap=dofmap, u=u, uhat=uhat,
                        info={"method": "projection"})
 
@@ -156,22 +145,6 @@ def solution_difference(a, b):
         raise ValueError("solutions live on different discrete spaces")
     return HdgSolution(mesh=a.mesh, dofmap=a.dofmap, u=a.u - b.u,
                        uhat=a.uhat - b.uhat, info={"method": "difference"})
-
-
-def _edge_values(ctx, coeffs, uhat_edges, mesh, mask):
-    """Per-element-side trace data at edge quadrature points.
-
-    Yields (element, slot, edge, uhat_vals, u_vals) for every skeleton
-    slot of every element selected by ``mask``.
-    """
-    for t in np.nonzero(mask)[0]:
-        for s in range(3):
-            e = mesh.elem_edges[t, s]
-            if mesh.edge_tags[e] == _NEUMANN:
-                continue
-            o = 1 if mesh.edge_forward[t, s] else 0
-            u_vals = ctx.N_tr[s, o] @ coeffs[t]
-            yield t, s, e, uhat_edges[e], u_vals
 
 
 def hdg_norm(pair, problem, eta, region=None, quad_order=None, starred=False):
@@ -217,38 +190,22 @@ def hdg_norm(pair, problem, eta, region=None, quad_order=None, starred=False):
     else:
         h2_sq_elem = np.zeros(mesh.n_elements)
 
-    # edge quantities
-    uhat_edges = np.zeros((mesh.n_edges, dofmap.ndof_edge))
-    for e in dofmap.skeleton_edges:
-        gids = dofmap.edge_dofs[e]
-        act = gids >= 0
-        uhat_edges[e][act] = pair.uhat[gids[act]]
-
-    we = ctx.edge.weights
+    # edge quantities, slot by slot over the selected elements
+    uhat_edges = pair.edge_traces()
     xe = ctx.X_edge
-    bx_e, by_e = problem.b(xe[..., 0], xe[..., 1])
-    bx_e = np.broadcast_to(np.asarray(bx_e, dtype=float), xe[..., 0].shape)
-    by_e = np.broadcast_to(np.asarray(by_e, dtype=float), xe[..., 0].shape)
-
-    jump_sq = 0.0
-    conv_sq = 0.0
-    for t, s, e, uhat_c, u_vals in _edge_values(ctx, pair.u, uhat_edges, mesh, mask):
-        diff = ctx.E @ uhat_c - u_vals
-        h_e = mesh.h_e[e]
-        jump_sq += (eta / h_e) * h_e * float(we @ diff ** 2)
-        nrm = mesh.normals[t, s]
-        bn = bx_e[e] * nrm[0] + by_e[e] * nrm[1]
-        conv_sq += h_e * float(we @ (np.abs(bn) * diff ** 2))
-
-    trace_sq = 0.0
-    if starred:
+    bx_e, by_e = eval_field(problem.b, xe[..., 0], xe[..., 1], "b", vector=True)
+    jump_sq = conv_sq = trace_sq = 0.0
+    for s in range(3):
+        sl = ctx.slot(mesh, s)
+        e = sl.edges
+        u_vals = np.einsum("tqi,ti->tq", sl.values, pair.u)
+        diff2 = (uhat_edges[e] @ ctx.E.T - u_vals) ** 2
+        bn = sl.normal_velocity(bx_e, by_e)
+        skel = mask & ~sl.neumann
+        jump_sq += float(((eta / mesh.h_e[e]) * (sl.weights * diff2).sum(axis=1))[skel].sum())
+        conv_sq += float((sl.weights * np.abs(bn) * diff2).sum(axis=1)[skel].sum())
         # the augmented norm integrates v over the whole element boundary
-        for t in np.nonzero(mask)[0]:
-            for s in range(3):
-                e = mesh.elem_edges[t, s]
-                o = 1 if mesh.edge_forward[t, s] else 0
-                u_vals = ctx.N_tr[s, o] @ pair.u[t]
-                trace_sq += mesh.h_e[e] * float(we @ u_vals ** 2)
+        trace_sq += float((sl.weights * u_vals ** 2).sum(axis=1)[mask].sum())
 
     h1 = float(h1_sq_elem[mask].sum())
     h2 = float(h2_sq_elem[mask].sum())
@@ -296,52 +253,30 @@ def conservation_residual(solution, problem, eta=None, quad_order=None):
     det = mesh.det_jacobians
 
     xv = ctx.X_vol
-    bx_v, by_v = problem.b(xv[..., 0], xv[..., 1])
-    bx_v = np.broadcast_to(np.asarray(bx_v, dtype=float), xv[..., 0].shape)
-    by_v = np.broadcast_to(np.asarray(by_v, dtype=float), xv[..., 0].shape)
+    bx_v, by_v = eval_field(problem.b, xv[..., 0], xv[..., 1], "b", vector=True)
     grads = np.einsum("ti,qib,tab->tqa", solution.u, ctx.dN, mesh.inv_jacobians_t)
     conv = bx_v * grads[..., 0] + by_v * grads[..., 1]
     if problem.c is not None:
         uh = solution.u @ ctx.N.T
-        conv = conv + _eval_on(problem.c, xv[..., 0], xv[..., 1]) * uh
-    f_v = _eval_on(problem.f, xv[..., 0], xv[..., 1])
+        conv = conv + eval_field(problem.c, xv[..., 0], xv[..., 1], "c") * uh
+    f_v = eval_field(problem.f, xv[..., 0], xv[..., 1], "f")
     residual = ((conv - f_v) @ w) * det
 
     xe = ctx.X_edge
-    bx_e, by_e = problem.b(xe[..., 0], xe[..., 1])
-    bx_e = np.broadcast_to(np.asarray(bx_e, dtype=float), xe[..., 0].shape)
-    by_e = np.broadcast_to(np.asarray(by_e, dtype=float), xe[..., 0].shape)
-    g_e = None
-    if problem.g_N is not None:
-        g_e = _eval_on(problem.g_N, xe[..., 0], xe[..., 1])
-    we = ctx.edge.weights
-
-    uhat_edges = np.zeros((mesh.n_edges, dofmap.ndof_edge))
-    for e in dofmap.skeleton_edges:
-        gids = dofmap.edge_dofs[e]
-        act = gids >= 0
-        uhat_edges[e][act] = solution.uhat[gids[act]]
-
+    bx_e, by_e = eval_field(problem.b, xe[..., 0], xe[..., 1], "b", vector=True)
+    g_e = neumann_data(problem, mesh, ctx)
+    uhat_edges = solution.edge_traces()
     eps = problem.epsilon
-    for t in range(mesh.n_elements):
-        inv_jt = mesh.inv_jacobians_t[t]
-        for s in range(3):
-            e = mesh.elem_edges[t, s]
-            h_e = mesh.h_e[e]
-            if mesh.edge_tags[e] == _NEUMANN:
-                if g_e is not None:
-                    residual[t] -= h_e * float(we @ g_e[e])
-                continue
-            o = 1 if mesh.edge_forward[t, s] else 0
-            nrm = mesh.normals[t, s]
-            u_vals = ctx.N_tr[s, o] @ solution.u[t]
-            gq = ctx.dN_tr[s, o] @ inv_jt.T
-            dn = (gq[:, :, 0] * nrm[0] + gq[:, :, 1] * nrm[1]) @ solution.u[t]
-            diff = ctx.E @ uhat_edges[e] - u_vals
-            bn = bx_e[e] * nrm[0] + by_e[e] * nrm[1]
-            _, bm = bracket(bn)
-            flux = eps * (dn + (eta / h_e) * diff) + bm * diff
-            residual[t] -= h_e * float(we @ flux)
+    for s in range(3):
+        sl = ctx.slot(mesh, s, normal_derivs=True)
+        e = sl.edges
+        h_e = mesh.h_e[e][:, None]
+        diff = uhat_edges[e] @ ctx.E.T - np.einsum("tqi,ti->tq", sl.values, solution.u)
+        dn = np.einsum("tqi,ti->tq", sl.normal_derivs, solution.u)
+        _, bm = bracket(sl.normal_velocity(bx_e, by_e))
+        flux = eps * (dn + (eta / h_e) * diff) + bm * diff
+        flux = np.where(sl.neumann[:, None], 0.0 if g_e is None else g_e[e], flux)
+        residual -= (sl.weights * flux).sum(axis=1)
     return residual
 
 

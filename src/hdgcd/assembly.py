@@ -19,16 +19,15 @@ enter the global index space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from hdgcd.fespace import (REF_VERTICES, get_edge_basis, get_element_basis,
                            quad_edge, quad_triangle)
-from hdgcd.mesh import BoundaryTag, verify_inflow_in_dirichlet
+from hdgcd.mesh import BoundaryTag, Mesh, verify_inflow_in_dirichlet
 
 _NEUMANN = int(BoundaryTag.NEUMANN)
 
@@ -92,23 +91,35 @@ class ProblemReport:
     inflow_ok: bool
     messages: tuple
 
+    def require_ok(self):
+        """Raise ValueError listing the failed checks, if any."""
+        if not self.ok:
+            raise ValueError("problem is not well posed on this mesh: "
+                             + "; ".join(self.messages))
 
-def _as_field(values, shape):
-    out = np.asarray(values, dtype=float)
-    if out.shape != shape:
-        out = np.broadcast_to(out, shape).astype(float)
-    return out
 
+def eval_field(func, x, y, name, vector=False):
+    """Values of the field ``func`` at the points (x, y), broadcast to x.shape.
 
-def _eval_scalar(func, x, y):
+    A vector field (``vector=True``) may return any sequence or array of two
+    components and comes back stacked as (2, *x.shape); None stays None.
+    Raises ValueError naming the field when the values do not broadcast to
+    the points, a vector field has no two components, or a value is not finite.
+    """
     if func is None:
         return None
-    return _as_field(func(x, y), x.shape)
-
-
-def _eval_velocity(b, x, y):
-    bx, by = b(x, y)
-    return _as_field(bx, x.shape), _as_field(by, x.shape)
+    vals = func(x, y)
+    try:
+        comps = list(vals) if vector else [vals]
+        if len(comps) != (2 if vector else 1):
+            raise ValueError(f"got {len(comps)} components")
+        out = np.stack([np.broadcast_to(np.asarray(v, dtype=float), x.shape) for v in comps])
+    except (TypeError, ValueError) as exc:
+        shape = f"two components of point shape {x.shape}" if vector else f"point shape {x.shape}"
+        raise ValueError(f"field {name} does not evaluate to {shape}: {exc}") from None
+    if not np.isfinite(out).all():
+        raise ValueError(f"field {name} has non-finite values")
+    return out if vector else out[0]
 
 
 def check_problem(problem, mesh, quad_order=4, rho_tol=1e-10, inflow_tol=1e-12):
@@ -122,8 +133,9 @@ def check_problem(problem, mesh, quad_order=4, rho_tol=1e-10, inflow_tol=1e-12):
     v0 = mesh.vertices[mesh.triangles[:, 0]]
     pts = v0[:, None, :] + np.einsum("qd,tad->tqa", rule.points, mesh.jacobians)
     x, y = pts[..., 0], pts[..., 1]
-    cv = _eval_scalar(problem.c, x, y)
-    dv = _eval_scalar(problem.div_b, x, y)
+    eval_field(problem.b, x, y, "b", vector=True)   # named error before the inflow check uses b
+    cv = eval_field(problem.c, x, y, "c")
+    dv = eval_field(problem.div_b, x, y, "div_b")
     rho = np.zeros(x.shape)
     if cv is not None:
         rho += cv
@@ -144,39 +156,59 @@ def check_problem(problem, mesh, quad_order=4, rho_tol=1e-10, inflow_tol=1e-12):
 
 
 @dataclass
-class LocalBlocks:
-    """Element-local system blocks in the interior/trace partition.
+class ElementSystems:
+    """Element-local systems of a whole mesh, stacked along a leading axis.
 
-    Trace columns are grouped by local edge slot, ``ndof_edge`` entries
-    per slot in canonical edge orientation.  ``trace_gids`` holds the
-    matching global active-trace indices, -1 for constrained slots.
+    Blocks are (nt, nd, nd) ``A_uu``, (nt, nd, ntr) ``A_ut``, (nt, ntr, nd)
+    ``A_tu``, (nt, ntr, ntr) ``A_tt`` and the loads ``b_u`` (nt, nd) and
+    ``b_t`` (nt, ntr).  Trace columns are grouped by local edge slot,
+    ``ndof_edge`` entries per slot in canonical edge orientation;
+    ``trace_gids`` holds the matching global active-trace indices, -1 for
+    constrained slots.  ``systems[t]`` gives element t's blocks as views.
     """
 
-    element: int
     A_uu: np.ndarray
     A_ut: np.ndarray
     A_tu: np.ndarray
     A_tt: np.ndarray
     b_u: np.ndarray
     b_t: np.ndarray
-    trace_gids: np.ndarray = field(default=None)
+    trace_gids: np.ndarray
 
     @classmethod
-    def zeros(cls, element, ndof_elem, ndof_trace):
-        return cls(element=element,
-                   A_uu=np.zeros((ndof_elem, ndof_elem)),
-                   A_ut=np.zeros((ndof_elem, ndof_trace)),
-                   A_tu=np.zeros((ndof_trace, ndof_elem)),
-                   A_tt=np.zeros((ndof_trace, ndof_trace)),
-                   b_u=np.zeros(ndof_elem),
-                   b_t=np.zeros(ndof_trace),
-                   trace_gids=np.full(ndof_trace, -1, dtype=np.int64))
+    def zeros(cls, n_elements, ndof_elem, ndof_trace):
+        nt, nd, ntr = n_elements, ndof_elem, ndof_trace
+        return cls(A_uu=np.zeros((nt, nd, nd)), A_ut=np.zeros((nt, nd, ntr)),
+                   A_tu=np.zeros((nt, ntr, nd)), A_tt=np.zeros((nt, ntr, ntr)),
+                   b_u=np.zeros((nt, nd)), b_t=np.zeros((nt, ntr)),
+                   trace_gids=np.full((nt, ntr), -1, dtype=np.int64))
+
+    def __getitem__(self, element):
+        return ElementSystems(**{name: arr[element] for name, arr in vars(self).items()})
 
     def full_matrix(self):
-        """Dense (interior + trace) local matrix, test rows x trial cols."""
-        top = np.hstack([self.A_uu, self.A_ut])
-        bot = np.hstack([self.A_tu, self.A_tt])
-        return np.vstack([top, bot])
+        """Dense (interior + trace) local matrices, test rows x trial cols."""
+        return np.concatenate([np.concatenate([self.A_uu, self.A_ut], axis=-1),
+                               np.concatenate([self.A_tu, self.A_tt], axis=-1)], axis=-2)
+
+
+def _swap(a):
+    return np.swapaxes(a, -1, -2)
+
+
+class SlotTables(NamedTuple):
+    """Local edge slot s of every element, in canonical edge orientation."""
+
+    edges: np.ndarray      # (nt,) global edge index
+    neumann: np.ndarray    # (nt,) True where the edge is Neumann (no trace)
+    normals: np.ndarray    # (nt, 2) unit outward normal
+    weights: np.ndarray    # (nt, nqe) edge quadrature weights times h_e
+    values: np.ndarray     # (nt, nqe, nd) element basis values
+    normal_derivs: Optional[np.ndarray]  # (nt, nqe, nd) physical d/dn of the basis
+
+    def normal_velocity(self, bx_e, by_e):
+        """b . n at the slot's points, from velocity values per edge (ne, nqe)."""
+        return bx_e[self.edges] * self.normals[:, :1] + by_e[self.edges] * self.normals[:, 1:]
 
 
 class AssemblyContext:
@@ -185,10 +217,11 @@ class AssemblyContext:
     Element traces along an edge are tabulated for both traversal
     directions so that every edge quantity is expressed in the canonical
     (ascending vertex index) parameterization shared by the trace basis.
+    The context keeps no reference to its mesh, so it can live in
+    ``mesh.contexts`` and be freed with it.
     """
 
     def __init__(self, mesh, basis, edge_basis, quad_order):
-        self.mesh = mesh
         self.basis = basis
         self.edge_basis = edge_basis
         self.quad_order = quad_order
@@ -216,154 +249,162 @@ class AssemblyContext:
         vb = mesh.vertices[mesh.edges[:, 1]]
         self.X_edge = va[:, None, :] + t[None, :, None] * (vb - va)[:, None, :]
 
+    def gradients(self, mesh):
+        """Physical basis gradients at the volume points, (nt, nq, nd, 2)."""
+        return self.dN @ _swap(mesh.inv_jacobians_t)[:, None]
 
-@lru_cache(maxsize=32)
-def _context_cached(mesh, basis, edge_basis, quad_order):
-    return AssemblyContext(mesh, basis, edge_basis, quad_order)
+    def slot(self, mesh, s, normal_derivs=False):
+        """:class:`SlotTables` of local edge slot ``s`` for every element.
+
+        The orientation gather ``N_tr[s, edge_forward[:, s]]`` happens here
+        only; the tables are built per call and not cached.
+        """
+        o = mesh.edge_forward[:, s].astype(np.intp)
+        edges = mesh.elem_edges[:, s]
+        dn = None
+        if normal_derivs:
+            # d/dn of a basis function: reference gradient . J^{-1} n
+            m_n = np.einsum("tab,ta->tb", mesh.inv_jacobians_t, mesh.normals[:, s])
+            dn = np.einsum("tqib,tb->tqi", self.dN_tr[s, o], m_n)
+        return SlotTables(edges, mesh.edge_tags[edges] == _NEUMANN, mesh.normals[:, s],
+                          self.edge.weights * mesh.h_e[edges][:, None], self.N_tr[s, o], dn)
 
 
 def get_context(mesh, basis=None, edge_basis=None, quad_order=None, degree=None):
-    """Cached AssemblyContext; bases default to the shared instances."""
+    """AssemblyContext cached for the lifetime of ``mesh``.
+
+    Bases default to the shared instances of ``degree``.
+    """
     if basis is None:
         basis = get_element_basis(degree)
     if edge_basis is None:
         edge_basis = get_edge_basis(basis.degree)
     if quad_order is None:
         quad_order = default_quad_order(basis.degree)
-    return _context_cached(mesh, basis, edge_basis, int(quad_order))
+    key = (basis, edge_basis, int(quad_order))
+    if key not in mesh.contexts:
+        mesh.contexts[key] = AssemblyContext(mesh, *key)
+    return mesh.contexts[key]
 
 
-def _accumulate(ctx, element, out, epsilon=None, eta=None, conv=None, load=None):
-    """Add the requested parts of the local form for one element.
-
-    ``conv`` is (bx_vol, by_vol, c_vol, edge_b) with edge_b a per-slot list
-    of (bx, by) arrays at the canonical edge quadrature points; ``load`` is
-    (f_vol, g_slots) with g_slots a per-slot list (None off Neumann edges).
-    """
-    mesh = ctx.mesh
-    t = element
-    inv_jt = mesh.inv_jacobians_t[t]
-    wq = ctx.vol.weights * mesh.det_jacobians[t]
-    eids = mesh.elem_edges[t]
+def _diffusion(ctx, mesh, out, epsilon, eta):
+    """Broken stiffness, adjoint-consistent flux terms and edge penalty."""
+    wq = ctx.vol.weights * mesh.det_jacobians[:, None]
+    G = ctx.gradients(mesh)
+    out.A_uu += epsilon * np.einsum("tqia,tqja->tij", wq[..., None, None] * G, G)
+    E = ctx.E
     k1 = ctx.edge_basis.dim
-
-    need_grad = epsilon is not None or conv is not None
-    if need_grad:
-        G = ctx.dN @ inv_jt.T  # (nq, nd, 2) physical gradients
-
-    if epsilon is not None:
-        out.A_uu += epsilon * np.einsum("q,qia,qja->ij", wq, G, G)
-    if conv is not None:
-        bx_v, by_v, c_v, _ = conv
-        bgrad = bx_v[:, None] * G[:, :, 0] + by_v[:, None] * G[:, :, 1]
-        trial = bgrad if c_v is None else bgrad + c_v[:, None] * ctx.N
-        out.A_uu += ctx.N.T @ (wq[:, None] * trial)
-    if load is not None and load[0] is not None:
-        out.b_u += ctx.N.T @ (wq * load[0])
-
     for s in range(3):
-        e = eids[s]
-        o = 1 if mesh.edge_forward[t, s] else 0
-        we = ctx.edge.weights * mesh.h_e[e]
-        Nq = ctx.N_tr[s, o]
-        if mesh.edge_tags[e] == _NEUMANN:
-            if load is not None and load[1] is not None and load[1][s] is not None:
-                out.b_u += Nq.T @ (we * load[1][s])
-            continue
-        E = ctx.E
-        c0 = s * k1
-        c1 = c0 + k1
-        if epsilon is not None:
-            nrm = mesh.normals[t, s]
-            Gq = ctx.dN_tr[s, o] @ inv_jt.T
-            dn = Gq[:, :, 0] * nrm[0] + Gq[:, :, 1] * nrm[1]  # (nq, nd)
-            wdn = we[:, None] * dn
-            # consistency term <eps dn(u), vhat - v> and its adjoint
-            out.A_tu[c0:c1, :] += epsilon * (E.T @ wdn)
-            out.A_uu -= epsilon * (Nq.T @ wdn)
-            out.A_ut[:, c0:c1] += epsilon * (wdn.T @ E)
-            out.A_uu -= epsilon * (wdn.T @ Nq)
-            # penalty eps * eta / h_e <uhat - u, vhat - v>
-            pen = epsilon * eta / mesh.h_e[e]
-            we_e = we[:, None] * E
-            out.A_tt[c0:c1, c0:c1] += pen * (E.T @ we_e)
-            out.A_ut[:, c0:c1] -= pen * (Nq.T @ we_e)
-            out.A_tu[c0:c1, :] -= pen * (we_e.T @ Nq)
-            out.A_uu += pen * (Nq.T @ (we[:, None] * Nq))
-        if conv is not None:
-            bx_e, by_e = conv[3][s]
-            nrm = mesh.normals[t, s]
-            bn = bx_e * nrm[0] + by_e * nrm[1]
-            bp, bm = bracket(bn)
-            # upwind coupling <uhat - u, [bn]+ vhat - [bn]- v>
-            wbp = (we * bp)[:, None]
-            wbm = (we * bm)[:, None]
-            out.A_tt[c0:c1, c0:c1] += E.T @ (wbp * E)
-            out.A_tu[c0:c1, :] -= E.T @ (wbp * Nq)
-            out.A_ut[:, c0:c1] -= Nq.T @ (wbm * E)
-            out.A_uu += Nq.T @ (wbm * Nq)
+        sl = ctx.slot(mesh, s, normal_derivs=True)
+        c = slice(s * k1, (s + 1) * k1)
+        we = sl.weights * ~sl.neumann[:, None]
+        Nq = sl.values
+        # consistency term <eps dn(u), vhat - v> and its adjoint
+        wdn = we[..., None] * sl.normal_derivs
+        out.A_tu[:, c, :] += epsilon * (E.T @ wdn)
+        out.A_uu -= epsilon * (_swap(Nq) @ wdn)
+        out.A_ut[:, :, c] += epsilon * (_swap(wdn) @ E)
+        out.A_uu -= epsilon * (_swap(wdn) @ Nq)
+        # penalty eps * eta / h_e <uhat - u, vhat - v>
+        pen = (epsilon * eta / mesh.h_e[sl.edges])[:, None, None]
+        we_e = we[..., None] * E
+        out.A_tt[:, c, c] += pen * (E.T @ we_e)
+        out.A_ut[:, :, c] -= pen * (_swap(Nq) @ we_e)
+        out.A_tu[:, c, :] -= pen * (_swap(we_e) @ Nq)
+        out.A_uu += pen * (_swap(Nq) @ (we[..., None] * Nq))
 
 
-def _check_element(mesh, element):
-    if not 0 <= element < mesh.n_elements:
-        raise ValueError(f"element index {element} out of range")
+def _convection(ctx, mesh, out, problem):
+    """Volume transport and reaction plus the upwind trace coupling."""
+    xv, xe = ctx.X_vol, ctx.X_edge
+    bx, by = eval_field(problem.b, xv[..., 0], xv[..., 1], "b", vector=True)
+    G = ctx.gradients(mesh)
+    trial = bx[..., None] * G[..., 0] + by[..., None] * G[..., 1]
+    if problem.c is not None:
+        trial = trial + eval_field(problem.c, xv[..., 0], xv[..., 1], "c")[..., None] * ctx.N
+    wq = ctx.vol.weights * mesh.det_jacobians[:, None]
+    out.A_uu += ctx.N.T @ (wq[..., None] * trial)
+    bx_e, by_e = eval_field(problem.b, xe[..., 0], xe[..., 1], "b", vector=True)
+    E = ctx.E
+    k1 = ctx.edge_basis.dim
+    for s in range(3):
+        sl = ctx.slot(mesh, s)
+        c = slice(s * k1, (s + 1) * k1)
+        we = sl.weights * ~sl.neumann[:, None]
+        Nq = sl.values
+        bp, bm = bracket(sl.normal_velocity(bx_e, by_e))
+        # upwind coupling <uhat - u, [bn]+ vhat - [bn]- v>
+        wbp = (we * bp)[..., None]
+        wbm = (we * bm)[..., None]
+        out.A_tt[:, c, c] += E.T @ (wbp * E)
+        out.A_tu[:, c, :] -= E.T @ (wbp * Nq)
+        out.A_ut[:, :, c] -= _swap(Nq) @ (wbm * E)
+        out.A_uu += _swap(Nq) @ (wbm * Nq)
+
+
+def neumann_data(problem, mesh, ctx):
+    """g_N at the edge quadrature points, (ne, nqe); zero off Neumann edges.
+
+    None when the problem has no Neumann data or the mesh no Neumann edge.
+    """
+    neu = mesh.edge_tags == _NEUMANN
+    if problem.g_N is None or not neu.any():
+        return None
+    xe = ctx.X_edge[neu]
+    g = np.zeros(ctx.X_edge.shape[:2])
+    g[neu] = eval_field(problem.g_N, xe[..., 0], xe[..., 1], "g_N")
+    return g
+
+
+def _load(ctx, mesh, out, problem):
+    """Volume source plus the Neumann flux data on Neumann slots."""
+    xv = ctx.X_vol
+    f = eval_field(problem.f, xv[..., 0], xv[..., 1], "f")
+    out.b_u += (ctx.vol.weights * mesh.det_jacobians[:, None] * f) @ ctx.N
+    g = neumann_data(problem, mesh, ctx)
+    if g is None:
+        return
+    for s in range(3):
+        sl = ctx.slot(mesh, s)
+        out.b_u += np.einsum("tq,tqi->ti", sl.weights * g[sl.edges], sl.values)
 
 
 def local_diffusion(mesh, element, basis, edge_basis, epsilon, eta, quad_order=None):
     """Diffusive local blocks of one element (stiffness, flux, penalty)."""
-    _check_element(mesh, element)
+    if not 0 <= element < mesh.n_elements:
+        raise ValueError(f"element index {element} out of range")
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     if not eta > 0.0:
         raise ValueError(f"penalty eta must be positive, got {eta!r}")
-    ctx = get_context(mesh, basis, edge_basis, quad_order)
-    out = LocalBlocks.zeros(element, basis.dim, 3 * edge_basis.dim)
-    _accumulate(ctx, element, out, epsilon=epsilon, eta=eta)
-    return out
+    one = _element_mesh(mesh, element)
+    ctx = get_context(one, basis, edge_basis, quad_order)
+    out = ElementSystems.zeros(1, basis.dim, 3 * edge_basis.dim)
+    _diffusion(ctx, one, out, epsilon, eta)
+    return out[0]
 
 
-def local_convection(mesh, element, basis, edge_basis, b, c=None, quad_order=None):
-    """Convective-reactive local blocks of one element."""
-    _check_element(mesh, element)
-    ctx = get_context(mesh, basis, edge_basis, quad_order)
-    xv = ctx.X_vol[element]
-    bx_v, by_v = _eval_velocity(b, xv[:, 0], xv[:, 1])
-    c_v = _eval_scalar(c, xv[:, 0], xv[:, 1])
-    edge_b = []
+def _element_mesh(mesh, element):
+    """One-element mesh of ``element`` with its geometry, slot order, edge
+    orientations and Neumann edges; its other edges are tagged Dirichlet."""
+    tri = mesh.triangles[element]
+    vids = np.sort(tri)
+    loc = np.searchsorted(vids, tri)   # ascending renumbering keeps each edge's orientation
+    tags = {}
     for s in range(3):
-        xe = ctx.X_edge[mesh.elem_edges[element, s]]
-        edge_b.append(_eval_velocity(b, xe[:, 0], xe[:, 1]))
-    out = LocalBlocks.zeros(element, basis.dim, 3 * edge_basis.dim)
-    _accumulate(ctx, element, out, conv=(bx_v, by_v, c_v, edge_b))
-    return out
-
-
-def local_load(mesh, element, basis, edge_basis, f, g_N=None, quad_order=None):
-    """Local load vector: volume source plus Neumann flux data."""
-    _check_element(mesh, element)
-    ctx = get_context(mesh, basis, edge_basis, quad_order)
-    xv = ctx.X_vol[element]
-    f_v = _eval_scalar(f, xv[:, 0], xv[:, 1])
-    g_slots = None
-    if g_N is not None:
-        g_slots = [None, None, None]
-        for s in range(3):
-            e = mesh.elem_edges[element, s]
-            if mesh.edge_tags[e] == _NEUMANN:
-                xe = ctx.X_edge[e]
-                g_slots[s] = _as_field(g_N(xe[:, 0], xe[:, 1]), xe[:, 0].shape)
-    out = LocalBlocks.zeros(element, basis.dim, 3 * edge_basis.dim)
-    _accumulate(ctx, element, out, load=(f_v, g_slots))
-    return out
+        a, b = sorted((int(loc[s]), int(loc[(s + 1) % 3])))
+        neumann = mesh.edge_tags[mesh.elem_edges[element, s]] == _NEUMANN
+        tags[(a, b)] = BoundaryTag.NEUMANN if neumann else BoundaryTag.DIRICHLET
+    return Mesh(mesh.vertices[vids], loc[None, :], boundary=tags)
 
 
 def assemble_local_systems(mesh, dofmap, problem, eta=None, quad_order=None,
                            parts=("diffusion", "convection", "load")):
-    """Local blocks of the full form for every element.
+    """Stacked :class:`ElementSystems` of the full form on every element.
 
-    Field coefficients are evaluated once on the whole mesh; the element
-    loop is pure small dense algebra.  ``parts`` restricts the assembled
-    terms (used by diagnostics and tests).
+    Field coefficients are evaluated once on the whole mesh and every term
+    is batched over the elements.  ``parts`` restricts the assembled terms
+    (used by diagnostics and tests).
     """
     unknown = set(parts) - {"diffusion", "convection", "load"}
     if unknown:
@@ -373,44 +414,16 @@ def assemble_local_systems(mesh, dofmap, problem, eta=None, quad_order=None,
         eta = default_eta(degree)
     if not eta > 0.0:
         raise ValueError(f"penalty eta must be positive, got {eta!r}")
-    ctx = get_context(mesh, get_element_basis(degree), get_edge_basis(degree), quad_order)
-
-    xv = ctx.X_vol
-    xe = ctx.X_edge
-    do_diff = "diffusion" in parts
-    do_conv = "convection" in parts
-    do_load = "load" in parts
-
-    if do_conv:
-        bx_v, by_v = _eval_velocity(problem.b, xv[..., 0], xv[..., 1])
-        c_v = _eval_scalar(problem.c, xv[..., 0], xv[..., 1])
-        bx_e, by_e = _eval_velocity(problem.b, xe[..., 0], xe[..., 1])
-    if do_load:
-        f_v = _eval_scalar(problem.f, xv[..., 0], xv[..., 1])
-        g_e = None
-        if problem.g_N is not None and np.any(mesh.edge_tags == _NEUMANN):
-            g_e = _eval_scalar(problem.g_N, xe[..., 0], xe[..., 1])
-
-    nd = ctx.basis.dim
-    ntr = 3 * ctx.edge_basis.dim
-    systems = []
-    for t in range(mesh.n_elements):
-        out = LocalBlocks.zeros(t, nd, ntr)
-        if do_diff:
-            _accumulate(ctx, t, out, epsilon=problem.epsilon, eta=eta)
-        if do_conv:
-            eids = mesh.elem_edges[t]
-            edge_b = [(bx_e[e], by_e[e]) for e in eids]
-            _accumulate(ctx, t, out, conv=(bx_v[t], by_v[t], c_v[t] if c_v is not None else None, edge_b))
-        if do_load:
-            g_slots = None
-            if g_e is not None:
-                g_slots = [g_e[e] if mesh.edge_tags[e] == _NEUMANN else None
-                           for e in mesh.elem_edges[t]]
-            _accumulate(ctx, t, out, load=(f_v[t], g_slots))
-        out.trace_gids = dofmap.element_trace_dofs(t)
-        systems.append(out)
-    return systems
+    ctx = get_context(mesh, degree=degree, quad_order=quad_order)
+    out = ElementSystems.zeros(mesh.n_elements, ctx.basis.dim, 3 * ctx.edge_basis.dim)
+    if "diffusion" in parts:
+        _diffusion(ctx, mesh, out, problem.epsilon, eta)
+    if "convection" in parts:
+        _convection(ctx, mesh, out, problem)
+    if "load" in parts:
+        _load(ctx, mesh, out, problem)
+    out.trace_gids[:] = dofmap.element_trace_dofs()
+    return out
 
 
 def assemble_monolithic(mesh, dofmap, problem, eta=None, quad_order=None,
@@ -422,38 +435,20 @@ def assemble_monolithic(mesh, dofmap, problem, eta=None, quad_order=None,
     """
     systems = assemble_local_systems(mesh, dofmap, problem, eta=eta,
                                      quad_order=quad_order, parts=parts)
-    n_int = dofmap.n_interior
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(dofmap.n_total)
-    for blk in systems:
-        gi = dofmap.element_dofs(blk.element)
-        act = np.nonzero(blk.trace_gids >= 0)[0]
-        gt = n_int + blk.trace_gids[act]
-        rows.append(np.repeat(gi, gi.size))
-        cols.append(np.tile(gi, gi.size))
-        vals.append(blk.A_uu.ravel())
-        if act.size:
-            rows.append(np.repeat(gi, gt.size))
-            cols.append(np.tile(gt, gi.size))
-            vals.append(blk.A_ut[:, act].ravel())
-            rows.append(np.repeat(gt, gi.size))
-            cols.append(np.tile(gi, gt.size))
-            vals.append(blk.A_tu[act, :].ravel())
-            rows.append(np.repeat(gt, gt.size))
-            cols.append(np.tile(gt, gt.size))
-            vals.append(blk.A_tt[np.ix_(act, act)].ravel())
-            np.add.at(rhs, gt, blk.b_t[act])
-        rhs[gi] += blk.b_u
-    n = dofmap.n_total
-    mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(n, n)).tocsr()
-    return mat, rhs
+    traces = np.where(systems.trace_gids >= 0, dofmap.n_interior + systems.trace_gids, -1)
+    gids = np.concatenate([dofmap.element_dofs(), traces], axis=1)
+    loads = np.concatenate([systems.b_u, systems.b_t], axis=1)
+    return scatter_systems(systems.full_matrix(), loads, gids, dofmap.n_total)
 
 
-def dump_matrix(matrix, path):
-    """Write a sparse matrix as 'row col value' triplets, sorted by row, col."""
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for i in order:
-            fh.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.17g}\n")
+def scatter_systems(mats, vecs, gids, n):
+    """Sum stacked element matrices (nt, m, m) and vectors (nt, m) into an
+    n x n CSR matrix and a length-n vector at the global indices ``gids``
+    (nt, m); an index of -1 drops its row and column.
+    """
+    keep = gids >= 0
+    pair = keep[:, :, None] & keep[:, None, :]
+    rows = np.broadcast_to(gids[:, :, None], pair.shape)[pair]
+    cols = np.broadcast_to(gids[:, None, :], pair.shape)[pair]
+    mat = sp.coo_matrix((mats[pair], (rows, cols)), shape=(n, n)).tocsr()
+    return mat, np.bincount(gids[keep], weights=vecs[keep], minlength=n)

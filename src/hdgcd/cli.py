@@ -168,11 +168,12 @@ def dump_trace(solution, path, samples=(0.0, 0.5, 1.0)):
     eb = get_edge_basis(dofmap.degree)
     ts = np.asarray(samples)
     ev = eb.values(ts)  # (ns, k+1)
+    edge_traces = solution.edge_traces()
     lines = []
     for e in dofmap.skeleton_edges:
         a, b = mesh.edges[e]
         pts = mesh.vertices[a] + ts[:, None] * (mesh.vertices[b] - mesh.vertices[a])
-        vals = ev @ solution.trace_on_edge(e)
+        vals = ev @ edge_traces[e]
         for p, v in zip(pts, vals):
             lines.append(f"{p[0]:.12e} {p[1]:.12e} {v:.12e}")
     _write_text(path, "\n".join(lines) + "\n")

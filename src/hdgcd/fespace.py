@@ -16,7 +16,6 @@ import numpy as np
 from hdgcd.mesh import BoundaryTag, extract_skeleton
 
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-_INSIDE_TOL = 1e-12
 _MAX_DEGREE = 10
 _MAX_QUAD_ORDER = 60
 
@@ -96,12 +95,6 @@ class ElementBasis:
         dyy = self._monomials_d(pts, 0, 2) @ self._coeff
         return np.stack([dxx, dxy, dyy], axis=-1)
 
-    def reference_mass(self):
-        """Mass matrix on the reference triangle (unit jacobian)."""
-        rule = quad_triangle(2 * self.degree)
-        vals = self.values(rule.points)
-        return vals.T @ (rule.weights[:, None] * vals)
-
 
 class EdgeBasis:
     """Nodal Lagrange basis of degree k on [0, 1], nodes at i/k.
@@ -129,25 +122,6 @@ class EdgeBasis:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         mono = t[:, None] ** np.arange(self.dim)[None, :]
         return mono @ self._coeff
-
-    def reference_mass(self):
-        rule = quad_edge(2 * self.degree)
-        vals = self.values(rule.points)
-        return vals.T @ (rule.weights[:, None] * vals)
-
-
-def eval_basis(basis, points):
-    """Values and reference gradients of ``basis`` at reference points.
-
-    Points must lie in the closed reference triangle (up to 1e-12).
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    x, y = pts[:, 0], pts[:, 1]
-    inside = (x >= -_INSIDE_TOL) & (y >= -_INSIDE_TOL) & (x + y <= 1.0 + _INSIDE_TOL)
-    if not np.all(inside):
-        bad = pts[~inside][0]
-        raise ValueError(f"point {tuple(bad)} lies outside the reference triangle")
-    return basis.values(pts), basis.gradients(pts)
 
 
 @dataclass(frozen=True)
@@ -269,15 +243,17 @@ class DofMap:
     def n_total(self):
         return self.n_interior + self.n_trace_active
 
-    def element_dofs(self, element):
-        """Global interior dof indices of one element."""
-        start = element * self.ndof_elem
-        return np.arange(start, start + self.ndof_elem)
+    def element_dofs(self, elements=slice(None)):
+        """Global interior dof indices of one element (nd,), or of an index
+        array or slice of elements (n, nd); all elements by default."""
+        return np.arange(self.n_interior).reshape(-1, self.ndof_elem)[elements]
 
-    def element_trace_dofs(self, element):
-        """Active-trace indices of the element's three edge slots, -1 where
-        the slot is constrained (Dirichlet) or off the skeleton (Neumann)."""
-        return self.edge_dofs[self.mesh.elem_edges[element]].ravel()
+    def element_trace_dofs(self, elements=slice(None)):
+        """Active-trace indices of the elements' three edge slots, slot by
+        slot, -1 where the slot is constrained (Dirichlet) or off the
+        skeleton (Neumann); shaped like :meth:`element_dofs`."""
+        slots = self.mesh.elem_edges[elements]
+        return self.edge_dofs[slots].reshape(*slots.shape[:-1], -1)
 
 
 def build_dofmap(mesh, degree, skeleton_mode="dg"):
@@ -297,21 +273,6 @@ def get_edge_basis(degree):
     return EdgeBasis(degree)
 
 
-def project_element(f, mesh, element, basis, quad_order=None):
-    """L2 projection of ``f`` onto P_k of one element, nodal coefficients."""
-    if quad_order is None:
-        quad_order = max(12, 2 * basis.degree)
-    rule = quad_triangle(quad_order)
-    vals = basis.values(rule.points)
-    mass = vals.T @ (rule.weights[:, None] * vals)
-    v0 = mesh.vertices[mesh.triangles[element, 0]]
-    pts = v0[None, :] + rule.points @ mesh.jacobians[element].T
-    fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    rhs = vals.T @ (rule.weights * fv)
-    # The jacobian determinant cancels between mass and load.
-    return np.linalg.solve(mass, rhs)
-
-
 def project_all_elements(f, mesh, basis, quad_order=None):
     """L2 projection of ``f`` element by element, shape (nt, dim)."""
     if quad_order is None:
@@ -324,21 +285,6 @@ def project_all_elements(f, mesh, basis, quad_order=None):
     fv = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
     rhs = fv @ (rule.weights[:, None] * vals)  # (nt, dim)
     return np.linalg.solve(mass, rhs.T).T
-
-
-def project_edge(f, mesh, edge, edge_basis, quad_order=None):
-    """L2 projection of ``f`` onto P_k of one edge, nodal coefficients."""
-    if quad_order is None:
-        quad_order = max(12, 2 * edge_basis.degree)
-    rule = quad_edge(quad_order)
-    vals = edge_basis.values(rule.points)
-    mass = vals.T @ (rule.weights[:, None] * vals)
-    a, b = mesh.edges[edge]
-    pts = mesh.vertices[a] + rule.points[:, None] * (mesh.vertices[b] - mesh.vertices[a])
-    fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    rhs = vals.T @ (rule.weights * fv)
-    # The edge length cancels between mass and load.
-    return np.linalg.solve(mass, rhs)
 
 
 def project_all_edges(f, mesh, edge_basis, edge_ids, quad_order=None):

@@ -78,6 +78,10 @@ class Mesh:
     normals : (nt, 3, 2) float array
         Unit outward normal per element and local edge.
     h_K : (nt,) element diameters;  h_e : (ne,) edge lengths.
+    contexts : dict
+        Assembly contexts of this mesh keyed by (basis, edge basis,
+        quadrature order); they live exactly as long as the mesh.  A context
+        must not refer back to the mesh, so a dropped mesh is freed by refcount.
     """
 
     def __init__(self, vertices, triangles, boundary=None, generator_n=None):
@@ -202,6 +206,7 @@ class Mesh:
         if np.any(bad):
             raise MeshError("boundary edges must be tagged Dirichlet or Neumann")
         self.edge_tags = tags
+        self.contexts = {}
 
         for arr in (self.vertices, self.triangles, self.edges, self.edge_elems,
                     self.elem_edges, self.edge_forward, self.edge_tags,

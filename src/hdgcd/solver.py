@@ -6,9 +6,10 @@ interior block is eliminated locally,
     S = sum_K (A_tt - A_tu A_uu^{-1} A_ut),   g = sum_K (b_t - A_tu A_uu^{-1} b_u),
 
 the condensed system S uhat = g is solved with a sparse direct factorization,
-and interior unknowns are recovered element by element.  The uncondensed
-system assembled by :func:`hdgcd.assembly.assemble_monolithic` serves as the
-reference the condensed path is verified against.
+and interior unknowns are recovered from the same eliminations.  All element
+work is batched over the stacked :class:`hdgcd.assembly.ElementSystems`.  The
+uncondensed system assembled by :func:`hdgcd.assembly.assemble_monolithic`
+serves as the reference the condensed path is verified against.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hdgcd import assembly
-from hdgcd.assembly import assemble_local_systems, assemble_monolithic, check_problem
+from hdgcd.assembly import (ElementSystems, assemble_local_systems, assemble_monolithic,
+                            check_problem, scatter_systems)
 from hdgcd.fespace import build_dofmap
 
 COND_LIMIT = 1e14
@@ -40,16 +41,16 @@ class SingularSystemError(RuntimeError):
 
 @dataclass
 class CondensedSystem:
-    """Skeleton system together with the element data needed for recovery."""
+    """Skeleton system together with the element data needed for recovery.
+
+    ``W`` (nt, nd, ntr + 1) holds A_uu^{-1} [A_ut | b_u] of every element.
+    """
 
     S: sp.csr_matrix
     g: np.ndarray
     dofmap: object
-    elem_lu: list
-    elem_interior: list      # interior blocks A_uu (kept for residual checks)
-    elem_coupling: list      # coupling blocks A_ut restricted to active columns
-    elem_load: list          # interior loads b_u
-    elem_trace_gids: list    # active global trace indices per element
+    systems: ElementSystems
+    W: np.ndarray
 
     @property
     def n_trace(self):
@@ -75,61 +76,29 @@ class HdgSolution:
     def degree(self):
         return self.dofmap.degree
 
-    def trace_on_edge(self, edge):
-        """Trace coefficients on one skeleton edge, zeros where constrained."""
-        gids = self.dofmap.edge_dofs[edge]
-        out = np.zeros(gids.size)
-        act = gids >= 0
-        out[act] = self.uhat[gids[act]]
-        return out
+    def edge_traces(self):
+        """Trace coefficients per mesh edge, (ne, k+1), zeros where constrained."""
+        return np.append(self.uhat, 0.0)[self.dofmap.edge_dofs]   # -1 reads the appended 0
 
 
 def condense(local_systems, dofmap, cond_limit=COND_LIMIT):
-    """Eliminate interior unknowns from every local block.
+    """Eliminate interior unknowns from every element of the stacked systems.
 
-    Raises :class:`ElementSolvabilityError` when an interior block has an
-    estimated condition number beyond ``cond_limit`` or fails to factor.
+    Raises :class:`ElementSolvabilityError` naming the first element whose
+    interior block has a condition number beyond ``cond_limit``.
     """
-    n_active = dofmap.n_trace_active
-    rows, cols, vals = [], [], []
-    g = np.zeros(n_active)
-    elem_lu, elem_interior, elem_coupling, elem_load, elem_gids = [], [], [], [], []
-    for blk in local_systems:
-        t = blk.element
-        cond = np.linalg.cond(blk.A_uu)
-        if not np.isfinite(cond) or cond > cond_limit:
-            raise ElementSolvabilityError(
-                f"element {t}: interior block condition estimate {cond:.3e} exceeds {cond_limit:.1e}")
-        try:
-            lu = sla.lu_factor(blk.A_uu)
-        except sla.LinAlgError as exc:
-            raise ElementSolvabilityError(f"element {t}: interior block factorization failed: {exc}") from exc
-        act = np.nonzero(blk.trace_gids >= 0)[0]
-        gt = blk.trace_gids[act]
-        a_ut = blk.A_ut[:, act]
-        a_tu = blk.A_tu[act, :]
-        ws = sla.lu_solve(lu, np.column_stack([a_ut, blk.b_u]))
-        elem_lu.append(lu)
-        elem_interior.append(blk.A_uu.copy())
-        elem_coupling.append(a_ut)
-        elem_load.append(blk.b_u.copy())
-        elem_gids.append(gt)
-        if act.size:
-            s_loc = blk.A_tt[np.ix_(act, act)] - a_tu @ ws[:, :-1]
-            g_loc = blk.b_t[act] - a_tu @ ws[:, -1]
-            rows.append(np.repeat(gt, gt.size))
-            cols.append(np.tile(gt, gt.size))
-            vals.append(s_loc.ravel())
-            np.add.at(g, gt, g_loc)
-    if rows:
-        s_mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_active, n_active)).tocsr()
-    else:
-        s_mat = sp.csr_matrix((n_active, n_active))
-    return CondensedSystem(S=s_mat, g=g, dofmap=dofmap, elem_lu=elem_lu,
-                           elem_interior=elem_interior, elem_coupling=elem_coupling,
-                           elem_load=elem_load, elem_trace_gids=elem_gids)
+    sy = local_systems
+    cond = np.linalg.cond(sy.A_uu)
+    bad = ~(cond <= cond_limit)
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise ElementSolvabilityError(
+            f"element {t}: interior block condition estimate {cond[t]:.3e} exceeds {cond_limit:.1e}")
+    W = np.linalg.solve(sy.A_uu, np.concatenate([sy.A_ut, sy.b_u[..., None]], axis=-1))
+    s_loc = sy.A_tt - sy.A_tu @ W[..., :-1]
+    g_loc = sy.b_t - (sy.A_tu @ W[..., -1:])[..., 0]
+    s_mat, g = scatter_systems(s_loc, g_loc, sy.trace_gids, dofmap.n_trace_active)
+    return CondensedSystem(S=s_mat, g=g, dofmap=dofmap, systems=sy, W=W)
 
 
 def solve_skeleton(system):
@@ -159,23 +128,20 @@ def solve_skeleton(system):
 def recover_interior(traces, system):
     """Back-substitute the trace solution into every element.
 
-    Each element touches only its own three edges, so recovery is local.
-    The per-element residual of the interior solve is recorded in
-    ``info["max_recovery_residual"]``.
+    Each element touches only its own three edges, so recovery is local:
+    u = A_uu^{-1} b_u - A_uu^{-1} A_ut uhat.  The worst relative residual
+    of the interior equations is recorded in ``info["max_recovery_residual"]``.
     """
     dofmap = system.dofmap
-    mesh = dofmap.mesh
+    sy = system.systems
     traces = np.asarray(traces, dtype=float)
-    u = np.empty((mesh.n_elements, dofmap.ndof_elem))
-    max_resid = 0.0
-    for t in range(mesh.n_elements):
-        rhs = system.elem_load[t] - system.elem_coupling[t] @ traces[system.elem_trace_gids[t]]
-        u[t] = sla.lu_solve(system.elem_lu[t], rhs)
-        resid = np.abs(system.elem_interior[t] @ u[t] - rhs).max(initial=0.0)
-        scale = 1.0 + np.abs(rhs).max(initial=0.0)
-        max_resid = max(max_resid, float(resid / scale))
-    return HdgSolution(mesh=mesh, dofmap=dofmap, u=u, uhat=traces,
-                       info={"max_recovery_residual": max_resid})
+    uhat = np.append(traces, 0.0)[sy.trace_gids]   # -1 (constrained) reads the appended 0
+    u = system.W[..., -1] - (system.W[..., :-1] @ uhat[..., None])[..., 0]
+    rhs = sy.b_u - (sy.A_ut @ uhat[..., None])[..., 0]
+    resid = np.abs((sy.A_uu @ u[..., None])[..., 0] - rhs).max(axis=1)
+    scale = 1.0 + np.abs(rhs).max(axis=1)
+    return HdgSolution(mesh=dofmap.mesh, dofmap=dofmap, u=u, uhat=traces,
+                       info={"max_recovery_residual": float((resid / scale).max())})
 
 
 def _solution_info(dofmap, eta, degree, skeleton_mode, quad_order, method):
@@ -202,10 +168,7 @@ def solve_hdg(problem, mesh, degree=1, eta=None, skeleton_mode="dg",
     if eta is None:
         eta = assembly.default_eta(degree)
     if check:
-        report = check_problem(problem, mesh)
-        if not report.ok:
-            raise ValueError("problem is not well posed on this mesh: "
-                             + "; ".join(report.messages))
+        check_problem(problem, mesh).require_ok()
     dofmap = build_dofmap(mesh, degree, skeleton_mode)
     systems = assemble_local_systems(mesh, dofmap, problem, eta=eta, quad_order=quad_order)
     condensed = condense(systems, dofmap)
@@ -221,10 +184,7 @@ def solve_monolithic(problem, mesh, degree=1, eta=None, skeleton_mode="dg",
     if eta is None:
         eta = assembly.default_eta(degree)
     if check:
-        report = check_problem(problem, mesh)
-        if not report.ok:
-            raise ValueError("problem is not well posed on this mesh: "
-                             + "; ".join(report.messages))
+        check_problem(problem, mesh).require_ok()
     dofmap = build_dofmap(mesh, degree, skeleton_mode)
     mat, rhs = assemble_monolithic(mesh, dofmap, problem, eta=eta, quad_order=quad_order)
     with warnings.catch_warnings():
@@ -251,8 +211,9 @@ def save_solution(solution, path):
     for t in range(solution.mesh.n_elements):
         coeffs = " ".join(f"{c:.17g}" for c in solution.u[t])
         lines.append(f"K {t} {coeffs}")
+    edge_traces = solution.edge_traces()
     for e in solution.dofmap.skeleton_edges:
-        coeffs = " ".join(f"{c:.17g}" for c in solution.trace_on_edge(e))
+        coeffs = " ".join(f"{c:.17g}" for c in edge_traces[e])
         lines.append(f"E {e} {coeffs}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from hdgcd.assembly import check_problem, get_context
+from hdgcd.assembly import check_problem, eval_field, get_context, neumann_data
 from hdgcd.fespace import get_edge_basis, get_element_basis
 from hdgcd.mesh import BoundaryTag
 from hdgcd.solver import SingularSystemError
@@ -86,21 +86,11 @@ def assemble_supg(problem, mesh, quad_order=None, tau_scale=1.0):
     basis = get_element_basis(1)
     ctx = get_context(mesh, basis, get_edge_basis(1), quad_order)
     w = ctx.vol.weights
-    xv = ctx.X_vol
-    bx_v, by_v = problem.b(xv[..., 0], xv[..., 1])
-    bx_v = np.broadcast_to(np.asarray(bx_v, dtype=float), xv[..., 0].shape)
-    by_v = np.broadcast_to(np.asarray(by_v, dtype=float), xv[..., 0].shape)
-    c_v = None
-    if problem.c is not None:
-        c_v = np.broadcast_to(np.asarray(problem.c(xv[..., 0], xv[..., 1]), dtype=float),
-                              xv[..., 0].shape)
-    f_v = np.broadcast_to(np.asarray(problem.f(xv[..., 0], xv[..., 1]), dtype=float),
-                          xv[..., 0].shape)
-    g_e = None
-    if problem.g_N is not None and np.any(mesh.edge_tags == _NEUMANN):
-        xe = ctx.X_edge
-        g_e = np.broadcast_to(np.asarray(problem.g_N(xe[..., 0], xe[..., 1]), dtype=float),
-                              xe[..., 0].shape)
+    x, y = ctx.X_vol[..., 0], ctx.X_vol[..., 1]
+    bx_v, by_v = eval_field(problem.b, x, y, "b", vector=True)
+    c_v = eval_field(problem.c, x, y, "c")
+    f_v = eval_field(problem.f, x, y, "f")
+    g_e = neumann_data(problem, mesh, ctx)
 
     speed = np.hypot(bx_v, by_v).max(axis=1)  # per-element sup of |b|
     eps = problem.epsilon
@@ -144,10 +134,7 @@ def assemble_supg(problem, mesh, quad_order=None, tau_scale=1.0):
 def solve_supg(problem, mesh, quad_order=None, tau_scale=1.0, check=True):
     """Solve the stabilized P1 system; Dirichlet vertices are fixed to zero."""
     if check:
-        report = check_problem(problem, mesh)
-        if not report.ok:
-            raise ValueError("problem is not well posed on this mesh: "
-                             + "; ".join(report.messages))
+        check_problem(problem, mesh).require_ok()
     mat, rhs, free = assemble_supg(problem, mesh, quad_order=quad_order, tau_scale=tau_scale)
     nodal = np.zeros(mesh.n_vertices)
     if free.size:

@@ -1,13 +1,17 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from hdgcd.assembly import (ProblemSpec, assemble_local_systems,
                             assemble_monolithic, bracket, check_problem,
-                            default_eta, default_quad_order, local_convection,
-                            local_diffusion, local_load)
+                            default_eta, default_quad_order, get_context,
+                            local_diffusion)
 from hdgcd.fespace import build_dofmap, get_edge_basis, get_element_basis
 from hdgcd.mesh import build_uniform_triangulation, dirichlet_where
-from hdgcd.solver import HdgSolution
+from hdgcd.solver import HdgSolution, solve_hdg
+from hdgcd.supg import solve_supg
 from hdgcd.analysis import hdg_norm
 
 
@@ -140,12 +144,11 @@ def test_local_blocks_shapes():
 def test_neumann_load_only_touches_interior():
     rule = dirichlet_where(lambda x, y: x < 1e-12)
     mesh = build_uniform_triangulation(2, rule)
-    basis, eb = get_element_basis(1), get_edge_basis(1)
     # element adjacent to the x=1 boundary
     t = int(mesh.edge_elems[mesh.boundary_edges[np.argmax(
         mesh.edge_midpoints[mesh.boundary_edges, 0])], 0])
-    blk = local_load(mesh, t, basis, eb, f=lambda x, y: np.zeros_like(x),
-                     g_N=lambda x, y: np.ones_like(x))
+    prob = make_problem(boundary=rule, g_N=lambda x, y: np.ones_like(x))
+    blk = assemble_local_systems(mesh, build_dofmap(mesh, 1), prob, parts=("load",))[t]
     assert np.abs(blk.b_u).max() > 0.0
     assert np.abs(blk.b_t).max() == 0.0
 
@@ -155,10 +158,10 @@ def test_neumann_flux_integral_value():
     # of length h splits h into h/2 per endpoint basis function
     rule = dirichlet_where(lambda x, y: y > 1e-12)  # Dirichlet only at y=0
     mesh = build_uniform_triangulation(1, rule)
-    basis, eb = get_element_basis(1), get_edge_basis(1)
+    prob = make_problem(boundary=rule, g_N=lambda x, y: np.ones_like(x))
+    blocks = assemble_local_systems(mesh, build_dofmap(mesh, 1), prob, parts=("load",))
     for t in range(mesh.n_elements):
-        blk = local_load(mesh, t, basis, eb, f=lambda x, y: np.zeros_like(x),
-                         g_N=lambda x, y: np.ones_like(x))
+        blk = blocks[t]
         # integrating g_N = 1 over the element's Neumann edges gives their
         # total length, split h/2 per endpoint test function
         assert blk.b_u.sum() == pytest.approx(
@@ -178,8 +181,9 @@ def test_monolithic_matches_local_blocks():
     vec = np.zeros(dm.n_total)
     blocks = assemble_local_systems(mesh, dm, prob)
     ni = dm.n_interior
-    for blk in blocks:
-        rows_u = dm.element_dofs(blk.element)
+    for t in range(mesh.n_elements):
+        blk = blocks[t]
+        rows_u = dm.element_dofs(t)
         gids = blk.trace_gids
         act = gids >= 0
         rows_t = ni + gids[act]
@@ -221,3 +225,69 @@ def test_exact_solution_annihilates_residual():
     v = np.concatenate([proj.u.ravel(), proj.uhat])
     resid = A @ v - rhs
     assert np.abs(resid).max() < 1e-12
+
+
+def test_context_dies_with_its_mesh():
+    # a solved and dropped mesh frees its cached context by refcount alone
+    rule = dirichlet_where(lambda x, y: x < 1e-12)
+    prob = make_problem(b=(1.0, 0.0), boundary=rule, f=lambda x, y: x)
+    gc.disable()
+    try:
+        mesh = build_uniform_triangulation(3, rule)
+        solve_hdg(prob, mesh, degree=2)
+        ref = weakref.ref(get_context(mesh, degree=2))
+        del mesh
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+BAD_FIELDS = {
+    "f": dict(f=lambda x, y: np.full_like(x, np.nan)),
+    "b": dict(b=lambda x, y: (np.full_like(x, np.inf), np.zeros_like(x))),
+    "c": dict(c=lambda x, y: np.ones(3)),
+    "g_N": dict(g_N=lambda x, y: np.full_like(x, np.nan)),
+    "div_b": dict(div_b=lambda x, y: np.full_like(x, np.inf)),
+}
+
+
+@pytest.mark.parametrize("solve", [solve_hdg, solve_supg], ids=["hdg", "supg"])
+@pytest.mark.parametrize("name", sorted(BAD_FIELDS))
+def test_bad_field_is_named(solve, name):
+    rule = dirichlet_where(lambda x, y: x < 1e-12)
+    mesh = build_uniform_triangulation(3, rule)
+    fields = dict(epsilon=1e-2, b=constant_velocity(1.0, 0.0),
+                  f=lambda x, y: np.ones_like(x), boundary=rule)
+    fields.update(BAD_FIELDS[name])
+    with pytest.raises(ValueError, match=f"field {name} "):
+        solve(ProblemSpec(**fields), mesh)
+
+
+@pytest.mark.parametrize("solve", [solve_hdg, solve_supg], ids=["hdg", "supg"])
+def test_vector_and_scalar_fields_of_any_container(solve):
+    # a stacked ndarray velocity, a constant (2,) velocity and a list-valued
+    # scalar field solve like their tuple and ndarray forms
+    mesh = build_uniform_triangulation(3)
+    base = dict(epsilon=1e-2, f=lambda x, y: np.ones_like(x))
+    ref = solve(ProblemSpec(b=constant_velocity(1.0, 0.5), c=lambda x, y: np.ones_like(x),
+                            **base), mesh)
+    for b, c in ((lambda x, y: np.array([np.ones_like(x), np.full_like(x, 0.5)]),
+                  lambda x, y: np.ones_like(x)),
+                 (lambda x, y: np.array([1.0, 0.5]), lambda x, y: [1.0])):
+        sol = solve(ProblemSpec(b=b, c=c, **base), mesh)
+        np.testing.assert_allclose(np.ravel(sol.u), np.ravel(ref.u), rtol=1e-13, atol=1e-13)
+
+
+def test_velocity_without_two_components_is_named():
+    with pytest.raises(ValueError, match="field b does not evaluate to two components"):
+        solve_hdg(ProblemSpec(epsilon=1.0, b=lambda x, y: np.ones_like(x),
+                              f=lambda x, y: np.zeros_like(x)),
+                  build_uniform_triangulation(2))
+
+
+def test_bad_exact_solution_is_named():
+    from hdgcd.analysis import error_l2
+    prob = make_problem(f=lambda x, y: np.ones_like(x))
+    sol = solve_hdg(prob, build_uniform_triangulation(2), degree=1)
+    with pytest.raises(ValueError, match="field exact "):
+        error_l2(sol, lambda x, y: np.full_like(x, np.nan))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hdgcd.fespace import (DofMap, EdgeBasis, ElementBasis, build_dofmap,
-                           eval_basis, project_all_elements, project_edge,
-                           project_element, quad_edge, quad_triangle)
+                           project_all_edges, project_all_elements, quad_edge,
+                           quad_triangle)
 from hdgcd.mesh import build_uniform_triangulation, dirichlet_where
 
 
@@ -71,12 +71,6 @@ def test_edge_basis_nodal_and_unity(degree):
     t = np.linspace(0.0, 1.0, 7)
     np.testing.assert_allclose(eb.values(t).sum(axis=1), 1.0, atol=1e-12)
     np.testing.assert_allclose(eb.values(eb.nodes), np.eye(eb.dim), atol=1e-12)
-
-
-def test_eval_basis_rejects_outside_points():
-    basis = ElementBasis(2)
-    with pytest.raises(ValueError):
-        eval_basis(basis, np.array([[1.2, 0.3]]))
 
 
 def test_triangle_quadrature_exactness():
@@ -182,21 +176,11 @@ def test_element_trace_dofs_layout():
 def test_project_element_reproduces_polynomials():
     mesh = build_uniform_triangulation(2)
     basis = ElementBasis(2)
-    coef = project_element(lambda x, y: x * y + 2.0 * x - y, mesh, 3, basis)
+    coef = project_all_elements(lambda x, y: x * y + 2.0 * x - y, mesh, basis)[3]
     nodes_phys = (mesh.vertices[mesh.triangles[3, 0]]
                   + basis.nodes @ mesh.jacobians[3].T)
     expect = nodes_phys[:, 0] * nodes_phys[:, 1] + 2 * nodes_phys[:, 0] - nodes_phys[:, 1]
     np.testing.assert_allclose(coef, expect, atol=1e-12)
-
-
-def test_project_all_elements_matches_single():
-    mesh = build_uniform_triangulation(3)
-    basis = ElementBasis(1)
-    f = lambda x, y: np.sin(x) * np.cos(y)
-    all_coef = project_all_elements(f, mesh, basis)
-    for t in (0, 7, 12):
-        np.testing.assert_allclose(all_coef[t], project_element(f, mesh, t, basis),
-                                   atol=1e-13)
 
 
 def test_edge_projection_error_oracle():
@@ -211,7 +195,7 @@ def test_edge_projection_error_oracle():
         h = 1.0 / n
         # bottom-left horizontal boundary edge: vertices 0 and 1
         e = int(np.nonzero((mesh.edges[:, 0] == 0) & (mesh.edges[:, 1] == 1))[0][0])
-        coef = project_edge(lambda x, y: x ** 2, mesh, e, eb)
+        coef = project_all_edges(lambda x, y: x ** 2, mesh, eb, [e])[0]
         pts = mesh.vertices[0] + rule.points[:, None] * (mesh.vertices[1] - mesh.vertices[0])
         vals = eb.values(rule.points) @ coef
         err = np.sqrt(h * (rule.weights * (pts[:, 0] ** 2 - vals) ** 2).sum())
