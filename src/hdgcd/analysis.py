@@ -17,8 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from hdgcd.assembly import (bracket, default_quad_order, eval_field, get_context,
-                            neumann_data)
+from hdgcd.assembly import (bracket, default_eta, default_quad_order, eval_field,
+                            get_context, neumann_data)
 from hdgcd.fespace import (get_edge_basis, get_element_basis, project_all_edges,
                            project_all_elements, quad_triangle)
 from hdgcd.solver import HdgSolution
@@ -76,11 +76,6 @@ def _region_mask(region, mesh):
     return region.element_mask(mesh), region.name
 
 
-def _physical_points(mesh, ref_points):
-    v0 = mesh.vertices[mesh.triangles[:, 0]]
-    return v0[:, None, :] + np.einsum("qd,tad->tqa", ref_points, mesh.jacobians)
-
-
 def error_l2(solution, exact, region=None, quad_order=ERROR_QUAD_ORDER):
     """Broken L2 distance between a discrete field and an exact solution."""
     mesh = solution.mesh
@@ -88,7 +83,7 @@ def error_l2(solution, exact, region=None, quad_order=ERROR_QUAD_ORDER):
     rule = quad_triangle(quad_order)
     vals = basis.values(rule.points)           # (nq, nd)
     uh = solution.u @ vals.T                   # (nt, nq)
-    pts = _physical_points(mesh, rule.points)
+    pts = mesh.physical_points(rule.points)
     ue = eval_field(exact, pts[..., 0], pts[..., 1], "exact")
     mask, _ = _region_mask(region, mesh)
     per_elem = ((uh - ue) ** 2 @ rule.weights) * mesh.det_jacobians
@@ -102,7 +97,7 @@ def error_h1_broken(solution, exact_grad, region=None, quad_order=ERROR_QUAD_ORD
     rule = quad_triangle(quad_order)
     dref = basis.gradients(rule.points)        # (nq, nd, 2)
     grads = np.einsum("ti,qib,tab->tqa", solution.u, dref, mesh.inv_jacobians_t)
-    pts = _physical_points(mesh, rule.points)
+    pts = mesh.physical_points(rule.points)
     gx, gy = eval_field(exact_grad, pts[..., 0], pts[..., 1], "exact_grad", vector=True)
     diff = (grads[..., 0] - gx) ** 2 + (grads[..., 1] - gy) ** 2
     mask, _ = _region_mask(region, mesh)
@@ -123,12 +118,10 @@ def project_to_hdg(exact, dofmap, quad_order=ERROR_QUAD_ORDER):
     u = project_all_elements(exact, mesh, basis, quad_order=quad_order)
     uhat = np.zeros(dofmap.n_trace_active)
     if dofmap.skeleton_mode == "dg":
-        free = [e for e in dofmap.skeleton_edges if dofmap.edge_dofs[e][0] >= 0]
-        if free:
-            edge_basis = get_edge_basis(dofmap.degree)
-            coefs = project_all_edges(exact, mesh, edge_basis, free, quad_order=quad_order)
-            for row, e in enumerate(free):
-                uhat[dofmap.edge_dofs[e]] = coefs[row]
+        free = np.flatnonzero(dofmap.edge_dofs[:, 0] >= 0)
+        if free.size:
+            uhat[dofmap.edge_dofs[free]] = project_all_edges(
+                exact, mesh, get_edge_basis(dofmap.degree), free, quad_order=quad_order)
     else:
         active = np.nonzero(dofmap.vertex_dofs >= 0)[0]
         vx = mesh.vertices[active]
@@ -192,8 +185,7 @@ def hdg_norm(pair, problem, eta, region=None, quad_order=None, starred=False):
 
     # edge quantities, slot by slot over the selected elements
     uhat_edges = pair.edge_traces()
-    xe = ctx.X_edge
-    bx_e, by_e = eval_field(problem.b, xe[..., 0], xe[..., 1], "b", vector=True)
+    bx_e, by_e = ctx.edge_values(problem.b, "b", vector=True)
     jump_sq = conv_sq = trace_sq = 0.0
     for s in range(3):
         sl = ctx.slot(mesh, s)
@@ -245,25 +237,22 @@ def conservation_residual(solution, problem, eta=None, quad_order=None):
     dofmap = solution.dofmap
     degree = dofmap.degree
     if eta is None:
-        eta = solution.info.get("eta", 10.0 * degree * degree)
+        eta = solution.info.get("eta", default_eta(degree))
     if quad_order is None:
         quad_order = solution.info.get("quad_order", default_quad_order(degree))
     ctx = get_context(mesh, get_element_basis(degree), get_edge_basis(degree), quad_order)
     w = ctx.vol.weights
     det = mesh.det_jacobians
 
-    xv = ctx.X_vol
-    bx_v, by_v = eval_field(problem.b, xv[..., 0], xv[..., 1], "b", vector=True)
+    bx_v, by_v = ctx.volume_values(problem.b, "b", vector=True)
     grads = np.einsum("ti,qib,tab->tqa", solution.u, ctx.dN, mesh.inv_jacobians_t)
     conv = bx_v * grads[..., 0] + by_v * grads[..., 1]
     if problem.c is not None:
         uh = solution.u @ ctx.N.T
-        conv = conv + eval_field(problem.c, xv[..., 0], xv[..., 1], "c") * uh
-    f_v = eval_field(problem.f, xv[..., 0], xv[..., 1], "f")
-    residual = ((conv - f_v) @ w) * det
+        conv = conv + ctx.volume_values(problem.c, "c") * uh
+    residual = ((conv - ctx.volume_values(problem.f, "f")) @ w) * det
 
-    xe = ctx.X_edge
-    bx_e, by_e = eval_field(problem.b, xe[..., 0], xe[..., 1], "b", vector=True)
+    bx_e, by_e = ctx.edge_values(problem.b, "b", vector=True)
     g_e = neumann_data(problem, mesh, ctx)
     uhat_edges = solution.edge_traces()
     eps = problem.epsilon

@@ -129,9 +129,7 @@ def check_problem(problem, mesh, quad_order=4, rho_tol=1e-10, inflow_tol=1e-12):
     at the volume quadrature points, and the velocity must not enter the
     domain through a non-Dirichlet boundary edge.
     """
-    rule = quad_triangle(quad_order)
-    v0 = mesh.vertices[mesh.triangles[:, 0]]
-    pts = v0[:, None, :] + np.einsum("qd,tad->tqa", rule.points, mesh.jacobians)
+    pts = mesh.physical_points(quad_triangle(quad_order).points)
     x, y = pts[..., 0], pts[..., 1]
     eval_field(problem.b, x, y, "b", vector=True)   # named error before the inflow check uses b
     cv = eval_field(problem.c, x, y, "c")
@@ -243,15 +241,24 @@ class AssemblyContext:
                 dn_tr[s, o] = basis.gradients(pts)
         self.N_tr = n_tr
         self.dN_tr = dn_tr
-        v0 = mesh.vertices[mesh.triangles[:, 0]]
-        self.X_vol = v0[:, None, :] + np.einsum("qd,tad->tqa", self.vol.points, mesh.jacobians)
-        va = mesh.vertices[mesh.edges[:, 0]]
-        vb = mesh.vertices[mesh.edges[:, 1]]
-        self.X_edge = va[:, None, :] + t[None, :, None] * (vb - va)[:, None, :]
+        self.X_vol = mesh.physical_points(self.vol.points)
+        self.X_edge = mesh.edge_points(t)
 
     def gradients(self, mesh):
         """Physical basis gradients at the volume points, (nt, nq, nd, 2)."""
         return self.dN @ _swap(mesh.inv_jacobians_t)[:, None]
+
+    def volume_weights(self, mesh):
+        """Physical volume quadrature weights, (nt, nq)."""
+        return self.vol.weights * mesh.det_jacobians[:, None]
+
+    def volume_values(self, func, name, vector=False):
+        """:func:`eval_field` of ``func`` at the volume points, (nt, nq)."""
+        return eval_field(func, self.X_vol[..., 0], self.X_vol[..., 1], name, vector)
+
+    def edge_values(self, func, name, vector=False):
+        """:func:`eval_field` of ``func`` at the edge points, (ne, nqe)."""
+        return eval_field(func, self.X_edge[..., 0], self.X_edge[..., 1], name, vector)
 
     def slot(self, mesh, s, normal_derivs=False):
         """:class:`SlotTables` of local edge slot ``s`` for every element.
@@ -287,11 +294,48 @@ def get_context(mesh, basis=None, edge_basis=None, quad_order=None, degree=None)
     return mesh.contexts[key]
 
 
+# Volume terms shared by the HDG element systems and the SUPG baseline.  Each
+# returns stacked (nt, nd, nd) matrices or (nt, nd) loads, test rows x trial cols.
+
+def stiffness(ctx, mesh, epsilon):
+    """Broken stiffness epsilon (grad phi_j, grad phi_i)_K."""
+    G = ctx.gradients(mesh)
+    return epsilon * np.einsum("tqia,tqja->tij", ctx.volume_weights(mesh)[..., None, None] * G, G)
+
+
+def transport(ctx, mesh, b, c):
+    """Transport and reaction term (b . grad phi_j + c phi_j, phi_i)_K.
+
+    ``b`` (2, nt, nq) and ``c`` (nt, nq) or None are the coefficient values
+    at the volume points.  Also returns the streamline derivatives
+    b . grad phi (nt, nq, nd) and the weighted trial values
+    w (b . grad phi + c phi) (nt, nq, nd) the term is built from.
+    """
+    G = ctx.gradients(mesh)
+    bgrad = b[0][..., None] * G[..., 0] + b[1][..., None] * G[..., 1]
+    trial = bgrad if c is None else bgrad + c[..., None] * ctx.N
+    w_trial = ctx.volume_weights(mesh)[..., None] * trial
+    return ctx.N.T @ w_trial, bgrad, w_trial
+
+
+def load(ctx, mesh, problem):
+    """Source (f, phi_i)_K plus the Neumann data <g_N, phi_i> on Neumann slots.
+
+    Also returns the weighted source values w f (nt, nq).
+    """
+    w_f = ctx.volume_weights(mesh) * ctx.volume_values(problem.f, "f")
+    out = w_f @ ctx.N
+    g = neumann_data(problem, mesh, ctx)
+    if g is not None:
+        for s in range(3):
+            sl = ctx.slot(mesh, s)
+            out += np.einsum("tq,tqi->ti", sl.weights * g[sl.edges], sl.values)
+    return out, w_f
+
+
 def _diffusion(ctx, mesh, out, epsilon, eta):
     """Broken stiffness, adjoint-consistent flux terms and edge penalty."""
-    wq = ctx.vol.weights * mesh.det_jacobians[:, None]
-    G = ctx.gradients(mesh)
-    out.A_uu += epsilon * np.einsum("tqia,tqja->tij", wq[..., None, None] * G, G)
+    out.A_uu += stiffness(ctx, mesh, epsilon)
     E = ctx.E
     k1 = ctx.edge_basis.dim
     for s in range(3):
@@ -316,15 +360,9 @@ def _diffusion(ctx, mesh, out, epsilon, eta):
 
 def _convection(ctx, mesh, out, problem):
     """Volume transport and reaction plus the upwind trace coupling."""
-    xv, xe = ctx.X_vol, ctx.X_edge
-    bx, by = eval_field(problem.b, xv[..., 0], xv[..., 1], "b", vector=True)
-    G = ctx.gradients(mesh)
-    trial = bx[..., None] * G[..., 0] + by[..., None] * G[..., 1]
-    if problem.c is not None:
-        trial = trial + eval_field(problem.c, xv[..., 0], xv[..., 1], "c")[..., None] * ctx.N
-    wq = ctx.vol.weights * mesh.det_jacobians[:, None]
-    out.A_uu += ctx.N.T @ (wq[..., None] * trial)
-    bx_e, by_e = eval_field(problem.b, xe[..., 0], xe[..., 1], "b", vector=True)
+    b = ctx.volume_values(problem.b, "b", vector=True)
+    out.A_uu += transport(ctx, mesh, b, ctx.volume_values(problem.c, "c"))[0]
+    bx_e, by_e = ctx.edge_values(problem.b, "b", vector=True)
     E = ctx.E
     k1 = ctx.edge_basis.dim
     for s in range(3):
@@ -354,19 +392,6 @@ def neumann_data(problem, mesh, ctx):
     g = np.zeros(ctx.X_edge.shape[:2])
     g[neu] = eval_field(problem.g_N, xe[..., 0], xe[..., 1], "g_N")
     return g
-
-
-def _load(ctx, mesh, out, problem):
-    """Volume source plus the Neumann flux data on Neumann slots."""
-    xv = ctx.X_vol
-    f = eval_field(problem.f, xv[..., 0], xv[..., 1], "f")
-    out.b_u += (ctx.vol.weights * mesh.det_jacobians[:, None] * f) @ ctx.N
-    g = neumann_data(problem, mesh, ctx)
-    if g is None:
-        return
-    for s in range(3):
-        sl = ctx.slot(mesh, s)
-        out.b_u += np.einsum("tq,tqi->ti", sl.weights * g[sl.edges], sl.values)
 
 
 def local_diffusion(mesh, element, basis, edge_basis, epsilon, eta, quad_order=None):
@@ -421,7 +446,7 @@ def assemble_local_systems(mesh, dofmap, problem, eta=None, quad_order=None,
     if "convection" in parts:
         _convection(ctx, mesh, out, problem)
     if "load" in parts:
-        _load(ctx, mesh, out, problem)
+        out.b_u += load(ctx, mesh, problem)[0]
     out.trace_gids[:] = dofmap.element_trace_dofs()
     return out
 

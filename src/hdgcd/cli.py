@@ -21,7 +21,7 @@ import numpy as np
 from hdgcd.analysis import (convergence_table, error_hdg, error_l2,
                             error_h1_broken, overshoot_metric)
 from hdgcd.assembly import default_eta
-from hdgcd.fespace import get_element_basis
+from hdgcd.fespace import get_edge_basis, get_element_basis
 from hdgcd.mesh import build_uniform_triangulation
 from hdgcd.problems import CASE_NAMES, case_reduced_limit, get_case, verify_source_term
 from hdgcd.solver import ElementSolvabilityError, SingularSystemError, solve_hdg
@@ -162,20 +162,11 @@ def dump_field_grid(solution, path, resolution=GRID_RESOLUTION):
 
 def dump_trace(solution, path, samples=(0.0, 0.5, 1.0)):
     """Sample the skeleton trace per edge, written as 'x y value'."""
-    mesh = solution.mesh
-    dofmap = solution.dofmap
-    from hdgcd.fespace import get_edge_basis
-    eb = get_edge_basis(dofmap.degree)
+    skel = solution.dofmap.skeleton_edges
     ts = np.asarray(samples)
-    ev = eb.values(ts)  # (ns, k+1)
-    edge_traces = solution.edge_traces()
-    lines = []
-    for e in dofmap.skeleton_edges:
-        a, b = mesh.edges[e]
-        pts = mesh.vertices[a] + ts[:, None] * (mesh.vertices[b] - mesh.vertices[a])
-        vals = ev @ edge_traces[e]
-        for p, v in zip(pts, vals):
-            lines.append(f"{p[0]:.12e} {p[1]:.12e} {v:.12e}")
+    pts = solution.mesh.edge_points(ts, skel).reshape(-1, 2)
+    vals = (solution.edge_traces()[skel] @ get_edge_basis(solution.degree).values(ts).T).ravel()
+    lines = [f"{p[0]:.12e} {p[1]:.12e} {v:.12e}" for p, v in zip(pts, vals)]
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -206,14 +197,30 @@ def _solve_row(config, case, mesh, eta):
 _ROW_ERRORS = (ElementSolvabilityError, SingularSystemError, ValueError)
 
 
+def _open_table(config, study, columns):
+    """Validate ``config`` and resolve its penalty (default 10 k^2); returns
+    (eta, lines) with the CSV's schema and config comment lines."""
+    config.validate()
+    eta = config.eta if config.eta is not None else default_eta(config.degree)
+    return eta, [f"# hdgcd {study} v1: {columns}", _config_comment(config, eta)]
+
+
+def _rates(prev, h, e_l2, e_h1):
+    """Observed L2 and H1 orders against the previous row's (h, e_l2, e_h1),
+    None without a previous row."""
+    if prev is None:
+        return None, None
+    h0, l2_0, h1_0 = prev
+    return (convergence_table([l2_0, e_l2], [h0, h])[0],
+            convergence_table([h1_0, e_h1], [h0, h])[0])
+
+
 def run_convergence_study(config):
     """Mesh refinement sweep on one problem; returns the CSV text."""
-    config.validate()
+    eta, lines = _open_table(config, "convergence",
+                             "n,h,dofs_total,dofs_skeleton,err_l2,err_h1,err_hdg,rate_l2,rate_h1")
     case = get_case(config.problem, config.epsilon)
     verify_source_term(case)
-    eta = config.eta if config.eta is not None else default_eta(config.degree)
-    columns = "n,h,dofs_total,dofs_skeleton,err_l2,err_h1,err_hdg,rate_l2,rate_h1"
-    lines = [f"# hdgcd convergence v1: {columns}", _config_comment(config, eta)]
     results = []
     for n in config.mesh_sizes:
         mesh = build_uniform_triangulation(n, case.problem.boundary)
@@ -231,10 +238,7 @@ def run_convergence_study(config):
             prev = None
             continue
         n, h, dofs_total, dofs_skel, e_l2, e_h1, e_hdg = res
-        rate_l2 = rate_h1 = None
-        if prev is not None:
-            rate_l2 = convergence_table([prev[1], e_l2], [prev[0], h])[0]
-            rate_h1 = convergence_table([prev[2], e_h1], [prev[0], h])[0]
+        rate_l2, rate_h1 = _rates(prev, h, e_l2, e_h1)
         lines.append(",".join([
             str(n), _fmt(h), str(dofs_total), str(dofs_skel),
             _fmt(e_l2), _fmt(e_h1), _fmt(e_hdg) if e_hdg is not None else "",
@@ -250,13 +254,10 @@ def run_layer_study(config):
     """Boundary-layer benchmark: errors in the layer-free box, overshoots
     for both the hybrid solver and the stabilized baseline, field dumps."""
     config = replace(config, problem="layer")
-    config.validate()
+    eta, lines = _open_table(config, "layer", "n,h,dofs_total,dofs_skeleton,err_l2,err_h1,"
+                             "err_hdg,rate_l2,rate_h1,overshoot_hdg,overshoot_supg")
     case = get_case("layer", config.epsilon)
     verify_source_term(case)
-    eta = config.eta if config.eta is not None else default_eta(config.degree)
-    columns = ("n,h,dofs_total,dofs_skeleton,err_l2,err_h1,err_hdg,"
-               "rate_l2,rate_h1,overshoot_hdg,overshoot_supg")
-    lines = [f"# hdgcd layer v1: {columns}", _config_comment(config, eta)]
     prev = None
     for n in config.mesh_sizes:
         mesh = build_uniform_triangulation(n, case.problem.boundary)
@@ -274,10 +275,7 @@ def run_layer_study(config):
             lines.append(f"# error: n={n}: {exc}")
             prev = None
             continue
-        rate_l2 = rate_h1 = None
-        if prev is not None:
-            rate_l2 = convergence_table([prev[1], e_l2], [prev[0], h])[0]
-            rate_h1 = convergence_table([prev[2], e_h1], [prev[0], h])[0]
+        rate_l2, rate_h1 = _rates(prev, h, e_l2, e_h1)
         lines.append(",".join([
             str(n), _fmt(h), str(sol.info["dofs_total"]), str(sol.info["dofs_skeleton"]),
             _fmt(e_l2), _fmt(e_h1), _fmt(e_hdg),
@@ -302,11 +300,8 @@ def run_reduced_limit_study(config, epsilons=REDUCED_EPSILONS):
     ratio above 2 (in either direction) raises :class:`StudyError`.
     """
     config = replace(config, problem="reduced_limit")
-    config.validate()
+    eta, lines = _open_table(config, "reduced_limit", "epsilon,n,h,err_l2,err_jump,err_conv,err_hdg")
     n = config.mesh_sizes[0]
-    eta = config.eta if config.eta is not None else default_eta(config.degree)
-    columns = "epsilon,n,h,err_l2,err_jump,err_conv,err_hdg"
-    lines = [f"# hdgcd reduced_limit v1: {columns}", _config_comment(config, eta)]
     dists = []
     for eps in epsilons:
         case = case_reduced_limit(eps)
@@ -341,12 +336,10 @@ def run_reduced_limit_study(config, epsilons=REDUCED_EPSILONS):
 def run_skeleton_mode_comparison(config):
     """Layer problem with discontinuous vs continuous skeleton spaces."""
     config = replace(config, degree=1, problem="layer")
-    config.validate()
+    eta, lines = _open_table(config, "skeleton_compare",
+                             "mode,n,h,dofs_total,dofs_skeleton,err_l2,overshoot")
     case = get_case("layer", config.epsilon)
     verify_source_term(case)
-    eta = config.eta if config.eta is not None else default_eta(1)
-    columns = "mode,n,h,dofs_total,dofs_skeleton,err_l2,overshoot"
-    lines = [f"# hdgcd skeleton_compare v1: {columns}", _config_comment(config, eta)]
     for n in config.mesh_sizes:
         mesh = build_uniform_triangulation(n, case.problem.boundary)
         h = float(mesh.h_K.max())

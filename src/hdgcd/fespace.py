@@ -209,33 +209,22 @@ class DofMap:
         ne = mesh.n_edges
         edge_dofs = np.full((ne, self.ndof_edge), -1, dtype=np.int64)
         self.vertex_dofs = None
+        skel = self.skeleton_edges
+        dirichlet = mesh.edge_tags == int(BoundaryTag.DIRICHLET)
         if skeleton_mode == "dg":
-            self.n_trace_total = self.skeleton_edges.size * self.ndof_edge
-            nxt = 0
-            for e in self.skeleton_edges:
-                if mesh.edge_tags[e] == int(BoundaryTag.DIRICHLET):
-                    continue
-                edge_dofs[e] = np.arange(nxt, nxt + self.ndof_edge)
-                nxt += self.ndof_edge
-            self.n_trace_active = nxt
+            self.n_trace_total = skel.size * self.ndof_edge
+            free = skel[~dirichlet[skel]]
+            self.n_trace_active = free.size * self.ndof_edge
+            edge_dofs[free] = np.arange(self.n_trace_active).reshape(-1, self.ndof_edge)
         else:
-            skel_verts = np.unique(mesh.edges[self.skeleton_edges].ravel())
-            dir_edges = np.nonzero(mesh.edge_tags == int(BoundaryTag.DIRICHLET))[0]
-            constrained = set(np.unique(mesh.edges[dir_edges].ravel()).tolist())
+            skel_verts = np.unique(mesh.edges[skel])
+            free = np.setdiff1d(skel_verts, mesh.edges[dirichlet])
             vertex_dofs = np.full(mesh.n_vertices, -1, dtype=np.int64)
-            nxt = 0
-            for v in skel_verts:
-                if int(v) in constrained:
-                    continue
-                vertex_dofs[v] = nxt
-                nxt += 1
+            vertex_dofs[free] = np.arange(free.size)
             self.n_trace_total = int(skel_verts.size)
-            self.n_trace_active = nxt
+            self.n_trace_active = int(free.size)
             self.vertex_dofs = vertex_dofs
-            for e in self.skeleton_edges:
-                a, b = mesh.edges[e]
-                edge_dofs[e, 0] = vertex_dofs[a]
-                edge_dofs[e, 1] = vertex_dofs[b]
+            edge_dofs[skel] = vertex_dofs[mesh.edges[skel]]
         self.edge_dofs = edge_dofs
         edge_dofs.flags.writeable = False
 
@@ -280,8 +269,7 @@ def project_all_elements(f, mesh, basis, quad_order=None):
     rule = quad_triangle(quad_order)
     vals = basis.values(rule.points)
     mass = vals.T @ (rule.weights[:, None] * vals)
-    v0 = mesh.vertices[mesh.triangles[:, 0]]  # (nt, 2)
-    pts = v0[:, None, :] + np.einsum("qd,tad->tqa", rule.points, mesh.jacobians)
+    pts = mesh.physical_points(rule.points)
     fv = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
     rhs = fv @ (rule.weights[:, None] * vals)  # (nt, dim)
     return np.linalg.solve(mass, rhs.T).T
@@ -294,10 +282,7 @@ def project_all_edges(f, mesh, edge_basis, edge_ids, quad_order=None):
     rule = quad_edge(quad_order)
     vals = edge_basis.values(rule.points)
     mass = vals.T @ (rule.weights[:, None] * vals)
-    edge_ids = np.asarray(edge_ids, dtype=np.int64)
-    va = mesh.vertices[mesh.edges[edge_ids, 0]]  # (ne, 2)
-    vb = mesh.vertices[mesh.edges[edge_ids, 1]]
-    pts = va[:, None, :] + rule.points[None, :, None] * (vb - va)[:, None, :]
+    pts = mesh.edge_points(rule.points, np.asarray(edge_ids, dtype=np.int64))
     fv = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
     rhs = fv @ (rule.weights[:, None] * vals)
     return np.linalg.solve(mass, rhs.T).T

@@ -97,9 +97,9 @@ class Mesh:
             raise MeshError("mesh has no elements")
         if triangles.min() < 0 or triangles.max() >= nv:
             raise MeshError("triangle vertex index out of range")
-        for t in range(nt):
-            if len(set(triangles[t])) != 3:
-                raise MeshError(f"triangle {t} has repeated vertices")
+        repeated = (triangles == np.roll(triangles, -1, axis=1)).any(axis=1)
+        if repeated.any():
+            raise MeshError(f"triangle {int(np.argmax(repeated))} has repeated vertices")
 
         self.vertices = vertices
         self.triangles = triangles
@@ -130,34 +130,27 @@ class Mesh:
         self.areas = 0.5 * det
         self.barycenters = tri_pts.mean(axis=1)
 
-        edge_index = {}
-        pairs = set()
-        for t in range(nt):
-            for s in range(3):
-                a = int(triangles[t, s])
-                b = int(triangles[t, (s + 1) % 3])
-                pairs.add((a, b) if a < b else (b, a))
-        edges = np.array(sorted(pairs), dtype=np.int64)
+        # Local edge s joins local vertices s and s + 1; edges are the unique
+        # sorted vertex pairs, numbered lexicographically.
+        a, b = triangles, np.roll(triangles, -1, axis=1)
+        edge_forward = a < b
+        pairs = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=-1).reshape(-1, 2)
+        edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        elem_edges = inverse.reshape(nt, 3)
         ne = edges.shape[0]
-        edge_index = {(int(a), int(b)): i for i, (a, b) in enumerate(edges)}
 
-        elem_edges = np.empty((nt, 3), dtype=np.int64)
-        edge_forward = np.empty((nt, 3), dtype=bool)
-        edge_elems = np.full((ne, 2), -1, dtype=np.int64)
-        for t in range(nt):
-            for s in range(3):
-                a = int(triangles[t, s])
-                b = int(triangles[t, (s + 1) % 3])
-                fwd = a < b
-                e = edge_index[(a, b) if fwd else (b, a)]
-                elem_edges[t, s] = e
-                edge_forward[t, s] = fwd
-                slot = 0 if fwd else 1
-                if edge_elems[e, slot] != -1:
-                    raise MeshError(f"edge {e} is traversed twice in the same direction")
-                edge_elems[e, slot] = t
-        if np.any((edge_elems < 0).all(axis=1)):
-            raise MeshError("dangling edge without adjacent element")
+        # Column 0 of edge_elems is the element traversing the edge forward,
+        # column 1 the one traversing it backward.
+        slot = elem_edges.ravel() * 2 + ~edge_forward.ravel()
+        order = np.argsort(slot, kind="stable")
+        repeat = np.zeros(slot.size, dtype=bool)
+        repeat[order[1:]] = slot[order[1:]] == slot[order[:-1]]
+        if repeat.any():
+            e = elem_edges.flat[np.argmax(repeat)]
+            raise MeshError(f"edge {e} is traversed twice in the same direction")
+        edge_elems = np.full(2 * ne, -1, dtype=np.int64)
+        edge_elems[slot] = np.repeat(np.arange(nt), 3)
+        edge_elems = edge_elems.reshape(ne, 2)
         # Keep the (unique) adjacent element of a boundary edge in column 0.
         swap = edge_elems[:, 0] == -1
         edge_elems[swap] = edge_elems[swap][:, ::-1]
@@ -231,6 +224,18 @@ class Mesh:
     def boundary_edges(self):
         return np.nonzero(self.edge_elems[:, 1] == -1)[0]
 
+    def physical_points(self, ref_points):
+        """Images (nt, nq, 2) of reference-triangle points (nq, 2) in every element."""
+        v0 = self.vertices[self.triangles[:, 0]]
+        return v0[:, None, :] + np.einsum("qd,tad->tqa", ref_points, self.jacobians)
+
+    def edge_points(self, t, edges=slice(None)):
+        """Points va + t (vb - va), (n, nq, 2), at parameters t (nq,) along the
+        selected edges, running from the lower to the higher vertex index."""
+        va = self.vertices[self.edges[edges, 0]]
+        vb = self.vertices[self.edges[edges, 1]]
+        return va[:, None, :] + t[None, :, None] * (vb - va)[:, None, :]
+
 
 def build_uniform_triangulation(n, boundary=None):
     """Uniform n-by-n triangulation of the unit square.
@@ -246,20 +251,14 @@ def build_uniform_triangulation(n, boundary=None):
     xg, yg = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([xg.ravel(), yg.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    t = 0
-    for j in range(n):
-        for i in range(n):
-            p00 = vid(i, j)
-            p10 = vid(i + 1, j)
-            p01 = vid(i, j + 1)
-            p11 = vid(i + 1, j + 1)
-            triangles[t] = (p00, p10, p11)
-            triangles[t + 1] = (p00, p11, p01)
-            t += 2
+    j, i = np.divmod(np.arange(n * n), n)
+    p00 = j * (n + 1) + i
+    p10, p01 = p00 + 1, p00 + n + 1
+    p11 = p01 + 1
+    # cell (i, j) gives triangle 2 (j n + i) below and 2 (j n + i) + 1 above its
+    # diagonal; cli._locate_points relies on this numbering
+    triangles = np.stack([np.column_stack([p00, p10, p11]),
+                          np.column_stack([p00, p11, p01])], axis=1).reshape(-1, 3)
     return Mesh(vertices, triangles, boundary=boundary, generator_n=n)
 
 
@@ -290,21 +289,17 @@ def verify_inflow_in_dirichlet(mesh, velocity, tol=1e-12, n_samples=4):
     boundary edge and records points where it drops below ``-tol``.
     """
     gl, _ = np.polynomial.legendre.leggauss(n_samples)
-    ts = 0.5 * (gl + 1.0)
-    violations = []
-    for e in mesh.boundary_edges:
-        if mesh.edge_tags[e] == int(BoundaryTag.DIRICHLET):
-            continue
-        t = mesh.edge_elems[e, 0]
-        slot = int(np.nonzero(mesh.elem_edges[t] == e)[0][0])
-        nrm = mesh.normals[t, slot]
-        a, b = mesh.edges[e]
-        pts = mesh.vertices[a] + ts[:, None] * (mesh.vertices[b] - mesh.vertices[a])
-        bx, by = velocity(pts[:, 0], pts[:, 1])
-        bn = np.asarray(bx) * nrm[0] + np.asarray(by) * nrm[1]
-        for q in np.nonzero(bn < -tol)[0]:
-            violations.append((int(e), (float(pts[q, 0]), float(pts[q, 1]))))
-    return InflowReport(ok=not violations, violations=tuple(violations))
+    bnd = mesh.boundary_edges
+    edges = bnd[mesh.edge_tags[bnd] != int(BoundaryTag.DIRICHLET)]
+    t = mesh.edge_elems[edges, 0]
+    nrm = mesh.normals[t, (mesh.elem_edges[t] == edges[:, None]).argmax(axis=1)]
+    pts = mesh.edge_points(0.5 * (gl + 1.0), edges)
+    bx, by = velocity(pts[..., 0], pts[..., 1])
+    bn = np.broadcast_to(np.asarray(bx) * nrm[:, None, 0] + np.asarray(by) * nrm[:, None, 1],
+                         pts.shape[:2])   # a constant velocity still checks every sample
+    violations = tuple((int(edges[i]), (float(pts[i, q, 0]), float(pts[i, q, 1])))
+                       for i, q in zip(*np.nonzero(bn < -tol)))
+    return InflowReport(ok=not violations, violations=violations)
 
 
 def quasi_uniformity_ratio(mesh):

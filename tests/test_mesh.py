@@ -131,11 +131,20 @@ def test_inflow_check():
     edges = {e for e, _ in bad.violations}
     mids = mesh.edge_midpoints[sorted(edges)]
     assert (mids[:, 0] > 1.0 - 1e-12).all()  # inflow through x=1, tagged Neumann
+    # a velocity given as constants samples the same points
+    assert verify_inflow_in_dirichlet(mesh, lambda x, y: (-1.0, 0.0)) == bad
 
 
 def test_invalid_meshes_rejected():
     with pytest.raises(MeshError):
         Mesh(np.zeros((3, 2)), np.array([[0, 1, 1]]))
+    # the first offending triangle or edge is named
+    mesh = build_uniform_triangulation(3)
+    tri = mesh.triangles
+    with pytest.raises(MeshError, match="triangle 5 has repeated vertices"):
+        Mesh(mesh.vertices, np.vstack([tri[:5], [[4, 4, 5]], tri[5:], [[1, 2, 2]]]))
+    with pytest.raises(MeshError, match="edge 12 is traversed twice in the same direction"):
+        Mesh(mesh.vertices, np.vstack([tri, tri[7:8], tri[3:4]]))
     with pytest.raises(MeshError):
         Mesh(np.zeros((3, 3)), np.array([[0, 1, 2]]))
     with pytest.raises(MeshError):

@@ -3,7 +3,7 @@ import pytest
 
 from hdgcd.assembly import ProblemSpec
 from hdgcd.mesh import build_uniform_triangulation, dirichlet_where
-from hdgcd.supg import assemble_supg, solve_supg, supg_tau
+from hdgcd.supg import PE_LIMIT, PE_SERIES, assemble_supg, solve_supg, supg_tau
 from hdgcd.analysis import error_l2
 
 
@@ -83,9 +83,11 @@ def test_supg_zero_at_dirichlet_vertices():
     assert sol.u.shape == (mesh.n_elements, 3)
 
 
-def test_galerkin_limit_matches_hand_assembly():
-    # tau_scale = 0 must reproduce the plain P1 Galerkin system; compare
-    # against a direct hand assembly with analytic P1 element matrices
+@pytest.mark.parametrize("tau_scale", [0.0, 1.0])
+def test_galerkin_limit_matches_hand_assembly(tau_scale):
+    # tau_scale = 0 must reproduce the plain P1 Galerkin system and
+    # tau_scale = 1 add the streamline term; compare against a direct hand
+    # assembly with analytic P1 element matrices
     mesh = build_uniform_triangulation(3)
     eps, bvec, c_val, f_val = 0.7, np.array([0.3, -0.2]), 2.0, 1.5
     prob = ProblemSpec(
@@ -93,7 +95,7 @@ def test_galerkin_limit_matches_hand_assembly():
         b=lambda x, y: (np.full_like(x, bvec[0]), np.full_like(x, bvec[1])),
         f=lambda x, y: np.full_like(x, f_val),
         c=lambda x, y: np.full_like(x, c_val), rho0=2.0)
-    A, rhs, free = assemble_supg(prob, mesh, tau_scale=0.0)
+    A, rhs, free = assemble_supg(prob, mesh, tau_scale=tau_scale)
 
     nv = mesh.n_vertices
     dense = np.zeros((nv, nv))
@@ -111,10 +113,35 @@ def test_galerkin_limit_matches_hand_assembly():
         stiff = eps * area * (g @ g.T)
         mass = c_val * area / 12.0 * (np.ones((3, 3)) + np.eye(3))
         conv = area / 3.0 * np.outer(np.ones(3), g @ bvec)
-        dense[np.ix_(vid, vid)] += stiff + mass + conv
-        load[vid] += f_val * area / 3.0
+        # tau_K (b . grad phi_j + c phi_j, b . grad phi_i)_K and (f, tau_K b . grad phi_i)_K
+        tau = tau_scale * supg_tau(mesh.h_K[t], np.hypot(*bvec), eps)
+        stab = tau * area * np.outer(g @ bvec, g @ bvec + c_val / 3.0)
+        dense[np.ix_(vid, vid)] += stiff + mass + conv + stab
+        load[vid] += f_val * area / 3.0 + tau * f_val * area * (g @ bvec)
     np.testing.assert_allclose(A.toarray(), dense[np.ix_(free, free)], atol=1e-13)
     np.testing.assert_allclose(rhs, load[free], atol=1e-14)
+
+
+def test_tau_on_arrays_matches_scalar_calls():
+    # Peclet numbers on both sides of both switch points, and b = 0
+    eps = 0.5
+    b_norm = np.array([0.0, 2e-5 * 2 * eps, 2e-4 * 2 * eps, 1.0, 40.0, 60.0, 1e4])
+    h_K = np.linspace(0.1, 0.7, b_norm.size)
+    pe = b_norm / (2 * eps)
+    assert (pe[1:] < PE_SERIES).any() and (pe > PE_LIMIT).any()
+    assert ((pe > PE_SERIES) & (pe < PE_LIMIT)).any()
+    taus = supg_tau(h_K, b_norm, eps)
+    assert isinstance(taus, np.ndarray) and taus.shape == b_norm.shape
+    expect = [supg_tau(float(h), float(b), eps) for h, b in zip(h_K, b_norm)]
+    assert all(isinstance(t, float) for t in expect)
+    np.testing.assert_array_equal(taus, expect)
+    assert taus[0] == 0.0
+    with pytest.raises(ValueError, match="b_norm"):
+        supg_tau(h_K, np.where(b_norm > 50.0, -1.0, b_norm), eps)
+    with pytest.raises(ValueError, match="h_K"):
+        supg_tau(np.where(b_norm == 1.0, 0.0, h_K), b_norm, eps)
+    with pytest.raises(ValueError, match="epsilon"):
+        supg_tau(h_K, b_norm, 0.0)
 
 
 def test_supg_differs_from_galerkin_when_stabilized():

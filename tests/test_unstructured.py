@@ -12,7 +12,7 @@ import pytest
 from hdgcd.analysis import conservation_residual, error_l2
 from hdgcd.assembly import ProblemSpec, assemble_local_systems, local_diffusion
 from hdgcd.fespace import build_dofmap, get_edge_basis, get_element_basis
-from hdgcd.mesh import Mesh, dirichlet_where
+from hdgcd.mesh import Mesh, build_uniform_triangulation, dirichlet_where
 from hdgcd.solver import solve_hdg, solve_monolithic
 
 SEED = 20240214
@@ -88,3 +88,31 @@ def test_local_diffusion_matches_stacked_slice():
         one = local_diffusion(mesh, t, basis, eb, epsilon=problem.epsilon, eta=13.0)
         np.testing.assert_allclose(one.full_matrix(), stacked[t].full_matrix(),
                                    rtol=0.0, atol=1e-12 * np.abs(stacked[t].A_uu).max())
+
+
+def loop_topology(triangles):
+    """Edges, elem_edges, edge_forward and edge_elems built element by element."""
+    local = [(int(tri[s]), int(tri[(s + 1) % 3])) for tri in triangles for s in range(3)]
+    index = {pair: e for e, pair in enumerate(sorted({(min(p), max(p)) for p in local}))}
+    elem_edges = np.empty(len(local), dtype=np.int64)
+    edge_elems = np.full((len(index), 2), -1, dtype=np.int64)
+    for i, (a, b) in enumerate(local):
+        elem_edges[i] = index[(min(a, b), max(a, b))]
+        edge_elems[elem_edges[i], 0 if a < b else 1] = i // 3
+    boundary = edge_elems[:, 0] < 0
+    edge_elems[boundary] = edge_elems[boundary, ::-1]
+    forward = np.array([a < b for a, b in local])
+    return (np.array(sorted(index)), elem_edges.reshape(-1, 3), forward.reshape(-1, 3),
+            edge_elems)
+
+
+def test_mesh_topology_matches_loop_reference():
+    # lexicographic edge numbering and the boundary element in column 0,
+    # on random vertex numbering and start vertices
+    problem, _, _ = bilinear_problem()
+    for mesh in (jittered_mesh(5, problem.boundary), build_uniform_triangulation(3)):
+        edges, elem_edges, forward, edge_elems = loop_topology(mesh.triangles)
+        np.testing.assert_array_equal(mesh.edges, edges)
+        np.testing.assert_array_equal(mesh.elem_edges, elem_edges)
+        np.testing.assert_array_equal(mesh.edge_forward, forward)
+        np.testing.assert_array_equal(mesh.edge_elems, edge_elems)
