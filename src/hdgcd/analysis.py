@@ -17,10 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from hdgcd.assembly import (bracket, default_eta, default_quad_order, eval_field,
-                            get_context, neumann_data)
-from hdgcd.fespace import (get_edge_basis, get_element_basis, project_all_edges,
-                           project_all_elements, quad_triangle)
+from hdgcd.assembly import bracket, default_eta, eval_field, get_context, neumann_data
 from hdgcd.solver import HdgSolution
 
 ERROR_QUAD_ORDER = 12
@@ -79,29 +76,22 @@ def _region_mask(region, mesh):
 def error_l2(solution, exact, region=None, quad_order=ERROR_QUAD_ORDER):
     """Broken L2 distance between a discrete field and an exact solution."""
     mesh = solution.mesh
-    basis = get_element_basis(solution.degree)
-    rule = quad_triangle(quad_order)
-    vals = basis.values(rule.points)           # (nq, nd)
-    uh = solution.u @ vals.T                   # (nt, nq)
-    pts = mesh.physical_points(rule.points)
-    ue = eval_field(exact, pts[..., 0], pts[..., 1], "exact")
+    ctx = get_context(mesh, solution.degree, quad_order)
+    diff = (solution.u @ ctx.N.T - ctx.volume_values(exact, "exact")) ** 2
     mask, _ = _region_mask(region, mesh)
-    per_elem = ((uh - ue) ** 2 @ rule.weights) * mesh.det_jacobians
+    per_elem = (diff * ctx.volume_weights(mesh)).sum(axis=1)
     return float(np.sqrt(per_elem[mask].sum()))
 
 
 def error_h1_broken(solution, exact_grad, region=None, quad_order=ERROR_QUAD_ORDER):
     """Broken H1 seminorm distance against the exact gradient."""
     mesh = solution.mesh
-    basis = get_element_basis(solution.degree)
-    rule = quad_triangle(quad_order)
-    dref = basis.gradients(rule.points)        # (nq, nd, 2)
-    grads = np.einsum("ti,qib,tab->tqa", solution.u, dref, mesh.inv_jacobians_t)
-    pts = mesh.physical_points(rule.points)
-    gx, gy = eval_field(exact_grad, pts[..., 0], pts[..., 1], "exact_grad", vector=True)
+    ctx = get_context(mesh, solution.degree, quad_order)
+    grads = ctx.field_gradients(mesh, solution.u)
+    gx, gy = ctx.volume_values(exact_grad, "exact_grad", vector=True)
     diff = (grads[..., 0] - gx) ** 2 + (grads[..., 1] - gy) ** 2
     mask, _ = _region_mask(region, mesh)
-    per_elem = (diff @ rule.weights) * mesh.det_jacobians
+    per_elem = (diff * ctx.volume_weights(mesh)).sum(axis=1)
     return float(np.sqrt(per_elem[mask].sum()))
 
 
@@ -114,20 +104,27 @@ def project_to_hdg(exact, dofmap, quad_order=ERROR_QUAD_ORDER):
     projection would couple globally).  Constrained dofs stay zero.
     """
     mesh = dofmap.mesh
-    basis = get_element_basis(dofmap.degree)
-    u = project_all_elements(exact, mesh, basis, quad_order=quad_order)
+    ctx = get_context(mesh, dofmap.degree, quad_order)
+    u = _project(ctx.N, ctx.vol.weights, ctx.volume_values(exact, "exact"))
     uhat = np.zeros(dofmap.n_trace_active)
     if dofmap.skeleton_mode == "dg":
         free = np.flatnonzero(dofmap.edge_dofs[:, 0] >= 0)
         if free.size:
-            uhat[dofmap.edge_dofs[free]] = project_all_edges(
-                exact, mesh, get_edge_basis(dofmap.degree), free, quad_order=quad_order)
+            uhat[dofmap.edge_dofs[free]] = _project(ctx.E, ctx.edge.weights,
+                                                    ctx.edge_values(exact, "exact")[free])
     else:
         active = np.nonzero(dofmap.vertex_dofs >= 0)[0]
         vx = mesh.vertices[active]
         uhat[dofmap.vertex_dofs[active]] = eval_field(exact, vx[:, 0], vx[:, 1], "exact")
     return HdgSolution(mesh=mesh, dofmap=dofmap, u=u, uhat=uhat,
                        info={"method": "projection"})
+
+
+def _project(vals, weights, f):
+    """L2 projection coefficients (n, dim) of values f (n, nq) on reference
+    points with basis ``vals`` (nq, dim) and quadrature ``weights`` (nq,)."""
+    w_vals = weights[:, None] * vals
+    return np.linalg.solve(vals.T @ w_vals, (f @ w_vals).T).T
 
 
 def solution_difference(a, b):
@@ -140,6 +137,13 @@ def solution_difference(a, b):
                        uhat=a.uhat - b.uhat, info={"method": "difference"})
 
 
+def _trace_gap(ctx, sl, uhat_edges, u):
+    """uhat - u at the edge points of slot tables ``sl`` (nt, nqe), with the
+    element values u there; ``uhat_edges`` are the traces per mesh edge."""
+    u_vals = np.einsum("tqi,ti->tq", sl.values, u)
+    return uhat_edges[sl.edges] @ ctx.E.T - u_vals, u_vals
+
+
 def hdg_norm(pair, problem, eta, region=None, quad_order=None, starred=False):
     """Scheme norm of a discrete pair, with its components.
 
@@ -150,23 +154,15 @@ def hdg_norm(pair, problem, eta, region=None, quad_order=None, starred=False):
     norm that adds the plain L2 and boundary-trace terms (a diagnostic).
     """
     mesh = pair.mesh
-    dofmap = pair.dofmap
-    degree = dofmap.degree
-    if quad_order is None:
-        quad_order = default_quad_order(degree)
-    ctx = get_context(mesh, get_element_basis(degree), get_edge_basis(degree), quad_order)
+    ctx = get_context(mesh, pair.degree, quad_order)
     mask, region_name = _region_mask(region, mesh)
 
-    w = ctx.vol.weights
-    det = mesh.det_jacobians
     # volume quantities
-    uh = pair.u @ ctx.N.T
-    grads = np.einsum("ti,qib,tab->tqa", pair.u, ctx.dN, mesh.inv_jacobians_t)
-    l2_sq_elem = (uh ** 2 @ w) * det
-    h1_sq_elem = ((grads ** 2).sum(axis=-1) @ w) * det
-    basis = ctx.basis
-    if degree >= 2:
-        d2 = basis.second_derivatives(ctx.vol.points)  # (nq, nd, 3) ref xx, xy, yy
+    w = ctx.volume_weights(mesh)
+    l2_sq_elem = ((pair.u @ ctx.N.T) ** 2 * w).sum(axis=1)
+    h1_sq_elem = ((ctx.field_gradients(mesh, pair.u) ** 2).sum(axis=-1) * w).sum(axis=1)
+    if pair.degree >= 2:
+        d2 = ctx.basis.second_derivatives(ctx.vol.points)  # (nq, nd, 3) ref xx, xy, yy
         # physical second derivatives via H_phys = M H_ref M^T, M = J^{-T}
         m = mesh.inv_jacobians_t
         hxx = np.einsum("ti,qic->tqc", pair.u, d2)  # (nt, nq, 3)
@@ -178,8 +174,7 @@ def hdg_norm(pair, problem, eta, region=None, quad_order=None, starred=False):
         pxy = (m[:, None, 0, 0] * m[:, None, 1, 0] * rxx
                + (m[:, None, 0, 0] * m[:, None, 1, 1] + m[:, None, 0, 1] * m[:, None, 1, 0]) * rxy
                + m[:, None, 0, 1] * m[:, None, 1, 1] * ryy)
-        h2_dens = pxx ** 2 + pxy ** 2 + pyy ** 2
-        h2_sq_elem = (h2_dens @ w) * det * mesh.h_K ** 2
+        h2_sq_elem = ((pxx ** 2 + pxy ** 2 + pyy ** 2) * w).sum(axis=1) * mesh.h_K ** 2
     else:
         h2_sq_elem = np.zeros(mesh.n_elements)
 
@@ -189,12 +184,12 @@ def hdg_norm(pair, problem, eta, region=None, quad_order=None, starred=False):
     jump_sq = conv_sq = trace_sq = 0.0
     for s in range(3):
         sl = ctx.slot(mesh, s)
-        e = sl.edges
-        u_vals = np.einsum("tqi,ti->tq", sl.values, pair.u)
-        diff2 = (uhat_edges[e] @ ctx.E.T - u_vals) ** 2
+        diff, u_vals = _trace_gap(ctx, sl, uhat_edges, pair.u)
+        diff2 = diff ** 2
         bn = sl.normal_velocity(bx_e, by_e)
         skel = mask & ~sl.neumann
-        jump_sq += float(((eta / mesh.h_e[e]) * (sl.weights * diff2).sum(axis=1))[skel].sum())
+        jump = (eta / mesh.h_e[sl.edges]) * (sl.weights * diff2).sum(axis=1)
+        jump_sq += float(jump[skel].sum())
         conv_sq += float((sl.weights * np.abs(bn) * diff2).sum(axis=1)[skel].sum())
         # the augmented norm integrates v over the whole element boundary
         trace_sq += float((sl.weights * u_vals ** 2).sum(axis=1)[mask].sum())
@@ -234,23 +229,18 @@ def conservation_residual(solution, problem, eta=None, quad_order=None):
     eps * (dn(u) + eta / h_e * (uhat - u)) + [b.n]_- (uhat - u).
     """
     mesh = solution.mesh
-    dofmap = solution.dofmap
-    degree = dofmap.degree
     if eta is None:
-        eta = solution.info.get("eta", default_eta(degree))
+        eta = solution.info.get("eta", default_eta(solution.degree))
     if quad_order is None:
-        quad_order = solution.info.get("quad_order", default_quad_order(degree))
-    ctx = get_context(mesh, get_element_basis(degree), get_edge_basis(degree), quad_order)
-    w = ctx.vol.weights
-    det = mesh.det_jacobians
+        quad_order = solution.info.get("quad_order")
+    ctx = get_context(mesh, solution.degree, quad_order)
 
     bx_v, by_v = ctx.volume_values(problem.b, "b", vector=True)
-    grads = np.einsum("ti,qib,tab->tqa", solution.u, ctx.dN, mesh.inv_jacobians_t)
+    grads = ctx.field_gradients(mesh, solution.u)
     conv = bx_v * grads[..., 0] + by_v * grads[..., 1]
     if problem.c is not None:
-        uh = solution.u @ ctx.N.T
-        conv = conv + ctx.volume_values(problem.c, "c") * uh
-    residual = ((conv - ctx.volume_values(problem.f, "f")) @ w) * det
+        conv = conv + ctx.volume_values(problem.c, "c") * (solution.u @ ctx.N.T)
+    residual = ((conv - ctx.volume_values(problem.f, "f")) * ctx.volume_weights(mesh)).sum(axis=1)
 
     bx_e, by_e = ctx.edge_values(problem.b, "b", vector=True)
     g_e = neumann_data(problem, mesh, ctx)
@@ -258,13 +248,12 @@ def conservation_residual(solution, problem, eta=None, quad_order=None):
     eps = problem.epsilon
     for s in range(3):
         sl = ctx.slot(mesh, s, normal_derivs=True)
-        e = sl.edges
-        h_e = mesh.h_e[e][:, None]
-        diff = uhat_edges[e] @ ctx.E.T - np.einsum("tqi,ti->tq", sl.values, solution.u)
+        h_e = mesh.h_e[sl.edges][:, None]
+        diff = _trace_gap(ctx, sl, uhat_edges, solution.u)[0]
         dn = np.einsum("tqi,ti->tq", sl.normal_derivs, solution.u)
         _, bm = bracket(sl.normal_velocity(bx_e, by_e))
         flux = eps * (dn + (eta / h_e) * diff) + bm * diff
-        flux = np.where(sl.neumann[:, None], 0.0 if g_e is None else g_e[e], flux)
+        flux = np.where(sl.neumann[:, None], 0.0 if g_e is None else g_e[sl.edges], flux)
         residual -= (sl.weights * flux).sum(axis=1)
     return residual
 
@@ -294,11 +283,8 @@ def overshoot_metric(solution, exact_max, region=None, quad_order=ERROR_QUAD_ORD
     non-positive value means no overshoot at the sampling set.
     """
     mesh = solution.mesh
-    basis = get_element_basis(solution.degree)
-    rule = quad_triangle(quad_order)
-    ref = np.vstack([np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), rule.points])
-    vals = basis.values(ref)
-    uh = solution.u @ vals.T                   # (nt, npts)
+    ctx = get_context(mesh, solution.degree, quad_order)
+    uh = solution.u @ np.vstack([ctx.N_vert, ctx.N]).T   # (nt, 3 + nq)
     mask, _ = _region_mask(region, mesh)
     if not mask.any():
         raise ValueError("measurement region contains no elements")

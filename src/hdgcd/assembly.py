@@ -30,6 +30,10 @@ from hdgcd.fespace import (REF_VERTICES, get_edge_basis, get_element_basis,
 from hdgcd.mesh import BoundaryTag, Mesh, verify_inflow_in_dirichlet
 
 _NEUMANN = int(BoundaryTag.NEUMANN)
+# well-posedness check: rho is sampled at the points of this volume rule
+CHECK_QUAD_ORDER = 4
+RHO_TOL = 1e-10
+INFLOW_TOL = 1e-12
 
 
 def default_eta(degree):
@@ -122,29 +126,29 @@ def eval_field(func, x, y, name, vector=False):
     return out if vector else out[0]
 
 
-def check_problem(problem, mesh, quad_order=4, rho_tol=1e-10, inflow_tol=1e-12):
+def check_problem(problem, mesh):
     """Verify reaction positivity and inflow/Dirichlet compatibility.
 
-    rho = c - div(b)/2 must stay above ``problem.rho0`` (up to ``rho_tol``)
-    at the volume quadrature points, and the velocity must not enter the
-    domain through a non-Dirichlet boundary edge.
+    rho = c - div(b)/2 must stay above ``problem.rho0`` (up to ``RHO_TOL``)
+    at the points of the degree-1 context with quadrature order
+    ``CHECK_QUAD_ORDER``, and the velocity must not enter the domain
+    through a non-Dirichlet boundary edge.
     """
-    pts = mesh.physical_points(quad_triangle(quad_order).points)
-    x, y = pts[..., 0], pts[..., 1]
-    eval_field(problem.b, x, y, "b", vector=True)   # named error before the inflow check uses b
-    cv = eval_field(problem.c, x, y, "c")
-    dv = eval_field(problem.div_b, x, y, "div_b")
-    rho = np.zeros(x.shape)
+    ctx = get_context(mesh, 1, CHECK_QUAD_ORDER)
+    ctx.volume_values(problem.b, "b", vector=True)   # named error before the inflow check uses b
+    cv = ctx.volume_values(problem.c, "c")
+    dv = ctx.volume_values(problem.div_b, "div_b")
+    rho = np.zeros(ctx.X_vol.shape[:2])
     if cv is not None:
         rho += cv
     if dv is not None:
         rho -= 0.5 * dv
     min_rho = float(rho.min())
     messages = []
-    if min_rho < problem.rho0 - rho_tol:
+    if min_rho < problem.rho0 - RHO_TOL:
         messages.append(
             f"rho = c - div(b)/2 drops to {min_rho:.3e}, below the declared bound {problem.rho0:.3e}")
-    inflow = verify_inflow_in_dirichlet(mesh, problem.b, tol=inflow_tol)
+    inflow = verify_inflow_in_dirichlet(mesh, problem.b, tol=INFLOW_TOL)
     if not inflow.ok:
         e, (px, py) = inflow.violations[0]
         messages.append(
@@ -216,17 +220,18 @@ class AssemblyContext:
     directions so that every edge quantity is expressed in the canonical
     (ascending vertex index) parameterization shared by the trace basis.
     The context keeps no reference to its mesh, so it can live in
-    ``mesh.contexts`` and be freed with it.
+    ``mesh.contexts`` and be freed with it.  It is the only place that
+    builds quadrature points, basis tables and physical point images.
     """
 
-    def __init__(self, mesh, basis, edge_basis, quad_order):
-        self.basis = basis
-        self.edge_basis = edge_basis
-        self.quad_order = quad_order
+    def __init__(self, mesh, degree, quad_order):
+        self.basis = basis = get_element_basis(degree)
+        self.edge_basis = edge_basis = get_edge_basis(degree)
         self.vol = quad_triangle(quad_order)
         self.edge = quad_edge(quad_order)
         self.N = basis.values(self.vol.points)
         self.dN = basis.gradients(self.vol.points)
+        self.N_vert = basis.values(REF_VERTICES)
         t = self.edge.points
         self.E = edge_basis.values(t)
         nqe = t.size
@@ -245,8 +250,14 @@ class AssemblyContext:
         self.X_edge = mesh.edge_points(t)
 
     def gradients(self, mesh):
-        """Physical basis gradients at the volume points, (nt, nq, nd, 2)."""
+        """Physical basis gradients at the volume points, (nt, nq, nd, 2); built
+        per call and never stored, being the largest table of an assembly."""
         return self.dN @ _swap(mesh.inv_jacobians_t)[:, None]
+
+    def field_gradients(self, mesh, u):
+        """Physical gradients (nt, nq, 2) at the volume points of the fields
+        with element coefficients ``u`` (nt, nd)."""
+        return np.einsum("ti,qib,tab->tqa", u, self.dN, mesh.inv_jacobians_t)
 
     def volume_weights(self, mesh):
         """Physical volume quadrature weights, (nt, nq)."""
@@ -277,18 +288,12 @@ class AssemblyContext:
                           self.edge.weights * mesh.h_e[edges][:, None], self.N_tr[s, o], dn)
 
 
-def get_context(mesh, basis=None, edge_basis=None, quad_order=None, degree=None):
-    """AssemblyContext cached for the lifetime of ``mesh``.
-
-    Bases default to the shared instances of ``degree``.
-    """
-    if basis is None:
-        basis = get_element_basis(degree)
-    if edge_basis is None:
-        edge_basis = get_edge_basis(basis.degree)
+def get_context(mesh, degree, quad_order=None):
+    """AssemblyContext of the shared degree-``degree`` bases, cached for the
+    lifetime of ``mesh``; the quadrature order defaults to 2k + 2."""
     if quad_order is None:
-        quad_order = default_quad_order(basis.degree)
-    key = (basis, edge_basis, int(quad_order))
+        quad_order = default_quad_order(degree)
+    key = (int(degree), int(quad_order))
     if key not in mesh.contexts:
         mesh.contexts[key] = AssemblyContext(mesh, *key)
     return mesh.contexts[key]
@@ -403,7 +408,7 @@ def local_diffusion(mesh, element, basis, edge_basis, epsilon, eta, quad_order=N
     if not eta > 0.0:
         raise ValueError(f"penalty eta must be positive, got {eta!r}")
     one = _element_mesh(mesh, element)
-    ctx = get_context(one, basis, edge_basis, quad_order)
+    ctx = get_context(one, basis.degree, quad_order)
     out = ElementSystems.zeros(1, basis.dim, 3 * edge_basis.dim)
     _diffusion(ctx, one, out, epsilon, eta)
     return out[0]
@@ -439,7 +444,7 @@ def assemble_local_systems(mesh, dofmap, problem, eta=None, quad_order=None,
         eta = default_eta(degree)
     if not eta > 0.0:
         raise ValueError(f"penalty eta must be positive, got {eta!r}")
-    ctx = get_context(mesh, degree=degree, quad_order=quad_order)
+    ctx = get_context(mesh, degree, quad_order)
     out = ElementSystems.zeros(mesh.n_elements, ctx.basis.dim, 3 * ctx.edge_basis.dim)
     if "diffusion" in parts:
         _diffusion(ctx, mesh, out, problem.epsilon, eta)

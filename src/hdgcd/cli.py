@@ -63,6 +63,9 @@ class RunConfig:
             raise ValueError(f"unknown problem {self.problem!r}; available: {', '.join(CASE_NAMES)}")
         if self.method not in ("hdg", "supg"):
             raise ValueError(f"unknown method {self.method!r}")
+        if self.method != "hdg" and self.study != "convergence":
+            raise ValueError(f"--method {self.method} applies to the convergence study only; "
+                             f"the {self.study} study fixes its methods")
         if not isinstance(self.degree, int) or self.degree < 1:
             raise ValueError(f"degree must be a positive integer, got {self.degree!r}")
         if self.method == "supg" and self.degree != 1:

@@ -1,4 +1,4 @@
-"""Reference bases, quadrature rules, degree-of-freedom maps and projections.
+"""Reference bases, quadrature rules and degree-of-freedom maps.
 
 Element spaces are nodal Lagrange P_k on the reference triangle with
 vertices (0,0), (1,0), (0,1); edge trace spaces are nodal P_k on the
@@ -261,28 +261,3 @@ def get_edge_basis(degree):
     """Shared immutable EdgeBasis instance per degree."""
     return EdgeBasis(degree)
 
-
-def project_all_elements(f, mesh, basis, quad_order=None):
-    """L2 projection of ``f`` element by element, shape (nt, dim)."""
-    if quad_order is None:
-        quad_order = max(12, 2 * basis.degree)
-    rule = quad_triangle(quad_order)
-    vals = basis.values(rule.points)
-    mass = vals.T @ (rule.weights[:, None] * vals)
-    pts = mesh.physical_points(rule.points)
-    fv = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
-    rhs = fv @ (rule.weights[:, None] * vals)  # (nt, dim)
-    return np.linalg.solve(mass, rhs.T).T
-
-
-def project_all_edges(f, mesh, edge_basis, edge_ids, quad_order=None):
-    """L2 projection of ``f`` on a family of edges, shape (len(edge_ids), k+1)."""
-    if quad_order is None:
-        quad_order = max(12, 2 * edge_basis.degree)
-    rule = quad_edge(quad_order)
-    vals = edge_basis.values(rule.points)
-    mass = vals.T @ (rule.weights[:, None] * vals)
-    pts = mesh.edge_points(rule.points, np.asarray(edge_ids, dtype=np.int64))
-    fv = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
-    rhs = fv @ (rule.weights[:, None] * vals)
-    return np.linalg.solve(mass, rhs.T).T

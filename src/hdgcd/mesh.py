@@ -79,9 +79,9 @@ class Mesh:
         Unit outward normal per element and local edge.
     h_K : (nt,) element diameters;  h_e : (ne,) edge lengths.
     contexts : dict
-        Assembly contexts of this mesh keyed by (basis, edge basis,
-        quadrature order); they live exactly as long as the mesh.  A context
-        must not refer back to the mesh, so a dropped mesh is freed by refcount.
+        Assembly contexts of this mesh keyed by (degree, quadrature order);
+        they live exactly as long as the mesh.  A context must not refer back
+        to the mesh, so a dropped mesh is freed by refcount.
     """
 
     def __init__(self, vertices, triangles, boundary=None, generator_n=None):

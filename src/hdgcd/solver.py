@@ -101,6 +101,18 @@ def condense(local_systems, dofmap, cond_limit=COND_LIMIT):
     return CondensedSystem(S=s_mat, g=g, dofmap=dofmap, systems=sy, W=W)
 
 
+def sparse_solve(mat, rhs, name):
+    """Sparse direct solve of ``mat x = rhs``; a non-finite solution raises
+    :class:`SingularSystemError` naming the ``name`` system."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", spla.MatrixRankWarning)
+        x = spla.spsolve(mat.tocsc(), rhs)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(x)):
+        raise SingularSystemError(f"{name} system is singular (non-finite solution)")
+    return x
+
+
 def solve_skeleton(system):
     """Solve the condensed system with a sparse direct factorization.
 
@@ -109,12 +121,7 @@ def solve_skeleton(system):
     """
     if system.n_trace == 0:
         return np.zeros(0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", spla.MatrixRankWarning)
-        x = spla.spsolve(system.S.tocsc(), system.g)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x)):
-        raise SingularSystemError("skeleton system is singular (non-finite solution)")
+    x = sparse_solve(system.S, system.g, "skeleton")
     resid = float(np.abs(system.S @ x - system.g).max())
     s_norm = float(np.abs(system.S).sum(axis=1).max()) if system.S.nnz else 0.0
     bound = RESIDUAL_RTOL * (s_norm * float(np.abs(x).max(initial=0.0))
@@ -144,6 +151,16 @@ def recover_interior(traces, system):
                        info={"max_recovery_residual": float((resid / scale).max())})
 
 
+def _prepare(problem, mesh, degree, eta, skeleton_mode, check):
+    """Shared preamble of the drivers: default penalty, well-posedness
+    check and dof map; returns (eta, dofmap)."""
+    if eta is None:
+        eta = assembly.default_eta(degree)
+    if check:
+        check_problem(problem, mesh).require_ok()
+    return eta, build_dofmap(mesh, degree, skeleton_mode)
+
+
 def _solution_info(dofmap, eta, degree, skeleton_mode, quad_order, method):
     return {
         "dofs_interior": dofmap.n_interior,
@@ -165,11 +182,7 @@ def solve_hdg(problem, mesh, degree=1, eta=None, skeleton_mode="dg",
     Returns an :class:`HdgSolution` whose ``info`` dict records dof counts
     (interior, skeleton, total), the penalty used and the quadrature order.
     """
-    if eta is None:
-        eta = assembly.default_eta(degree)
-    if check:
-        check_problem(problem, mesh).require_ok()
-    dofmap = build_dofmap(mesh, degree, skeleton_mode)
+    eta, dofmap = _prepare(problem, mesh, degree, eta, skeleton_mode, check)
     systems = assemble_local_systems(mesh, dofmap, problem, eta=eta, quad_order=quad_order)
     condensed = condense(systems, dofmap)
     traces = solve_skeleton(condensed)
@@ -181,18 +194,9 @@ def solve_hdg(problem, mesh, degree=1, eta=None, skeleton_mode="dg",
 def solve_monolithic(problem, mesh, degree=1, eta=None, skeleton_mode="dg",
                      quad_order=None, check=True):
     """Reference driver solving the uncondensed coupled system directly."""
-    if eta is None:
-        eta = assembly.default_eta(degree)
-    if check:
-        check_problem(problem, mesh).require_ok()
-    dofmap = build_dofmap(mesh, degree, skeleton_mode)
+    eta, dofmap = _prepare(problem, mesh, degree, eta, skeleton_mode, check)
     mat, rhs = assemble_monolithic(mesh, dofmap, problem, eta=eta, quad_order=quad_order)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", spla.MatrixRankWarning)
-        x = spla.spsolve(mat.tocsc(), rhs)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x)):
-        raise SingularSystemError("uncondensed system is singular (non-finite solution)")
+    x = sparse_solve(mat, rhs, "uncondensed")
     n_int = dofmap.n_interior
     u = x[:n_int].reshape(mesh.n_elements, dofmap.ndof_elem)
     sol = HdgSolution(mesh=mesh, dofmap=dofmap, u=u, uhat=x[n_int:])

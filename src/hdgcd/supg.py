@@ -9,17 +9,14 @@ enters naturally.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from hdgcd.assembly import (check_problem, get_context, load, scatter_systems, stiffness,
                             transport)
-from hdgcd.fespace import get_edge_basis, get_element_basis
 from hdgcd.mesh import BoundaryTag
-from hdgcd.solver import SingularSystemError
+from hdgcd.solver import sparse_solve
 
 # Switch points of the coth evaluation: series for small Peclet numbers,
 # asymptotic limit once coth is 1 to machine precision.
@@ -78,7 +75,7 @@ def assemble_supg(problem, mesh, quad_order=None, tau_scale=1.0):
     Returns (A, rhs, free) where ``free`` lists the unconstrained vertex
     indices; ``tau_scale = 0`` reproduces the plain Galerkin system.
     """
-    ctx = get_context(mesh, get_element_basis(1), get_edge_basis(1), quad_order)
+    ctx = get_context(mesh, 1, quad_order)
     b = ctx.volume_values(problem.b, "b", vector=True)
     # per-element sup of |b| at the quadrature points
     tau = tau_scale * supg_tau(mesh.h_K, np.hypot(*b).max(axis=1), problem.epsilon)
@@ -105,13 +102,7 @@ def solve_supg(problem, mesh, quad_order=None, tau_scale=1.0, check=True):
     mat, rhs, free = assemble_supg(problem, mesh, quad_order=quad_order, tau_scale=tau_scale)
     nodal = np.zeros(mesh.n_vertices)
     if free.size:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", spla.MatrixRankWarning)
-            x = spla.spsolve(mat.tocsc(), rhs)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if not np.all(np.isfinite(x)):
-            raise SingularSystemError("stabilized system is singular (non-finite solution)")
-        nodal[free] = x
+        nodal[free] = sparse_solve(mat, rhs, "stabilized")
     return SupgSolution(mesh=mesh, nodal=nodal,
                         info={"dofs_total": int(free.size), "method": "supg",
                               "tau_scale": float(tau_scale)})

@@ -12,7 +12,7 @@ from hdgcd.fespace import build_dofmap, get_edge_basis, get_element_basis
 from hdgcd.mesh import build_uniform_triangulation, dirichlet_where
 from hdgcd.solver import HdgSolution, solve_hdg
 from hdgcd.supg import solve_supg
-from hdgcd.analysis import hdg_norm
+from hdgcd.analysis import error_h1_broken, error_hdg, error_l2, hdg_norm
 
 
 def constant_velocity(bx, by):
@@ -285,9 +285,25 @@ def test_velocity_without_two_components_is_named():
                   build_uniform_triangulation(2))
 
 
-def test_bad_exact_solution_is_named():
-    from hdgcd.analysis import error_l2
+def _nan(x, y):
+    return np.full_like(x, np.nan)
+
+
+def _nan_pair(x, y):
+    return _nan(x, y), _nan(x, y)
+
+
+BAD_EXACT = {
+    "error_l2": ("exact", lambda sol, prob: error_l2(sol, _nan)),
+    "error_h1_broken": ("exact_grad", lambda sol, prob: error_h1_broken(sol, _nan_pair)),
+    "error_hdg": ("exact", lambda sol, prob: error_hdg(sol, _nan, prob, sol.info["eta"])),
+}
+
+
+@pytest.mark.parametrize("norm", sorted(BAD_EXACT))
+def test_bad_exact_solution_is_named(norm):
+    field, measure = BAD_EXACT[norm]
     prob = make_problem(f=lambda x, y: np.ones_like(x))
     sol = solve_hdg(prob, build_uniform_triangulation(2), degree=1)
-    with pytest.raises(ValueError, match="field exact "):
-        error_l2(sol, lambda x, y: np.full_like(x, np.nan))
+    with pytest.raises(ValueError, match=f"field {field} "):
+        measure(sol, prob)

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,18 @@ def test_run_config_validation():
         RunConfig(mesh_sizes=()).validate()
     with pytest.raises(ValueError):
         RunConfig(eta=-1.0).validate()
+    for study in ("layer", "reduced_limit", "skeleton_compare"):
+        with pytest.raises(ValueError, match="--method"):
+            RunConfig(study=study, method="supg").validate()
+    RunConfig(study="convergence", method="supg").validate()
+
+
+def test_main_rejects_method_outside_convergence(capsys):
+    code = main(["--study", "layer", "--method", "supg", "--n", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--method" in captured.err
 
 
 def test_convergence_study_schema():
@@ -181,3 +196,29 @@ def test_main_config_file_and_flag_override(tmp_path, capsys):
     bad.write_text("this is not key value\n")
     assert main(["--config", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+RECORDED = json.loads((Path(__file__).parent / "data" / "study_outputs.json").read_text())
+EXACT_COLUMNS = ("n", "mode", "dofs_total", "dofs_skeleton")
+
+
+def _assert_same_table(got, want):
+    assert len(got) == len(want)
+    columns = want[0].split(": ", 1)[1].split(",")
+    for g, w in zip(got, want):
+        if w.startswith("#"):
+            assert g == w
+            continue
+        for col, gv, wv in zip(columns, g.split(","), w.split(","), strict=True):
+            if col.startswith("rate") or col in EXACT_COLUMNS or not wv:
+                assert gv == wv, col
+            else:
+                assert abs(float(gv) - float(wv)) <= 1e-12 * abs(float(wv)), (col, gv, wv)
+
+
+@pytest.mark.parametrize("run", RECORDED, ids=[r["argv"] for r in RECORDED])
+def test_study_outputs_match_recorded(run, capsys):
+    # Same answers: small studies reproduce their recorded CSVs (comments,
+    # integer and rate columns exactly, other numbers to 1e-12 relative).
+    assert main(run["argv"].split()) == 0
+    _assert_same_table(capsys.readouterr().out.splitlines(), run["lines"])

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from hdgcd.fespace import (DofMap, EdgeBasis, ElementBasis, build_dofmap,
-                           project_all_edges, project_all_elements, quad_edge,
-                           quad_triangle)
+from hdgcd.analysis import project_to_hdg
+from hdgcd.fespace import EdgeBasis, ElementBasis, build_dofmap, quad_edge, quad_triangle
 from hdgcd.mesh import build_uniform_triangulation, dirichlet_where
 
 
@@ -176,7 +175,7 @@ def test_element_trace_dofs_layout():
 def test_project_element_reproduces_polynomials():
     mesh = build_uniform_triangulation(2)
     basis = ElementBasis(2)
-    coef = project_all_elements(lambda x, y: x * y + 2.0 * x - y, mesh, basis)[3]
+    coef = project_to_hdg(lambda x, y: x * y + 2.0 * x - y, build_dofmap(mesh, 2)).u[3]
     nodes_phys = (mesh.vertices[mesh.triangles[3, 0]]
                   + basis.nodes @ mesh.jacobians[3].T)
     expect = nodes_phys[:, 0] * nodes_phys[:, 1] + 2 * nodes_phys[:, 0] - nodes_phys[:, 1]
@@ -186,17 +185,19 @@ def test_project_element_reproduces_polynomials():
 def test_edge_projection_error_oracle():
     # L2-projection error of f(x, y) = x^2 onto P1 on a horizontal edge of
     # length h: the quadratic Legendre component gives h^{5/2} / sqrt(180),
-    # observed rate 2.5 under refinement.
+    # observed rate 2.5 under refinement.  The edge is interior, so its trace
+    # is a free unknown of the projected pair.
     eb = EdgeBasis(1)
     rule = quad_edge(12)
     errors, hs = [], []
     for n in (2, 4, 8, 16):
         mesh = build_uniform_triangulation(n)
         h = 1.0 / n
-        # bottom-left horizontal boundary edge: vertices 0 and 1
-        e = int(np.nonzero((mesh.edges[:, 0] == 0) & (mesh.edges[:, 1] == 1))[0][0])
-        coef = project_all_edges(lambda x, y: x ** 2, mesh, eb, [e])[0]
-        pts = mesh.vertices[0] + rule.points[:, None] * (mesh.vertices[1] - mesh.vertices[0])
+        # first interior horizontal edge: vertices n + 1 and n + 2
+        a, b = n + 1, n + 2
+        e = int(np.nonzero((mesh.edges[:, 0] == a) & (mesh.edges[:, 1] == b))[0][0])
+        coef = project_to_hdg(lambda x, y: x ** 2, build_dofmap(mesh, 1)).edge_traces()[e]
+        pts = mesh.vertices[a] + rule.points[:, None] * (mesh.vertices[b] - mesh.vertices[a])
         vals = eb.values(rule.points) @ coef
         err = np.sqrt(h * (rule.weights * (pts[:, 0] ** 2 - vals) ** 2).sum())
         assert err == pytest.approx(h ** 2.5 / np.sqrt(180.0), rel=1e-10)
