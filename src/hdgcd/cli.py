@@ -2,19 +2,23 @@
 
 Each study emits a CSV whose column schema is versioned in a leading
 ``#`` comment; reruns with the same configuration are byte-identical.
-Solver failures do not abort a study: the affected row is replaced by a
-``# error:`` comment and the remaining rows still run.
+All studies share one row loop, :func:`run_study`; a study supplies only
+its columns, default mesh sizes, the settings it fixes and a row function
+(:data:`STUDIES`). Solver failures do not abort a study: the affected row
+is replaced by a ``# error:`` comment in sweep order and the remaining rows
+still run.
 
 Configuration comes from command-line flags, optionally seeded from a
-``key=value`` text file (flags override the file).
+``key=value`` text file (flags override the file). An unknown file key,
+and a flag that the study fixes to another value, are errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -23,19 +27,14 @@ from hdgcd.analysis import (convergence_table, error_hdg, error_l2,
 from hdgcd.assembly import default_eta
 from hdgcd.fespace import get_edge_basis, get_element_basis
 from hdgcd.mesh import build_uniform_triangulation
-from hdgcd.problems import CASE_NAMES, case_reduced_limit, get_case, verify_source_term
+from hdgcd.problems import CASE_NAMES, get_case, verify_source_term
 from hdgcd.solver import ElementSolvabilityError, SingularSystemError, solve_hdg
 from hdgcd.supg import solve_supg
 
-STUDIES = ("convergence", "layer", "reduced_limit", "skeleton_compare")
-DEFAULT_MESH_SIZES = {
-    "convergence": (8, 16, 32, 64),
-    "layer": (10, 20, 40, 80),
-    "reduced_limit": (16,),
-    "skeleton_compare": (10,),
-}
 REDUCED_EPSILONS = (1.0, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 GRID_RESOLUTION = 101
+_DEFAULTS = {"problem": "smooth", "method": "hdg", "degree": 1, "epsilon": 1.0,
+             "skeleton": "dg"}
 
 
 class StudyError(RuntimeError):
@@ -44,69 +43,91 @@ class StudyError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated study configuration."""
+    """Study configuration; ``None`` fields take their defaults in :meth:`validate`."""
 
     study: str = "convergence"
-    problem: str = "smooth"
-    method: str = "hdg"
-    degree: int = 1
-    epsilon: float = 1.0
-    mesh_sizes: Tuple[int, ...] = (8, 16, 32, 64)
+    problem: Optional[str] = None
+    method: Optional[str] = None
+    degree: Optional[int] = None
+    epsilon: Optional[float] = None
+    mesh_sizes: Optional[Tuple[int, ...]] = None
     eta: Optional[float] = None
-    skeleton: str = "dg"
+    skeleton: Optional[str] = None
     out: Optional[str] = None
 
     def validate(self):
+        """A copy with every default filled in: the study's fixed settings,
+        its mesh sizes, the global defaults and the penalty 10 k^2. Raises
+        ValueError naming the flag at fault."""
         if self.study not in STUDIES:
             raise ValueError(f"unknown study {self.study!r}; available: {', '.join(STUDIES)}")
-        if self.problem not in CASE_NAMES:
-            raise ValueError(f"unknown problem {self.problem!r}; available: {', '.join(CASE_NAMES)}")
-        if self.method not in ("hdg", "supg"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method != "hdg" and self.study != "convergence":
-            raise ValueError(f"--method {self.method} applies to the convergence study only; "
-                             f"the {self.study} study fixes its methods")
-        if not isinstance(self.degree, int) or self.degree < 1:
-            raise ValueError(f"degree must be a positive integer, got {self.degree!r}")
-        if self.method == "supg" and self.degree != 1:
+        study = STUDIES[self.study]
+        for name, fixed in study.fixes.items():
+            given = getattr(self, name)
+            if given is not None and given != fixed:
+                raise ValueError(f"--{name} {given} does not apply to the {self.study} study, "
+                                 f"which fixes it to {fixed}")
+        defaults = dict(_DEFAULTS, mesh_sizes=study.mesh_sizes, **study.fixes)
+        config = replace(self, **{name: value for name, value in defaults.items()
+                                  if getattr(self, name) is None})
+        if config.problem not in CASE_NAMES:
+            raise ValueError(f"unknown problem {config.problem!r}; "
+                             f"available: {', '.join(CASE_NAMES)}")
+        if config.method not in ("hdg", "supg"):
+            raise ValueError(f"unknown method {config.method!r}")
+        if not isinstance(config.degree, int) or config.degree < 1:
+            raise ValueError(f"degree must be a positive integer, got {config.degree!r}")
+        if config.method == "supg" and config.degree != 1:
             raise ValueError("the supg baseline is piecewise linear; use --degree 1")
-        if self.skeleton not in ("dg", "cg"):
-            raise ValueError(f"unknown skeleton mode {self.skeleton!r}")
-        if self.skeleton == "cg" and self.degree != 1:
+        if config.skeleton not in ("dg", "cg"):
+            raise ValueError(f"unknown skeleton mode {config.skeleton!r}")
+        if config.skeleton == "cg" and config.degree != 1:
             raise ValueError("continuous skeleton mode requires --degree 1")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
-        if not self.mesh_sizes or any(n < 1 for n in self.mesh_sizes):
+        if not config.epsilon > 0.0:
+            raise ValueError(f"epsilon must be positive, got {config.epsilon!r}")
+        if not config.mesh_sizes or any(n < 1 for n in config.mesh_sizes):
             raise ValueError("mesh sizes must be positive integers")
-        if self.eta is not None and not self.eta > 0.0:
-            raise ValueError(f"eta must be positive, got {self.eta!r}")
-        return self
+        if study.sweeps_epsilon and len(config.mesh_sizes) != 1:
+            raise ValueError(f"--n {_joined(config.mesh_sizes)} does not apply to the "
+                             f"{self.study} study, which sweeps epsilon on one mesh size")
+        if config.eta is None:
+            return replace(config, eta=default_eta(config.degree))
+        if not config.eta > 0.0:
+            raise ValueError(f"eta must be positive, got {config.eta!r}")
+        return config
 
 
-def _fmt(value):
-    if value is None or value == "":
-        return ""
-    return f"{value:.12e}"
+def _joined(values):
+    return ",".join(str(v) for v in values)
 
 
-def _fmt_rate(value):
+def _cell(column, value):
+    """One CSV cell: blank for None, counts and names as they are, rates
+    %.6f, other numbers %.12e."""
     if value is None:
         return ""
-    return f"{value:.6f}"
+    if column in ("n", "mode", "dofs_total", "dofs_skeleton"):
+        return str(value)
+    return f"{value:.6f}" if column.startswith("rate") else f"{value:.12e}"
 
 
-def _config_comment(config, eta):
-    n_list = ",".join(str(n) for n in config.mesh_sizes)
+def _config_comment(config):
     return ("# config: study={study} problem={problem} method={method} degree={degree} "
             "epsilon={eps:.6e} eta={eta:.6e} skeleton={skel} n={n}").format(
                 study=config.study, problem=config.problem, method=config.method,
-                degree=config.degree, eps=config.epsilon, eta=eta,
-                skel=config.skeleton, n=n_list)
+                degree=config.degree, eps=config.epsilon, eta=config.eta,
+                skel=config.skeleton, n=_joined(config.mesh_sizes))
 
 
 def _write_text(path, text):
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def _write_samples(path, pts, vals):
+    """Sample points and values as 'x y value' lines."""
+    lines = [f"{p[0]:.12e} {p[1]:.12e} {v:.12e}" for p, v in zip(pts, vals)]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _grid_points(resolution):
@@ -118,38 +139,21 @@ def _grid_points(resolution):
 def _locate_points(mesh, pts):
     """Element index and reference coordinates of each sample point."""
     n = mesh.generator_n
-    if n is not None:
-        x = np.clip(pts[:, 0], 0.0, 1.0)
-        y = np.clip(pts[:, 1], 0.0, 1.0)
-        i = np.minimum((x * n).astype(int), n - 1)
-        j = np.minimum((y * n).astype(int), n - 1)
-        xl = x * n - i
-        yl = y * n - j
-        lower = yl <= xl
-        elems = 2 * (j * n + i) + np.where(lower, 0, 1)
-        ref = np.empty_like(pts)
-        ref[lower, 0] = xl[lower] - yl[lower]
-        ref[lower, 1] = yl[lower]
-        ref[~lower, 0] = xl[~lower]
-        ref[~lower, 1] = yl[~lower] - xl[~lower]
-        return elems, ref
-    # generic fallback: barycentric test against every element, blockwise
-    elems = np.full(pts.shape[0], -1, dtype=np.int64)
-    ref = np.zeros_like(pts)
-    v0 = mesh.vertices[mesh.triangles[:, 0]]
-    inv_t = np.ascontiguousarray(mesh.inv_jacobians_t.transpose(0, 2, 1))
-    for start in range(0, pts.shape[0], 512):
-        chunk = pts[start:start + 512]
-        loc = np.einsum("tab,ptb->pta", inv_t, chunk[:, None, :] - v0[None, :, :])
-        ok = ((loc[..., 0] >= -1e-12) & (loc[..., 1] >= -1e-12)
-              & (loc.sum(axis=-1) <= 1.0 + 1e-12))
-        hit = ok.argmax(axis=1)
-        found = ok[np.arange(chunk.shape[0]), hit]
-        idx = np.arange(start, start + chunk.shape[0])
-        elems[idx[found]] = hit[found]
-        ref[idx[found]] = loc[np.arange(chunk.shape[0])[found], hit[found]]
-    if np.any(elems < 0):
-        raise ValueError("sample point outside the mesh")
+    if n is None:
+        raise ValueError("field dumps need a build_uniform_triangulation mesh")
+    x = np.clip(pts[:, 0], 0.0, 1.0)
+    y = np.clip(pts[:, 1], 0.0, 1.0)
+    i = np.minimum((x * n).astype(int), n - 1)
+    j = np.minimum((y * n).astype(int), n - 1)
+    xl = x * n - i
+    yl = y * n - j
+    lower = yl <= xl
+    elems = 2 * (j * n + i) + np.where(lower, 0, 1)
+    ref = np.empty_like(pts)
+    ref[lower, 0] = xl[lower] - yl[lower]
+    ref[lower, 1] = yl[lower]
+    ref[~lower, 0] = xl[~lower]
+    ref[~lower, 1] = yl[~lower] - xl[~lower]
     return elems, ref
 
 
@@ -158,9 +162,7 @@ def dump_field_grid(solution, path, resolution=GRID_RESOLUTION):
     pts = _grid_points(resolution)
     elems, ref = _locate_points(solution.mesh, pts)
     basis = get_element_basis(solution.degree)
-    vals = (solution.u[elems] * basis.values(ref)).sum(axis=1)
-    lines = [f"{p[0]:.12e} {p[1]:.12e} {v:.12e}" for p, v in zip(pts, vals)]
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_samples(path, pts, (solution.u[elems] * basis.values(ref)).sum(axis=1))
 
 
 def dump_trace(solution, path, samples=(0.0, 0.5, 1.0)):
@@ -168,211 +170,191 @@ def dump_trace(solution, path, samples=(0.0, 0.5, 1.0)):
     skel = solution.dofmap.skeleton_edges
     ts = np.asarray(samples)
     pts = solution.mesh.edge_points(ts, skel).reshape(-1, 2)
-    vals = (solution.edge_traces()[skel] @ get_edge_basis(solution.degree).values(ts).T).ravel()
-    lines = [f"{p[0]:.12e} {p[1]:.12e} {v:.12e}" for p, v in zip(pts, vals)]
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def _out_stem(out):
-    stem = out
-    if stem.endswith(".csv"):
-        stem = stem[:-4]
-    return stem
-
-
-def _solve_row(config, case, mesh, eta):
-    """One (method, mesh) solve with the errors shared by the studies."""
-    region = case.region
-    if config.method == "supg":
-        sol = solve_supg(case.problem, mesh, quad_order=case.quad_order)
-        err_hdg_val = None
-        dofs_skel = ""
-    else:
-        sol = solve_hdg(case.problem, mesh, degree=config.degree, eta=eta,
-                        skeleton_mode=config.skeleton, quad_order=case.quad_order)
-        err_hdg_val = error_hdg(sol, case.exact, case.problem, eta, region=region).err_hdg
-        dofs_skel = sol.info["dofs_skeleton"]
-    e_l2 = error_l2(sol, case.exact, region=region)
-    e_h1 = error_h1_broken(sol, case.exact_grad, region=region)
-    return sol, e_l2, e_h1, err_hdg_val, dofs_skel
+    vals = solution.edge_traces()[skel] @ get_edge_basis(solution.degree).values(ts).T
+    _write_samples(path, pts, vals.ravel())
 
 
 _ROW_ERRORS = (ElementSolvabilityError, SingularSystemError, ValueError)
 
 
-def _open_table(config, study, columns):
-    """Validate ``config`` and resolve its penalty (default 10 k^2); returns
-    (eta, lines) with the CSV's schema and config comment lines."""
-    config.validate()
-    eta = config.eta if config.eta is not None else default_eta(config.degree)
-    return eta, [f"# hdgcd {study} v1: {columns}", _config_comment(config, eta)]
+def _solve_hdg(config, case, mesh, mode):
+    return solve_hdg(case.problem, mesh, degree=config.degree, eta=config.eta,
+                     skeleton_mode=mode, quad_order=case.quad_order)
 
 
-def _rates(prev, h, e_l2, e_h1):
-    """Observed L2 and H1 orders against the previous row's (h, e_l2, e_h1),
-    None without a previous row."""
+def _region_errors(sol, case):
+    """dofs_total and the L2 and broken H1 errors over the case's region."""
+    return {"dofs_total": sol.info["dofs_total"],
+            "err_l2": error_l2(sol, case.exact, region=case.region),
+            "err_h1": error_h1_broken(sol, case.exact_grad, region=case.region)}
+
+
+def _hdg_cells(config, case, mesh, mode):
+    """An HDG solve and the cells the convergence and layer tables share."""
+    sol = _solve_hdg(config, case, mesh, mode)
+    cells = _region_errors(sol, case)
+    cells["dofs_skeleton"] = sol.info["dofs_skeleton"]
+    cells["err_hdg"] = error_hdg(sol, case.exact, case.problem, config.eta,
+                                 region=case.region).err_hdg
+    return sol, cells
+
+
+# A row function maps (config, case, mesh, skeleton mode) to the row's
+# cells by column name and its dumps, (file tag, writer, solution) triples
+# written only with --out.
+
+def _convergence_row(config, case, mesh, mode):
+    if config.method == "supg":
+        sol = solve_supg(case.problem, mesh, quad_order=case.quad_order)
+        return _region_errors(sol, case), ()
+    return _hdg_cells(config, case, mesh, mode)[1], ()
+
+
+def _layer_row(config, case, mesh, mode):
+    """Errors in the layer-free box and the overshoots of the hybrid
+    solver and of the stabilized baseline."""
+    sol, cells = _hdg_cells(config, case, mesh, mode)
+    cells["overshoot_hdg"] = overshoot_metric(sol, case.exact_max)
+    supg_sol = solve_supg(case.problem, mesh, quad_order=case.quad_order)
+    cells["overshoot_supg"] = overshoot_metric(supg_sol, case.exact_max)
+    return cells, (("uh_hdg", dump_field_grid, sol), ("uhat_hdg", dump_trace, sol),
+                   ("uh_supg", dump_field_grid, supg_sol))
+
+
+def _reduced_limit_row(config, case, mesh, mode):
+    """Distance to the transport limit u0 at one epsilon."""
+    sol = _solve_hdg(config, case, mesh, mode)
+    err_l2 = error_l2(sol, case.exact)
+    rep = error_hdg(sol, case.exact, case.problem, config.eta)
+    return {"err_l2": err_l2, "err_jump": rep.err_jump,
+            "err_conv": float(np.sqrt(rep.conv_sq)), "err_hdg": rep.err_hdg}, ()
+
+
+def _skeleton_row(config, case, mesh, mode):
+    """The layer problem with a discontinuous or a continuous trace space."""
+    sol = _solve_hdg(config, case, mesh, mode)
+    cells = {"dofs_total": sol.info["dofs_total"], "dofs_skeleton": sol.info["dofs_skeleton"],
+             "err_l2": error_l2(sol, case.exact, region=case.region),
+             "overshoot": overshoot_metric(sol, case.exact_max)}
+    return cells, ((f"uhat_{mode}", dump_trace, sol),)
+
+
+def _last_two_ratio(rows):
+    """Closing comment with the ratio of the last two L2 distances, and the
+    failure when it is above 2 (in either direction)."""
+    dists = [row["err_l2"] for row in rows[-2:]]
+    if len(dists) < 2 or min(dists) <= 0.0:
+        return [], None
+    ratio = max(dists) / min(dists)
+    failure = None
+    if ratio > 2.0:
+        failure = ("distance to the reduced solution is not bounded: "
+                   f"last-two ratio {ratio:.3f} > 2")
+    return [f"# last_two_ratio_l2={ratio:.6f}"], failure
+
+
+@dataclass(frozen=True)
+class Study:
+    """What one study adds to the shared row loop of :func:`run_study`."""
+
+    columns: str                  # the CSV columns, comma-separated
+    mesh_sizes: Tuple[int, ...]   # the default --n
+    row: Callable                 # see the row functions above
+    fixes: dict = field(default_factory=dict)   # RunConfig fields the study sets
+    modes: Tuple[str, ...] = ()   # skeleton modes solved per mesh; () runs --skeleton
+    sweeps_epsilon: bool = False  # rows sweep REDUCED_EPSILONS on one mesh size
+    close: Optional[Callable] = None  # rows -> (closing comments, failure or None)
+
+
+STUDIES = {
+    "convergence": Study(
+        "n,h,dofs_total,dofs_skeleton,err_l2,err_h1,err_hdg,rate_l2,rate_h1",
+        (8, 16, 32, 64), _convergence_row),
+    "layer": Study(
+        "n,h,dofs_total,dofs_skeleton,err_l2,err_h1,err_hdg,rate_l2,rate_h1,"
+        "overshoot_hdg,overshoot_supg",
+        (10, 20, 40, 80), _layer_row, fixes={"problem": "layer", "method": "hdg"}),
+    "reduced_limit": Study(
+        "epsilon,n,h,err_l2,err_jump,err_conv,err_hdg",
+        (16,), _reduced_limit_row,
+        fixes={"problem": "reduced_limit", "method": "hdg", "epsilon": 1.0},
+        sweeps_epsilon=True, close=_last_two_ratio),
+    "skeleton_compare": Study(
+        "mode,n,h,dofs_total,dofs_skeleton,err_l2,overshoot",
+        (10,), _skeleton_row,
+        fixes={"problem": "layer", "method": "hdg", "degree": 1, "skeleton": "dg"},
+        modes=("dg", "cg")),
+}
+
+
+def _sweep(config, study):
+    """(error label, point cells, case, mesh) of each row in sweep order.
+
+    The source check and the mesh build run here, outside the rows' error
+    handling, so a wrong source term or mesh aborts the study."""
+    epsilons = REDUCED_EPSILONS if study.sweeps_epsilon else (config.epsilon,)
+    for eps in epsilons:
+        case = get_case(config.problem, eps)
+        verify_source_term(case)
+        for n in config.mesh_sizes:
+            mesh = build_uniform_triangulation(n, case.problem.boundary)
+            point = {"epsilon": eps, "n": n, "h": float(mesh.h_K.max())}
+            for mode in study.modes or (config.skeleton,):
+                label = f"epsilon={eps:.6e}" if study.sweeps_epsilon else f"n={n}"
+                if study.modes:
+                    label += f" mode={mode}"
+                yield label, dict(point, mode=mode), case, mesh
+
+
+def _rates(prev, row):
+    """Observed L2 and H1 orders against the previous row, None without one."""
     if prev is None:
         return None, None
-    h0, l2_0, h1_0 = prev
-    return (convergence_table([l2_0, e_l2], [h0, h])[0],
-            convergence_table([h1_0, e_h1], [h0, h])[0])
+    h = [prev["h"], row["h"]]
+    return (convergence_table([prev["err_l2"], row["err_l2"]], h)[0],
+            convergence_table([prev["err_h1"], row["err_h1"]], h)[0])
 
 
-def run_convergence_study(config):
-    """Mesh refinement sweep on one problem; returns the CSV text."""
-    eta, lines = _open_table(config, "convergence",
-                             "n,h,dofs_total,dofs_skeleton,err_l2,err_h1,err_hdg,rate_l2,rate_h1")
-    case = get_case(config.problem, config.epsilon)
-    verify_source_term(case)
-    results = []
-    for n in config.mesh_sizes:
-        mesh = build_uniform_triangulation(n, case.problem.boundary)
-        try:
-            sol, e_l2, e_h1, e_hdg, dofs_skel = _solve_row(config, case, mesh, eta)
-        except _ROW_ERRORS as exc:
-            lines.append(f"# error: n={n}: {exc}")
-            results.append(None)
-            continue
-        results.append((n, float(mesh.h_K.max()), sol.info["dofs_total"],
-                        dofs_skel, e_l2, e_h1, e_hdg))
-    prev = None
-    for res in results:
-        if res is None:
-            prev = None
-            continue
-        n, h, dofs_total, dofs_skel, e_l2, e_h1, e_hdg = res
-        rate_l2, rate_h1 = _rates(prev, h, e_l2, e_h1)
-        lines.append(",".join([
-            str(n), _fmt(h), str(dofs_total), str(dofs_skel),
-            _fmt(e_l2), _fmt(e_h1), _fmt(e_hdg) if e_hdg is not None else "",
-            _fmt_rate(rate_l2), _fmt_rate(rate_h1)]))
-        prev = (h, e_l2, e_h1)
-    text = "\n".join(lines) + "\n"
-    if config.out:
-        _write_text(config.out, text)
-    return text
+def run_study(config):
+    """Run ``config.study`` row by row; returns the CSV text, also written
+    to ``config.out`` with the study's dumps next to it.
 
-
-def run_layer_study(config):
-    """Boundary-layer benchmark: errors in the layer-free box, overshoots
-    for both the hybrid solver and the stabilized baseline, field dumps."""
-    config = replace(config, problem="layer")
-    eta, lines = _open_table(config, "layer", "n,h,dofs_total,dofs_skeleton,err_l2,err_h1,"
-                             "err_hdg,rate_l2,rate_h1,overshoot_hdg,overshoot_supg")
-    case = get_case("layer", config.epsilon)
-    verify_source_term(case)
-    prev = None
-    for n in config.mesh_sizes:
-        mesh = build_uniform_triangulation(n, case.problem.boundary)
-        h = float(mesh.h_K.max())
-        try:
-            sol = solve_hdg(case.problem, mesh, degree=config.degree, eta=eta,
-                            skeleton_mode=config.skeleton, quad_order=case.quad_order)
-            e_l2 = error_l2(sol, case.exact, region=case.region)
-            e_h1 = error_h1_broken(sol, case.exact_grad, region=case.region)
-            e_hdg = error_hdg(sol, case.exact, case.problem, eta, region=case.region).err_hdg
-            over_hdg = overshoot_metric(sol, case.exact_max)
-            supg_sol = solve_supg(case.problem, mesh, quad_order=case.quad_order)
-            over_supg = overshoot_metric(supg_sol, case.exact_max)
-        except _ROW_ERRORS as exc:
-            lines.append(f"# error: n={n}: {exc}")
-            prev = None
-            continue
-        rate_l2, rate_h1 = _rates(prev, h, e_l2, e_h1)
-        lines.append(",".join([
-            str(n), _fmt(h), str(sol.info["dofs_total"]), str(sol.info["dofs_skeleton"]),
-            _fmt(e_l2), _fmt(e_h1), _fmt(e_hdg),
-            _fmt_rate(rate_l2), _fmt_rate(rate_h1),
-            _fmt(over_hdg), _fmt(over_supg)]))
-        prev = (h, e_l2, e_h1)
-        if config.out:
-            stem = _out_stem(config.out)
-            dump_field_grid(sol, f"{stem}_uh_hdg_n{n}.dat")
-            dump_trace(sol, f"{stem}_uhat_hdg_n{n}.dat")
-            dump_field_grid(supg_sol, f"{stem}_uh_supg_n{n}.dat")
-    text = "\n".join(lines) + "\n"
-    if config.out:
-        _write_text(config.out, text)
-    return text
-
-
-def run_reduced_limit_study(config, epsilons=REDUCED_EPSILONS):
-    """Distance to the transport limit u0 as epsilon decreases at fixed n.
-
-    The final comment records the ratio of the last two L2 distances; a
-    ratio above 2 (in either direction) raises :class:`StudyError`.
+    A row whose solve fails becomes a ``# error: <label>: <message>``
+    comment in sweep order, and the rates restart after it. A failed
+    closing check (reduced_limit) raises :class:`StudyError` once the
+    table is written.
     """
-    config = replace(config, problem="reduced_limit")
-    eta, lines = _open_table(config, "reduced_limit", "epsilon,n,h,err_l2,err_jump,err_conv,err_hdg")
-    n = config.mesh_sizes[0]
-    dists = []
-    for eps in epsilons:
-        case = case_reduced_limit(eps)
-        verify_source_term(case)
-        mesh = build_uniform_triangulation(n, case.problem.boundary)
-        h = float(mesh.h_K.max())
+    config = config.validate()
+    study = STUDIES[config.study]
+    columns = study.columns.split(",")
+    lines = [f"# hdgcd {config.study} v1: {study.columns}", _config_comment(config)]
+    rows, prev = [], None
+    for label, point, case, mesh in _sweep(config, study):
         try:
-            sol = solve_hdg(case.problem, mesh, degree=config.degree, eta=eta,
-                            skeleton_mode=config.skeleton, quad_order=case.quad_order)
+            cells, dumps = study.row(config, case, mesh, point["mode"])
         except _ROW_ERRORS as exc:
-            lines.append(f"# error: epsilon={eps:.6e}: {exc}")
+            lines.append(f"# error: {label}: {exc}")
+            prev = None
             continue
-        e_l2 = error_l2(sol, case.exact)
-        rep = error_hdg(sol, case.exact, case.problem, eta)
-        dists.append(e_l2)
-        lines.append(",".join([
-            _fmt(eps), str(n), _fmt(h), _fmt(e_l2),
-            _fmt(rep.err_jump), _fmt(float(np.sqrt(rep.conv_sq))), _fmt(rep.err_hdg)]))
-    ratio = None
-    if len(dists) >= 2 and min(dists[-2:]) > 0.0:
-        ratio = max(dists[-2:]) / min(dists[-2:])
-        lines.append(f"# last_two_ratio_l2={ratio:.6f}")
-    text = "\n".join(lines) + "\n"
+        cells = dict(point, **cells)
+        if "rate_l2" in columns:
+            cells["rate_l2"], cells["rate_h1"] = _rates(prev, cells)
+        lines.append(",".join(_cell(column, cells.get(column)) for column in columns))
+        rows.append(cells)
+        prev = cells
+        if config.out:
+            for tag, write, sol in dumps:
+                write(sol, f"{config.out.removesuffix('.csv')}_{tag}_n{point['n']}.dat")
+    comments, failure = study.close(rows) if study.close else ([], None)
+    text = "\n".join(lines + comments) + "\n"
     if config.out:
         _write_text(config.out, text)
-    if ratio is not None and ratio > 2.0:
-        raise StudyError(
-            f"distance to the reduced solution is not bounded: last-two ratio {ratio:.3f} > 2")
+    if failure:
+        raise StudyError(failure)
     return text
 
 
-def run_skeleton_mode_comparison(config):
-    """Layer problem with discontinuous vs continuous skeleton spaces."""
-    config = replace(config, degree=1, problem="layer")
-    eta, lines = _open_table(config, "skeleton_compare",
-                             "mode,n,h,dofs_total,dofs_skeleton,err_l2,overshoot")
-    case = get_case("layer", config.epsilon)
-    verify_source_term(case)
-    for n in config.mesh_sizes:
-        mesh = build_uniform_triangulation(n, case.problem.boundary)
-        h = float(mesh.h_K.max())
-        for mode in ("dg", "cg"):
-            try:
-                sol = solve_hdg(case.problem, mesh, degree=1, eta=eta,
-                                skeleton_mode=mode, quad_order=case.quad_order)
-            except _ROW_ERRORS as exc:
-                lines.append(f"# error: n={n} mode={mode}: {exc}")
-                continue
-            e_l2 = error_l2(sol, case.exact, region=case.region)
-            over = overshoot_metric(sol, case.exact_max)
-            lines.append(",".join([
-                mode, str(n), _fmt(h), str(sol.info["dofs_total"]),
-                str(sol.info["dofs_skeleton"]), _fmt(e_l2), _fmt(over)]))
-            if config.out:
-                stem = _out_stem(config.out)
-                dump_trace(sol, f"{stem}_uhat_{mode}_n{n}.dat")
-    text = "\n".join(lines) + "\n"
-    if config.out:
-        _write_text(config.out, text)
-    return text
-
-
-_RUNNERS = {
-    "convergence": run_convergence_study,
-    "layer": run_layer_study,
-    "reduced_limit": run_reduced_limit_study,
-    "skeleton_compare": run_skeleton_mode_comparison,
-}
+_RUNNERS = dict.fromkeys(STUDIES, run_study)
 
 
 def _parse_config_file(path):
@@ -399,6 +381,20 @@ def _parse_mesh_sizes(text):
     return sizes
 
 
+# config-file key (and long flag) -> (RunConfig field, parser)
+_KEYS = {
+    "study": ("study", str),
+    "problem": ("problem", str),
+    "method": ("method", str),
+    "degree": ("degree", int),
+    "epsilon": ("epsilon", float),
+    "n": ("mesh_sizes", _parse_mesh_sizes),
+    "eta": ("eta", float),
+    "skeleton": ("skeleton", str),
+    "out": ("out", str),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hdgcd",
@@ -421,34 +417,20 @@ def build_parser():
 
 
 def _build_config(args):
-    values = {}
-    if args.config:
-        values.update(_parse_config_file(args.config))
-    for key in ("study", "problem", "method", "degree", "epsilon", "n", "eta",
-                "skeleton", "out"):
-        flag = getattr(args, key)
-        if flag is not None:
-            values[key] = flag
-    study = str(values.get("study", "convergence"))
-    mesh_sizes = values.get("n")
-    if mesh_sizes is None:
-        mesh_sizes = DEFAULT_MESH_SIZES.get(study, (8, 16, 32, 64))
-    elif isinstance(mesh_sizes, str):
-        mesh_sizes = _parse_mesh_sizes(mesh_sizes)
-    eta = values.get("eta")
-    if isinstance(eta, str):
-        eta = float(eta)
-    return RunConfig(
-        study=study,
-        problem=str(values.get("problem", "smooth")),
-        method=str(values.get("method", "hdg")),
-        degree=int(values.get("degree", 1)),
-        epsilon=float(values.get("epsilon", 1.0)),
-        mesh_sizes=tuple(mesh_sizes),
-        eta=eta,
-        skeleton=str(values.get("skeleton", "dg")),
-        out=values.get("out"),
-    ).validate()
+    """RunConfig from the config file's values overridden by the flags;
+    :meth:`RunConfig.validate` fills in the defaults."""
+    values = _parse_config_file(args.config) if args.config else {}
+    values.update((key, getattr(args, key)) for key in _KEYS if getattr(args, key) is not None)
+    fields = {}
+    for key, value in values.items():
+        if key not in _KEYS:
+            raise ValueError(f"unknown config key {key!r}; available: {', '.join(_KEYS)}")
+        name, parse = _KEYS[key]
+        try:
+            fields[name] = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"bad value for {key}: {exc}") from None
+    return RunConfig(**fields).validate()
 
 
 def main(argv=None):

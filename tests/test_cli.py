@@ -4,12 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hdgcd.cli import (RunConfig, StudyError, dump_field_grid, main,
-                       run_convergence_study, run_layer_study,
-                       run_reduced_limit_study, run_skeleton_mode_comparison)
-from hdgcd.mesh import build_uniform_triangulation
+import hdgcd.cli
+from hdgcd.cli import STUDIES, RunConfig, StudyError, dump_field_grid, main, run_study
+from hdgcd.mesh import Mesh, build_uniform_triangulation
 from hdgcd.problems import case_smooth
-from hdgcd.solver import solve_hdg
+from hdgcd.solver import SingularSystemError, solve_hdg
 
 
 def data_rows(text):
@@ -17,7 +16,9 @@ def data_rows(text):
 
 
 def test_run_config_validation():
-    RunConfig().validate()
+    config = RunConfig(study="skeleton_compare").validate()
+    assert (config.problem, config.degree, config.mesh_sizes, config.eta) == (
+        "layer", 1, (10,), 10.0)
     with pytest.raises(ValueError):
         RunConfig(study="sweep").validate()
     with pytest.raises(ValueError):
@@ -34,24 +35,32 @@ def test_run_config_validation():
         RunConfig(mesh_sizes=()).validate()
     with pytest.raises(ValueError):
         RunConfig(eta=-1.0).validate()
-    for study in ("layer", "reduced_limit", "skeleton_compare"):
-        with pytest.raises(ValueError, match="--method"):
-            RunConfig(study=study, method="supg").validate()
     RunConfig(study="convergence", method="supg").validate()
 
 
-def test_main_rejects_method_outside_convergence(capsys):
-    code = main(["--study", "layer", "--method", "supg", "--n", "4"])
+@pytest.mark.parametrize("study,flag,value", [
+    ("layer", "--method", "supg"),
+    ("reduced_limit", "--method", "supg"),
+    ("skeleton_compare", "--method", "supg"),
+    ("layer", "--problem", "smooth"),
+    ("reduced_limit", "--epsilon", "1e-3"),
+    ("reduced_limit", "--n", "2,4"),
+    ("skeleton_compare", "--degree", "2"),
+    ("skeleton_compare", "--skeleton", "cg"),
+], ids=lambda v: v.lstrip("-") if v.startswith("--") else v)
+def test_main_rejects_flag_the_study_fixes(study, flag, value, capsys):
+    # --n 2 keeps a wrongly accepted run short; a later --n overrides it
+    code = main(["--study", study, "--n", "2", flag, value])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.startswith("error:") and "--method" in captured.err
+    assert captured.err.startswith(f"error: {flag} ") and study in captured.err
 
 
 def test_convergence_study_schema():
     config = RunConfig(study="convergence", problem="smooth", epsilon=1e-3,
                        mesh_sizes=(4, 8))
-    text = run_convergence_study(config)
+    text = run_study(config)
     lines = text.strip().splitlines()
     assert lines[0].startswith("# hdgcd convergence v1: n,h,dofs_total,")
     assert lines[1].startswith("# config:")
@@ -70,7 +79,7 @@ def test_convergence_study_schema():
 
 def test_convergence_study_supg_has_blank_hdg_column():
     config = RunConfig(method="supg", epsilon=1.0, mesh_sizes=(4,))
-    text = run_convergence_study(config)
+    text = run_study(config)
     row = data_rows(text)[0].split(",")
     assert row[3] == ""  # no skeleton dofs
     assert row[6] == ""  # no scheme norm
@@ -79,13 +88,13 @@ def test_convergence_study_supg_has_blank_hdg_column():
 
 def test_convergence_study_rerun_identical():
     config = RunConfig(mesh_sizes=(4, 8), epsilon=1e-3)
-    assert run_convergence_study(config) == run_convergence_study(config)
+    assert run_study(config) == run_study(config)
 
 
 def test_convergence_study_writes_file(tmp_path):
     out = tmp_path / "table.csv"
     config = RunConfig(mesh_sizes=(4,), out=str(out))
-    text = run_convergence_study(config)
+    text = run_study(config)
     assert out.read_text() == text
 
 
@@ -93,7 +102,7 @@ def test_layer_study_columns_and_dumps(tmp_path):
     out = tmp_path / "layer.csv"
     config = RunConfig(study="layer", epsilon=1e-6, mesh_sizes=(5,),
                        out=str(out))
-    text = run_layer_study(config)
+    text = run_study(config)
     header = text.splitlines()[0]
     assert "overshoot_hdg" in header and "overshoot_supg" in header
     row = data_rows(text)[0].split(",")
@@ -112,7 +121,7 @@ def test_layer_study_columns_and_dumps(tmp_path):
 
 def test_reduced_limit_study_bounded():
     config = RunConfig(study="reduced_limit", mesh_sizes=(8,))
-    text = run_reduced_limit_study(config)
+    text = run_study(config)
     rows = data_rows(text)
     assert len(rows) == 6
     dists = [float(r.split(",")[3]) for r in rows]
@@ -122,17 +131,18 @@ def test_reduced_limit_study_bounded():
     assert "# last_two_ratio_l2=" in text
 
 
-def test_reduced_limit_study_raises_on_divergence():
+def test_reduced_limit_study_raises_on_divergence(monkeypatch):
     config = RunConfig(study="reduced_limit", mesh_sizes=(2,))
-    # a diverging artificial sweep: reuse the runner with epsilons whose
-    # distances differ wildly by removing the small-epsilon tail
+    # a diverging artificial sweep: epsilons whose distances differ wildly,
+    # because the small-epsilon tail is removed
+    monkeypatch.setattr(hdgcd.cli, "REDUCED_EPSILONS", (1.0, 1e-2))
     with pytest.raises(StudyError):
-        run_reduced_limit_study(config, epsilons=(1.0, 1e-2))
+        run_study(config)
 
 
 def test_skeleton_comparison_rows():
     config = RunConfig(study="skeleton_compare", epsilon=1e-6, mesh_sizes=(5,))
-    text = run_skeleton_mode_comparison(config)
+    text = run_study(config)
     rows = data_rows(text)
     assert len(rows) == 2
     by_mode = {r.split(",")[0]: r.split(",") for r in rows}
@@ -163,6 +173,10 @@ def test_dump_field_grid_matches_solution(tmp_path):
                 candidates.append((basis.values(ref[None, :]) @ sol.u[t]).item())
         assert candidates
         assert min(abs(v - c) for c in candidates) < 1e-12
+    # sample points are located on the uniform grid only
+    generic = solve_hdg(case.problem, Mesh(mesh.vertices, mesh.triangles), degree=1)
+    with pytest.raises(ValueError, match="build_uniform_triangulation"):
+        dump_field_grid(generic, tmp_path / "generic.dat", resolution=21)
 
 
 def test_main_writes_csv_and_exit_codes(tmp_path, capsys):
@@ -197,6 +211,31 @@ def test_main_config_file_and_flag_override(tmp_path, capsys):
     assert main(["--config", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("error:")
 
+    bad.write_text("n = 4\nepsilom = 1e-3\n")
+    assert main(["--config", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown config key 'epsilom'; available: ")
+
+    bad.write_text("n = 4\ndegree = two\n")
+    assert main(["--config", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: bad value for degree: ")
+
+
+@pytest.mark.parametrize("study", ["convergence", "layer"])
+def test_failing_row_becomes_error_comment_in_sweep_order(study, monkeypatch, capsys):
+    solve = hdgcd.cli.solve_hdg
+
+    def singular_at_n8(problem, mesh, **kwargs):
+        if mesh.generator_n == 8:
+            raise SingularSystemError("skeleton system is singular")
+        return solve(problem, mesh, **kwargs)
+
+    monkeypatch.setattr(hdgcd.cli, "solve_hdg", singular_at_n8)
+    assert main(["--study", study, "--n", "4,8,16"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split(",")[0] for row in rows] == [
+        "4", "# error: n=8: skeleton system is singular", "16"]
+    assert rows[2].split(",")[7:9] == ["", ""]  # rates restart after the error
+
 
 RECORDED = json.loads((Path(__file__).parent / "data" / "study_outputs.json").read_text())
 EXACT_COLUMNS = ("n", "mode", "dofs_total", "dofs_skeleton")
@@ -214,6 +253,11 @@ def _assert_same_table(got, want):
                 assert gv == wv, col
             else:
                 assert abs(float(gv) - float(wv)) <= 1e-12 * abs(float(wv)), (col, gv, wv)
+
+
+def test_every_study_has_recorded_outputs():
+    studies = {argv[argv.index("--study") + 1] for argv in (r["argv"].split() for r in RECORDED)}
+    assert studies == set(STUDIES)
 
 
 @pytest.mark.parametrize("run", RECORDED, ids=[r["argv"] for r in RECORDED])
