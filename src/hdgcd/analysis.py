@@ -161,22 +161,10 @@ def hdg_norm(pair, problem, eta, region=None, quad_order=None, starred=False):
     w = ctx.volume_weights(mesh)
     l2_sq_elem = ((pair.u @ ctx.N.T) ** 2 * w).sum(axis=1)
     h1_sq_elem = ((ctx.field_gradients(mesh, pair.u) ** 2).sum(axis=-1) * w).sum(axis=1)
-    if pair.degree >= 2:
-        d2 = ctx.basis.second_derivatives(ctx.vol.points)  # (nq, nd, 3) ref xx, xy, yy
-        # physical second derivatives via H_phys = M H_ref M^T, M = J^{-T}
-        m = mesh.inv_jacobians_t
-        hxx = np.einsum("ti,qic->tqc", pair.u, d2)  # (nt, nq, 3)
-        rxx, rxy, ryy = hxx[..., 0], hxx[..., 1], hxx[..., 2]
-        pxx = (m[:, None, 0, 0] ** 2 * rxx + 2 * m[:, None, 0, 0] * m[:, None, 0, 1] * rxy
-               + m[:, None, 0, 1] ** 2 * ryy)
-        pyy = (m[:, None, 1, 0] ** 2 * rxx + 2 * m[:, None, 1, 0] * m[:, None, 1, 1] * rxy
-               + m[:, None, 1, 1] ** 2 * ryy)
-        pxy = (m[:, None, 0, 0] * m[:, None, 1, 0] * rxx
-               + (m[:, None, 0, 0] * m[:, None, 1, 1] + m[:, None, 0, 1] * m[:, None, 1, 0]) * rxy
-               + m[:, None, 0, 1] * m[:, None, 1, 1] * ryy)
-        h2_sq_elem = ((pxx ** 2 + pxy ** 2 + pyy ** 2) * w).sum(axis=1) * mesh.h_K ** 2
-    else:
-        h2_sq_elem = np.zeros(mesh.n_elements)
+    # |alpha| = 2 derivatives: u_xx, u_xy (counted once) and u_yy
+    hess = ctx.field_hessians(mesh, pair.u)
+    h2 = hess[..., 0, 0] ** 2 + hess[..., 0, 1] ** 2 + hess[..., 1, 1] ** 2
+    h2_sq_elem = (h2 * w).sum(axis=1) * mesh.h_K ** 2
 
     # edge quantities, slot by slot over the selected elements
     uhat_edges = pair.edge_traces()
@@ -235,9 +223,8 @@ def conservation_residual(solution, problem, eta=None, quad_order=None):
         quad_order = solution.info.get("quad_order")
     ctx = get_context(mesh, solution.degree, quad_order)
 
-    bx_v, by_v = ctx.volume_values(problem.b, "b", vector=True)
-    grads = ctx.field_gradients(mesh, solution.u)
-    conv = bx_v * grads[..., 0] + by_v * grads[..., 1]
+    bgrad = ctx.streamline(mesh, ctx.volume_values(problem.b, "b", vector=True))
+    conv = np.einsum("tqi,ti->tq", bgrad, solution.u)
     if problem.c is not None:
         conv = conv + ctx.volume_values(problem.c, "c") * (solution.u @ ctx.N.T)
     residual = ((conv - ctx.volume_values(problem.f, "f")) * ctx.volume_weights(mesh)).sum(axis=1)

@@ -213,9 +213,19 @@ class SlotTables(NamedTuple):
         return bx_e[self.edges] * self.normals[:, :1] + by_e[self.edges] * self.normals[:, 1:]
 
 
+def pull_back(mesh, v):
+    """Reference components J^{-1} v (2, nt, ...) of the physical vectors
+    ``v`` (2, nt, ...), so that v . grad phi = (J^{-1} v) . grad_ref phi."""
+    return np.einsum("tca,ct...->at...", mesh.inv_jacobians_t, v)
+
+
 class AssemblyContext:
     """Reference evaluation tables and physical quadrature geometry.
 
+    Elements are affine, so volume derivatives stay on the reference
+    triangle: the context holds reference basis tables and the stiffness
+    tensors ``R[a, b] = sum_q w_q d_a phi_i d_b phi_j`` (2, 2, nd, nd), and
+    the element metric maps coefficients, never the basis (:func:`pull_back`).
     Element traces along an edge are tabulated for both traversal
     directions so that every edge quantity is expressed in the canonical
     (ascending vertex index) parameterization shared by the trace basis.
@@ -231,33 +241,38 @@ class AssemblyContext:
         self.edge = quad_edge(quad_order)
         self.N = basis.values(self.vol.points)
         self.dN = basis.gradients(self.vol.points)
+        self.R = np.einsum("q,qia,qjb->abij", self.vol.weights, self.dN, self.dN)
         self.N_vert = basis.values(REF_VERTICES)
         t = self.edge.points
         self.E = edge_basis.values(t)
-        nqe = t.size
-        n_tr = np.empty((3, 2, nqe, basis.dim))
-        dn_tr = np.empty((3, 2, nqe, basis.dim, 2))
-        for s in range(3):
-            r0 = REF_VERTICES[s]
-            r1 = REF_VERTICES[(s + 1) % 3]
-            for o, tt in ((0, 1.0 - t), (1, t)):
-                pts = r0[None, :] + tt[:, None] * (r1 - r0)[None, :]
-                n_tr[s, o] = basis.values(pts)
-                dn_tr[s, o] = basis.gradients(pts)
-        self.N_tr = n_tr
-        self.dN_tr = dn_tr
+        # slot s from vertex s to s + 1, traversed backward (o = 0) or forward (o = 1)
+        r0 = REF_VERTICES[:, None, None]
+        r1 = np.roll(REF_VERTICES, -1, axis=0)[:, None, None]
+        pts = (r0 + np.stack([1.0 - t, t])[..., None] * (r1 - r0)).reshape(-1, 2)
+        self.N_tr = basis.values(pts).reshape(3, 2, t.size, -1)   # [s, o, q, i]
+        self.dN_tr = basis.gradients(pts).reshape(3, 2, t.size, -1, 2)
         self.X_vol = mesh.physical_points(self.vol.points)
         self.X_edge = mesh.edge_points(t)
 
-    def gradients(self, mesh):
-        """Physical basis gradients at the volume points, (nt, nq, nd, 2); built
-        per call and never stored, being the largest table of an assembly."""
-        return self.dN @ _swap(mesh.inv_jacobians_t)[:, None]
+    def streamline(self, mesh, b):
+        """Streamline derivatives b . grad phi (nt, nq, nd) of the basis from
+        the velocity ``b`` (2, nt, nq) at the volume points."""
+        bx, by = pull_back(mesh, b)
+        return bx[..., None] * self.dN[..., 0] + by[..., None] * self.dN[..., 1]
 
     def field_gradients(self, mesh, u):
-        """Physical gradients (nt, nq, 2) at the volume points of the fields
-        with element coefficients ``u`` (nt, nd)."""
-        return np.einsum("ti,qib,tab->tqa", u, self.dN, mesh.inv_jacobians_t)
+        """Physical gradients M g_ref (nt, nq, 2), M = J^{-T}, at the volume
+        points of the fields with element coefficients ``u`` (nt, nd)."""
+        return np.tensordot(u, self.dN, axes=(1, 1)) @ _swap(mesh.inv_jacobians_t)
+
+    def field_hessians(self, mesh, u):
+        """Physical Hessians M H_ref M^T (nt, nq, 2, 2) at the volume points
+        of the fields with element coefficients ``u`` (nt, nd)."""
+        d2 = self.basis.second_derivatives(self.vol.points)[..., [[0, 1], [1, 2]]]
+        h_ref = np.tensordot(u, d2.transpose(1, 2, 0, 3), axes=(1, 0))   # (nt, a, nq, b)
+        m, nt = mesh.inv_jacobians_t, len(u)
+        h = (m @ h_ref.reshape(nt, 2, -1)).reshape(nt, -1, 2) @ _swap(m)   # rows (a, q)
+        return h.reshape(nt, 2, -1, 2).transpose(0, 2, 1, 3)
 
     def volume_weights(self, mesh):
         """Physical volume quadrature weights, (nt, nq)."""
@@ -282,8 +297,7 @@ class AssemblyContext:
         dn = None
         if normal_derivs:
             # d/dn of a basis function: reference gradient . J^{-1} n
-            m_n = np.einsum("tab,ta->tb", mesh.inv_jacobians_t, mesh.normals[:, s])
-            dn = np.einsum("tqib,tb->tqi", self.dN_tr[s, o], m_n)
+            dn = np.einsum("tqib,bt->tqi", self.dN_tr[s, o], pull_back(mesh, mesh.normals[:, s].T))
         return SlotTables(edges, mesh.edge_tags[edges] == _NEUMANN, mesh.normals[:, s],
                           self.edge.weights * mesh.h_e[edges][:, None], self.N_tr[s, o], dn)
 
@@ -303,9 +317,11 @@ def get_context(mesh, degree, quad_order=None):
 # returns stacked (nt, nd, nd) matrices or (nt, nd) loads, test rows x trial cols.
 
 def stiffness(ctx, mesh, epsilon):
-    """Broken stiffness epsilon (grad phi_j, grad phi_i)_K."""
-    G = ctx.gradients(mesh)
-    return epsilon * np.einsum("tqia,tqja->tij", ctx.volume_weights(mesh)[..., None, None] * G, G)
+    """Broken stiffness epsilon (grad phi_j, grad phi_i)_K from the reference
+    tensors: epsilon |det J| sum_ab C[a, b] R[a, b] with C = J^{-1} J^{-T}."""
+    m = mesh.inv_jacobians_t
+    metric = (epsilon * mesh.det_jacobians)[:, None, None] * (_swap(m) @ m)
+    return np.tensordot(metric, ctx.R, axes=2)
 
 
 def transport(ctx, mesh, b, c):
@@ -316,8 +332,7 @@ def transport(ctx, mesh, b, c):
     b . grad phi (nt, nq, nd) and the weighted trial values
     w (b . grad phi + c phi) (nt, nq, nd) the term is built from.
     """
-    G = ctx.gradients(mesh)
-    bgrad = b[0][..., None] * G[..., 0] + b[1][..., None] * G[..., 1]
+    bgrad = ctx.streamline(mesh, b)
     trial = bgrad if c is None else bgrad + c[..., None] * ctx.N
     w_trial = ctx.volume_weights(mesh)[..., None] * trial
     return ctx.N.T @ w_trial, bgrad, w_trial

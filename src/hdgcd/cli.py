@@ -77,16 +77,21 @@ class RunConfig:
             raise ValueError(f"unknown method {config.method!r}")
         if not isinstance(config.degree, int) or config.degree < 1:
             raise ValueError(f"degree must be a positive integer, got {config.degree!r}")
-        if config.method == "supg" and config.degree != 1:
-            raise ValueError("the supg baseline is piecewise linear; use --degree 1")
+        if config.method == "supg":   # the P1 baseline has no penalty and no trace space
+            for name, fixed in (("degree", 1), ("eta", default_eta(1)), ("skeleton", "dg")):
+                given = getattr(self, name)
+                if given is not None and given != fixed:
+                    raise ValueError(f"--{name} {given} does not apply to --method supg, "
+                                     f"which fixes it to {fixed}")
         if config.skeleton not in ("dg", "cg"):
             raise ValueError(f"unknown skeleton mode {config.skeleton!r}")
         if config.skeleton == "cg" and config.degree != 1:
             raise ValueError("continuous skeleton mode requires --degree 1")
         if not config.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {config.epsilon!r}")
-        if not config.mesh_sizes or any(n < 1 for n in config.mesh_sizes):
-            raise ValueError("mesh sizes must be positive integers")
+        sizes = config.mesh_sizes
+        if not sizes or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+            raise ValueError(f"--n {_joined(sizes)} must list strictly increasing positive mesh sizes")
         if study.sweeps_epsilon and len(config.mesh_sizes) != 1:
             raise ValueError(f"--n {_joined(config.mesh_sizes)} does not apply to the "
                              f"{self.study} study, which sweeps epsilon on one mesh size")

@@ -115,18 +115,12 @@ class Mesh:
 
         # Jacobian of the affine map from the reference triangle
         # (0,0)-(1,0)-(0,1); columns are the spanning edge vectors.
-        jac = np.empty((nt, 2, 2))
-        jac[:, :, 0] = d1
-        jac[:, :, 1] = d2
-        inv_jac = np.empty_like(jac)
-        inv_jac[:, 0, 0] = jac[:, 1, 1]
-        inv_jac[:, 0, 1] = -jac[:, 0, 1]
-        inv_jac[:, 1, 0] = -jac[:, 1, 0]
-        inv_jac[:, 1, 1] = jac[:, 0, 0]
-        inv_jac /= det[:, None, None]
-        self.jacobians = jac
+        self.jacobians = np.stack([d1, d2], axis=2)
         self.det_jacobians = det
-        self.inv_jacobians_t = np.ascontiguousarray(inv_jac.transpose(0, 2, 1))
+        # J^{-T} = adj(J)^T / det: its columns are d2 and d1 turned by -90 and +90 degrees
+        turn = np.array([1.0, -1.0])
+        adj_t = np.stack([d2[:, ::-1] * turn, -d1[:, ::-1] * turn], axis=2)
+        self.inv_jacobians_t = adj_t / det[:, None, None]
         self.areas = 0.5 * det
         self.barycenters = tri_pts.mean(axis=1)
 

@@ -10,6 +10,7 @@ from hdgcd.fespace import build_dofmap
 from hdgcd.mesh import build_uniform_triangulation
 from hdgcd.problems import case_layer, case_smooth
 from hdgcd.solver import HdgSolution, solve_hdg
+from test_unstructured import jittered_mesh
 
 
 def pair_from_projection(exact, mesh, degree, mode="dg"):
@@ -70,6 +71,17 @@ def test_hdg_norm_recombination():
     # the distance to the exact solution only up to the projection error
     direct = error_l2(sol, case.exact, quad_order=12)
     assert 0.1 * direct < rep.err_l2 < 10.0 * direct
+
+
+def test_hdg_norm_h2_counts_the_mixed_derivative_once():
+    # u = x^2 + 3xy - y^2 has u_xx^2 + u_xy^2 + u_yy^2 = 4 + 9 + 4 = 17 per
+    # unit area; the Frobenius norm of the Hessian would give 26
+    mesh = jittered_mesh(4, None)
+    pair = pair_from_projection(lambda x, y: x * x + 3.0 * x * y - y * y, mesh, 2)
+    prob = ProblemSpec(epsilon=1.0, b=lambda x, y: (np.zeros_like(x), np.zeros_like(x)),
+                       f=lambda x, y: np.zeros_like(x))
+    h2_sq = hdg_norm(pair, prob, eta=10.0).seminorm_h2_sq
+    assert h2_sq == pytest.approx(17.0 * (mesh.areas * mesh.h_K ** 2).sum(), rel=1e-12)
 
 
 def test_hdg_norm_zero_for_zero_pair():

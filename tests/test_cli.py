@@ -35,7 +35,17 @@ def test_run_config_validation():
         RunConfig(mesh_sizes=()).validate()
     with pytest.raises(ValueError):
         RunConfig(eta=-1.0).validate()
-    RunConfig(study="convergence", method="supg").validate()
+    # the P1 baseline has no penalty and no trace space to set
+    with pytest.raises(ValueError, match="^--eta 3.0 does not apply to --method supg"):
+        RunConfig(method="supg", eta=3.0).validate()
+    with pytest.raises(ValueError, match="^--skeleton cg does not apply to --method supg"):
+        RunConfig(method="supg", skeleton="cg").validate()
+    # a repeated mesh size would divide by log(1) in the rates
+    for sizes in ((4, 4), (8, 4)):
+        with pytest.raises(ValueError, match=f"^--n {sizes[0]},{sizes[1]} "):
+            RunConfig(mesh_sizes=sizes).validate()
+    supg = RunConfig(study="convergence", method="supg").validate()
+    assert (supg.eta, supg.skeleton) == (10.0, "dg") and supg.validate() == supg
 
 
 @pytest.mark.parametrize("study,flag,value", [

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from hdgcd.analysis import conservation_residual, error_l2
-from hdgcd.assembly import ProblemSpec, assemble_local_systems, local_diffusion
+from hdgcd.assembly import (ProblemSpec, assemble_local_systems, get_context, local_diffusion,
+                            stiffness, transport)
 from hdgcd.fespace import build_dofmap, get_edge_basis, get_element_basis
 from hdgcd.mesh import Mesh, build_uniform_triangulation, dirichlet_where
 from hdgcd.solver import solve_hdg, solve_monolithic
@@ -88,6 +89,68 @@ def test_local_diffusion_matches_stacked_slice():
         one = local_diffusion(mesh, t, basis, eb, epsilon=problem.epsilon, eta=13.0)
         np.testing.assert_allclose(one.full_matrix(), stacked[t].full_matrix(),
                                    rtol=0.0, atol=1e-12 * np.abs(stacked[t].A_uu).max())
+
+
+def physical_gradients(table, mesh):
+    """Reference basis gradients (..., nd, 2) mapped to every element, dN J^{-1}:
+    the physical-gradient quadrature the kernels are checked against."""
+    return table @ np.swapaxes(mesh.inv_jacobians_t, -1, -2)[:, None]
+
+
+def reference_residual(sol, problem):
+    """conservation_residual from physical gradients at the volume and edge points."""
+    mesh, eta, eps = sol.mesh, sol.info["eta"], problem.epsilon
+    ctx = get_context(mesh, sol.degree, sol.info["quad_order"])
+    grad = np.einsum("tqia,ti->tqa", physical_gradients(ctx.dN, mesh), sol.u)
+    bx, by = ctx.volume_values(problem.b, "b", vector=True)
+    c, f = ctx.volume_values(problem.c, "c"), ctx.volume_values(problem.f, "f")
+    vol = bx * grad[..., 0] + by * grad[..., 1] + c * (sol.u @ ctx.N.T) - f
+    residual = (vol * ctx.volume_weights(mesh)).sum(axis=1)
+    bx_e, by_e = ctx.edge_values(problem.b, "b", vector=True)
+    g_n = ctx.edge_values(problem.g_N, "g_N")
+    for s in range(3):
+        sl = ctx.slot(mesh, s)
+        dphi = physical_gradients(ctx.dN_tr[s, mesh.edge_forward[:, s].astype(np.intp)], mesh)
+        dn = np.einsum("tqia,ta,ti->tq", dphi, sl.normals, sol.u)
+        gap = sol.edge_traces()[sl.edges] @ ctx.E.T - np.einsum("tqi,ti->tq", sl.values, sol.u)
+        upwind = np.maximum(-sl.normal_velocity(bx_e, by_e), 0.0)
+        flux = eps * (dn + eta / mesh.h_e[sl.edges][:, None] * gap) + upwind * gap
+        flux = np.where(sl.neumann[:, None], g_n[sl.edges], flux)
+        residual -= (sl.weights * flux).sum(axis=1)
+    return residual
+
+
+def assert_close_to_max(got, want):
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("quad_order", [None, 12], ids=["default", "q12"])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_reference_kernels_match_physical_quadrature(degree, quad_order):
+    # stiffness from the reference tensors, transport and the conservation
+    # residual from the pulled-back velocity, against physical gradients
+    problem, _, _ = bilinear_problem()
+    mesh = jittered_mesh(4, problem.boundary)
+    ctx = get_context(mesh, degree, quad_order)
+    G = physical_gradients(ctx.dN, mesh)   # (nt, nq, nd, 2)
+    w = ctx.volume_weights(mesh)
+    assert_close_to_max(stiffness(ctx, mesh, 0.3),
+                        0.3 * np.einsum("tqia,tqja->tij", w[..., None, None] * G, G))
+
+    swirl = ctx.volume_values(lambda x, y: (1.0 + y * y, x - 0.5 * y), "b", vector=True)
+    c = ctx.volume_values(problem.c, "c")
+    bgrad_ref = swirl[0][..., None] * G[..., 0] + swirl[1][..., None] * G[..., 1]
+    mat, bgrad, _ = transport(ctx, mesh, swirl, c)
+    assert_close_to_max(bgrad, bgrad_ref)
+    assert_close_to_max(mat, ctx.N.T @ (w[..., None] * (bgrad_ref + c[..., None] * ctx.N)))
+
+    # a solved pair balances to round-off; a seeded perturbation makes every
+    # term of the residual count
+    sol = solve_hdg(problem, mesh, degree=degree, quad_order=quad_order)
+    rng = np.random.default_rng(SEED)
+    sol.u += 0.1 * rng.standard_normal(sol.u.shape)
+    sol.uhat += 0.1 * rng.standard_normal(sol.uhat.shape)
+    assert_close_to_max(conservation_residual(sol, problem), reference_residual(sol, problem))
 
 
 def loop_topology(triangles):
