@@ -131,8 +131,8 @@ def _write_text(path, text):
 
 def _write_samples(path, pts, vals):
     """Sample points and values as 'x y value' lines."""
-    lines = [f"{p[0]:.12e} {p[1]:.12e} {v:.12e}" for p, v in zip(pts, vals)]
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = np.column_stack([pts, vals])
+    _write_text(path, "%.12e %.12e %.12e\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def _grid_points(resolution):

@@ -72,32 +72,22 @@ def case_smooth(epsilon):
                             sample_box=((0.01, 0.99), (0.01, 0.99)))
 
 
-def _layer_profile(eps):
-    """1-D factor A(t) = sin(pi t / 2) (1 - exp((t - 1) / eps)) and derivatives."""
-
-    def a(t):
-        s = np.sin(0.5 * np.pi * t)
-        e = np.exp((t - 1.0) / eps)
-        return s * (1.0 - e)
-
-    def da(t):
-        s = np.sin(0.5 * np.pi * t)
-        ds = 0.5 * np.pi * np.cos(0.5 * np.pi * t)
-        e = np.exp((t - 1.0) / eps)
-        return ds * (1.0 - e) - s * e / eps
-
-    def d2a(t):
-        s = np.sin(0.5 * np.pi * t)
-        ds = 0.5 * np.pi * np.cos(0.5 * np.pi * t)
-        d2s = -(0.5 * np.pi) ** 2 * s
-        e = np.exp((t - 1.0) / eps)
-        return d2s * (1.0 - e) - 2.0 * ds * e / eps - s * e / eps ** 2
-
-    return a, da, d2a
+def _layer_profile(t, eps):
+    """1-D factor A(t) = sin(pi t / 2) (1 - exp((t - 1) / eps)) and its first
+    two derivatives, (A, A', A''), from one sin, cos and exp."""
+    s = np.sin(0.5 * np.pi * t)
+    ds = 0.5 * np.pi * np.cos(0.5 * np.pi * t)
+    d2s = -(0.5 * np.pi) ** 2 * s
+    e = np.exp((t - 1.0) / eps)
+    return (s * (1.0 - e), ds * (1.0 - e) - s * e / eps,
+            d2s * (1.0 - e) - 2.0 * ds * e / eps - s * e / eps ** 2)
 
 
-def _layer_max(a, eps):
+def _layer_max(eps):
     """Global maximum of the 1-D profile, located inside the outflow layer."""
+    def a(t):
+        return _layer_profile(t, eps)[0]
+
     grid = np.concatenate([np.linspace(0.0, 1.0, 4001),
                            1.0 - eps * np.linspace(0.0, 80.0, 4001)])
     grid = grid[(grid >= 0.0) & (grid <= 1.0)]
@@ -120,18 +110,21 @@ def case_layer(epsilon):
     quadrature is elevated because f varies on the eps scale.
     """
     eps = _check_epsilon(epsilon)
-    a, da, d2a = _layer_profile(eps)
 
     def exact(x, y):
-        return a(x) * a(y)
+        return _layer_profile(x, eps)[0] * _layer_profile(y, eps)[0]
 
     def exact_grad(x, y):
-        return da(x) * a(y), a(x) * da(y)
+        ax, dax, _ = _layer_profile(x, eps)
+        ay, day, _ = _layer_profile(y, eps)
+        return dax * ay, ax * day
 
     def f(x, y):
-        return -eps * (d2a(x) * a(y) + a(x) * d2a(y)) + da(x) * a(y) + a(x) * da(y)
+        ax, dax, d2ax = _layer_profile(x, eps)
+        ay, day, d2ay = _layer_profile(y, eps)
+        return -eps * (d2ax * ay + ax * d2ay) + dax * ay + ax * day
 
-    amax = _layer_max(a, eps)
+    amax = _layer_max(eps)
     problem = ProblemSpec(epsilon=eps, b=lambda x, y: (np.ones_like(x), np.ones_like(y)),
                           f=f, c=None, g_N=None, boundary=None, rho0=0.0)
     return ManufacturedCase(name="layer", problem=problem, exact=exact,

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hdgcd.assembly import ProblemSpec, assemble_local_systems
 from hdgcd.fespace import build_dofmap
 from hdgcd.mesh import build_uniform_triangulation, dirichlet_where
-from hdgcd.problems import case_smooth
-from hdgcd.solver import (ElementSolvabilityError, condense, save_solution,
-                          solve_hdg, solve_monolithic)
+from hdgcd.problems import case_layer, case_smooth
+from hdgcd.solver import (ElementSolvabilityError, SingularSystemError, condense,
+                          save_solution, solve_hdg, solve_monolithic, sparse_factor,
+                          sparse_solve)
 
 
 def relative_gap(a, b):
@@ -124,6 +126,26 @@ def test_smallest_mesh_skeleton_is_one_edge():
     assert sol.uhat.size == 3
     assert sol.info["dofs_skeleton"] == 3
     assert np.isfinite(sol.u).all()
+
+
+def test_skeleton_factor_fill_is_bounded():
+    # Minimum-degree ordering with threshold pivoting keeps the layer
+    # skeleton's fill nnz(L+U)/nnz(S) at 4.4; COLAMD with partial pivoting
+    # gives 6.2, and the same ordering with threshold 1.0 gives 16.6.
+    case = case_layer(1e-6)
+    mesh = build_uniform_triangulation(20, case.problem.boundary)
+    dm = build_dofmap(mesh, 1)
+    S = condense(assemble_local_systems(mesh, dm, case.problem, quad_order=case.quad_order), dm).S
+    lu = sparse_factor(S, "skeleton")
+    assert (lu.L.nnz + lu.U.nnz) / S.nnz <= 5.0
+
+
+@pytest.mark.parametrize("name", ["skeleton", "uncondensed", "stabilized"])
+@pytest.mark.parametrize("dense", [[[1.0, 2.0], [2.0, 4.0]], [[1.0, 1.0], [0.0, 0.0]]],
+                         ids=["rank1", "zero_row"])
+def test_singular_system_is_named(name, dense):
+    with pytest.raises(SingularSystemError, match=f"^{name} system is singular"):
+        sparse_solve(sp.csr_matrix(dense), np.ones(2), name)
 
 
 def test_save_solution(tmp_path):
