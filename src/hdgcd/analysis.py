@@ -161,10 +161,12 @@ def hdg_norm(pair, problem, eta, region=None, quad_order=None, starred=False):
     w = ctx.volume_weights(mesh)
     l2_sq_elem = ((pair.u @ ctx.N.T) ** 2 * w).sum(axis=1)
     h1_sq_elem = ((ctx.field_gradients(mesh, pair.u) ** 2).sum(axis=-1) * w).sum(axis=1)
-    # |alpha| = 2 derivatives: u_xx, u_xy (counted once) and u_yy
-    hess = ctx.field_hessians(mesh, pair.u)
-    h2 = hess[..., 0, 0] ** 2 + hess[..., 0, 1] ** 2 + hess[..., 1, 1] ** 2
-    h2_sq_elem = (h2 * w).sum(axis=1) * mesh.h_K ** 2
+    # |alpha| = 2 derivatives: u_xx, u_xy (counted once) and u_yy; P1 has none
+    h2_sq_elem = np.zeros(mesh.n_elements)
+    if pair.degree > 1:
+        hess = ctx.field_hessians(mesh, pair.u)
+        h2 = hess[..., 0, 0] ** 2 + hess[..., 0, 1] ** 2 + hess[..., 1, 1] ** 2
+        h2_sq_elem = (h2 * w).sum(axis=1) * mesh.h_K ** 2
 
     # edge quantities, slot by slot over the selected elements
     uhat_edges = pair.edge_traces()

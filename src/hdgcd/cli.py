@@ -16,6 +16,7 @@ and a flag that the study fixes to another value, are errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Tuple
@@ -129,16 +130,27 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _write_samples(path, pts, vals):
-    """Sample points and values as 'x y value' lines."""
-    rows = np.column_stack([pts, vals])
-    _write_text(path, "%.12e %.12e %.12e\n" * len(rows) % tuple(rows.ravel().tolist()))
+def _sample_template(pts):
+    """'x y %.12e' lines with the coordinates of ``pts`` already written and
+    one slot left for each value (the %.12e text of a float has no '%')."""
+    return "%.12e %.12e %%.12e\n" * len(pts) % tuple(pts.ravel().tolist())
+
+
+def _write_samples(path, template, vals):
+    """The values filled into a :func:`_sample_template`."""
+    _write_text(path, template % tuple(vals.tolist()))
 
 
 def _grid_points(resolution):
     xs = np.linspace(0.0, 1.0, resolution)
     xg, yg = np.meshgrid(xs, xs, indexing="xy")
     return np.column_stack([xg.ravel(), yg.ravel()])
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_template(resolution):
+    """The sample template of the regular grid, formatted once per resolution."""
+    return _sample_template(_grid_points(resolution))
 
 
 def _locate_points(mesh, pts):
@@ -167,7 +179,8 @@ def dump_field_grid(solution, path, resolution=GRID_RESOLUTION):
     pts = _grid_points(resolution)
     elems, ref = _locate_points(solution.mesh, pts)
     basis = get_element_basis(solution.degree)
-    _write_samples(path, pts, (solution.u[elems] * basis.values(ref)).sum(axis=1))
+    _write_samples(path, _grid_template(resolution),
+                   (solution.u[elems] * basis.values(ref)).sum(axis=1))
 
 
 def dump_trace(solution, path, samples=(0.0, 0.5, 1.0)):
@@ -176,7 +189,7 @@ def dump_trace(solution, path, samples=(0.0, 0.5, 1.0)):
     ts = np.asarray(samples)
     pts = solution.mesh.edge_points(ts, skel).reshape(-1, 2)
     vals = solution.edge_traces()[skel] @ get_edge_basis(solution.degree).values(ts).T
-    _write_samples(path, pts, vals.ravel())
+    _write_samples(path, _sample_template(pts), vals.ravel())
 
 
 _ROW_ERRORS = (ElementSolvabilityError, SingularSystemError, ValueError)

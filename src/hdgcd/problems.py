@@ -72,6 +72,11 @@ def case_smooth(epsilon):
                             sample_box=((0.01, 0.99), (0.01, 0.99)))
 
 
+def _layer_value(t, eps):
+    """The 1-D factor A(t) alone, in the expression order of :func:`_layer_profile`."""
+    return np.sin(0.5 * np.pi * t) * (1.0 - np.exp((t - 1.0) / eps))
+
+
 def _layer_profile(t, eps):
     """1-D factor A(t) = sin(pi t / 2) (1 - exp((t - 1) / eps)) and its first
     two derivatives, (A, A', A''), from one sin, cos and exp."""
@@ -85,16 +90,13 @@ def _layer_profile(t, eps):
 
 def _layer_max(eps):
     """Global maximum of the 1-D profile, located inside the outflow layer."""
-    def a(t):
-        return _layer_profile(t, eps)[0]
-
     grid = np.concatenate([np.linspace(0.0, 1.0, 4001),
                            1.0 - eps * np.linspace(0.0, 80.0, 4001)])
     grid = grid[(grid >= 0.0) & (grid <= 1.0)]
-    vals = a(grid)
+    vals = _layer_value(grid, eps)
     t0 = grid[int(np.argmax(vals))]
     span = max(eps, 1e-3)
-    res = optimize.minimize_scalar(lambda t: -a(t),
+    res = optimize.minimize_scalar(lambda t: -_layer_value(t, eps),
                                    bounds=(max(0.0, t0 - span), min(1.0, t0 + span)),
                                    method="bounded",
                                    options={"xatol": 1e-14})
@@ -112,7 +114,7 @@ def case_layer(epsilon):
     eps = _check_epsilon(epsilon)
 
     def exact(x, y):
-        return _layer_profile(x, eps)[0] * _layer_profile(y, eps)[0]
+        return _layer_value(x, eps) * _layer_value(y, eps)
 
     def exact_grad(x, y):
         ax, dax, _ = _layer_profile(x, eps)

@@ -90,17 +90,27 @@ class HdgSolution:
 def condense(local_systems, dofmap, cond_limit=COND_LIMIT):
     """Eliminate interior unknowns from every element of the stacked systems.
 
-    Raises :class:`ElementSolvabilityError` naming the first element whose
-    interior block has a condition number beyond ``cond_limit``.
+    One batched solve against [A_ut | b_u | I] gives W and A_uu^{-1}, whose
+    1-norm condition estimate |A_uu|_1 |A_uu^{-1}|_1 is checked.  Raises
+    :class:`ElementSolvabilityError` naming the first element whose
+    interior block has a condition estimate beyond ``cond_limit``.
     """
     sy = local_systems
-    cond = np.linalg.cond(sy.A_uu)
+    ntr, nd = sy.A_ut.shape[-1], sy.A_uu.shape[-1]
+    eye = np.broadcast_to(np.eye(nd), sy.A_uu.shape)
+    try:
+        X = np.linalg.solve(sy.A_uu, np.concatenate([sy.A_ut, sy.b_u[..., None], eye], axis=-1))
+        cond = (np.linalg.norm(sy.A_uu, 1, axis=(-2, -1))
+                * np.linalg.norm(X[..., ntr + 1:], 1, axis=(-2, -1)))
+    except np.linalg.LinAlgError:   # an exactly singular block: inf there
+        cond = np.linalg.cond(sy.A_uu, 1)
     bad = ~(cond <= cond_limit)
     if bad.any():
         t = int(np.argmax(bad))
         raise ElementSolvabilityError(
             f"element {t}: interior block condition estimate {cond[t]:.3e} exceeds {cond_limit:.1e}")
-    W = np.linalg.solve(sy.A_uu, np.concatenate([sy.A_ut, sy.b_u[..., None]], axis=-1))
+    W = X[..., :ntr + 1].copy()
+    del X   # the inverse columns would otherwise stay alive through the scatter below
     s_loc = sy.A_tt - sy.A_tu @ W[..., :-1]
     g_loc = sy.b_t - (sy.A_tu @ W[..., -1:])[..., 0]
     s_mat, g = scatter_systems(s_loc, g_loc, sy.trace_gids, dofmap.n_trace_active)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import hdgcd.cli
-from hdgcd.cli import STUDIES, RunConfig, StudyError, dump_field_grid, main, run_study
+from hdgcd.cli import (STUDIES, RunConfig, StudyError, dump_field_grid, dump_trace, main,
+                       run_study)
 from hdgcd.mesh import Mesh, build_uniform_triangulation
 from hdgcd.problems import case_smooth
 from hdgcd.solver import SingularSystemError, solve_hdg
@@ -187,6 +188,46 @@ def test_dump_field_grid_matches_solution(tmp_path):
     generic = solve_hdg(case.problem, Mesh(mesh.vertices, mesh.triangles), degree=1)
     with pytest.raises(ValueError, match="build_uniform_triangulation"):
         dump_field_grid(generic, tmp_path / "generic.dat", resolution=21)
+
+
+def _samples_text(pts, vals):
+    return "%.12e %.12e %.12e\n" * len(pts) % tuple(np.column_stack([pts, vals]).ravel().tolist())
+
+
+def test_dumps_write_the_formatted_samples(tmp_path):
+    # The dump text is exactly 'x y value' in %.12e, also for a cached grid
+    # and for non-finite, negative-zero and subnormal values.
+    from hdgcd.fespace import get_edge_basis, get_element_basis
+    case = case_smooth(1.0)
+    mesh = build_uniform_triangulation(4, case.problem.boundary)
+    smooth = solve_hdg(case.problem, mesh, degree=2)
+    odd = solve_hdg(case.problem, mesh, degree=2)
+    odd.u[0], odd.u[5], odd.u[9] = np.nan, -0.0, 1e-310
+    odd.uhat[:3] = np.nan, -0.0, 5e-324
+    hdgcd.cli._grid_template.cache_clear()
+    for sol in (smooth, odd):
+        for resolution in (21, 11, 21):
+            xs = np.linspace(0.0, 1.0, resolution)
+            pts = np.column_stack([np.tile(xs, resolution), np.repeat(xs, resolution)])
+            elems, ref = hdgcd.cli._locate_points(mesh, pts)
+            vals = (sol.u[elems] * get_element_basis(2).values(ref)).sum(axis=1)
+            path = tmp_path / f"grid{resolution}.dat"
+            dump_field_grid(sol, path, resolution=resolution)
+            assert path.read_text() == _samples_text(pts, vals)
+        ts = np.array([0.0, 0.5, 1.0])
+        skel = sol.dofmap.skeleton_edges
+        vals = sol.edge_traces()[skel] @ get_edge_basis(2).values(ts).T
+        dump_trace(sol, tmp_path / "trace.dat")
+        assert (tmp_path / "trace.dat").read_text() == _samples_text(
+            mesh.edge_points(ts, skel).reshape(-1, 2), vals.ravel())
+    assert hdgcd.cli._grid_template.cache_info().hits == 4
+    assert " nan\n" in path.read_text() and "e-310\n" in path.read_text()
+    assert " nan\n" in (tmp_path / "trace.dat").read_text()
+    # no sum of products gives -0.0, so the writer sees it directly
+    pts, vals = np.array([[-0.0, 5e-324]]), np.array([-0.0])
+    hdgcd.cli._write_samples(path, hdgcd.cli._sample_template(pts), vals)
+    assert path.read_text() == _samples_text(pts, vals) == (
+        "-0.000000000000e+00 4.940656458412e-324 -0.000000000000e+00\n")
 
 
 def test_main_writes_csv_and_exit_codes(tmp_path, capsys):

@@ -106,16 +106,24 @@ def test_rejects_invalid_problem():
     solve_hdg(bad, mesh, check=False)
 
 
-def test_condense_detects_ill_conditioned_block():
+@pytest.mark.parametrize("singular", [True, False], ids=["exactly_singular", "nearly_singular"])
+def test_condense_detects_ill_conditioned_block(singular):
     case = case_smooth(1.0)
     mesh = build_uniform_triangulation(2, case.problem.boundary)
     dm = build_dofmap(mesh, 1)
     blocks = assemble_local_systems(mesh, dm, case.problem)
-    blocks[3].A_uu[:] = 0.0
-    blocks[3].A_uu[0, 0] = 1.0
+    a = blocks[3].A_uu
+    if singular:
+        a[:] = 0.0
+        a[0, 0] = 1.0
+    else:   # a duplicated row with its first entry perturbed in the last bits
+        a[1] = a[0]
+        a[1, 0] *= 1.0 + 1e-15
     with pytest.raises(ElementSolvabilityError) as err:
         condense(blocks, dm)
     assert "element 3" in str(err.value)
+    # an exactly singular block has an infinite estimate, a nearly singular one a finite one
+    assert ("estimate inf" in str(err.value)) == singular
 
 
 def test_smallest_mesh_skeleton_is_one_edge():
