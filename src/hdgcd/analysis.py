@@ -137,14 +137,14 @@ def solution_difference(a, b):
                        uhat=a.uhat - b.uhat, info={"method": "difference"})
 
 
-def _trace_gap(ctx, sl, uhat_edges, u):
-    """uhat - u at the edge points of slot tables ``sl`` (nt, nqe), with the
+def _trace_gap(ctx, tr, uhat_edges, u):
+    """uhat - u at the points of trace tables ``tr`` (nt, 3nqe), with the
     element values u there; ``uhat_edges`` are the traces per mesh edge."""
-    u_vals = np.einsum("tqi,ti->tq", sl.values, u)
-    return uhat_edges[sl.edges] @ ctx.E.T - u_vals, u_vals
+    u_vals = np.einsum("tpi,ti->tp", tr.values, u)
+    return tr.gather(uhat_edges) @ ctx.E_slots.T - u_vals, u_vals
 
 
-def hdg_norm(pair, problem, eta, region=None, quad_order=None, starred=False):
+def hdg_norm(pair, problem, eta, region=None, starred=False):
     """Scheme norm of a discrete pair, with its components.
 
     The diffusive part is epsilon times the broken H1 and scaled H2
@@ -154,7 +154,7 @@ def hdg_norm(pair, problem, eta, region=None, quad_order=None, starred=False):
     norm that adds the plain L2 and boundary-trace terms (a diagnostic).
     """
     mesh = pair.mesh
-    ctx = get_context(mesh, pair.degree, quad_order)
+    ctx = get_context(mesh, pair.degree)
     mask, region_name = _region_mask(region, mesh)
 
     # volume quantities
@@ -168,21 +168,16 @@ def hdg_norm(pair, problem, eta, region=None, quad_order=None, starred=False):
         h2 = hess[..., 0, 0] ** 2 + hess[..., 0, 1] ** 2 + hess[..., 1, 1] ** 2
         h2_sq_elem = (h2 * w).sum(axis=1) * mesh.h_K ** 2
 
-    # edge quantities, slot by slot over the selected elements
-    uhat_edges = pair.edge_traces()
-    bx_e, by_e = ctx.edge_values(problem.b, "b", vector=True)
-    jump_sq = conv_sq = trace_sq = 0.0
-    for s in range(3):
-        sl = ctx.slot(mesh, s)
-        diff, u_vals = _trace_gap(ctx, sl, uhat_edges, pair.u)
-        diff2 = diff ** 2
-        bn = sl.normal_velocity(bx_e, by_e)
-        skel = mask & ~sl.neumann
-        jump = (eta / mesh.h_e[sl.edges]) * (sl.weights * diff2).sum(axis=1)
-        jump_sq += float(jump[skel].sum())
-        conv_sq += float((sl.weights * np.abs(bn) * diff2).sum(axis=1)[skel].sum())
-        # the augmented norm integrates v over the whole element boundary
-        trace_sq += float((sl.weights * u_vals ** 2).sum(axis=1)[mask].sum())
+    # edge quantities over the selected elements
+    tr = ctx.traces(mesh)
+    diff, u_vals = _trace_gap(ctx, tr, pair.edge_traces(), pair.u)
+    diff2 = diff ** 2
+    bn = tr.normal_velocity(*ctx.edge_values(problem.b, "b", vector=True))
+    skel = mask[:, None] & ~tr.neumann
+    jump_sq = float(((eta / tr.h) * tr.weights * diff2)[skel].sum())
+    conv_sq = float((tr.weights * np.abs(bn) * diff2)[skel].sum())
+    # the augmented norm integrates v over the whole element boundary
+    trace_sq = float((tr.weights * u_vals ** 2)[mask].sum())
 
     h1 = float(h1_sq_elem[mask].sum())
     h2 = float(h2_sq_elem[mask].sum())
@@ -202,28 +197,25 @@ def hdg_norm(pair, problem, eta, region=None, quad_order=None, starred=False):
                        jump_sq=jump_sq, conv_sq=conv_sq, err_star=err_star)
 
 
-def error_hdg(solution, exact, problem, eta, region=None,
-              proj_quad_order=ERROR_QUAD_ORDER, quad_order=None):
+def error_hdg(solution, exact, problem, eta, region=None):
     """Scheme-norm distance to the projected exact solution."""
-    proj = project_to_hdg(exact, solution.dofmap, quad_order=proj_quad_order)
+    proj = project_to_hdg(exact, solution.dofmap)
     diff = solution_difference(proj, solution)
-    return hdg_norm(diff, problem, eta, region=region, quad_order=quad_order)
+    return hdg_norm(diff, problem, eta, region=region)
 
 
-def conservation_residual(solution, problem, eta=None, quad_order=None):
+def conservation_residual(solution, problem):
     """Per-element imbalance of the discrete flux identity.
 
     For each element: volume transport plus reaction, minus the numerical
     flux through the non-Neumann boundary, minus the source, minus the
     Neumann data.  The numerical normal flux is
-    eps * (dn(u) + eta / h_e * (uhat - u)) + [b.n]_- (uhat - u).
+    eps * (dn(u) + eta / h_e * (uhat - u)) + [b.n]_- (uhat - u),
+    with the penalty and quadrature order the solve recorded in its info.
     """
     mesh = solution.mesh
-    if eta is None:
-        eta = solution.info.get("eta", default_eta(solution.degree))
-    if quad_order is None:
-        quad_order = solution.info.get("quad_order")
-    ctx = get_context(mesh, solution.degree, quad_order)
+    eta = solution.info.get("eta", default_eta(solution.degree))
+    ctx = get_context(mesh, solution.degree, solution.info.get("quad_order"))
 
     bgrad = ctx.streamline(mesh, ctx.volume_values(problem.b, "b", vector=True))
     conv = np.einsum("tqi,ti->tq", bgrad, solution.u)
@@ -231,20 +223,14 @@ def conservation_residual(solution, problem, eta=None, quad_order=None):
         conv = conv + ctx.volume_values(problem.c, "c") * (solution.u @ ctx.N.T)
     residual = ((conv - ctx.volume_values(problem.f, "f")) * ctx.volume_weights(mesh)).sum(axis=1)
 
-    bx_e, by_e = ctx.edge_values(problem.b, "b", vector=True)
+    tr = ctx.traces(mesh)
+    diff = _trace_gap(ctx, tr, solution.edge_traces(), solution.u)[0]
+    dn = np.einsum("tpi,ti->tp", tr.normal_derivs, solution.u)
+    _, bm = bracket(tr.normal_velocity(*ctx.edge_values(problem.b, "b", vector=True)))
+    flux = problem.epsilon * (dn + (eta / tr.h) * diff) + bm * diff
     g_e = neumann_data(problem, mesh, ctx)
-    uhat_edges = solution.edge_traces()
-    eps = problem.epsilon
-    for s in range(3):
-        sl = ctx.slot(mesh, s, normal_derivs=True)
-        h_e = mesh.h_e[sl.edges][:, None]
-        diff = _trace_gap(ctx, sl, uhat_edges, solution.u)[0]
-        dn = np.einsum("tqi,ti->tq", sl.normal_derivs, solution.u)
-        _, bm = bracket(sl.normal_velocity(bx_e, by_e))
-        flux = eps * (dn + (eta / h_e) * diff) + bm * diff
-        flux = np.where(sl.neumann[:, None], 0.0 if g_e is None else g_e[sl.edges], flux)
-        residual -= (sl.weights * flux).sum(axis=1)
-    return residual
+    flux = np.where(tr.neumann, 0.0 if g_e is None else tr.gather(g_e), flux)
+    return residual - (tr.weights * flux).sum(axis=1)
 
 
 def convergence_table(errors, hs):

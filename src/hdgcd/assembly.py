@@ -76,10 +76,11 @@ class ProblemSpec:
     div_b: Optional[Callable] = None
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError(f"diffusion coefficient must be positive, got {self.epsilon!r}")
-        if self.rho0 < 0.0:
-            raise ValueError(f"rho0 must be non-negative, got {self.rho0!r}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(
+                f"diffusion coefficient must be positive and finite, got {self.epsilon!r}")
+        if not 0.0 <= self.rho0 < np.inf:
+            raise ValueError(f"rho0 must be non-negative and finite, got {self.rho0!r}")
         if not callable(self.b):
             raise ValueError("velocity b must be callable")
         if not callable(self.f):
@@ -198,19 +199,25 @@ def _swap(a):
     return np.swapaxes(a, -1, -2)
 
 
-class SlotTables(NamedTuple):
-    """Local edge slot s of every element, in canonical edge orientation."""
+class TraceTables(NamedTuple):
+    """The three edge slots of every element in canonical edge orientation,
+    with the slot and point axes flattened to p = s * nqe + q."""
 
-    edges: np.ndarray      # (nt,) global edge index
-    neumann: np.ndarray    # (nt,) True where the edge is Neumann (no trace)
-    normals: np.ndarray    # (nt, 2) unit outward normal
-    weights: np.ndarray    # (nt, nqe) edge quadrature weights times h_e
-    values: np.ndarray     # (nt, nqe, nd) element basis values
-    normal_derivs: Optional[np.ndarray]  # (nt, nqe, nd) physical d/dn of the basis
+    edges: np.ndarray          # (nt, 3) global edge index of each slot
+    neumann: np.ndarray        # (nt, 3nqe) True on Neumann edges (no trace)
+    h: np.ndarray              # (nt, 3nqe) edge length h_e
+    normals: np.ndarray        # (nt, 3nqe, 2) unit outward normal
+    weights: np.ndarray        # (nt, 3nqe) edge quadrature weights times h_e
+    values: np.ndarray         # (nt, 3nqe, nd) element basis values
+    normal_derivs: np.ndarray  # (nt, 3nqe, nd) physical d/dn of the basis
+
+    def gather(self, per_edge):
+        """Rows (ne, m) of per-edge data at every element's slots, (nt, 3m)."""
+        return per_edge[self.edges].reshape(len(self.edges), -1)
 
     def normal_velocity(self, bx_e, by_e):
-        """b . n at the slot's points, from velocity values per edge (ne, nqe)."""
-        return bx_e[self.edges] * self.normals[:, :1] + by_e[self.edges] * self.normals[:, 1:]
+        """b . n at the trace points, from velocity values per edge (ne, nqe)."""
+        return self.gather(bx_e) * self.normals[..., 0] + self.gather(by_e) * self.normals[..., 1]
 
 
 def pull_back(mesh, v):
@@ -228,7 +235,10 @@ class AssemblyContext:
     the element metric maps coefficients, never the basis (:func:`pull_back`).
     Element traces along an edge are tabulated for both traversal
     directions so that every edge quantity is expressed in the canonical
-    (ascending vertex index) parameterization shared by the trace basis.
+    (ascending vertex index) parameterization shared by the trace basis;
+    :meth:`traces` gathers them for all three slots at once, and the
+    block-diagonal ``E_slots`` (3nqe, 3k1) maps an element's trace columns,
+    grouped by slot, to those points.
     The context keeps no reference to its mesh, so it can live in
     ``mesh.contexts`` and be freed with it.  It is the only place that
     builds quadrature points, basis tables and physical point images.
@@ -245,6 +255,7 @@ class AssemblyContext:
         self.N_vert = basis.values(REF_VERTICES)
         t = self.edge.points
         self.E = edge_basis.values(t)
+        self.E_slots = np.kron(np.eye(3), self.E)   # (3nqe, 3k1) trace values per slot
         # slot s from vertex s to s + 1, traversed backward (o = 0) or forward (o = 1)
         r0 = REF_VERTICES[:, None, None]
         r1 = np.roll(REF_VERTICES, -1, axis=0)[:, None, None]
@@ -286,20 +297,23 @@ class AssemblyContext:
         """:func:`eval_field` of ``func`` at the edge points, (ne, nqe)."""
         return eval_field(func, self.X_edge[..., 0], self.X_edge[..., 1], name, vector)
 
-    def slot(self, mesh, s, normal_derivs=False):
-        """:class:`SlotTables` of local edge slot ``s`` for every element.
+    def traces(self, mesh):
+        """:class:`TraceTables` of all three edge slots of every element.
 
         The orientation gather ``N_tr[s, edge_forward[:, s]]`` happens here
         only; the tables are built per call and not cached.
         """
-        o = mesh.edge_forward[:, s].astype(np.intp)
-        edges = mesh.elem_edges[:, s]
-        dn = None
-        if normal_derivs:
-            # d/dn of a basis function: reference gradient . J^{-1} n
-            dn = np.einsum("tqib,bt->tqi", self.dN_tr[s, o], pull_back(mesh, mesh.normals[:, s].T))
-        return SlotTables(edges, mesh.edge_tags[edges] == _NEUMANN, mesh.normals[:, s],
-                          self.edge.weights * mesh.h_e[edges][:, None], self.N_tr[s, o], dn)
+        nt, nqe = mesh.n_elements, self.edge.weights.size
+        o = mesh.edge_forward.astype(np.intp)
+        slots = np.arange(3)
+        edges = mesh.elem_edges
+        neumann, h, normals = (np.repeat(a, nqe, axis=1) for a in
+                               (mesh.edge_tags[edges] == _NEUMANN, mesh.h_e[edges], mesh.normals))
+        # d/dn of a basis function: reference gradient . J^{-1} n
+        n_ref = pull_back(mesh, np.moveaxis(mesh.normals, -1, 0))
+        dn = np.einsum("tsqib,bts->tsqi", self.dN_tr[slots, o], n_ref).reshape(nt, 3 * nqe, -1)
+        return TraceTables(edges, neumann, h, normals, np.tile(self.edge.weights, 3) * h,
+                           self.N_tr[slots, o].reshape(nt, 3 * nqe, -1), dn)
 
 
 def get_context(mesh, degree, quad_order=None):
@@ -347,57 +361,45 @@ def load(ctx, mesh, problem):
     out = w_f @ ctx.N
     g = neumann_data(problem, mesh, ctx)
     if g is not None:
-        for s in range(3):
-            sl = ctx.slot(mesh, s)
-            out += np.einsum("tq,tqi->ti", sl.weights * g[sl.edges], sl.values)
+        tr = ctx.traces(mesh)
+        out += np.einsum("tp,tpi->ti", tr.weights * tr.gather(g), tr.values)
     return out, w_f
 
 
 def _diffusion(ctx, mesh, out, epsilon, eta):
     """Broken stiffness, adjoint-consistent flux terms and edge penalty."""
     out.A_uu += stiffness(ctx, mesh, epsilon)
-    E = ctx.E
-    k1 = ctx.edge_basis.dim
-    for s in range(3):
-        sl = ctx.slot(mesh, s, normal_derivs=True)
-        c = slice(s * k1, (s + 1) * k1)
-        we = sl.weights * ~sl.neumann[:, None]
-        Nq = sl.values
-        # consistency term <eps dn(u), vhat - v> and its adjoint
-        wdn = we[..., None] * sl.normal_derivs
-        out.A_tu[:, c, :] += epsilon * (E.T @ wdn)
-        out.A_uu -= epsilon * (_swap(Nq) @ wdn)
-        out.A_ut[:, :, c] += epsilon * (_swap(wdn) @ E)
-        out.A_uu -= epsilon * (_swap(wdn) @ Nq)
-        # penalty eps * eta / h_e <uhat - u, vhat - v>
-        pen = (epsilon * eta / mesh.h_e[sl.edges])[:, None, None]
-        we_e = we[..., None] * E
-        out.A_tt[:, c, c] += pen * (E.T @ we_e)
-        out.A_ut[:, :, c] -= pen * (_swap(Nq) @ we_e)
-        out.A_tu[:, c, :] -= pen * (_swap(we_e) @ Nq)
-        out.A_uu += pen * (_swap(Nq) @ (we[..., None] * Nq))
+    tr = ctx.traces(mesh)
+    E, Nq = ctx.E_slots, tr.values
+    we = tr.weights * ~tr.neumann
+    # consistency term <eps dn(u), vhat - v> and its adjoint
+    wdn = (epsilon * we)[..., None] * tr.normal_derivs
+    out.A_tu += E.T @ wdn
+    out.A_ut += _swap(wdn) @ E
+    out.A_uu -= _swap(Nq) @ wdn + _swap(wdn) @ Nq
+    # penalty eps * eta / h_e <uhat - u, vhat - v>
+    wpen = (we * (epsilon * eta) / tr.h)[..., None]
+    out.A_tt += E.T @ (wpen * E)
+    out.A_ut -= _swap(Nq) @ (wpen * E)
+    out.A_tu -= E.T @ (wpen * Nq)
+    out.A_uu += _swap(Nq) @ (wpen * Nq)
 
 
 def _convection(ctx, mesh, out, problem):
     """Volume transport and reaction plus the upwind trace coupling."""
     b = ctx.volume_values(problem.b, "b", vector=True)
     out.A_uu += transport(ctx, mesh, b, ctx.volume_values(problem.c, "c"))[0]
-    bx_e, by_e = ctx.edge_values(problem.b, "b", vector=True)
-    E = ctx.E
-    k1 = ctx.edge_basis.dim
-    for s in range(3):
-        sl = ctx.slot(mesh, s)
-        c = slice(s * k1, (s + 1) * k1)
-        we = sl.weights * ~sl.neumann[:, None]
-        Nq = sl.values
-        bp, bm = bracket(sl.normal_velocity(bx_e, by_e))
-        # upwind coupling <uhat - u, [bn]+ vhat - [bn]- v>
-        wbp = (we * bp)[..., None]
-        wbm = (we * bm)[..., None]
-        out.A_tt[:, c, c] += E.T @ (wbp * E)
-        out.A_tu[:, c, :] -= E.T @ (wbp * Nq)
-        out.A_ut[:, :, c] -= _swap(Nq) @ (wbm * E)
-        out.A_uu += _swap(Nq) @ (wbm * Nq)
+    tr = ctx.traces(mesh)
+    E, Nq = ctx.E_slots, tr.values
+    we = tr.weights * ~tr.neumann
+    bp, bm = bracket(tr.normal_velocity(*ctx.edge_values(problem.b, "b", vector=True)))
+    # upwind coupling <uhat - u, [bn]+ vhat - [bn]- v>
+    wbp = (we * bp)[..., None]
+    wbm = (we * bm)[..., None]
+    out.A_tt += E.T @ (wbp * E)
+    out.A_tu -= E.T @ (wbp * Nq)
+    out.A_ut -= _swap(Nq) @ (wbm * E)
+    out.A_uu += _swap(Nq) @ (wbm * Nq)
 
 
 def neumann_data(problem, mesh, ctx):
@@ -418,10 +420,10 @@ def local_diffusion(mesh, element, basis, edge_basis, epsilon, eta, quad_order=N
     """Diffusive local blocks of one element (stiffness, flux, penalty)."""
     if not 0 <= element < mesh.n_elements:
         raise ValueError(f"element index {element} out of range")
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    if not eta > 0.0:
-        raise ValueError(f"penalty eta must be positive, got {eta!r}")
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if not 0.0 < eta < np.inf:
+        raise ValueError(f"penalty eta must be positive and finite, got {eta!r}")
     one = _element_mesh(mesh, element)
     ctx = get_context(one, basis.degree, quad_order)
     out = ElementSystems.zeros(1, basis.dim, 3 * edge_basis.dim)
@@ -457,8 +459,8 @@ def assemble_local_systems(mesh, dofmap, problem, eta=None, quad_order=None,
     degree = dofmap.degree
     if eta is None:
         eta = default_eta(degree)
-    if not eta > 0.0:
-        raise ValueError(f"penalty eta must be positive, got {eta!r}")
+    if not 0.0 < eta < np.inf:
+        raise ValueError(f"penalty eta must be positive and finite, got {eta!r}")
     ctx = get_context(mesh, degree, quad_order)
     out = ElementSystems.zeros(mesh.n_elements, ctx.basis.dim, 3 * ctx.edge_basis.dim)
     if "diffusion" in parts:

@@ -88,8 +88,8 @@ class RunConfig:
             raise ValueError(f"unknown skeleton mode {config.skeleton!r}")
         if config.skeleton == "cg" and config.degree != 1:
             raise ValueError("continuous skeleton mode requires --degree 1")
-        if not config.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {config.epsilon!r}")
+        if not 0.0 < config.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {config.epsilon!r}")
         sizes = config.mesh_sizes
         if not sizes or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
             raise ValueError(f"--n {_joined(sizes)} must list strictly increasing positive mesh sizes")
@@ -98,8 +98,8 @@ class RunConfig:
                              f"{self.study} study, which sweeps epsilon on one mesh size")
         if config.eta is None:
             return replace(config, eta=default_eta(config.degree))
-        if not config.eta > 0.0:
-            raise ValueError(f"eta must be positive, got {config.eta!r}")
+        if not 0.0 < config.eta < np.inf:
+            raise ValueError(f"eta must be positive and finite, got {config.eta!r}")
         return config
 
 
@@ -399,17 +399,18 @@ def _parse_mesh_sizes(text):
     return sizes
 
 
-# config-file key (and long flag) -> (RunConfig field, parser)
+# config-file key and long flag -> (RunConfig field, parser, help); flags
+# and file values are both parsed here, so a bad value fails the same way
 _KEYS = {
-    "study": ("study", str),
-    "problem": ("problem", str),
-    "method": ("method", str),
-    "degree": ("degree", int),
-    "epsilon": ("epsilon", float),
-    "n": ("mesh_sizes", _parse_mesh_sizes),
-    "eta": ("eta", float),
-    "skeleton": ("skeleton", str),
-    "out": ("out", str),
+    "study": ("study", str, f"which study to run: {', '.join(STUDIES)} (default: convergence)"),
+    "problem": ("problem", str, f"problem name ({', '.join(CASE_NAMES)})"),
+    "method": ("method", str, "hdg or supg"),
+    "degree": ("degree", int, "polynomial degree k"),
+    "epsilon": ("epsilon", float, "diffusion coefficient"),
+    "n": ("mesh_sizes", _parse_mesh_sizes, "comma-separated mesh subdivision counts, e.g. 8,16,32"),
+    "eta": ("eta", float, "penalty parameter (default 10 k^2)"),
+    "skeleton": ("skeleton", str, "trace space: dg or cg"),
+    "out": ("out", str, "CSV output path (default: stdout)"),
 }
 
 
@@ -417,19 +418,8 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="hdgcd",
         description="Hybridized DG convection-diffusion studies (CSV output).")
-    parser.add_argument("--study", choices=STUDIES, default=None,
-                        help="which study to run (default: convergence)")
-    parser.add_argument("--problem", default=None,
-                        help=f"problem name ({', '.join(CASE_NAMES)})")
-    parser.add_argument("--method", default=None, help="hdg or supg")
-    parser.add_argument("--degree", type=int, default=None, help="polynomial degree k")
-    parser.add_argument("--epsilon", type=float, default=None, help="diffusion coefficient")
-    parser.add_argument("--n", default=None,
-                        help="comma-separated mesh subdivision counts, e.g. 8,16,32")
-    parser.add_argument("--eta", type=float, default=None,
-                        help="penalty parameter (default 10 k^2)")
-    parser.add_argument("--skeleton", default=None, help="trace space: dg or cg")
-    parser.add_argument("--out", default=None, help="CSV output path (default: stdout)")
+    for key, (_, _, help_text) in _KEYS.items():
+        parser.add_argument(f"--{key}", default=None, help=help_text)
     parser.add_argument("--config", default=None, help="key=value config file; flags override")
     return parser
 
@@ -443,7 +433,7 @@ def _build_config(args):
     for key, value in values.items():
         if key not in _KEYS:
             raise ValueError(f"unknown config key {key!r}; available: {', '.join(_KEYS)}")
-        name, parse = _KEYS[key]
+        name, parse, _ = _KEYS[key]
         try:
             fields[name] = parse(value)
         except ValueError as exc:

@@ -43,8 +43,8 @@ class ManufacturedCase:
 
 
 def _check_epsilon(epsilon):
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     return float(epsilon)
 
 

@@ -87,13 +87,13 @@ class HdgSolution:
         return np.append(self.uhat, 0.0)[self.dofmap.edge_dofs]   # -1 reads the appended 0
 
 
-def condense(local_systems, dofmap, cond_limit=COND_LIMIT):
+def condense(local_systems, dofmap):
     """Eliminate interior unknowns from every element of the stacked systems.
 
     One batched solve against [A_ut | b_u | I] gives W and A_uu^{-1}, whose
     1-norm condition estimate |A_uu|_1 |A_uu^{-1}|_1 is checked.  Raises
     :class:`ElementSolvabilityError` naming the first element whose
-    interior block has a condition estimate beyond ``cond_limit``.
+    interior block has a condition estimate beyond ``COND_LIMIT``.
     """
     sy = local_systems
     ntr, nd = sy.A_ut.shape[-1], sy.A_uu.shape[-1]
@@ -104,11 +104,11 @@ def condense(local_systems, dofmap, cond_limit=COND_LIMIT):
                 * np.linalg.norm(X[..., ntr + 1:], 1, axis=(-2, -1)))
     except np.linalg.LinAlgError:   # an exactly singular block: inf there
         cond = np.linalg.cond(sy.A_uu, 1)
-    bad = ~(cond <= cond_limit)
+    bad = ~(cond <= COND_LIMIT)
     if bad.any():
         t = int(np.argmax(bad))
-        raise ElementSolvabilityError(
-            f"element {t}: interior block condition estimate {cond[t]:.3e} exceeds {cond_limit:.1e}")
+        raise ElementSolvabilityError(f"element {t}: interior block condition estimate "
+                                      f"{cond[t]:.3e} exceeds {COND_LIMIT:.1e}")
     W = X[..., :ntr + 1].copy()
     del X   # the inverse columns would otherwise stay alive through the scatter below
     s_loc = sy.A_tt - sy.A_tu @ W[..., :-1]

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -13,6 +14,7 @@ from hdgcd.mesh import build_uniform_triangulation, dirichlet_where
 from hdgcd.solver import HdgSolution, solve_hdg
 from hdgcd.supg import solve_supg
 from hdgcd.analysis import error_h1_broken, error_hdg, error_l2, hdg_norm
+from test_unstructured import jittered_mesh
 
 
 def constant_velocity(bx, by):
@@ -53,6 +55,11 @@ def test_problem_spec_validation():
         ProblemSpec(epsilon=1.0, b=None, f=lambda x, y: x)
     with pytest.raises(ValueError):
         make_problem(rho0=-0.5)
+    # a non-finite coefficient fails here, naming its field, not in the solve
+    with pytest.raises(ValueError, match="^diffusion coefficient must be positive and finite"):
+        make_problem(epsilon=np.inf)
+    with pytest.raises(ValueError, match="^rho0 must be non-negative and finite"):
+        make_problem(rho0=np.nan)
 
 
 def test_check_problem_rho_and_inflow():
@@ -112,10 +119,11 @@ def test_convective_form_nonnegative_globally():
 
 def test_convective_form_jump_identity():
     # exact identity: B^rc(v, v) = 1/2 sum_K || |b.n|^{1/2} (vhat - v) ||^2
-    # for constant b, c = 0 and a fully Dirichlet boundary
-    mesh = build_uniform_triangulation(3)
+    # for constant b, c = 0 and a fully Dirichlet boundary, also with
+    # jittered geometry, renumbering and rotated slot order
     prob = make_problem(b=(0.3, 0.9))
-    for k in (1, 2):
+    for mesh, k in itertools.product((build_uniform_triangulation(3), jittered_mesh(3, None)),
+                                     (1, 2)):
         dm = build_dofmap(mesh, k)
         A, _ = assemble_monolithic(mesh, dm, prob, parts=("convection",))
         A = A.toarray()

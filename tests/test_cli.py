@@ -266,9 +266,23 @@ def test_main_config_file_and_flag_override(tmp_path, capsys):
     assert main(["--config", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("error: unknown config key 'epsilom'; available: ")
 
+    # a bad value fails the same way from the file and from the flag
     bad.write_text("n = 4\ndegree = two\n")
-    assert main(["--config", str(bad)]) == 1
-    assert capsys.readouterr().err.startswith("error: bad value for degree: ")
+    for argv in (["--config", str(bad)], ["--n", "4", "--degree", "two"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: bad value for degree: ")
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--eta", "inf", "eta must be positive and finite, got inf"),
+    ("--epsilon", "inf", "epsilon must be positive and finite, got inf"),
+    ("--study", "foo", "unknown study 'foo'; available: convergence, "),
+], ids=["eta", "epsilon", "study"])
+def test_main_rejects_bad_flag_value(flag, value, message, capsys):
+    assert main(["--n", "2,4", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("study", ["convergence", "layer"])

@@ -87,6 +87,8 @@ def test_get_case_dispatch():
         get_case("ramp", 1.0)
     with pytest.raises(ValueError):
         case_smooth(0.0)
+    with pytest.raises(ValueError, match="^epsilon must be positive and finite"):
+        case_smooth(np.inf)
 
 
 def test_verify_source_term_catches_wrong_source():

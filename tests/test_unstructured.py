@@ -13,7 +13,7 @@ from hdgcd.analysis import conservation_residual, error_l2
 from hdgcd.assembly import (ProblemSpec, assemble_local_systems, get_context, local_diffusion,
                             stiffness, transport)
 from hdgcd.fespace import build_dofmap, get_edge_basis, get_element_basis
-from hdgcd.mesh import Mesh, build_uniform_triangulation, dirichlet_where
+from hdgcd.mesh import BoundaryTag, Mesh, build_uniform_triangulation, dirichlet_where
 from hdgcd.solver import solve_hdg, solve_monolithic
 
 SEED = 20240214
@@ -109,14 +109,17 @@ def reference_residual(sol, problem):
     bx_e, by_e = ctx.edge_values(problem.b, "b", vector=True)
     g_n = ctx.edge_values(problem.g_N, "g_N")
     for s in range(3):
-        sl = ctx.slot(mesh, s)
-        dphi = physical_gradients(ctx.dN_tr[s, mesh.edge_forward[:, s].astype(np.intp)], mesh)
-        dn = np.einsum("tqia,ta,ti->tq", dphi, sl.normals, sol.u)
-        gap = sol.edge_traces()[sl.edges] @ ctx.E.T - np.einsum("tqi,ti->tq", sl.values, sol.u)
-        upwind = np.maximum(-sl.normal_velocity(bx_e, by_e), 0.0)
-        flux = eps * (dn + eta / mesh.h_e[sl.edges][:, None] * gap) + upwind * gap
-        flux = np.where(sl.neumann[:, None], g_n[sl.edges], flux)
-        residual -= (sl.weights * flux).sum(axis=1)
+        # slot s read straight from the mesh, independently of the trace tables
+        edges, normals = mesh.elem_edges[:, s], mesh.normals[:, s]
+        o = mesh.edge_forward[:, s].astype(np.intp)
+        dphi = physical_gradients(ctx.dN_tr[s, o], mesh)
+        dn = np.einsum("tqia,ta,ti->tq", dphi, normals, sol.u)
+        gap = sol.edge_traces()[edges] @ ctx.E.T - np.einsum("tqi,ti->tq", ctx.N_tr[s, o], sol.u)
+        bn = bx_e[edges] * normals[:, :1] + by_e[edges] * normals[:, 1:]
+        h = mesh.h_e[edges][:, None]
+        flux = eps * (dn + eta / h * gap) + np.maximum(-bn, 0.0) * gap
+        flux = np.where((mesh.edge_tags[edges] == BoundaryTag.NEUMANN)[:, None], g_n[edges], flux)
+        residual -= (ctx.edge.weights * h * flux).sum(axis=1)
     return residual
 
 
