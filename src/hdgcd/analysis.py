@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from hdgcd.assembly import bracket, default_eta, eval_field, get_context, neumann_data
+from hdgcd.assembly import default_eta, eval_field, flux_weights, get_context, neumann_data
 from hdgcd.solver import HdgSolution
 
 ERROR_QUAD_ORDER = 12
@@ -73,14 +73,20 @@ def _region_mask(region, mesh):
     return region.element_mask(mesh), region.name
 
 
+def _region_norm(ctx, mesh, sq, region):
+    """sqrt of the integral of the squares ``sq`` (nt, nq) at the volume
+    points over the elements of ``region``."""
+    mask, _ = _region_mask(region, mesh)
+    per_elem = (sq * ctx.volume_weights(mesh)).sum(axis=1)
+    return float(np.sqrt(per_elem[mask].sum()))
+
+
 def error_l2(solution, exact, region=None, quad_order=ERROR_QUAD_ORDER):
     """Broken L2 distance between a discrete field and an exact solution."""
     mesh = solution.mesh
     ctx = get_context(mesh, solution.degree, quad_order)
     diff = (solution.u @ ctx.N.T - ctx.volume_values(exact, "exact")) ** 2
-    mask, _ = _region_mask(region, mesh)
-    per_elem = (diff * ctx.volume_weights(mesh)).sum(axis=1)
-    return float(np.sqrt(per_elem[mask].sum()))
+    return _region_norm(ctx, mesh, diff, region)
 
 
 def error_h1_broken(solution, exact_grad, region=None, quad_order=ERROR_QUAD_ORDER):
@@ -90,9 +96,7 @@ def error_h1_broken(solution, exact_grad, region=None, quad_order=ERROR_QUAD_ORD
     grads = ctx.field_gradients(mesh, solution.u)
     gx, gy = ctx.volume_values(exact_grad, "exact_grad", vector=True)
     diff = (grads[..., 0] - gx) ** 2 + (grads[..., 1] - gy) ** 2
-    mask, _ = _region_mask(region, mesh)
-    per_elem = (diff * ctx.volume_weights(mesh)).sum(axis=1)
-    return float(np.sqrt(per_elem[mask].sum()))
+    return _region_norm(ctx, mesh, diff, region)
 
 
 def project_to_hdg(exact, dofmap, quad_order=ERROR_QUAD_ORDER):
@@ -209,9 +213,10 @@ def conservation_residual(solution, problem):
 
     For each element: volume transport plus reaction, minus the numerical
     flux through the non-Neumann boundary, minus the source, minus the
-    Neumann data.  The numerical normal flux is
-    eps * (dn(u) + eta / h_e * (uhat - u)) + [b.n]_- (uhat - u),
-    with the penalty and quadrature order the solve recorded in its info.
+    Neumann data.  The numerical normal flux is the assembly's
+    eps dn(u) + w_u (uhat - u), with the gap weight
+    w_u = eps eta / h_e + [b.n]- of :func:`hdgcd.assembly.flux_weights`, the
+    penalty and quadrature order the solve recorded in its info.
     """
     mesh = solution.mesh
     eta = solution.info.get("eta", default_eta(solution.degree))
@@ -226,8 +231,8 @@ def conservation_residual(solution, problem):
     tr = ctx.traces(mesh)
     diff = _trace_gap(ctx, tr, solution.edge_traces(), solution.u)[0]
     dn = np.einsum("tpi,ti->tp", tr.normal_derivs, solution.u)
-    _, bm = bracket(tr.normal_velocity(*ctx.edge_values(problem.b, "b", vector=True)))
-    flux = problem.epsilon * (dn + (eta / tr.h) * diff) + bm * diff
+    w_u = flux_weights(ctx, tr, problem, eta)[1]
+    flux = problem.epsilon * dn + w_u * diff
     g_e = neumann_data(problem, mesh, ctx)
     flux = np.where(tr.neumann, 0.0 if g_e is None else tr.gather(g_e), flux)
     return residual - (tr.weights * flux).sum(axis=1)

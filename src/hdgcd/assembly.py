@@ -7,10 +7,13 @@ trial functions:
     [ A_uu  A_ut ] [ u    ]   [ b_u ]
     [ A_tu  A_tt ] [ uhat ] = [ b_t ]
 
-The diffusive part consists of the broken stiffness term, the two
-adjoint-consistent flux terms against (uhat - u) and the edge penalty
-epsilon * eta / h_e.  The convective part adds the volume transport term
-and the upwind coupling built from the positive/negative parts of b . n.
+Elements couple only through one numerical flux on their boundaries,
+eps dn(u) + w_u (uhat - u).  Its two gap weights (:func:`flux_weights`) are
+w_t = eps eta / h_e + [b.n]+ against trace test functions and
+w_u = eps eta / h_e + [b.n]- against interior ones.  The volume terms are
+the broken stiffness, transport and reaction; one edge pass adds the
+adjoint-consistent flux terms <eps dn(u), vhat - v> + <uhat - u, eps dn(v)>
+and the gap coupling <uhat - u, w_t vhat - w_u v>.
 Trace terms live on every element edge except Neumann boundary edges;
 Neumann edges only receive the flux load against the interior test
 function.  Trace dofs on Dirichlet edges are fixed to zero and never
@@ -25,9 +28,9 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from hdgcd.fespace import (REF_VERTICES, get_edge_basis, get_element_basis,
+from hdgcd.fespace import (REF_VERTICES, build_dofmap, get_edge_basis, get_element_basis,
                            quad_edge, quad_triangle)
-from hdgcd.mesh import BoundaryTag, Mesh, verify_inflow_in_dirichlet
+from hdgcd.mesh import BoundaryTag, verify_inflow_in_dirichlet
 
 _NEUMANN = int(BoundaryTag.NEUMANN)
 # well-posedness check: rho is sampled at the points of this volume rule
@@ -366,40 +369,41 @@ def load(ctx, mesh, problem):
     return out, w_f
 
 
-def _diffusion(ctx, mesh, out, epsilon, eta):
-    """Broken stiffness, adjoint-consistent flux terms and edge penalty."""
-    out.A_uu += stiffness(ctx, mesh, epsilon)
+def flux_weights(ctx, tr, problem, eta, parts=("diffusion", "convection")):
+    """Gap weights (w_t, w_u) (nt, 3nqe) of the numerical flux at the points
+    of the trace tables ``tr``.
+
+    w_t = eps eta / h_e + [b.n]+ weighs the trace test functions and
+    w_u = eps eta / h_e + [b.n]- the interior ones, so the flux through a
+    slot is eps dn(u) + w_u (uhat - u).  The penalty enters with
+    ``"diffusion"`` in ``parts``, the upwind brackets with ``"convection"``.
+    """
+    w_t = w_u = 0.0
+    if "diffusion" in parts:
+        w_t = w_u = (problem.epsilon * eta) / tr.h
+    if "convection" in parts:
+        bp, bm = bracket(tr.normal_velocity(*ctx.edge_values(problem.b, "b", vector=True)))
+        w_t, w_u = w_t + bp, w_u + bm
+    return w_t, w_u
+
+
+def _edge_terms(ctx, mesh, out, problem, eta, parts):
+    """Consistency terms and the gap coupling on every non-Neumann slot."""
     tr = ctx.traces(mesh)
     E, Nq = ctx.E_slots, tr.values
     we = tr.weights * ~tr.neumann
-    # consistency term <eps dn(u), vhat - v> and its adjoint
-    wdn = (epsilon * we)[..., None] * tr.normal_derivs
-    out.A_tu += E.T @ wdn
-    out.A_ut += _swap(wdn) @ E
-    out.A_uu -= _swap(Nq) @ wdn + _swap(wdn) @ Nq
-    # penalty eps * eta / h_e <uhat - u, vhat - v>
-    wpen = (we * (epsilon * eta) / tr.h)[..., None]
-    out.A_tt += E.T @ (wpen * E)
-    out.A_ut -= _swap(Nq) @ (wpen * E)
-    out.A_tu -= E.T @ (wpen * Nq)
-    out.A_uu += _swap(Nq) @ (wpen * Nq)
-
-
-def _convection(ctx, mesh, out, problem):
-    """Volume transport and reaction plus the upwind trace coupling."""
-    b = ctx.volume_values(problem.b, "b", vector=True)
-    out.A_uu += transport(ctx, mesh, b, ctx.volume_values(problem.c, "c"))[0]
-    tr = ctx.traces(mesh)
-    E, Nq = ctx.E_slots, tr.values
-    we = tr.weights * ~tr.neumann
-    bp, bm = bracket(tr.normal_velocity(*ctx.edge_values(problem.b, "b", vector=True)))
-    # upwind coupling <uhat - u, [bn]+ vhat - [bn]- v>
-    wbp = (we * bp)[..., None]
-    wbm = (we * bm)[..., None]
-    out.A_tt += E.T @ (wbp * E)
-    out.A_tu -= E.T @ (wbp * Nq)
-    out.A_ut -= _swap(Nq) @ (wbm * E)
-    out.A_uu += _swap(Nq) @ (wbm * Nq)
+    if "diffusion" in parts:
+        # consistency term <eps dn(u), vhat - v> and its adjoint
+        wdn = (problem.epsilon * we)[..., None] * tr.normal_derivs
+        out.A_tu += E.T @ wdn
+        out.A_ut += _swap(wdn) @ E
+        out.A_uu -= _swap(Nq) @ wdn + _swap(wdn) @ Nq
+    # gap coupling <uhat - u, w_t vhat - w_u v>
+    w_t, w_u = ((we * w)[..., None] for w in flux_weights(ctx, tr, problem, eta, parts))
+    out.A_tt += E.T @ (w_t * E)
+    out.A_tu -= E.T @ (w_t * Nq)
+    out.A_ut -= _swap(Nq) @ (w_u * E)
+    out.A_uu += _swap(Nq) @ (w_u * Nq)
 
 
 def neumann_data(problem, mesh, ctx):
@@ -417,32 +421,14 @@ def neumann_data(problem, mesh, ctx):
 
 
 def local_diffusion(mesh, element, basis, edge_basis, epsilon, eta, quad_order=None):
-    """Diffusive local blocks of one element (stiffness, flux, penalty)."""
+    """Diffusive local blocks of one element (stiffness, flux, penalty): its
+    slice of the ``("diffusion",)`` assembly with degree ``basis.degree``."""
     if not 0 <= element < mesh.n_elements:
         raise ValueError(f"element index {element} out of range")
-    if not 0.0 < epsilon < np.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    if not 0.0 < eta < np.inf:
-        raise ValueError(f"penalty eta must be positive and finite, got {eta!r}")
-    one = _element_mesh(mesh, element)
-    ctx = get_context(one, basis.degree, quad_order)
-    out = ElementSystems.zeros(1, basis.dim, 3 * edge_basis.dim)
-    _diffusion(ctx, one, out, epsilon, eta)
-    return out[0]
-
-
-def _element_mesh(mesh, element):
-    """One-element mesh of ``element`` with its geometry, slot order, edge
-    orientations and Neumann edges; its other edges are tagged Dirichlet."""
-    tri = mesh.triangles[element]
-    vids = np.sort(tri)
-    loc = np.searchsorted(vids, tri)   # ascending renumbering keeps each edge's orientation
-    tags = {}
-    for s in range(3):
-        a, b = sorted((int(loc[s]), int(loc[(s + 1) % 3])))
-        neumann = mesh.edge_tags[mesh.elem_edges[element, s]] == _NEUMANN
-        tags[(a, b)] = BoundaryTag.NEUMANN if neumann else BoundaryTag.DIRICHLET
-    return Mesh(mesh.vertices[vids], loc[None, :], boundary=tags)
+    # the diffusive part never evaluates b or f
+    problem = ProblemSpec(epsilon=epsilon, b=lambda x, y: (0 * x, 0 * y), f=lambda x, y: 0 * x)
+    return assemble_local_systems(mesh, build_dofmap(mesh, basis.degree), problem, eta=eta,
+                                  quad_order=quad_order, parts=("diffusion",))[element]
 
 
 def assemble_local_systems(mesh, dofmap, problem, eta=None, quad_order=None,
@@ -464,11 +450,14 @@ def assemble_local_systems(mesh, dofmap, problem, eta=None, quad_order=None,
     ctx = get_context(mesh, degree, quad_order)
     out = ElementSystems.zeros(mesh.n_elements, ctx.basis.dim, 3 * ctx.edge_basis.dim)
     if "diffusion" in parts:
-        _diffusion(ctx, mesh, out, problem.epsilon, eta)
+        out.A_uu += stiffness(ctx, mesh, problem.epsilon)
     if "convection" in parts:
-        _convection(ctx, mesh, out, problem)
+        out.A_uu += transport(ctx, mesh, ctx.volume_values(problem.b, "b", vector=True),
+                              ctx.volume_values(problem.c, "c"))[0]
     if "load" in parts:
         out.b_u += load(ctx, mesh, problem)[0]
+    if "diffusion" in parts or "convection" in parts:
+        _edge_terms(ctx, mesh, out, problem, eta, parts)
     out.trace_gids[:] = dofmap.element_trace_dofs()
     return out
 

@@ -26,7 +26,7 @@ import numpy as np
 from hdgcd.analysis import (convergence_table, error_hdg, error_l2,
                             error_h1_broken, overshoot_metric)
 from hdgcd.assembly import default_eta
-from hdgcd.fespace import get_edge_basis, get_element_basis
+from hdgcd.fespace import MAX_DEGREE, get_edge_basis, get_element_basis
 from hdgcd.mesh import build_uniform_triangulation
 from hdgcd.problems import CASE_NAMES, get_case, verify_source_term
 from hdgcd.solver import ElementSolvabilityError, SingularSystemError, solve_hdg
@@ -76,8 +76,9 @@ class RunConfig:
                              f"available: {', '.join(CASE_NAMES)}")
         if config.method not in ("hdg", "supg"):
             raise ValueError(f"unknown method {config.method!r}")
-        if not isinstance(config.degree, int) or config.degree < 1:
-            raise ValueError(f"degree must be a positive integer, got {config.degree!r}")
+        if not isinstance(config.degree, int) or not 1 <= config.degree <= MAX_DEGREE:
+            raise ValueError(f"degree must be an integer from 1 to {MAX_DEGREE}, "
+                             f"got {config.degree!r}")
         if config.method == "supg":   # the P1 baseline has no penalty and no trace space
             for name, fixed in (("degree", 1), ("eta", default_eta(1)), ("skeleton", "dg")):
                 given = getattr(self, name)

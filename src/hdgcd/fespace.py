@@ -16,7 +16,7 @@ import numpy as np
 from hdgcd.mesh import BoundaryTag, extract_skeleton
 
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-_MAX_DEGREE = 10
+MAX_DEGREE = 10
 _MAX_QUAD_ORDER = 60
 
 
@@ -43,8 +43,8 @@ class ElementBasis:
     def __init__(self, degree):
         if not isinstance(degree, (int, np.integer)) or degree < 1:
             raise ValueError(f"polynomial degree must be >= 1, got {degree!r}")
-        if degree > _MAX_DEGREE:
-            raise ValueError(f"polynomial degree {degree} exceeds supported maximum {_MAX_DEGREE}")
+        if degree > MAX_DEGREE:
+            raise ValueError(f"polynomial degree {degree} exceeds supported maximum {MAX_DEGREE}")
         self.degree = int(degree)
         self.nodes = _lattice(self.degree)
         self.dim = self.nodes.shape[0]
@@ -106,8 +106,8 @@ class EdgeBasis:
     def __init__(self, degree):
         if not isinstance(degree, (int, np.integer)) or degree < 0:
             raise ValueError(f"edge degree must be >= 0, got {degree!r}")
-        if degree > _MAX_DEGREE:
-            raise ValueError(f"edge degree {degree} exceeds supported maximum {_MAX_DEGREE}")
+        if degree > MAX_DEGREE:
+            raise ValueError(f"edge degree {degree} exceeds supported maximum {MAX_DEGREE}")
         self.degree = int(degree)
         self.dim = self.degree + 1
         if self.degree == 0:

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from hdgcd.assembly import (ProblemSpec, assemble_local_systems,
+from hdgcd.assembly import (AssemblyContext, ProblemSpec, assemble_local_systems,
                             assemble_monolithic, bracket, check_problem,
                             default_eta, default_quad_order, get_context,
                             local_diffusion)
@@ -147,6 +147,21 @@ def test_local_blocks_shapes():
     assert blk.A_tu.shape == (9, 6)
     assert blk.A_tt.shape == (9, 9)
     assert blk.full_matrix().shape == (15, 15)
+
+
+def test_assembly_builds_trace_tables_once(monkeypatch):
+    calls = []
+    traces = AssemblyContext.traces
+
+    def counted(self, mesh):
+        calls.append(mesh)
+        return traces(self, mesh)
+
+    monkeypatch.setattr(AssemblyContext, "traces", counted)
+    mesh = build_uniform_triangulation(3)
+    prob = make_problem(c=lambda x, y: np.ones_like(x), rho0=1.0)
+    assemble_local_systems(mesh, build_dofmap(mesh, 2), prob)
+    assert len(calls) == 1
 
 
 def test_neumann_load_only_touches_interior():

@@ -277,7 +277,8 @@ def test_main_config_file_and_flag_override(tmp_path, capsys):
     ("--eta", "inf", "eta must be positive and finite, got inf"),
     ("--epsilon", "inf", "epsilon must be positive and finite, got inf"),
     ("--study", "foo", "unknown study 'foo'; available: convergence, "),
-], ids=["eta", "epsilon", "study"])
+    ("--degree", "11", "degree must be an integer from 1 to 10, got 11"),
+], ids=["eta", "epsilon", "study", "degree"])
 def test_main_rejects_bad_flag_value(flag, value, message, capsys):
     assert main(["--n", "2,4", flag, value]) == 1
     captured = capsys.readouterr()

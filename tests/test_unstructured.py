@@ -6,6 +6,8 @@ a distinct shape per element, random vertex and element numbering and a
 rotated start vertex per triangle.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,24 @@ def test_local_diffusion_matches_stacked_slice():
         one = local_diffusion(mesh, t, basis, eb, epsilon=problem.epsilon, eta=13.0)
         np.testing.assert_allclose(one.full_matrix(), stacked[t].full_matrix(),
                                    rtol=0.0, atol=1e-12 * np.abs(stacked[t].A_uu).max())
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_edge_pass_is_sum_of_parts(degree):
+    # the one gap coupling splits into its penalty and upwind weights, with
+    # a varying velocity and a reaction term on mixed boundary tags
+    problem, _, _ = bilinear_problem()
+    problem = replace(problem, b=lambda x, y: (1.0 + y * y, x - 0.5 * y))
+    mesh = jittered_mesh(4, problem.boundary)
+    assert (mesh.edge_tags == BoundaryTag.NEUMANN).any()
+    dofmap = build_dofmap(mesh, degree)
+    both, diff, conv = (assemble_local_systems(mesh, dofmap, problem, eta=13.0, parts=parts)
+                        for parts in (("diffusion", "convection"), ("diffusion",),
+                                      ("convection",)))
+    for name in ("A_uu", "A_ut", "A_tu", "A_tt"):
+        want = getattr(diff, name) + getattr(conv, name)
+        np.testing.assert_allclose(getattr(both, name), want, rtol=0.0,
+                                   atol=1e-13 * np.abs(want).max(), err_msg=name)
 
 
 def physical_gradients(table, mesh):
