@@ -20,6 +20,15 @@ MAX_DEGREE = 10
 _MAX_QUAD_ORDER = 60
 
 
+def _bounded_int(name, value, lo, hi):
+    """``int(value)`` for an integer ``lo <= value <= hi``; ValueError naming ``name`` otherwise."""
+    if not isinstance(value, (int, np.integer)) or value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value!r}")
+    if value > hi:
+        raise ValueError(f"{name} {value} exceeds supported maximum {hi}")
+    return int(value)
+
+
 def _exponents(degree):
     """Monomial exponents (a, b) with a + b <= degree, graded order."""
     return [(tot - j, j) for tot in range(degree + 1) for j in range(tot + 1)]
@@ -41,11 +50,7 @@ class ElementBasis:
     """
 
     def __init__(self, degree):
-        if not isinstance(degree, (int, np.integer)) or degree < 1:
-            raise ValueError(f"polynomial degree must be >= 1, got {degree!r}")
-        if degree > MAX_DEGREE:
-            raise ValueError(f"polynomial degree {degree} exceeds supported maximum {MAX_DEGREE}")
-        self.degree = int(degree)
+        self.degree = _bounded_int("polynomial degree", degree, 1, MAX_DEGREE)
         self.nodes = _lattice(self.degree)
         self.dim = self.nodes.shape[0]
         self._expo = np.array(_exponents(self.degree))
@@ -104,11 +109,7 @@ class EdgeBasis:
     """
 
     def __init__(self, degree):
-        if not isinstance(degree, (int, np.integer)) or degree < 0:
-            raise ValueError(f"edge degree must be >= 0, got {degree!r}")
-        if degree > MAX_DEGREE:
-            raise ValueError(f"edge degree {degree} exceeds supported maximum {MAX_DEGREE}")
-        self.degree = int(degree)
+        self.degree = _bounded_int("edge degree", degree, 0, MAX_DEGREE)
         self.dim = self.degree + 1
         if self.degree == 0:
             self.nodes = np.array([0.5])
@@ -146,11 +147,7 @@ def quad_triangle(order):
     y = v; the extra (1 - v) jacobian factor raises the required degree in
     v by one.  All weights are positive for any order.
     """
-    if not isinstance(order, (int, np.integer)) or order < 0:
-        raise ValueError(f"quadrature order must be >= 0, got {order!r}")
-    if order > _MAX_QUAD_ORDER:
-        raise ValueError(f"quadrature order {order} exceeds supported maximum {_MAX_QUAD_ORDER}")
-    order = int(order)
+    order = _bounded_int("quadrature order", order, 0, _MAX_QUAD_ORDER)
     nu = (order + 2) // 2
     nv = (order + 3) // 2
     u, wu = _gauss01(max(nu, 1))
@@ -168,14 +165,11 @@ def quad_triangle(order):
 @lru_cache(maxsize=None)
 def quad_edge(order):
     """Gauss-Legendre rule on [0, 1] exact up to ``order``."""
-    if not isinstance(order, (int, np.integer)) or order < 0:
-        raise ValueError(f"quadrature order must be >= 0, got {order!r}")
-    if order > _MAX_QUAD_ORDER:
-        raise ValueError(f"quadrature order {order} exceeds supported maximum {_MAX_QUAD_ORDER}")
-    t, w = _gauss01(int(order) // 2 + 1)
+    order = _bounded_int("quadrature order", order, 0, _MAX_QUAD_ORDER)
+    t, w = _gauss01(order // 2 + 1)
     t.flags.writeable = False
     w.flags.writeable = False
-    return QuadratureRule(points=t, weights=w, exactness=int(order))
+    return QuadratureRule(points=t, weights=w, exactness=order)
 
 
 class DofMap:

@@ -89,6 +89,9 @@ class Mesh:
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise MeshError("vertices must form an (nv, 2) array")
+        finite = np.isfinite(vertices).all(axis=1)
+        if not finite.all():
+            raise MeshError(f"vertex {int(np.argmin(finite))} has non-finite coordinates")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise MeshError("triangles must form an (nt, 3) array")
         nv = vertices.shape[0]
@@ -266,16 +269,6 @@ def extract_skeleton(mesh):
     return np.nonzero(keep)[0]
 
 
-def outward_normal(mesh, element, edge):
-    """Unit outward normal of ``edge`` as seen from ``element``."""
-    if not 0 <= element < mesh.n_elements:
-        raise ValueError(f"element index {element} out of range")
-    slots = np.nonzero(mesh.elem_edges[element] == edge)[0]
-    if slots.size == 0:
-        raise ValueError(f"edge {edge} is not an edge of element {element}")
-    return mesh.normals[element, slots[0]].copy()
-
-
 def verify_inflow_in_dirichlet(mesh, velocity, tol=1e-12, n_samples=4):
     """Check that the inflow boundary is contained in the Dirichlet part.
 
@@ -296,77 +289,59 @@ def verify_inflow_in_dirichlet(mesh, velocity, tol=1e-12, n_samples=4):
     return InflowReport(ok=not violations, violations=violations)
 
 
-def quasi_uniformity_ratio(mesh):
-    """Ratio of the largest to the smallest element diameter."""
-    return float(mesh.h_K.max() / mesh.h_K.min())
-
-
 def save_mesh(mesh, path):
     """Write a mesh in the plain text exchange format.
 
     First line: vertex, triangle and edge counts.  Then one line per
     vertex ``x y``, per triangle ``i j k`` and per edge ``a b tag``.
     """
-    lines = [f"{mesh.n_vertices} {mesh.n_elements} {mesh.n_edges}"]
-    for x, y in mesh.vertices:
-        lines.append(f"{x:.17g} {y:.17g}")
-    for i, j, k in mesh.triangles:
-        lines.append(f"{i} {j} {k}")
-    for (a, b), tag in zip(mesh.edges, mesh.edge_tags):
-        lines.append(f"{a} {b} {tag}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{mesh.n_vertices} {mesh.n_elements} {mesh.n_edges}\n")
+        np.savetxt(fh, mesh.vertices, fmt="%.17g")
+        np.savetxt(fh, mesh.triangles, fmt="%d")
+        np.savetxt(fh, np.column_stack([mesh.edges, mesh.edge_tags]), fmt="%d")
+
+
+def _read_block(tokens, start, rows, cols, dtype):
+    """The (rows, cols) array of ``dtype`` (int or float) at ``tokens[start:]``."""
+    block = tokens[start:start + rows * cols]
+    if len(block) != rows * cols:
+        raise MeshError("mesh file is truncated")
+    try:
+        return np.array(block, dtype=dtype).reshape(rows, cols)
+    except (ValueError, OverflowError) as exc:
+        kind = "integer" if dtype is int else "number"
+        raise MeshError(f"bad {kind} in mesh file: {exc}") from None
 
 
 def load_mesh(path):
     """Read a mesh written by :func:`save_mesh` and validate it.
 
-    The edge list in the file must match the edges derived from the
-    triangles, interior edges must be tagged 0, and the usual mesh
-    invariants (orientation, conformity) are re-checked on construction.
+    The edge list in the file must hold each edge derived from the
+    triangles exactly once (in any order, either endpoint first), interior
+    edges must be tagged 0, and the usual mesh invariants (finite
+    coordinates, orientation, conformity) are re-checked on construction.
     """
     with open(path) as fh:
         tokens = fh.read().split()
-    if len(tokens) < 3:
-        raise MeshError("mesh file is truncated")
-    it = iter(tokens)
-
-    def take_int():
-        try:
-            return int(next(it))
-        except StopIteration:
-            raise MeshError("mesh file is truncated") from None
-        except ValueError as exc:
-            raise MeshError(f"bad integer in mesh file: {exc}") from None
-
-    def take_float():
-        try:
-            return float(next(it))
-        except StopIteration:
-            raise MeshError("mesh file is truncated") from None
-        except ValueError as exc:
-            raise MeshError(f"bad number in mesh file: {exc}") from None
-
-    nv, nt, ne = take_int(), take_int(), take_int()
-    vertices = np.array([[take_float(), take_float()] for _ in range(nv)])
-    triangles = np.array([[take_int(), take_int(), take_int()] for _ in range(nt)])
-    file_edges = []
-    tag_map = {}
-    for _ in range(ne):
-        a, b, tag = take_int(), take_int(), take_int()
-        if a > b:
-            a, b = b, a
-        file_edges.append((a, b))
-        tag_map[(a, b)] = tag
-    if next(it, None) is not None:
+    nv, nt, ne = _read_block(tokens, 0, 1, 3, int)[0].tolist()
+    if min(nv, nt, ne) < 0:
+        raise MeshError(f"negative count in mesh file header: {nv} {nt} {ne}")
+    vertices = _read_block(tokens, 3, nv, 2, float)
+    triangles = _read_block(tokens, 3 + 2 * nv, nt, 3, int)
+    rows = _read_block(tokens, 3 + 2 * nv + 3 * nt, ne, 3, int)
+    if len(tokens) > 3 + 2 * nv + 3 * nt + 3 * ne:
         raise MeshError("trailing data in mesh file")
 
-    boundary = {k: v for k, v in tag_map.items() if v != int(BoundaryTag.INTERIOR)}
-    mesh = Mesh(vertices, triangles, boundary=boundary)
-    derived = {(int(a), int(b)) for a, b in mesh.edges}
-    if derived != set(file_edges):
+    edges, tags = np.sort(rows[:, :2], axis=1), rows[:, 2]
+    tagged = tags != int(BoundaryTag.INTERIOR)
+    mesh = Mesh(vertices, triangles,
+                boundary=dict(zip(map(tuple, edges[tagged].tolist()), tags[tagged].tolist())))
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    if not np.array_equal(edges[order], mesh.edges):
         raise MeshError("edge list in file does not match triangle connectivity")
-    for e, (a, b) in enumerate(mesh.edges):
-        if tag_map[(int(a), int(b))] != int(mesh.edge_tags[e]):
-            raise MeshError(f"edge ({a}, {b}) has inconsistent tag")
+    bad = np.flatnonzero(tags[order] != mesh.edge_tags)
+    if bad.size:
+        a, b = mesh.edges[bad[0]]
+        raise MeshError(f"edge ({a}, {b}) has inconsistent tag")
     return mesh

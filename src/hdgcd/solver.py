@@ -230,21 +230,3 @@ def solve_monolithic(problem, mesh, degree=1, eta=None, skeleton_mode="dg",
     sol.info.update(_solution_info(dofmap, eta, degree, skeleton_mode, quad_order, "monolithic"))
     return sol
 
-
-def save_solution(solution, path):
-    """Write the solution as plain text records.
-
-    One line per element, ``K <index> <coefficients...>``, followed by one
-    line per skeleton edge, ``E <index> <coefficients...>`` (constrained
-    trace entries appear as explicit zeros).
-    """
-    lines = []
-    for t in range(solution.mesh.n_elements):
-        coeffs = " ".join(f"{c:.17g}" for c in solution.u[t])
-        lines.append(f"K {t} {coeffs}")
-    edge_traces = solution.edge_traces()
-    for e in solution.dofmap.skeleton_edges:
-        coeffs = " ".join(f"{c:.17g}" for c in edge_traces[e])
-        lines.append(f"E {e} {coeffs}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

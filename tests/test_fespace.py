@@ -57,10 +57,14 @@ def test_element_basis_second_derivatives_match_fd():
 
 
 def test_element_basis_rejects_bad_degree():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^polynomial degree must be >= 1, got 0$"):
         ElementBasis(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^polynomial degree 11 exceeds supported maximum 10$"):
         ElementBasis(11)
+    with pytest.raises(ValueError, match="^edge degree must be >= 0, got -1$"):
+        EdgeBasis(-1)
+    with pytest.raises(ValueError, match="^edge degree 11 exceeds supported maximum 10$"):
+        EdgeBasis(11)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
@@ -103,11 +107,13 @@ def test_edge_quadrature_exactness():
 
 
 def test_quadrature_order_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^quadrature order must be >= 0, got -1$"):
         quad_triangle(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^quadrature order 61 exceeds supported maximum 60$"):
         quad_triangle(61)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^quadrature order must be >= 0, got -1$"):
+        quad_edge(-1)
+    with pytest.raises(ValueError, match="^quadrature order 61 exceeds supported maximum 60$"):
         quad_edge(61)
 
 

@@ -3,9 +3,9 @@ import pytest
 
 from hdgcd.mesh import (BoundaryTag, Mesh, MeshError, all_dirichlet,
                         build_uniform_triangulation, dirichlet_where,
-                        extract_skeleton, load_mesh, outward_normal,
-                        quasi_uniformity_ratio, save_mesh,
+                        extract_skeleton, load_mesh, save_mesh,
                         verify_inflow_in_dirichlet)
+from test_unstructured import jittered_mesh
 
 
 def test_uniform_mesh_counts():
@@ -55,8 +55,7 @@ def test_outward_normals_unit_and_outward():
         center = mesh.barycenters[t]
         for s in range(3):
             e = mesh.elem_edges[t, s]
-            nrm = outward_normal(mesh, t, e)
-            assert nrm == pytest.approx(tuple(mesh.normals[t, s]))
+            nrm = mesh.normals[t, s]
             assert np.hypot(*nrm) == pytest.approx(1.0, abs=1e-14)
             mid = mesh.edge_midpoints[e]
             assert np.dot(nrm, mid - center) > 0.0
@@ -82,7 +81,7 @@ def test_h_values():
     diag = np.isclose(mesh.h_e, h * np.sqrt(2.0))
     assert (axis | diag).all() and axis.any() and diag.any()
     # all elements share the diagonal as longest edge
-    assert quasi_uniformity_ratio(mesh) == pytest.approx(1.0)
+    assert mesh.h_K.max() / mesh.h_K.min() == pytest.approx(1.0)
 
 
 def test_default_boundary_all_dirichlet():
@@ -156,6 +155,15 @@ def test_invalid_meshes_rejected():
         build_uniform_triangulation(0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_vertex_rejected(bad):
+    mesh = build_uniform_triangulation(2)
+    vertices = mesh.vertices.copy()
+    vertices[4, 1] = bad
+    with pytest.raises(MeshError, match="^vertex 4 has non-finite coordinates"):
+        Mesh(vertices, mesh.triangles)
+
+
 def test_arrays_immutable():
     mesh = build_uniform_triangulation(2)
     for arr in (mesh.vertices, mesh.triangles, mesh.edges, mesh.elem_edges,
@@ -176,6 +184,18 @@ def test_save_load_roundtrip(tmp_path):
     assert back.n_edges == mesh.n_edges
 
 
+def test_save_load_roundtrip_exact_on_jittered_mesh(tmp_path):
+    # interior vertices moved by up to 0.04, renumbered, start vertices rotated
+    mesh = jittered_mesh(5, dirichlet_where(lambda x, y: (x < 1e-12) | (y > 1.0 - 1e-12)))
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    save_mesh(mesh, first)
+    back = load_mesh(first)
+    for name in ("vertices", "triangles", "edges", "edge_tags"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(mesh, name))
+    save_mesh(back, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_load_rejects_tampered_tags(tmp_path):
     mesh = build_uniform_triangulation(2)
     path = tmp_path / "mesh.txt"
@@ -189,5 +209,44 @@ def test_load_rejects_tampered_tags(tmp_path):
             text[i] = text[i][:-1] + "1"
             break
     path.write_text("\n".join(text) + "\n")
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match=r"^edge \(\d+, \d+\) has inconsistent tag$"):
+        load_mesh(path)
+
+
+def test_load_rejects_repeated_edge_line(tmp_path):
+    # a second line for one boundary edge, with the header's edge count raised to match
+    mesh = build_uniform_triangulation(3)
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    lines = path.read_text().splitlines()
+    a, b = mesh.edges[mesh.boundary_edges[0]]
+    lines[0] = f"{mesh.n_vertices} {mesh.n_elements} {mesh.n_edges + 1}"
+    lines.append(f"{a} {b} {int(BoundaryTag.NEUMANN)}")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshError, match="^edge list in file does not match triangle connectivity$"):
+        load_mesh(path)
+
+
+# a saved n=2 mesh has the counts line, 9 vertex lines and 8 triangle lines, so its
+# edge lines start at line 18 with "0 1 1"; each case replaces lines[start:stop] by rows
+@pytest.mark.parametrize("start, stop, rows, message", [
+    (0, None, [], "^mesh file is truncated$"),
+    (-1, None, [], "^mesh file is truncated$"),
+    (99, 99, ["7"], "^trailing data in mesh file$"),
+    (18, 19, ["0 1.5 1"], r"^bad integer in mesh file: invalid literal for int\(\) with base 10: '1.5'$"),
+    (18, 19, ["0 1 99999999999999999999"],
+     "^bad integer in mesh file: Python int too large to convert to C long$"),
+    (1, 2, ["x0 0"], "^bad number in mesh file: could not convert string to float: 'x0'$"),
+    (18, 19, ["0 1 0"], r"^missing boundary tag for edge \(0, 1\)$"),
+    (0, 1, ["-1 8 16"], "^negative count in mesh file header: -1 8 16$"),
+], ids=["empty", "truncated", "trailing", "bad_integer", "huge_integer", "bad_number",
+        "untagged_boundary", "negative_count"])
+def test_load_fault_is_named(tmp_path, start, stop, rows, message):
+    path = tmp_path / "mesh.txt"
+    save_mesh(build_uniform_triangulation(2), path)
+    lines = path.read_text().splitlines()
+    assert lines[18] == "0 1 1"
+    lines[start:stop] = rows
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(MeshError, match=message):
         load_mesh(path)

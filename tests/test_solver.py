@@ -7,8 +7,7 @@ from hdgcd.fespace import build_dofmap
 from hdgcd.mesh import build_uniform_triangulation, dirichlet_where
 from hdgcd.problems import case_layer, case_smooth
 from hdgcd.solver import (ElementSolvabilityError, SingularSystemError, condense,
-                          save_solution, solve_hdg, solve_monolithic, sparse_factor,
-                          sparse_solve)
+                          solve_hdg, solve_monolithic, sparse_factor, sparse_solve)
 
 
 def relative_gap(a, b):
@@ -154,18 +153,3 @@ def test_skeleton_factor_fill_is_bounded():
 def test_singular_system_is_named(name, dense):
     with pytest.raises(SingularSystemError, match=f"^{name} system is singular"):
         sparse_solve(sp.csr_matrix(dense), np.ones(2), name)
-
-
-def test_save_solution(tmp_path):
-    case = case_smooth(1.0)
-    mesh = build_uniform_triangulation(2, case.problem.boundary)
-    sol = solve_hdg(case.problem, mesh, degree=1)
-    path = tmp_path / "solution.txt"
-    save_solution(sol, path)
-    text = path.read_text().splitlines()
-    k_lines = [l for l in text if l.startswith("K ")]
-    e_lines = [l for l in text if l.startswith("E ")]
-    assert len(k_lines) == mesh.n_elements
-    assert len(e_lines) == sol.dofmap.skeleton_edges.size
-    first = k_lines[0].split()
-    np.testing.assert_allclose([float(v) for v in first[2:]], sol.u[0])
