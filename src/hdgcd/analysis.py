@@ -1,19 +1,20 @@
 """Error measures, mesh-dependent norms, conservation and overshoot checks.
 
-Errors against a known exact solution integrate with an elevated
-quadrature rule (exactness 12 by default).  The scheme's own norm acts on
-a discrete pair (element field, skeleton trace); distances to an exact
-solution in that norm go through the elementwise L2 projection of the
+Errors against a known exact solution integrate with the elevated
+quadrature rule of exactness ``ERROR_QUAD_ORDER``.  The scheme's own norm
+acts on a discrete pair (element field, skeleton trace); distances to an
+exact solution in that norm go through the elementwise L2 projection of the
 exact solution, see :func:`project_to_hdg`.
 
-All measures accept an optional :class:`Region`; an element contributes
-when its barycenter lies inside, and its edge terms follow the element.
+All measures accept an optional region: a predicate ``(x, y) -> bool``
+tested at element barycenters, or None for the whole domain.  An element
+contributes when its barycenter lies inside, and its edge terms follow the
+element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -23,26 +24,9 @@ from hdgcd.solver import HdgSolution
 ERROR_QUAD_ORDER = 12
 
 
-@dataclass(frozen=True)
-class Region:
-    """Axis-agnostic measurement region; None predicate means everywhere."""
-
-    name: str
-    predicate: Optional[Callable] = None
-
-    def element_mask(self, mesh):
-        if self.predicate is None:
-            return np.ones(mesh.n_elements, dtype=bool)
-        bc = mesh.barycenters
-        return np.asarray(self.predicate(bc[:, 0], bc[:, 1]), dtype=bool)
-
-
-FULL_REGION = Region("omega")
-
-
 def subsquare(side):
-    """Region (0, side)^2, e.g. the layer-free measurement box."""
-    return Region(f"omega_{side:g}", lambda x, y: (x < side) & (y < side))
+    """Predicate of the box (0, side)^2, e.g. the layer-free measurement region."""
+    return lambda x, y: (x < side) & (y < side)
 
 
 @dataclass
@@ -54,52 +38,52 @@ class ErrorReport:
     recombine or report them separately.
     """
 
-    region: str
     epsilon: float
     rho0: float
     err_l2: float
-    err_h1_broken: float
     err_jump: float
     err_hdg: float
     seminorm_h1_sq: float
     seminorm_h2_sq: float
     jump_sq: float
     conv_sq: float
-    err_star: Optional[float] = None
 
 
 def _region_mask(region, mesh):
-    region = FULL_REGION if region is None else region
-    return region.element_mask(mesh), region.name
+    """Elements whose barycenter satisfies ``region``; all when it is None."""
+    if region is None:
+        return np.ones(mesh.n_elements, dtype=bool)
+    bc = mesh.barycenters
+    return np.asarray(region(bc[:, 0], bc[:, 1]), dtype=bool)
 
 
 def _region_norm(ctx, mesh, sq, region):
     """sqrt of the integral of the squares ``sq`` (nt, nq) at the volume
     points over the elements of ``region``."""
-    mask, _ = _region_mask(region, mesh)
+    mask = _region_mask(region, mesh)
     per_elem = (sq * ctx.volume_weights(mesh)).sum(axis=1)
     return float(np.sqrt(per_elem[mask].sum()))
 
 
-def error_l2(solution, exact, region=None, quad_order=ERROR_QUAD_ORDER):
+def error_l2(solution, exact, region=None):
     """Broken L2 distance between a discrete field and an exact solution."""
     mesh = solution.mesh
-    ctx = get_context(mesh, solution.degree, quad_order)
+    ctx = get_context(mesh, solution.degree, ERROR_QUAD_ORDER)
     diff = (solution.u @ ctx.N.T - ctx.volume_values(exact, "exact")) ** 2
     return _region_norm(ctx, mesh, diff, region)
 
 
-def error_h1_broken(solution, exact_grad, region=None, quad_order=ERROR_QUAD_ORDER):
+def error_h1_broken(solution, exact_grad, region=None):
     """Broken H1 seminorm distance against the exact gradient."""
     mesh = solution.mesh
-    ctx = get_context(mesh, solution.degree, quad_order)
+    ctx = get_context(mesh, solution.degree, ERROR_QUAD_ORDER)
     grads = ctx.field_gradients(mesh, solution.u)
     gx, gy = ctx.volume_values(exact_grad, "exact_grad", vector=True)
     diff = (grads[..., 0] - gx) ** 2 + (grads[..., 1] - gy) ** 2
     return _region_norm(ctx, mesh, diff, region)
 
 
-def project_to_hdg(exact, dofmap, quad_order=ERROR_QUAD_ORDER):
+def project_to_hdg(exact, dofmap):
     """Project an exact solution onto the discrete pair space.
 
     Element fields are elementwise L2 projections.  In the discontinuous
@@ -108,7 +92,7 @@ def project_to_hdg(exact, dofmap, quad_order=ERROR_QUAD_ORDER):
     projection would couple globally).  Constrained dofs stay zero.
     """
     mesh = dofmap.mesh
-    ctx = get_context(mesh, dofmap.degree, quad_order)
+    ctx = get_context(mesh, dofmap.degree, ERROR_QUAD_ORDER)
     u = _project(ctx.N, ctx.vol.weights, ctx.volume_values(exact, "exact"))
     uhat = np.zeros(dofmap.n_trace_active)
     if dofmap.skeleton_mode == "dg":
@@ -142,24 +126,23 @@ def solution_difference(a, b):
 
 
 def _trace_gap(ctx, tr, uhat_edges, u):
-    """uhat - u at the points of trace tables ``tr`` (nt, 3nqe), with the
-    element values u there; ``uhat_edges`` are the traces per mesh edge."""
-    u_vals = np.einsum("tpi,ti->tp", tr.values, u)
-    return tr.gather(uhat_edges) @ ctx.E_slots.T - u_vals, u_vals
+    """uhat - u at the points of trace tables ``tr`` (nt, 3nqe);
+    ``uhat_edges`` are the traces per mesh edge."""
+    return tr.gather(uhat_edges) @ ctx.E_slots.T - np.einsum("tpi,ti->tp", tr.values, u)
 
 
-def hdg_norm(pair, problem, eta, region=None, starred=False):
+def hdg_norm(pair, problem, eta, region=None):
     """Scheme norm of a discrete pair, with its components.
 
     The diffusive part is epsilon times the broken H1 and scaled H2
     seminorms plus the penalty-weighted jump; the convective part sums
     |b.n|-weighted jumps over element boundaries and the rho0-weighted L2
-    norm.  With ``starred=True`` the report also carries the augmented
-    norm that adds the plain L2 and boundary-trace terms (a diagnostic).
+    norm.  Edge terms skip Neumann edges and follow the elements of
+    ``region``.
     """
     mesh = pair.mesh
     ctx = get_context(mesh, pair.degree)
-    mask, region_name = _region_mask(region, mesh)
+    mask = _region_mask(region, mesh)
 
     # volume quantities
     w = ctx.volume_weights(mesh)
@@ -174,14 +157,11 @@ def hdg_norm(pair, problem, eta, region=None, starred=False):
 
     # edge quantities over the selected elements
     tr = ctx.traces(mesh)
-    diff, u_vals = _trace_gap(ctx, tr, pair.edge_traces(), pair.u)
-    diff2 = diff ** 2
+    diff2 = _trace_gap(ctx, tr, pair.edge_traces(), pair.u) ** 2
     bn = tr.normal_velocity(*ctx.edge_values(problem.b, "b", vector=True))
     skel = mask[:, None] & ~tr.neumann
     jump_sq = float(((eta / tr.h) * tr.weights * diff2)[skel].sum())
     conv_sq = float((tr.weights * np.abs(bn) * diff2)[skel].sum())
-    # the augmented norm integrates v over the whole element boundary
-    trace_sq = float((tr.weights * u_vals ** 2)[mask].sum())
 
     h1 = float(h1_sq_elem[mask].sum())
     h2 = float(h2_sq_elem[mask].sum())
@@ -189,16 +169,10 @@ def hdg_norm(pair, problem, eta, region=None, starred=False):
     eps = problem.epsilon
     rho0 = problem.rho0
     hdg_sq = eps * (h1 + h2 + jump_sq) + conv_sq + rho0 * l2
-    err_star = None
-    if starred:
-        err_star = float(np.sqrt(hdg_sq + l2 + trace_sq))
-    return ErrorReport(region=region_name, epsilon=eps, rho0=rho0,
-                       err_l2=float(np.sqrt(l2)),
-                       err_h1_broken=float(np.sqrt(h1)),
-                       err_jump=float(np.sqrt(jump_sq)),
-                       err_hdg=float(np.sqrt(hdg_sq)),
+    return ErrorReport(epsilon=eps, rho0=rho0, err_l2=float(np.sqrt(l2)),
+                       err_jump=float(np.sqrt(jump_sq)), err_hdg=float(np.sqrt(hdg_sq)),
                        seminorm_h1_sq=h1, seminorm_h2_sq=h2,
-                       jump_sq=jump_sq, conv_sq=conv_sq, err_star=err_star)
+                       jump_sq=jump_sq, conv_sq=conv_sq)
 
 
 def error_hdg(solution, exact, problem, eta, region=None):
@@ -229,7 +203,7 @@ def conservation_residual(solution, problem):
     residual = ((conv - ctx.volume_values(problem.f, "f")) * ctx.volume_weights(mesh)).sum(axis=1)
 
     tr = ctx.traces(mesh)
-    diff = _trace_gap(ctx, tr, solution.edge_traces(), solution.u)[0]
+    diff = _trace_gap(ctx, tr, solution.edge_traces(), solution.u)
     dn = np.einsum("tpi,ti->tp", tr.normal_derivs, solution.u)
     w_u = flux_weights(ctx, tr, problem, eta)[1]
     flux = problem.epsilon * dn + w_u * diff
@@ -256,16 +230,16 @@ def convergence_table(errors, hs):
     return rates
 
 
-def overshoot_metric(solution, exact_max, region=None, quad_order=ERROR_QUAD_ORDER):
+def overshoot_metric(solution, exact_max, region=None):
     """Worst exceedance of the discrete field over the exact maximum.
 
     Samples element vertices plus the volume quadrature points; a
     non-positive value means no overshoot at the sampling set.
     """
     mesh = solution.mesh
-    ctx = get_context(mesh, solution.degree, quad_order)
+    ctx = get_context(mesh, solution.degree, ERROR_QUAD_ORDER)
     uh = solution.u @ np.vstack([ctx.N_vert, ctx.N]).T   # (nt, 3 + nq)
-    mask, _ = _region_mask(region, mesh)
+    mask = _region_mask(region, mesh)
     if not mask.any():
         raise ValueError("measurement region contains no elements")
     return float(uh[mask].max() - exact_max)

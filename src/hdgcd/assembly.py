@@ -36,7 +36,6 @@ _NEUMANN = int(BoundaryTag.NEUMANN)
 # well-posedness check: rho is sampled at the points of this volume rule
 CHECK_QUAD_ORDER = 4
 RHO_TOL = 1e-10
-INFLOW_TOL = 1e-12
 
 
 def default_eta(degree):
@@ -152,13 +151,13 @@ def check_problem(problem, mesh):
     if min_rho < problem.rho0 - RHO_TOL:
         messages.append(
             f"rho = c - div(b)/2 drops to {min_rho:.3e}, below the declared bound {problem.rho0:.3e}")
-    inflow = verify_inflow_in_dirichlet(mesh, problem.b, tol=INFLOW_TOL)
-    if not inflow.ok:
-        e, (px, py) = inflow.violations[0]
+    violations = verify_inflow_in_dirichlet(mesh, problem.b)
+    if violations:
+        e, (px, py) = violations[0]
         messages.append(
             f"inflow crosses non-Dirichlet boundary edge {e} near ({px:.4f}, {py:.4f})")
     return ProblemReport(ok=not messages, min_rho=min_rho,
-                         inflow_ok=inflow.ok, messages=tuple(messages))
+                         inflow_ok=not violations, messages=tuple(messages))
 
 
 @dataclass

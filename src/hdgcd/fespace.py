@@ -226,17 +226,15 @@ class DofMap:
     def n_total(self):
         return self.n_interior + self.n_trace_active
 
-    def element_dofs(self, elements=slice(None)):
-        """Global interior dof indices of one element (nd,), or of an index
-        array or slice of elements (n, nd); all elements by default."""
-        return np.arange(self.n_interior).reshape(-1, self.ndof_elem)[elements]
+    def element_dofs(self):
+        """Global interior dof indices of every element, (nt, nd)."""
+        return np.arange(self.n_interior).reshape(-1, self.ndof_elem)
 
-    def element_trace_dofs(self, elements=slice(None)):
-        """Active-trace indices of the elements' three edge slots, slot by
-        slot, -1 where the slot is constrained (Dirichlet) or off the
-        skeleton (Neumann); shaped like :meth:`element_dofs`."""
-        slots = self.mesh.elem_edges[elements]
-        return self.edge_dofs[slots].reshape(*slots.shape[:-1], -1)
+    def element_trace_dofs(self):
+        """Active-trace indices of every element's three edge slots, slot by
+        slot, (nt, 3 (k+1)); -1 where the slot is constrained (Dirichlet) or
+        off the skeleton (Neumann)."""
+        return self.edge_dofs[self.mesh.elem_edges].reshape(self.mesh.n_elements, -1)
 
 
 def build_dofmap(mesh, degree, skeleton_mode="dg"):

@@ -7,13 +7,16 @@ precomputed here so downstream code never touches raw coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
 # Tolerance for deciding whether a coordinate lies on a boundary feature.
 ON_BOUNDARY_TOL = 1e-12
+# The inflow check samples b . n at this many Gauss points per edge and
+# flags values below -INFLOW_TOL.
+INFLOW_SAMPLES = 4
+INFLOW_TOL = 1e-12
 
 
 class MeshError(ValueError):
@@ -41,18 +44,6 @@ def dirichlet_where(predicate):
         return BoundaryTag.DIRICHLET if predicate(x, y) else BoundaryTag.NEUMANN
 
     return rule
-
-
-@dataclass(frozen=True)
-class InflowReport:
-    """Result of the inflow-boundary compatibility check.
-
-    ``violations`` holds ``(edge_index, (x, y))`` pairs sampled where the
-    velocity enters the domain through a non-Dirichlet boundary edge.
-    """
-
-    ok: bool
-    violations: tuple
 
 
 class Mesh:
@@ -269,13 +260,14 @@ def extract_skeleton(mesh):
     return np.nonzero(keep)[0]
 
 
-def verify_inflow_in_dirichlet(mesh, velocity, tol=1e-12, n_samples=4):
+def verify_inflow_in_dirichlet(mesh, velocity):
     """Check that the inflow boundary is contained in the Dirichlet part.
 
-    Samples ``b . n`` at ``n_samples`` Gauss points of every non-Dirichlet
-    boundary edge and records points where it drops below ``-tol``.
+    Samples ``b . n`` at ``INFLOW_SAMPLES`` Gauss points of every
+    non-Dirichlet boundary edge and returns the ``(edge_index, (x, y))``
+    pairs where it drops below ``-INFLOW_TOL``; empty when the check passes.
     """
-    gl, _ = np.polynomial.legendre.leggauss(n_samples)
+    gl, _ = np.polynomial.legendre.leggauss(INFLOW_SAMPLES)
     bnd = mesh.boundary_edges
     edges = bnd[mesh.edge_tags[bnd] != int(BoundaryTag.DIRICHLET)]
     t = mesh.edge_elems[edges, 0]
@@ -284,9 +276,8 @@ def verify_inflow_in_dirichlet(mesh, velocity, tol=1e-12, n_samples=4):
     bx, by = velocity(pts[..., 0], pts[..., 1])
     bn = np.broadcast_to(np.asarray(bx) * nrm[:, None, 0] + np.asarray(by) * nrm[:, None, 1],
                          pts.shape[:2])   # a constant velocity still checks every sample
-    violations = tuple((int(edges[i]), (float(pts[i, q, 0]), float(pts[i, q, 1])))
-                       for i, q in zip(*np.nonzero(bn < -tol)))
-    return InflowReport(ok=not violations, violations=violations)
+    return tuple((int(edges[i]), (float(pts[i, q, 0]), float(pts[i, q, 1])))
+                 for i, q in zip(*np.nonzero(bn < -INFLOW_TOL)))
 
 
 def save_mesh(mesh, path):

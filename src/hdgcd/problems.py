@@ -15,11 +15,20 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy import optimize
 
-from hdgcd.analysis import FULL_REGION, Region, subsquare
+from hdgcd.analysis import subsquare
 from hdgcd.assembly import ProblemSpec
 from hdgcd.mesh import ON_BOUNDARY_TOL, dirichlet_where
 
 CASE_NAMES = ("smooth", "layer", "reduced_limit")
+# verify_source_term: its seeded sample points, and the largest scaled
+# residuals it accepts for the source and for the gradient
+SOURCE_CHECK_POINTS = 1000
+SOURCE_CHECK_SEED = 20240214
+SOURCE_TOL = 1e-8
+GRAD_TOL = 1e-7
+# 4th-order central stencils on the shifts 2, 1, 0, -1, -2 (times h)
+_FD_FIRST = (-1.0, 8.0, 0.0, -8.0, 1.0)
+_FD_SECOND = (-1.0, 16.0, -30.0, 16.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -28,14 +37,16 @@ class ManufacturedCase:
 
     ``reduced_exact`` marks cases whose ``exact`` solves the limiting
     first-order problem (epsilon = 0) rather than the full equation; for
-    those the source check drops the diffusion term.
+    those the source check drops the diffusion term.  ``region`` is the
+    measurement region, a predicate on element barycenters, or None for
+    the whole domain.
     """
 
     name: str
     problem: ProblemSpec
     exact: Callable
     exact_grad: Callable
-    region: Region
+    region: Optional[Callable]
     exact_max: float
     sample_box: Tuple[Tuple[float, float], Tuple[float, float]]
     quad_order: Optional[int] = None
@@ -67,7 +78,7 @@ def case_smooth(epsilon):
     problem = ProblemSpec(epsilon=eps, b=lambda x, y: (np.ones_like(x), np.ones_like(y)),
                           f=f, c=None, g_N=None, boundary=None, rho0=0.0)
     return ManufacturedCase(name="smooth", problem=problem, exact=exact,
-                            exact_grad=exact_grad, region=FULL_REGION,
+                            exact_grad=exact_grad, region=None,
                             exact_max=1.0,
                             sample_box=((0.01, 0.99), (0.01, 0.99)))
 
@@ -162,7 +173,7 @@ def case_reduced_limit(epsilon):
                           boundary=dirichlet_where(lambda x, y: x < ON_BOUNDARY_TOL),
                           rho0=1.0)
     return ManufacturedCase(name="reduced_limit", problem=problem, exact=exact,
-                            exact_grad=exact_grad, region=FULL_REGION,
+                            exact_grad=exact_grad, region=None,
                             exact_max=float(np.exp(-1.0)),
                             sample_box=((0.01, 0.99), (0.01, 0.99)),
                             reduced_exact=True)
@@ -182,28 +193,17 @@ def _fd_step(eps):
     return min(1e-3, max(2e-4, 0.02 * eps))
 
 
-def _fd_second(func, x, y, h, axis):
-    # 4th-order central second derivative.
+def _fd(func, x, y, h, axis, weights, order):
+    """Finite-difference derivative of the given ``order`` of ``func`` along
+    ``axis``: the stencil ``weights`` (see ``_FD_FIRST``) over 12 h^order."""
     def at(shift):
-        if axis == 0:
-            return func(x + shift * h, y)
-        return func(x, y + shift * h)
+        return func(x + shift * h, y) if axis == 0 else func(x, y + shift * h)
 
-    return (-at(2.0) + 16.0 * at(1.0) - 30.0 * at(0.0)
-            + 16.0 * at(-1.0) - at(-2.0)) / (12.0 * h * h)
+    total = sum(w * at(s) for s, w in zip((2.0, 1.0, 0.0, -1.0, -2.0), weights) if w)
+    return total / (12.0 * h ** order)
 
 
-def _fd_first(func, x, y, h, axis):
-    # 4th-order central first derivative.
-    def at(shift):
-        if axis == 0:
-            return func(x + shift * h, y)
-        return func(x, y + shift * h)
-
-    return (-at(2.0) + 8.0 * at(1.0) - 8.0 * at(-1.0) + at(-2.0)) / (12.0 * h)
-
-
-def verify_source_term(case, n_points=1000, seed=20240214, tol=1e-8, grad_tol=1e-7):
+def verify_source_term(case):
     """Cross-check the hard-coded source against finite differences.
 
     At random sample points inside the case's sample box, the stated
@@ -211,22 +211,23 @@ def verify_source_term(case, n_points=1000, seed=20240214, tol=1e-8, grad_tol=1e
     compared with -eps lap(u) + b . grad(u) + c u using a finite-difference
     laplacian (the diffusion term is dropped for reduced-limit cases).
     Residuals are scaled by 1 + |value|; the maximum scaled residual is
-    returned, and a ValueError reports a failure.
+    returned, and a ValueError reports one above ``SOURCE_TOL`` (source)
+    or ``GRAD_TOL`` (gradient).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SOURCE_CHECK_SEED)
     (xlo, xhi), (ylo, yhi) = case.sample_box
-    x = rng.uniform(xlo, xhi, n_points)
-    y = rng.uniform(ylo, yhi, n_points)
+    x = rng.uniform(xlo, xhi, SOURCE_CHECK_POINTS)
+    y = rng.uniform(ylo, yhi, SOURCE_CHECK_POINTS)
     problem = case.problem
     h = _fd_step(problem.epsilon)
 
     gx, gy = case.exact_grad(x, y)
-    fx = _fd_first(case.exact, x, y, h, axis=0)
-    fy = _fd_first(case.exact, x, y, h, axis=1)
+    fx = _fd(case.exact, x, y, h, 0, _FD_FIRST, 1)
+    fy = _fd(case.exact, x, y, h, 1, _FD_FIRST, 1)
     grad_resid = np.maximum(np.abs(gx - fx) / (1.0 + np.abs(gx)),
                             np.abs(gy - fy) / (1.0 + np.abs(gy)))
     worst_grad = float(grad_resid.max())
-    if worst_grad > grad_tol:
+    if worst_grad > GRAD_TOL:
         i = int(np.argmax(grad_resid))
         raise ValueError(
             f"case {case.name}: gradient mismatch {worst_grad:.3e} at ({x[i]:.4f}, {y[i]:.4f})")
@@ -236,13 +237,13 @@ def verify_source_term(case, n_points=1000, seed=20240214, tol=1e-8, grad_tol=1e
     if problem.c is not None:
         pde = pde + np.asarray(problem.c(x, y)) * case.exact(x, y)
     if not case.reduced_exact:
-        lap = (_fd_second(case.exact, x, y, h, axis=0)
-               + _fd_second(case.exact, x, y, h, axis=1))
+        lap = (_fd(case.exact, x, y, h, 0, _FD_SECOND, 2)
+               + _fd(case.exact, x, y, h, 1, _FD_SECOND, 2))
         pde = pde - problem.epsilon * lap
     fv = np.asarray(problem.f(x, y), dtype=float)
     resid = np.abs(fv - pde) / (1.0 + np.abs(fv))
     worst = float(resid.max())
-    if worst > tol:
+    if worst > SOURCE_TOL:
         i = int(np.argmax(resid))
         raise ValueError(
             f"case {case.name}: source mismatch {worst:.3e} at ({x[i]:.4f}, {y[i]:.4f})")

@@ -164,7 +164,8 @@ def recover_interior(traces, system):
 
     Each element touches only its own three edges, so recovery is local:
     u = A_uu^{-1} b_u - A_uu^{-1} A_ut uhat.  The worst relative residual
-    of the interior equations is recorded in ``info["max_recovery_residual"]``.
+    of the interior equations is recorded in ``info["max_recovery_residual"]``;
+    one above ``RECOVERY_RTOL`` raises :class:`SingularSystemError`.
     """
     dofmap = system.dofmap
     sy = system.systems
@@ -173,18 +174,20 @@ def recover_interior(traces, system):
     u = system.W[..., -1] - (system.W[..., :-1] @ uhat[..., None])[..., 0]
     rhs = sy.b_u - (sy.A_ut @ uhat[..., None])[..., 0]
     resid = np.abs((sy.A_uu @ u[..., None])[..., 0] - rhs).max(axis=1)
-    scale = 1.0 + np.abs(rhs).max(axis=1)
+    worst = float((resid / (1.0 + np.abs(rhs).max(axis=1))).max())
+    if not worst <= RECOVERY_RTOL:
+        raise SingularSystemError(
+            f"interior recovery residual {worst:.3e} exceeds {RECOVERY_RTOL:.1e}")
     return HdgSolution(mesh=dofmap.mesh, dofmap=dofmap, u=u, uhat=traces,
-                       info={"max_recovery_residual": float((resid / scale).max())})
+                       info={"max_recovery_residual": worst})
 
 
-def _prepare(problem, mesh, degree, eta, skeleton_mode, check):
+def _prepare(problem, mesh, degree, eta, skeleton_mode):
     """Shared preamble of the drivers: default penalty, well-posedness
     check and dof map; returns (eta, dofmap)."""
     if eta is None:
         eta = assembly.default_eta(degree)
-    if check:
-        check_problem(problem, mesh).require_ok()
+    check_problem(problem, mesh).require_ok()
     return eta, build_dofmap(mesh, degree, skeleton_mode)
 
 
@@ -202,14 +205,13 @@ def _solution_info(dofmap, eta, degree, skeleton_mode, quad_order, method):
     }
 
 
-def solve_hdg(problem, mesh, degree=1, eta=None, skeleton_mode="dg",
-              quad_order=None, check=True):
+def solve_hdg(problem, mesh, degree=1, eta=None, skeleton_mode="dg", quad_order=None):
     """Full driver: validate, assemble, condense, solve, recover.
 
     Returns an :class:`HdgSolution` whose ``info`` dict records dof counts
     (interior, skeleton, total), the penalty used and the quadrature order.
     """
-    eta, dofmap = _prepare(problem, mesh, degree, eta, skeleton_mode, check)
+    eta, dofmap = _prepare(problem, mesh, degree, eta, skeleton_mode)
     systems = assemble_local_systems(mesh, dofmap, problem, eta=eta, quad_order=quad_order)
     condensed = condense(systems, dofmap)
     traces = solve_skeleton(condensed)
@@ -218,10 +220,9 @@ def solve_hdg(problem, mesh, degree=1, eta=None, skeleton_mode="dg",
     return sol
 
 
-def solve_monolithic(problem, mesh, degree=1, eta=None, skeleton_mode="dg",
-                     quad_order=None, check=True):
+def solve_monolithic(problem, mesh, degree=1, eta=None, skeleton_mode="dg", quad_order=None):
     """Reference driver solving the uncondensed coupled system directly."""
-    eta, dofmap = _prepare(problem, mesh, degree, eta, skeleton_mode, check)
+    eta, dofmap = _prepare(problem, mesh, degree, eta, skeleton_mode)
     mat, rhs = assemble_monolithic(mesh, dofmap, problem, eta=eta, quad_order=quad_order)
     x = sparse_solve(mat, rhs, "uncondensed")
     n_int = dofmap.n_interior

@@ -95,10 +95,9 @@ def assemble_supg(problem, mesh, quad_order=None, tau_scale=1.0):
     return mat, vec, free
 
 
-def solve_supg(problem, mesh, quad_order=None, tau_scale=1.0, check=True):
+def solve_supg(problem, mesh, quad_order=None, tau_scale=1.0):
     """Solve the stabilized P1 system; Dirichlet vertices are fixed to zero."""
-    if check:
-        check_problem(problem, mesh).require_ok()
+    check_problem(problem, mesh).require_ok()
     mat, rhs, free = assemble_supg(problem, mesh, quad_order=quad_order, tau_scale=tau_scale)
     nodal = np.zeros(mesh.n_vertices)
     if free.size:

@@ -204,9 +204,10 @@ def test_monolithic_matches_local_blocks():
     vec = np.zeros(dm.n_total)
     blocks = assemble_local_systems(mesh, dm, prob)
     ni = dm.n_interior
+    elem_dofs = dm.element_dofs()
     for t in range(mesh.n_elements):
         blk = blocks[t]
-        rows_u = dm.element_dofs(t)
+        rows_u = elem_dofs[t]
         gids = blk.trace_gids
         act = gids >= 0
         rows_t = ni + gids[act]

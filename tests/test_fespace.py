@@ -172,10 +172,10 @@ def test_dofmap_cg_shares_vertices():
 def test_element_trace_dofs_layout():
     mesh = build_uniform_triangulation(2)
     dm = build_dofmap(mesh, 1)
-    gids = dm.element_trace_dofs(0)
-    assert gids.shape == (6,)
+    gids = dm.element_trace_dofs()
+    assert gids.shape == (mesh.n_elements, 6)
     np.testing.assert_array_equal(
-        gids.reshape(3, 2), dm.edge_dofs[mesh.elem_edges[0]])
+        gids[0].reshape(3, 2), dm.edge_dofs[mesh.elem_edges[0]])
 
 
 def test_project_element_reproduces_polynomials():

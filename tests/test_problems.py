@@ -14,7 +14,7 @@ def test_smooth_case_fields():
     assert gy == pytest.approx(np.pi * np.sin(np.pi * 0.25), rel=1e-14)
     assert case.exact_max == 1.0
     assert case.problem.epsilon == 1e-3
-    assert case.region.predicate is None
+    assert case.region is None
 
 
 def test_smooth_source_verified_for_all_epsilons():
@@ -57,7 +57,7 @@ def test_layer_source_verified():
 def test_layer_case_metadata():
     case = case_layer(1e-6)
     assert case.quad_order == 12
-    assert case.region.name == "omega_0.9"
+    assert case.region(0.89, 0.89) and not case.region(0.91, 0.5)
 
 
 def test_reduced_limit_case():

@@ -7,7 +7,9 @@ from hdgcd.fespace import build_dofmap
 from hdgcd.mesh import build_uniform_triangulation, dirichlet_where
 from hdgcd.problems import case_layer, case_smooth
 from hdgcd.solver import (ElementSolvabilityError, SingularSystemError, condense,
-                          solve_hdg, solve_monolithic, sparse_factor, sparse_solve)
+                          recover_interior, solve_hdg, solve_monolithic, solve_skeleton,
+                          sparse_factor, sparse_solve)
+from hdgcd.supg import solve_supg
 
 
 def relative_gap(a, b):
@@ -99,10 +101,21 @@ def test_rejects_invalid_problem():
                       f=lambda x, y: np.zeros_like(x),
                       rho0=1.0)  # rho = 0 < claimed rho0
     mesh = build_uniform_triangulation(2)
-    with pytest.raises(ValueError):
-        solve_hdg(bad, mesh)
-    # same problem passes with check disabled
-    solve_hdg(bad, mesh, check=False)
+    for solve in (solve_hdg, solve_monolithic, solve_supg):
+        with pytest.raises(ValueError, match="^problem is not well posed on this mesh: rho"):
+            solve(bad, mesh)
+
+
+def test_recovery_residual_is_enforced():
+    # a perturbed elimination makes the recovered interior miss its own
+    # equations (relative residual about 5e-7)
+    case = case_smooth(1.0)
+    mesh = build_uniform_triangulation(4, case.problem.boundary)
+    dm = build_dofmap(mesh, 2)
+    system = condense(assemble_local_systems(mesh, dm, case.problem), dm)
+    system.W[5, 0, -1] += 1e-6
+    with pytest.raises(SingularSystemError, match="^interior recovery residual .* exceeds 1.0e-11"):
+        recover_interior(solve_skeleton(system), system)
 
 
 @pytest.mark.parametrize("singular", [True, False], ids=["exactly_singular", "nearly_singular"])
