@@ -1,0 +1,214 @@
+"""Stage timings of the HDG pipeline on five fixed cases, written as JSON.
+
+Usage (from the repository root)::
+
+    OMP_NUM_THREADS=1 python benchmarks/bench_stages.py --out BENCH.json [LABEL=CHECKOUT ...]
+
+Each ``LABEL=CHECKOUT`` names a source checkout, a directory holding
+``src/hdgcd``; with none given, this checkout is measured under the label
+``current``.  Naming two checkouts (``parent=../old change=.``) puts both
+columns side by side in one file.
+
+Every run of a case is a fresh interpreter, so imports, caches and the peak
+RSS belong to that run alone.  It runs the pipeline once untimed on a 4x4
+mesh, then once timed on a freshly built mesh, as the CLI does.  Each case
+is run REPEAT times per checkout, the checkouts alternating run by run so
+that a drift in the host's speed reaches both columns alike, and each stage
+is the median of those runs.  The stages are the library's public
+functions, each timed with ``time.perf_counter``: ``mesh``
+(``build_uniform_triangulation``), ``prepare`` (``check_problem`` and
+``build_dofmap``), ``assemble``, ``condense``, ``solve`` (``solve_skeleton``,
+nearly all of it the SuperLU factorization), ``recover``, ``err_l2``,
+``err_h1``, ``err_hdg`` and ``conservation``.  ``err_l2`` is the first
+post-processing call on a mesh, so it also builds the order-12 error
+context.  A case also records its element, skeleton-dof and nnz(S)
+counts, the fill ``(nnz(L) + nnz(U)) / nnz(S)`` of one extra untimed
+factorization, the largest peak RSS of its runs (taken before that
+factorization), and the error values, so two columns can be checked for
+the same answers.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+REPEAT = 3
+WARMUP_N = 4
+# name: (problem, epsilon, mesh subdivisions, degree)
+CASES = {
+    "smooth_1e-3_n64_k1": ("smooth", 1e-3, 64, 1),
+    "smooth_1e-3_n64_k2": ("smooth", 1e-3, 64, 2),
+    "smooth_1e-3_n128_k1": ("smooth", 1e-3, 128, 1),
+    "layer_1e-6_n80_k1": ("layer", 1e-6, 80, 1),
+    "smooth_1e-3_n32_k3": ("smooth", 1e-3, 32, 3),
+}
+STAGES = ("mesh", "prepare", "assemble", "condense", "solve", "recover",
+          "err_l2", "err_h1", "err_hdg", "conservation")
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def pipeline(case, n, degree, times):
+    """One mesh-to-conservation run; appends each stage's seconds to
+    ``times`` and returns the condensed system, the mesh and the errors."""
+    # imported here, in the worker: the driving process may measure any checkout
+    import hdgcd
+    from hdgcd import solver
+
+    def timed(stage, func, *args, **kwargs):
+        start = time.perf_counter()
+        out = func(*args, **kwargs)
+        times[stage].append(time.perf_counter() - start)
+        return out
+
+    def prepare(mesh):
+        hdgcd.check_problem(problem, mesh).require_ok()
+        return hdgcd.build_dofmap(mesh, degree)
+
+    problem, region = case.problem, case.region
+    eta = hdgcd.default_eta(degree)
+    mesh = timed("mesh", hdgcd.build_uniform_triangulation, n, problem.boundary)
+    dofmap = timed("prepare", prepare, mesh)
+    systems = timed("assemble", hdgcd.assemble_local_systems, mesh, dofmap, problem,
+                    eta=eta, quad_order=case.quad_order)
+    condensed = timed("condense", solver.condense, systems, dofmap)
+    traces = timed("solve", solver.solve_skeleton, condensed)
+    sol = timed("recover", solver.recover_interior, traces, condensed)
+    sol.info.update(eta=eta, quad_order=case.quad_order)
+    errors = {
+        "err_l2": timed("err_l2", hdgcd.error_l2, sol, case.exact, region=region),
+        "err_h1": timed("err_h1", hdgcd.error_h1_broken, sol, case.exact_grad, region=region),
+        "err_hdg": timed("err_hdg", hdgcd.error_hdg, sol, case.exact, problem, eta,
+                         region=region).err_hdg,
+    }
+    residual = timed("conservation", hdgcd.conservation_residual, sol, problem)
+    errors["conservation_max"] = float(abs(residual).max())
+    return condensed, mesh, errors
+
+
+def run_case(name):
+    """One timed run of a case in this interpreter; returns its JSON record."""
+    import numpy as np
+    import scipy
+    import hdgcd
+    from hdgcd import solver
+
+    problem_name, epsilon, n, degree = CASES[name]
+    case = hdgcd.get_case(problem_name, epsilon)
+    pipeline(case, WARMUP_N, degree, {s: [] for s in STAGES})
+    times = {s: [] for s in STAGES}
+    condensed, mesh, errors = pipeline(case, n, degree, times)
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    lu = solver.sparse_factor(condensed.S, "skeleton")
+    return {
+        "case": {"problem": problem_name, "epsilon": epsilon, "n": n, "degree": degree},
+        "elements": mesh.n_elements,
+        "skeleton_dofs": condensed.n_trace,
+        "nnz_S": int(condensed.S.nnz),
+        "fill": (lu.L.nnz + lu.U.nnz) / condensed.S.nnz,
+        "stages_s": {s: t[0] for s, t in times.items()},
+        "peak_rss_mb": round(peak_rss_mb, 1),
+        "errors": errors,
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "scipy": scipy.__version__},
+        "hdgcd_src": str(Path(hdgcd.__file__).resolve().parent.parent),
+    }
+
+
+def describe(checkout):
+    """``git describe --always --dirty`` of a checkout, or None outside git."""
+    try:
+        out = subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty"],
+                             capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
+def measure(label, checkout, name):
+    """Run one case of one checkout in a child interpreter."""
+    src = (checkout / "src").resolve()
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, __file__, "--worker", name], env=env,
+                         capture_output=True, text=True)
+    if out.returncode != 0:
+        raise SystemExit(f"{label} {name} failed:\n{out.stderr}")
+    record = json.loads(out.stdout)
+    if record.pop("hdgcd_src") != str(src):
+        raise SystemExit(f"{label} {name}: hdgcd was not imported from {src}")
+    print(f"{label:>10} {name:<22} total {sum(record['stages_s'].values()):.3f} s  "
+          f"peak {record['peak_rss_mb']} MB", file=sys.stderr)
+    return record
+
+
+def combine(runs):
+    """One case's record from its runs: stage and total medians, the
+    largest peak RSS; the counts and errors must agree between runs."""
+    fixed = ("case", "elements", "skeleton_dofs", "nnz_S", "fill", "errors")
+    if any(run[key] != runs[0][key] for run in runs for key in fixed):
+        raise SystemExit(f"runs of {runs[0]['case']} disagree on {fixed}")
+    record = {key: runs[0][key] for key in fixed}
+    record["stages_s"] = {s: statistics.median(run["stages_s"][s] for run in runs) for s in STAGES}
+    record["total_s"] = statistics.median(sum(run["stages_s"].values()) for run in runs)
+    record["peak_rss_mb"] = max(run["peak_rss_mb"] for run in runs)
+    return record
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkouts", nargs="*", metavar="LABEL=CHECKOUT")
+    parser.add_argument("--out", help="JSON output path (default: stdout)")
+    parser.add_argument("--worker", choices=sorted(CASES), help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        json.dump(run_case(args.worker), sys.stdout)
+        return 0
+
+    columns = {}
+    for spec in args.checkouts or [f"current={ROOT}"]:
+        label, sep, path = spec.partition("=")
+        if not sep or not label or not (Path(path) / "src" / "hdgcd").is_dir():
+            parser.error(f"{spec!r} is not LABEL=CHECKOUT with CHECKOUT/src/hdgcd")
+        columns[label] = Path(path)
+    results = {label: {"commit": describe(path), "cases": {}} for label, path in columns.items()}
+    order = list(columns.items())
+    for name in CASES:
+        runs = {label: [] for label in columns}
+        for _ in range(REPEAT):
+            for label, path in order:
+                record = measure(label, path, name)
+                results[label]["versions"] = record.pop("versions")
+                runs[label].append(record)
+            order.reverse()
+        for label in columns:
+            results[label]["cases"][name] = combine(runs[label])
+
+    report = {
+        "benchmark": "benchmarks/bench_stages.py",
+        "method": {"repeat": REPEAT, "statistic": "median", "warmup_n": WARMUP_N,
+                   "clock": "time.perf_counter",
+                   "process": "one interpreter per run, checkouts alternating"},
+        "host": {"cpu_count": os.cpu_count(), "usable_cpus": len(os.sched_getaffinity(0)),
+                 "machine": platform.machine(),
+                 "threads": {k: os.environ.get(k) for k in
+                             ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}},
+        "columns": results,
+    }
+    text = json.dumps(report, indent=1) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -225,7 +225,8 @@ class TraceTables(NamedTuple):
 def pull_back(mesh, v):
     """Reference components J^{-1} v (2, nt, ...) of the physical vectors
     ``v`` (2, nt, ...), so that v . grad phi = (J^{-1} v) . grad_ref phi."""
-    return np.einsum("tca,ct...->at...", mesh.inv_jacobians_t, v)
+    m = mesh.inv_jacobians_t.reshape(mesh.inv_jacobians_t.shape + (1,) * (v.ndim - 2))
+    return np.stack([m[:, 0, a] * v[0] + m[:, 1, a] * v[1] for a in (0, 1)])
 
 
 class AssemblyContext:

@@ -49,6 +49,12 @@ def dirichlet_where(predicate):
 class Mesh:
     """Triangle mesh with edge adjacency, boundary tags and cached geometry.
 
+    ``vertices`` and ``triangles`` are as below; every vertex must belong
+    to a triangle.  ``boundary`` tags the boundary edges: a rule
+    ``(x, y) -> BoundaryTag`` evaluated at each edge midpoint, a dict from
+    every boundary edge's vertex pair ``(a, b)`` with ``a < b`` to its tag,
+    or None for all Dirichlet.
+
     Attributes
     ----------
     vertices : (nv, 2) float array
@@ -91,6 +97,9 @@ class Mesh:
             raise MeshError("mesh has no elements")
         if triangles.min() < 0 or triangles.max() >= nv:
             raise MeshError("triangle vertex index out of range")
+        unused = np.bincount(triangles.ravel(), minlength=nv) == 0
+        if unused.any():
+            raise MeshError(f"vertex {int(np.argmax(unused))} is not used by any triangle")
         repeated = (triangles == np.roll(triangles, -1, axis=1)).any(axis=1)
         if repeated.any():
             raise MeshError(f"triangle {int(np.argmax(repeated))} has repeated vertices")
@@ -122,8 +131,9 @@ class Mesh:
         # sorted vertex pairs, numbered lexicographically.
         a, b = triangles, np.roll(triangles, -1, axis=1)
         edge_forward = a < b
-        pairs = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=-1).reshape(-1, 2)
-        edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        # one int64 key per pair sorts in the same lexicographic order
+        keys, inverse = np.unique(np.minimum(a, b) * nv + np.maximum(a, b), return_inverse=True)
+        edges = np.column_stack([keys // nv, keys % nv])
         elem_edges = inverse.reshape(nt, 3)
         ne = edges.shape[0]
 
@@ -176,7 +186,8 @@ class Mesh:
             for e in np.nonzero(boundary_mask)[0]:
                 key = (int(edges[e, 0]), int(edges[e, 1]))
                 if key not in boundary:
-                    raise MeshError(f"missing boundary tag for edge {key}")
+                    raise MeshError(f"missing boundary tag for edge {key} "
+                                    "(keys are vertex pairs (a, b) with a < b)")
                 tags[e] = int(boundary[key])
         else:
             rule = all_dirichlet if boundary is None else boundary
@@ -214,8 +225,11 @@ class Mesh:
 
     def physical_points(self, ref_points):
         """Images (nt, nq, 2) of reference-triangle points (nq, 2) in every element."""
-        v0 = self.vertices[self.triangles[:, 0]]
-        return v0[:, None, :] + np.einsum("qd,tad->tqa", ref_points, self.jacobians)
+        # v0 + (r0 J[..., 0] + r1 J[..., 1]) in place: this order keeps the points bit-stable
+        out = ref_points[:, 0, None] * self.jacobians[:, None, :, 0]
+        out += ref_points[:, 1, None] * self.jacobians[:, None, :, 1]
+        out += self.vertices[self.triangles[:, 0], None, :]
+        return out
 
     def edge_points(self, t, edges=slice(None)):
         """Points va + t (vb - va), (n, nq, 2), at parameters t (nq,) along the

@@ -118,6 +118,13 @@ def test_boundary_dict_rule():
     assert (remesh.edge_tags[remesh.boundary_edges] == int(BoundaryTag.NEUMANN)).all()
     with pytest.raises(MeshError):
         Mesh(mesh.vertices, mesh.triangles, boundary={})  # tags missing
+    # keys are ascending vertex pairs; a reversed key leaves its edge untagged
+    a, b = (int(v) for v in mesh.edges[mesh.boundary_edges[0]])
+    reversed_key = dict(tags)
+    reversed_key[b, a] = reversed_key.pop((a, b))
+    with pytest.raises(MeshError, match=rf"^missing boundary tag for edge \({a}, {b}\) "
+                                        r"\(keys are vertex pairs \(a, b\) with a < b\)$"):
+        Mesh(mesh.vertices, mesh.triangles, boundary=reversed_key)
 
 
 def test_inflow_check():
@@ -136,9 +143,14 @@ def test_inflow_check():
 def test_invalid_meshes_rejected():
     with pytest.raises(MeshError):
         Mesh(np.zeros((3, 2)), np.array([[0, 1, 1]]))
-    # the first offending triangle or edge is named
+    # the first offending vertex, triangle or edge is named; an unused vertex
+    # is not reported as a wrong Euler characteristic
     mesh = build_uniform_triangulation(3)
     tri = mesh.triangles
+    with pytest.raises(MeshError, match="^vertex 16 is not used by any triangle$"):
+        Mesh(np.vstack([mesh.vertices, [[0.5, 0.25]]]), tri)
+    with pytest.raises(MeshError, match="^vertex 6 is not used by any triangle$"):
+        Mesh(mesh.vertices, tri[(tri != 6).all(axis=1)])
     with pytest.raises(MeshError, match="triangle 5 has repeated vertices"):
         Mesh(mesh.vertices, np.vstack([tri[:5], [[4, 4, 5]], tri[5:], [[1, 2, 2]]]))
     with pytest.raises(MeshError, match="edge 12 is traversed twice in the same direction"):
@@ -212,6 +224,19 @@ def test_load_rejects_tampered_tags(tmp_path):
         load_mesh(path)
 
 
+def test_load_names_unused_vertex(tmp_path):
+    # an extra vertex line, with the header's vertex count raised to match
+    mesh = build_uniform_triangulation(2)
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    lines = path.read_text().splitlines()
+    lines[0] = f"{mesh.n_vertices + 1} {mesh.n_elements} {mesh.n_edges}"
+    lines.insert(1 + mesh.n_vertices, "0.5 0.25")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshError, match="^vertex 9 is not used by any triangle$"):
+        load_mesh(path)
+
+
 def test_load_rejects_repeated_edge_line(tmp_path):
     # a second line for one boundary edge, with the header's edge count raised to match
     mesh = build_uniform_triangulation(3)
@@ -236,7 +261,8 @@ def test_load_rejects_repeated_edge_line(tmp_path):
     (18, 19, ["0 1 99999999999999999999"],
      "^bad integer in mesh file: Python int too large to convert to C long$"),
     (1, 2, ["x0 0"], "^bad number in mesh file: could not convert string to float: 'x0'$"),
-    (18, 19, ["0 1 0"], r"^missing boundary tag for edge \(0, 1\)$"),
+    (18, 19, ["0 1 0"],
+     r"^missing boundary tag for edge \(0, 1\) \(keys are vertex pairs \(a, b\) with a < b\)$"),
     (0, 1, ["-1 8 16"], "^negative count in mesh file header: -1 8 16$"),
 ], ids=["empty", "truncated", "trailing", "bad_integer", "huge_integer", "bad_number",
         "untagged_boundary", "negative_count"])
