@@ -10,11 +10,13 @@ Each ``LABEL=CHECKOUT`` names a source checkout, a directory holding
 columns side by side in one file.
 
 Every run of a case is a fresh interpreter, so imports, caches and the peak
-RSS belong to that run alone.  It runs the pipeline once untimed on a 4x4
-mesh, then once timed on a freshly built mesh, as the CLI does.  Each case
-is run REPEAT times per checkout, the checkouts alternating run by run so
-that a drift in the host's speed reaches both columns alike, and each stage
-is the median of those runs.  The stages are the library's public
+RSS belong to that run alone.  It first times ``import hdgcd`` with all it
+pulls in (``import_s``) and reads the peak RSS right after it
+(``import_rss_mb``).  Then it runs the pipeline once untimed on a 4x4 mesh,
+then once timed on a freshly built mesh, as the CLI does.  Each case is run
+REPEAT times per checkout, the checkouts alternating run by run so that a
+drift in the host's speed reaches both columns alike; ``import_s`` and each
+stage are the medians of those runs.  The stages are the library's public
 functions, each timed with ``time.perf_counter``: ``mesh``
 (``build_uniform_triangulation``), ``prepare`` (``check_problem`` and
 ``build_dofmap``), ``assemble``, ``condense``, ``solve`` (``solve_skeleton``,
@@ -23,9 +25,9 @@ nearly all of it the SuperLU factorization), ``recover``, ``err_l2``,
 post-processing call on a mesh, so it also builds the order-12 error
 context.  A case also records its element, skeleton-dof and nnz(S)
 counts, the fill ``(nnz(L) + nnz(U)) / nnz(S)`` of one extra untimed
-factorization, the largest peak RSS of its runs (taken before that
-factorization), and the error values, so two columns can be checked for
-the same answers.
+factorization, the largest ``import_rss_mb`` and peak RSS of its runs (the
+latter taken before that factorization), and the error values, so two
+columns can be checked for the same answers.
 """
 
 from __future__ import annotations
@@ -96,9 +98,12 @@ def pipeline(case, n, degree, times):
 
 def run_case(name):
     """One timed run of a case in this interpreter; returns its JSON record."""
+    start = time.perf_counter()
+    import hdgcd
+    import_s = time.perf_counter() - start
+    import_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     import numpy as np
     import scipy
-    import hdgcd
     from hdgcd import solver
 
     problem_name, epsilon, n, degree = CASES[name]
@@ -114,6 +119,8 @@ def run_case(name):
         "skeleton_dofs": condensed.n_trace,
         "nnz_S": int(condensed.S.nnz),
         "fill": (lu.L.nnz + lu.U.nnz) / condensed.S.nnz,
+        "import_s": import_s,
+        "import_rss_mb": round(import_rss_mb, 1),
         "stages_s": {s: t[0] for s, t in times.items()},
         "peak_rss_mb": round(peak_rss_mb, 1),
         "errors": errors,
@@ -144,18 +151,21 @@ def measure(label, checkout, name):
     record = json.loads(out.stdout)
     if record.pop("hdgcd_src") != str(src):
         raise SystemExit(f"{label} {name}: hdgcd was not imported from {src}")
-    print(f"{label:>10} {name:<22} total {sum(record['stages_s'].values()):.3f} s  "
+    print(f"{label:>10} {name:<22} import {record['import_s']:.3f} s  "
+          f"total {sum(record['stages_s'].values()):.3f} s  "
           f"peak {record['peak_rss_mb']} MB", file=sys.stderr)
     return record
 
 
 def combine(runs):
-    """One case's record from its runs: stage and total medians, the
-    largest peak RSS; the counts and errors must agree between runs."""
+    """One case's record from its runs: import, stage and total medians, the
+    largest RSS peaks; the counts and errors must agree between runs."""
     fixed = ("case", "elements", "skeleton_dofs", "nnz_S", "fill", "errors")
     if any(run[key] != runs[0][key] for run in runs for key in fixed):
         raise SystemExit(f"runs of {runs[0]['case']} disagree on {fixed}")
     record = {key: runs[0][key] for key in fixed}
+    record["import_s"] = statistics.median(run["import_s"] for run in runs)
+    record["import_rss_mb"] = max(run["import_rss_mb"] for run in runs)
     record["stages_s"] = {s: statistics.median(run["stages_s"][s] for run in runs) for s in STAGES}
     record["total_s"] = statistics.median(sum(run["stages_s"].values()) for run in runs)
     record["peak_rss_mb"] = max(run["peak_rss_mb"] for run in runs)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -332,3 +335,21 @@ def test_study_outputs_match_recorded(run, capsys):
     # integer and rate columns exactly, other numbers to 1e-12 relative).
     assert main(run["argv"].split()) == 0
     _assert_same_table(capsys.readouterr().out.splitlines(), run["lines"])
+
+
+# scipy subpackages no hdgcd module needs at run time (it uses scipy.sparse
+# and scipy.sparse.linalg); importing any of them costs every process tenths
+# of a second and megabytes of RSS
+UNUSED_SCIPY = ("scipy.optimize", "scipy.special", "scipy.spatial", "scipy.fft",
+                "scipy.integrate", "scipy.interpolate", "scipy.stats")
+
+
+def test_cli_import_leaves_unused_scipy_out():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, hdgcd.cli; print(hdgcd.cli.__file__); print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    origin, modules = proc.stdout.splitlines()
+    assert Path(origin).resolve().is_relative_to(src)
+    assert sorted(set(modules.split()) & set(UNUSED_SCIPY)) == []

@@ -1,8 +1,28 @@
 import numpy as np
 import pytest
 
-from hdgcd.problems import (ManufacturedCase, case_layer, case_reduced_limit,
-                            case_smooth, get_case, verify_source_term)
+from hdgcd.problems import (ManufacturedCase, _layer_max, _layer_profile, _layer_value,
+                            case_layer, case_reduced_limit, case_smooth, get_case,
+                            verify_source_term)
+
+# maximum of the 1-D layer factor as the bounded Brent search that preceded
+# the bisection found it (grid start, xatol 1e-14), recorded per epsilon
+BRENT_LAYER_MAX = {
+    10.0: 0.03476458308565101,
+    1.0: 0.27823833072447407,
+    1e-1: 0.8501569816607341,
+    1e-2: 0.993299521459057,
+    1e-3: 0.9998364997539858,
+    1e-4: 0.9999969241649238,
+    1e-5: 0.9999999499359926,
+    1e-6: 0.9999999992565904,
+    1e-7: 0.9999999999896363,
+    1e-8: 0.9999999999998621,
+    1e-9: 0.9999999999999982,
+    1e-10: 1.0,
+    1e-11: 1.0,
+    1e-12: 1.0,
+}
 
 
 def test_smooth_case_fields():
@@ -47,6 +67,28 @@ def test_layer_exact_max_dominates_grid():
     assert vals.max() <= case.exact_max + 1e-15
     assert vals.max() > case.exact_max - 1e-4
     assert case.exact_max < 1.0
+
+
+@pytest.mark.parametrize("eps", BRENT_LAYER_MAX)
+def test_layer_max_bisection(eps):
+    # its premise: A'' <= 0 on [0, 1], sampled densely overall and in the layer
+    t = np.concatenate([np.linspace(0.0, 1.0, 100001), 1.0 - eps * np.linspace(0.0, 80.0, 8001)])
+    assert _layer_profile(t[t >= 0.0], eps)[2].max() <= 0.0
+    # at least the best A on the grid the Brent search started from, less 1 ulp
+    grid = np.clip(np.concatenate([np.linspace(0.0, 1.0, 4001),
+                                   1.0 - eps * np.linspace(0.0, 80.0, 4001)]), 0.0, 1.0)
+    best = _layer_value(grid, eps).max()
+    amax = _layer_max(eps)
+    assert amax >= best - np.spacing(best)
+    assert amax == pytest.approx(BRENT_LAYER_MAX[eps], rel=1e-14, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_layer_case_builds_at_tiny_epsilon():
+    # warnings are errors in this suite: no 0/0 or overflow on the way
+    case = case_layer(1e-200)
+    assert case.exact_max == pytest.approx(1.0, rel=1e-15)
+    assert case.exact(0.5, 0.5) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_layer_source_verified():
