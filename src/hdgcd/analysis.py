@@ -6,10 +6,10 @@ acts on a discrete pair (element field, skeleton trace); distances to an
 exact solution in that norm go through the elementwise L2 projection of the
 exact solution, see :func:`project_to_hdg`.
 
-All measures accept an optional region: a predicate ``(x, y) -> bool``
-tested at element barycenters, or None for the whole domain.  An element
-contributes when its barycenter lies inside, and its edge terms follow the
-element.
+The error measures and the scheme norm accept an optional region: a
+predicate ``(x, y) -> bool`` tested at element barycenters, or None for
+the whole domain.  An element contributes when its barycenter lies
+inside, and its edge terms follow the element.
 """
 
 from __future__ import annotations
@@ -33,13 +33,11 @@ def subsquare(side):
 class ErrorReport:
     """Scheme-norm components of a discrete pair, stored as squares.
 
-    ``err_hdg**2 == epsilon * (h1 + h2 + jump) + conv + rho0 * l2**2``
-    holds exactly by construction; the pieces are kept so callers can
-    recombine or report them separately.
+    ``err_hdg**2 == epsilon * (h1 + h2 + jump) + conv + rho0 * l2**2``,
+    with epsilon and rho0 of the problem, holds exactly by construction;
+    the pieces are kept so callers can recombine or report them separately.
     """
 
-    epsilon: float
-    rho0: float
     err_l2: float
     err_jump: float
     err_hdg: float
@@ -115,16 +113,6 @@ def _project(vals, weights, f):
     return np.linalg.solve(vals.T @ w_vals, (f @ w_vals).T).T
 
 
-def solution_difference(a, b):
-    """Discrete pair a - b on a shared dof map."""
-    if a.dofmap is not b.dofmap and (a.dofmap.degree != b.dofmap.degree
-                                     or a.dofmap.skeleton_mode != b.dofmap.skeleton_mode
-                                     or a.mesh is not b.mesh):
-        raise ValueError("solutions live on different discrete spaces")
-    return HdgSolution(mesh=a.mesh, dofmap=a.dofmap, u=a.u - b.u,
-                       uhat=a.uhat - b.uhat, info={"method": "difference"})
-
-
 def _trace_gap(ctx, tr, uhat_edges, u):
     """uhat - u at the points of trace tables ``tr`` (nt, 3nqe);
     ``uhat_edges`` are the traces per mesh edge."""
@@ -166,10 +154,8 @@ def hdg_norm(pair, problem, eta, region=None):
     h1 = float(h1_sq_elem[mask].sum())
     h2 = float(h2_sq_elem[mask].sum())
     l2 = float(l2_sq_elem[mask].sum())
-    eps = problem.epsilon
-    rho0 = problem.rho0
-    hdg_sq = eps * (h1 + h2 + jump_sq) + conv_sq + rho0 * l2
-    return ErrorReport(epsilon=eps, rho0=rho0, err_l2=float(np.sqrt(l2)),
+    hdg_sq = problem.epsilon * (h1 + h2 + jump_sq) + conv_sq + problem.rho0 * l2
+    return ErrorReport(err_l2=float(np.sqrt(l2)),
                        err_jump=float(np.sqrt(jump_sq)), err_hdg=float(np.sqrt(hdg_sq)),
                        seminorm_h1_sq=h1, seminorm_h2_sq=h2,
                        jump_sq=jump_sq, conv_sq=conv_sq)
@@ -178,7 +164,8 @@ def hdg_norm(pair, problem, eta, region=None):
 def error_hdg(solution, exact, problem, eta, region=None):
     """Scheme-norm distance to the projected exact solution."""
     proj = project_to_hdg(exact, solution.dofmap)
-    diff = solution_difference(proj, solution)
+    diff = HdgSolution(mesh=solution.mesh, dofmap=solution.dofmap, u=proj.u - solution.u,
+                       uhat=proj.uhat - solution.uhat)
     return hdg_norm(diff, problem, eta, region=region)
 
 
@@ -215,12 +202,19 @@ def conservation_residual(solution, problem):
 def convergence_table(errors, hs):
     """Observed orders log(e_i / e_{i+1}) / log(h_i / h_{i+1}).
 
-    Entries where either error vanishes are reported as None.
+    Entries where either error vanishes are reported as None.  Raises
+    ValueError naming the index of a mesh size that is not positive and
+    finite, or that equals its successor.
     """
     errors = [float(e) for e in errors]
     hs = [float(h) for h in hs]
     if len(errors) != len(hs):
         raise ValueError("errors and mesh sizes must have equal length")
+    for i, h in enumerate(hs):
+        if not 0.0 < h < np.inf:
+            raise ValueError(f"mesh size {i} must be positive and finite, got {h!r}")
+        if i and h == hs[i - 1]:
+            raise ValueError(f"mesh sizes {i - 1} and {i} are equal ({h!r}); no rate between them")
     rates = []
     for i in range(len(errors) - 1):
         if errors[i] <= 0.0 or errors[i + 1] <= 0.0:
@@ -230,16 +224,12 @@ def convergence_table(errors, hs):
     return rates
 
 
-def overshoot_metric(solution, exact_max, region=None):
+def overshoot_metric(solution, exact_max):
     """Worst exceedance of the discrete field over the exact maximum.
 
-    Samples element vertices plus the volume quadrature points; a
-    non-positive value means no overshoot at the sampling set.
+    Samples element vertices plus the volume quadrature points of the
+    whole mesh; a non-positive value means no overshoot at the sampling set.
     """
-    mesh = solution.mesh
-    ctx = get_context(mesh, solution.degree, ERROR_QUAD_ORDER)
+    ctx = get_context(solution.mesh, solution.degree, ERROR_QUAD_ORDER)
     uh = solution.u @ np.vstack([ctx.N_vert, ctx.N]).T   # (nt, 3 + nq)
-    mask = _region_mask(region, mesh)
-    if not mask.any():
-        raise ValueError("measurement region contains no elements")
-    return float(uh[mask].max() - exact_max)
+    return float(uh.max() - exact_max)

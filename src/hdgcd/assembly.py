@@ -83,10 +83,11 @@ class ProblemSpec:
                 f"diffusion coefficient must be positive and finite, got {self.epsilon!r}")
         if not 0.0 <= self.rho0 < np.inf:
             raise ValueError(f"rho0 must be non-negative and finite, got {self.rho0!r}")
-        if not callable(self.b):
-            raise ValueError("velocity b must be callable")
-        if not callable(self.f):
-            raise ValueError("source f must be callable")
+        for name, what in (("b", "velocity b"), ("f", "source f"), ("c", "reaction c"),
+                           ("g_N", "Neumann data g_N"), ("div_b", "divergence div_b")):
+            value, optional = getattr(self, name), name not in ("b", "f")
+            if not (callable(value) or optional and value is None):
+                raise ValueError(f"{what} must be callable" + " or None" * optional)
 
 
 @dataclass(frozen=True)
@@ -167,9 +168,9 @@ class ElementSystems:
     Blocks are (nt, nd, nd) ``A_uu``, (nt, nd, ntr) ``A_ut``, (nt, ntr, nd)
     ``A_tu``, (nt, ntr, ntr) ``A_tt`` and the loads ``b_u`` (nt, nd) and
     ``b_t`` (nt, ntr).  Trace columns are grouped by local edge slot,
-    ``ndof_edge`` entries per slot in canonical edge orientation;
-    ``trace_gids`` holds the matching global active-trace indices, -1 for
-    constrained slots.  ``systems[t]`` gives element t's blocks as views.
+    ``ndof_edge`` entries per slot in canonical edge orientation, as in
+    :meth:`hdgcd.fespace.DofMap.element_trace_dofs`.  ``systems[t]`` gives
+    element t's blocks as views.
     """
 
     A_uu: np.ndarray
@@ -178,15 +179,13 @@ class ElementSystems:
     A_tt: np.ndarray
     b_u: np.ndarray
     b_t: np.ndarray
-    trace_gids: np.ndarray
 
     @classmethod
     def zeros(cls, n_elements, ndof_elem, ndof_trace):
         nt, nd, ntr = n_elements, ndof_elem, ndof_trace
         return cls(A_uu=np.zeros((nt, nd, nd)), A_ut=np.zeros((nt, nd, ntr)),
                    A_tu=np.zeros((nt, ntr, nd)), A_tt=np.zeros((nt, ntr, ntr)),
-                   b_u=np.zeros((nt, nd)), b_t=np.zeros((nt, ntr)),
-                   trace_gids=np.full((nt, ntr), -1, dtype=np.int64))
+                   b_u=np.zeros((nt, nd)), b_t=np.zeros((nt, ntr)))
 
     def __getitem__(self, element):
         return ElementSystems(**{name: arr[element] for name, arr in vars(self).items()})
@@ -420,15 +419,19 @@ def neumann_data(problem, mesh, ctx):
     return g
 
 
-def local_diffusion(mesh, element, basis, edge_basis, epsilon, eta, quad_order=None):
+def local_diffusion(mesh, element, basis, edge_basis, epsilon, eta):
     """Diffusive local blocks of one element (stiffness, flux, penalty): its
-    slice of the ``("diffusion",)`` assembly with degree ``basis.degree``."""
+    slice of the ``("diffusion",)`` assembly with degree ``basis.degree``,
+    which ``edge_basis`` must share."""
     if not 0 <= element < mesh.n_elements:
         raise ValueError(f"element index {element} out of range")
+    if edge_basis.degree != basis.degree:
+        raise ValueError(f"edge basis degree {edge_basis.degree} does not match "
+                         f"element basis degree {basis.degree}")
     # the diffusive part never evaluates b or f
     problem = ProblemSpec(epsilon=epsilon, b=lambda x, y: (0 * x, 0 * y), f=lambda x, y: 0 * x)
     return assemble_local_systems(mesh, build_dofmap(mesh, basis.degree), problem, eta=eta,
-                                  quad_order=quad_order, parts=("diffusion",))[element]
+                                  parts=("diffusion",))[element]
 
 
 def assemble_local_systems(mesh, dofmap, problem, eta=None, quad_order=None,
@@ -458,7 +461,6 @@ def assemble_local_systems(mesh, dofmap, problem, eta=None, quad_order=None,
         out.b_u += load(ctx, mesh, problem)[0]
     if "diffusion" in parts or "convection" in parts:
         _edge_terms(ctx, mesh, out, problem, eta, parts)
-    out.trace_gids[:] = dofmap.element_trace_dofs()
     return out
 
 
@@ -471,7 +473,8 @@ def assemble_monolithic(mesh, dofmap, problem, eta=None, quad_order=None,
     """
     systems = assemble_local_systems(mesh, dofmap, problem, eta=eta,
                                      quad_order=quad_order, parts=parts)
-    traces = np.where(systems.trace_gids >= 0, dofmap.n_interior + systems.trace_gids, -1)
+    trace_gids = dofmap.element_trace_dofs()
+    traces = np.where(trace_gids >= 0, dofmap.n_interior + trace_gids, -1)
     gids = np.concatenate([dofmap.element_dofs(), traces], axis=1)
     loads = np.concatenate([systems.b_u, systems.b_t], axis=1)
     return scatter_systems(systems.full_matrix(), loads, gids, dofmap.n_total)

@@ -33,7 +33,10 @@ from hdgcd.solver import ElementSolvabilityError, SingularSystemError, solve_hdg
 from hdgcd.supg import solve_supg
 
 REDUCED_EPSILONS = (1.0, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+# field dumps: a GRID_RESOLUTION^2 grid of the element field, and the
+# trace at TRACE_SAMPLES (edge parameters) on every skeleton edge
 GRID_RESOLUTION = 101
+TRACE_SAMPLES = (0.0, 0.5, 1.0)
 _DEFAULTS = {"problem": "smooth", "method": "hdg", "degree": 1, "epsilon": 1.0,
              "skeleton": "dg"}
 
@@ -142,16 +145,16 @@ def _write_samples(path, template, vals):
     _write_text(path, template % tuple(vals.tolist()))
 
 
-def _grid_points(resolution):
-    xs = np.linspace(0.0, 1.0, resolution)
+def _grid_points():
+    xs = np.linspace(0.0, 1.0, GRID_RESOLUTION)
     xg, yg = np.meshgrid(xs, xs, indexing="xy")
     return np.column_stack([xg.ravel(), yg.ravel()])
 
 
-@functools.lru_cache(maxsize=4)
-def _grid_template(resolution):
-    """The sample template of the regular grid, formatted once per resolution."""
-    return _sample_template(_grid_points(resolution))
+@functools.cache
+def _grid_template():
+    """The sample template of the regular grid, formatted once."""
+    return _sample_template(_grid_points())
 
 
 def _locate_points(mesh, pts):
@@ -175,19 +178,17 @@ def _locate_points(mesh, pts):
     return elems, ref
 
 
-def dump_field_grid(solution, path, resolution=GRID_RESOLUTION):
-    """Sample the element field on a regular grid, written as 'x y value'."""
-    pts = _grid_points(resolution)
-    elems, ref = _locate_points(solution.mesh, pts)
+def dump_field_grid(solution, path):
+    """Sample the element field on the regular grid, written as 'x y value'."""
+    elems, ref = _locate_points(solution.mesh, _grid_points())
     basis = get_element_basis(solution.degree)
-    _write_samples(path, _grid_template(resolution),
-                   (solution.u[elems] * basis.values(ref)).sum(axis=1))
+    _write_samples(path, _grid_template(), (solution.u[elems] * basis.values(ref)).sum(axis=1))
 
 
-def dump_trace(solution, path, samples=(0.0, 0.5, 1.0)):
+def dump_trace(solution, path):
     """Sample the skeleton trace per edge, written as 'x y value'."""
     skel = solution.dofmap.skeleton_edges
-    ts = np.asarray(samples)
+    ts = np.asarray(TRACE_SAMPLES)
     pts = solution.mesh.edge_points(ts, skel).reshape(-1, 2)
     vals = solution.edge_traces()[skel] @ get_edge_basis(solution.degree).values(ts).T
     _write_samples(path, _sample_template(pts), vals.ravel())
@@ -391,13 +392,11 @@ def _parse_config_file(path):
 
 
 def _parse_mesh_sizes(text):
+    """Comma-separated integers; an empty item (",,10", "") is an error."""
     try:
-        sizes = tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"could not parse mesh sizes from {text!r}") from None
-    if not sizes:
-        raise ValueError("empty mesh size list")
-    return sizes
 
 
 # config-file key and long flag -> (RunConfig field, parser, help); flags

@@ -54,51 +54,37 @@ class ElementBasis:
         self.nodes = _lattice(self.degree)
         self.dim = self.nodes.shape[0]
         self._expo = np.array(_exponents(self.degree))
-        vand = self._monomials(self.nodes)
+        vand = self._monomials(self.nodes, 0, 0)
         self._coeff = np.linalg.inv(vand)  # columns: monomial coefficients per basis fn
 
-    def _monomials(self, pts):
-        x = pts[:, 0][:, None]
-        y = pts[:, 1][:, None]
-        a = self._expo[:, 0][None, :]
-        b = self._expo[:, 1][None, :]
-        return x ** a * y ** b
-
-    def _monomials_d(self, pts, dx, dy):
-        # Derivative of x^a y^b of order (dx, dy) with falling factorials.
-        x = pts[:, 0][:, None]
-        y = pts[:, 1][:, None]
-        a = self._expo[:, 0][None, :]
-        b = self._expo[:, 1][None, :]
-        fa = np.ones_like(a, dtype=float)
+    def _monomials(self, pts, dx, dy):
+        # Derivative of order (dx, dy) of every x^a y^b: the integer falling
+        # factorials a (a-1) ... (a-dx+1) b ... (b-dy+1), zero once dx > a or
+        # dy > b, times x^(a-dx) y^(b-dy).
+        a, b = self._expo.T[:, None]
+        coef = 1
         for r in range(dx):
-            fa = fa * np.maximum(a - r, 0)
-        fb = np.ones_like(b, dtype=float)
+            coef = coef * (a - r)
         for r in range(dy):
-            fb = fb * np.maximum(b - r, 0)
-        ax = np.maximum(a - dx, 0)
-        by = np.maximum(b - dy, 0)
-        return fa * fb * x ** ax * y ** by
+            coef = coef * (b - r)
+        return coef * pts[:, :1] ** np.maximum(a - dx, 0) * pts[:, 1:] ** np.maximum(b - dy, 0)
+
+    def _table(self, pts, dx=0, dy=0):
+        """Derivative (dx, dy) of every basis function at reference points, (npts, dim)."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return self._monomials(pts, dx, dy) @ self._coeff
 
     def values(self, pts):
         """Basis values at reference points, shape (npts, dim)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self._monomials(pts) @ self._coeff
+        return self._table(pts)
 
     def gradients(self, pts):
         """Reference gradients, shape (npts, dim, 2)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        gx = self._monomials_d(pts, 1, 0) @ self._coeff
-        gy = self._monomials_d(pts, 0, 1) @ self._coeff
-        return np.stack([gx, gy], axis=-1)
+        return np.stack([self._table(pts, 1, 0), self._table(pts, 0, 1)], axis=-1)
 
     def second_derivatives(self, pts):
         """Reference second derivatives (xx, xy, yy), shape (npts, dim, 3)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        dxx = self._monomials_d(pts, 2, 0) @ self._coeff
-        dxy = self._monomials_d(pts, 1, 1) @ self._coeff
-        dyy = self._monomials_d(pts, 0, 2) @ self._coeff
-        return np.stack([dxx, dxy, dyy], axis=-1)
+        return np.stack([self._table(pts, *d) for d in ((2, 0), (1, 1), (0, 2))], axis=-1)
 
 
 class EdgeBasis:
@@ -206,7 +192,6 @@ class DofMap:
         skel = self.skeleton_edges
         dirichlet = mesh.edge_tags == int(BoundaryTag.DIRICHLET)
         if skeleton_mode == "dg":
-            self.n_trace_total = skel.size * self.ndof_edge
             free = skel[~dirichlet[skel]]
             self.n_trace_active = free.size * self.ndof_edge
             edge_dofs[free] = np.arange(self.n_trace_active).reshape(-1, self.ndof_edge)
@@ -215,7 +200,6 @@ class DofMap:
             free = np.setdiff1d(skel_verts, mesh.edges[dirichlet])
             vertex_dofs = np.full(mesh.n_vertices, -1, dtype=np.int64)
             vertex_dofs[free] = np.arange(free.size)
-            self.n_trace_total = int(skel_verts.size)
             self.n_trace_active = int(free.size)
             self.vertex_dofs = vertex_dofs
             edge_dofs[skel] = vertex_dofs[mesh.edges[skel]]

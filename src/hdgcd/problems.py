@@ -74,8 +74,7 @@ def case_smooth(epsilon):
         sy, cy = np.sin(np.pi * y), np.cos(np.pi * y)
         return 2.0 * eps * np.pi ** 2 * sx * sy + np.pi * (cx * sy + sx * cy)
 
-    problem = ProblemSpec(epsilon=eps, b=lambda x, y: (np.ones_like(x), np.ones_like(y)),
-                          f=f, c=None, g_N=None, boundary=None, rho0=0.0)
+    problem = ProblemSpec(epsilon=eps, b=lambda x, y: (np.ones_like(x), np.ones_like(y)), f=f)
     return ManufacturedCase(name="smooth", problem=problem, exact=exact,
                             exact_grad=exact_grad, region=None,
                             exact_max=1.0,
@@ -139,8 +138,7 @@ def case_layer(epsilon):
         return -eps * (d2ax * ay + ax * d2ay) + dax * ay + ax * day
 
     amax = _layer_max(eps)
-    problem = ProblemSpec(epsilon=eps, b=lambda x, y: (np.ones_like(x), np.ones_like(y)),
-                          f=f, c=None, g_N=None, boundary=None, rho0=0.0)
+    problem = ProblemSpec(epsilon=eps, b=lambda x, y: (np.ones_like(x), np.ones_like(y)), f=f)
     return ManufacturedCase(name="layer", problem=problem, exact=exact,
                             exact_grad=exact_grad, region=subsquare(0.9),
                             exact_max=amax * amax,
@@ -170,7 +168,7 @@ def case_reduced_limit(epsilon):
 
     problem = ProblemSpec(epsilon=eps,
                           b=lambda x, y: (np.ones_like(x), np.zeros_like(y)),
-                          f=f, c=lambda x, y: np.ones_like(x), g_N=None,
+                          f=f, c=lambda x, y: np.ones_like(x),
                           boundary=dirichlet_where(lambda x, y: x < ON_BOUNDARY_TOL),
                           rho0=1.0)
     return ManufacturedCase(name="reduced_limit", problem=problem, exact=exact,

@@ -113,7 +113,7 @@ def condense(local_systems, dofmap):
     del X   # the inverse columns would otherwise stay alive through the scatter below
     s_loc = sy.A_tt - sy.A_tu @ W[..., :-1]
     g_loc = sy.b_t - (sy.A_tu @ W[..., -1:])[..., 0]
-    s_mat, g = scatter_systems(s_loc, g_loc, sy.trace_gids, dofmap.n_trace_active)
+    s_mat, g = scatter_systems(s_loc, g_loc, dofmap.element_trace_dofs(), dofmap.n_trace_active)
     return CondensedSystem(S=s_mat, g=g, dofmap=dofmap, systems=sy, W=W)
 
 
@@ -170,7 +170,7 @@ def recover_interior(traces, system):
     dofmap = system.dofmap
     sy = system.systems
     traces = np.asarray(traces, dtype=float)
-    uhat = np.append(traces, 0.0)[sy.trace_gids]   # -1 (constrained) reads the appended 0
+    uhat = np.append(traces, 0.0)[dofmap.element_trace_dofs()]   # -1 reads the appended 0
     u = system.W[..., -1] - (system.W[..., :-1] @ uhat[..., None])[..., 0]
     rhs = sy.b_u - (sy.A_ut @ uhat[..., None])[..., 0]
     resid = np.abs((sy.A_uu @ u[..., None])[..., 0] - rhs).max(axis=1)
@@ -195,7 +195,6 @@ def _solution_info(dofmap, eta, degree, skeleton_mode, quad_order, method):
     return {
         "dofs_interior": dofmap.n_interior,
         "dofs_skeleton": dofmap.n_trace_active,
-        "dofs_trace_total": dofmap.n_trace_total,
         "dofs_total": dofmap.n_total,
         "eta": float(eta),
         "degree": degree,

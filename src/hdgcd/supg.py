@@ -67,18 +67,18 @@ class SupgSolution:
         return self.nodal[self.mesh.triangles]
 
 
-def assemble_supg(problem, mesh, quad_order=None, tau_scale=1.0):
+def assemble_supg(problem, mesh, quad_order=None):
     """Assemble the stabilized system reduced to the free vertices.
 
     The Galerkin part uses the volume kernels of the HDG element systems;
-    SUPG adds tau_K (b . grad phi_j + c phi_j - f, b . grad phi_i)_K.
-    Returns (A, rhs, free) where ``free`` lists the unconstrained vertex
-    indices; ``tau_scale = 0`` reproduces the plain Galerkin system.
+    SUPG adds tau_K (b . grad phi_j + c phi_j - f, b . grad phi_i)_K with
+    tau_K from :func:`supg_tau`.  Returns (A, rhs, free) where ``free``
+    lists the unconstrained vertex indices.
     """
     ctx = get_context(mesh, 1, quad_order)
     b = ctx.volume_values(problem.b, "b", vector=True)
     # per-element sup of |b| at the quadrature points
-    tau = tau_scale * supg_tau(mesh.h_K, np.hypot(*b).max(axis=1), problem.epsilon)
+    tau = supg_tau(mesh.h_K, np.hypot(*b).max(axis=1), problem.epsilon)
     mats = stiffness(ctx, mesh, problem.epsilon)
     conv, bgrad, w_trial = transport(ctx, mesh, b, ctx.volume_values(problem.c, "c"))
     mats += conv
@@ -95,13 +95,12 @@ def assemble_supg(problem, mesh, quad_order=None, tau_scale=1.0):
     return mat, vec, free
 
 
-def solve_supg(problem, mesh, quad_order=None, tau_scale=1.0):
+def solve_supg(problem, mesh, quad_order=None):
     """Solve the stabilized P1 system; Dirichlet vertices are fixed to zero."""
     check_problem(problem, mesh).require_ok()
-    mat, rhs, free = assemble_supg(problem, mesh, quad_order=quad_order, tau_scale=tau_scale)
+    mat, rhs, free = assemble_supg(problem, mesh, quad_order=quad_order)
     nodal = np.zeros(mesh.n_vertices)
     if free.size:
         nodal[free] = sparse_solve(mat, rhs, "stabilized")
     return SupgSolution(mesh=mesh, nodal=nodal,
-                        info={"dofs_total": int(free.size), "method": "supg",
-                              "tau_scale": float(tau_scale)})
+                        info={"dofs_total": int(free.size), "method": "supg"})

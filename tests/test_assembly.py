@@ -51,8 +51,10 @@ def test_problem_spec_validation():
         make_problem(epsilon=0.0)
     with pytest.raises(ValueError):
         make_problem(epsilon=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^velocity b must be callable$"):
         ProblemSpec(epsilon=1.0, b=None, f=lambda x, y: x)
+    with pytest.raises(ValueError, match="^source f must be callable$"):
+        ProblemSpec(epsilon=1.0, b=constant_velocity(1.0, 0.0), f=0.0)
     with pytest.raises(ValueError):
         make_problem(rho0=-0.5)
     # a non-finite coefficient fails here, naming its field, not in the solve
@@ -60,6 +62,15 @@ def test_problem_spec_validation():
         make_problem(epsilon=np.inf)
     with pytest.raises(ValueError, match="^rho0 must be non-negative and finite"):
         make_problem(rho0=np.nan)
+
+
+@pytest.mark.parametrize("name", ["c", "g_N", "div_b"])
+def test_constant_coefficient_is_named(name):
+    # a constant where a function belongs used to fail deep in the solve
+    # with "'float' object is not callable"
+    fields = {"epsilon": 1.0, "b": constant_velocity(1.0, 0.0), "f": lambda x, y: x, name: 1.0}
+    with pytest.raises(ValueError, match=f" {name} must be callable or None$"):
+        ProblemSpec(**fields)
 
 
 def test_check_problem_rho_and_inflow():
@@ -138,6 +149,12 @@ def test_convective_form_jump_identity():
             assert v @ A @ v == pytest.approx(0.5 * rep.conv_sq, rel=1e-12)
 
 
+def test_local_diffusion_rejects_mismatched_edge_basis():
+    mesh = build_uniform_triangulation(2)
+    with pytest.raises(ValueError, match="^edge basis degree 3 does not match element basis degree 1"):
+        local_diffusion(mesh, 0, get_element_basis(1), get_edge_basis(3), epsilon=1.0, eta=10.0)
+
+
 def test_local_blocks_shapes():
     mesh = build_uniform_triangulation(2)
     basis, eb = get_element_basis(2), get_edge_basis(2)
@@ -204,11 +221,11 @@ def test_monolithic_matches_local_blocks():
     vec = np.zeros(dm.n_total)
     blocks = assemble_local_systems(mesh, dm, prob)
     ni = dm.n_interior
-    elem_dofs = dm.element_dofs()
+    elem_dofs, trace_dofs = dm.element_dofs(), dm.element_trace_dofs()
     for t in range(mesh.n_elements):
         blk = blocks[t]
         rows_u = elem_dofs[t]
-        gids = blk.trace_gids
+        gids = trace_dofs[t]
         act = gids >= 0
         rows_t = ni + gids[act]
         dense[np.ix_(rows_u, rows_u)] += blk.A_uu

@@ -170,14 +170,14 @@ def test_dump_field_grid_matches_solution(tmp_path):
     mesh = build_uniform_triangulation(4, case.problem.boundary)
     sol = solve_hdg(case.problem, mesh, degree=1)
     path = tmp_path / "field.dat"
-    dump_field_grid(sol, path, resolution=21)
+    dump_field_grid(sol, path)
     data = np.loadtxt(path)
-    assert data.shape == (441, 3)
+    assert data.shape == (101 * 101, 3)
     # compare a handful of rows against direct evaluation; on element
     # boundaries the broken field is multivalued, so accept any candidate
     from hdgcd.fespace import get_element_basis
     basis = get_element_basis(1)
-    for i in (0, 57, 200, 440):
+    for i in (0, 57, 200, 5100, 10200):
         x, y, v = data[i]
         candidates = []
         for t in range(mesh.n_elements):
@@ -190,7 +190,7 @@ def test_dump_field_grid_matches_solution(tmp_path):
     # sample points are located on the uniform grid only
     generic = solve_hdg(case.problem, Mesh(mesh.vertices, mesh.triangles), degree=1)
     with pytest.raises(ValueError, match="build_uniform_triangulation"):
-        dump_field_grid(generic, tmp_path / "generic.dat", resolution=21)
+        dump_field_grid(generic, tmp_path / "generic.dat")
 
 
 def _samples_text(pts, vals):
@@ -198,8 +198,9 @@ def _samples_text(pts, vals):
 
 
 def test_dumps_write_the_formatted_samples(tmp_path):
-    # The dump text is exactly 'x y value' in %.12e, also for a cached grid
-    # and for non-finite, negative-zero and subnormal values.
+    # The dump text is exactly 'x y value' in %.12e on the 101 x 101 grid and
+    # at three samples per edge, also for non-finite, negative-zero and
+    # subnormal values; the grid's template is formatted once.
     from hdgcd.fespace import get_edge_basis, get_element_basis
     case = case_smooth(1.0)
     mesh = build_uniform_triangulation(4, case.problem.boundary)
@@ -208,22 +209,21 @@ def test_dumps_write_the_formatted_samples(tmp_path):
     odd.u[0], odd.u[5], odd.u[9] = np.nan, -0.0, 1e-310
     odd.uhat[:3] = np.nan, -0.0, 5e-324
     hdgcd.cli._grid_template.cache_clear()
+    xs = np.linspace(0.0, 1.0, 101)
+    pts = np.column_stack([np.tile(xs, 101), np.repeat(xs, 101)])
+    elems, ref = hdgcd.cli._locate_points(mesh, pts)
+    path = tmp_path / "grid.dat"
     for sol in (smooth, odd):
-        for resolution in (21, 11, 21):
-            xs = np.linspace(0.0, 1.0, resolution)
-            pts = np.column_stack([np.tile(xs, resolution), np.repeat(xs, resolution)])
-            elems, ref = hdgcd.cli._locate_points(mesh, pts)
-            vals = (sol.u[elems] * get_element_basis(2).values(ref)).sum(axis=1)
-            path = tmp_path / f"grid{resolution}.dat"
-            dump_field_grid(sol, path, resolution=resolution)
-            assert path.read_text() == _samples_text(pts, vals)
+        vals = (sol.u[elems] * get_element_basis(2).values(ref)).sum(axis=1)
+        dump_field_grid(sol, path)
+        assert path.read_text() == _samples_text(pts, vals)
         ts = np.array([0.0, 0.5, 1.0])
         skel = sol.dofmap.skeleton_edges
         vals = sol.edge_traces()[skel] @ get_edge_basis(2).values(ts).T
         dump_trace(sol, tmp_path / "trace.dat")
         assert (tmp_path / "trace.dat").read_text() == _samples_text(
             mesh.edge_points(ts, skel).reshape(-1, 2), vals.ravel())
-    assert hdgcd.cli._grid_template.cache_info().hits == 4
+    assert hdgcd.cli._grid_template.cache_info()[:2] == (1, 1)   # (hits, misses)
     assert " nan\n" in path.read_text() and "e-310\n" in path.read_text()
     assert " nan\n" in (tmp_path / "trace.dat").read_text()
     # no sum of products gives -0.0, so the writer sees it directly
@@ -281,7 +281,8 @@ def test_main_config_file_and_flag_override(tmp_path, capsys):
     ("--epsilon", "inf", "epsilon must be positive and finite, got inf"),
     ("--study", "foo", "unknown study 'foo'; available: convergence, "),
     ("--degree", "11", "degree must be an integer from 1 to 10, got 11"),
-], ids=["eta", "epsilon", "study", "degree"])
+    ("--n", ",,10", "bad value for n: could not parse mesh sizes from ',,10'"),
+], ids=["eta", "epsilon", "study", "degree", "n"])
 def test_main_rejects_bad_flag_value(flag, value, message, capsys):
     assert main(["--n", "2,4", flag, value]) == 1
     captured = capsys.readouterr()

@@ -21,10 +21,11 @@ from hdgcd.solver import solve_hdg, solve_monolithic
 SEED = 20240214
 
 
-def jittered_mesh(n, boundary, seed=SEED):
-    """n-by-n square grid, interior vertices moved by up to 0.2 h, then
-    vertices and elements renumbered and each start vertex rotated."""
-    rng = np.random.default_rng(seed)
+def relabelled_mesh(n, boundary, jitter, permute, rotate):
+    """n-by-n square grid with its k interior vertices moved by the
+    (radii, angles) of ``jitter(k)``, then vertices and elements renumbered
+    by the permutations ``permute(size)`` and the start vertex of each of
+    the nt triangles rotated by ``rotate(nt)`` (values in 0..2)."""
     xs = np.linspace(0.0, 1.0, n + 1)
     xg, yg = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([xg.ravel(), yg.ravel()])
@@ -34,17 +35,25 @@ def jittered_mesh(n, boundary, seed=SEED):
     triangles = np.concatenate([np.column_stack([p00, p10, p11]),
                                 np.column_stack([p00, p11, p01])])
     inner = ((vertices > 0.0) & (vertices < 1.0)).all(axis=1)
-    r = 0.2 / n * np.sqrt(rng.random(inner.sum()))
-    theta = 2.0 * np.pi * rng.random(inner.sum())
+    r, theta = jitter(int(inner.sum()))
     vertices[inner] += np.column_stack([r * np.cos(theta), r * np.sin(theta)])
 
-    new_id = rng.permutation(vertices.shape[0])
+    new_id = permute(vertices.shape[0])
     renumbered = np.empty_like(vertices)
     renumbered[new_id] = vertices
-    triangles = new_id[triangles][rng.permutation(triangles.shape[0])]
-    shift = rng.integers(0, 3, triangles.shape[0])
+    triangles = new_id[triangles][permute(triangles.shape[0])]
+    shift = rotate(triangles.shape[0])
     triangles = np.take_along_axis(triangles, (np.arange(3) + shift[:, None]) % 3, axis=1)
     return Mesh(renumbered, triangles, boundary=boundary)
+
+
+def jittered_mesh(n, boundary, seed=SEED):
+    """:func:`relabelled_mesh` with interior vertices moved by up to 0.2 h,
+    uniformly over the disc, and seeded random numbering and rotation."""
+    rng = np.random.default_rng(seed)
+    return relabelled_mesh(
+        n, boundary, lambda k: (0.2 / n * np.sqrt(rng.random(k)), 2.0 * np.pi * rng.random(k)),
+        rng.permutation, lambda nt: rng.integers(0, 3, nt))
 
 
 def bilinear_problem():
