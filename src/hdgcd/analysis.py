@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hdgcd.assembly import default_eta, eval_field, flux_weights, get_context, neumann_data
+from hdgcd.assembly import eval_field, flux_weights, get_context, neumann_data
 from hdgcd.solver import HdgSolution
 
 ERROR_QUAD_ORDER = 12
@@ -35,11 +35,10 @@ class ErrorReport:
 
     ``err_hdg**2 == epsilon * (h1 + h2 + jump) + conv + rho0 * l2**2``,
     with epsilon and rho0 of the problem, holds exactly by construction;
-    the pieces are kept so callers can recombine or report them separately.
+    the pieces are kept, as squares, for callers to recombine or take roots of.
     """
 
     err_l2: float
-    err_jump: float
     err_hdg: float
     seminorm_h1_sq: float
     seminorm_h2_sq: float
@@ -102,8 +101,7 @@ def project_to_hdg(exact, dofmap):
         active = np.nonzero(dofmap.vertex_dofs >= 0)[0]
         vx = mesh.vertices[active]
         uhat[dofmap.vertex_dofs[active]] = eval_field(exact, vx[:, 0], vx[:, 1], "exact")
-    return HdgSolution(mesh=mesh, dofmap=dofmap, u=u, uhat=uhat,
-                       info={"method": "projection"})
+    return HdgSolution(dofmap=dofmap, u=u, uhat=uhat, info={"method": "projection"})
 
 
 def _project(vals, weights, f):
@@ -155,8 +153,7 @@ def hdg_norm(pair, problem, eta, region=None):
     h2 = float(h2_sq_elem[mask].sum())
     l2 = float(l2_sq_elem[mask].sum())
     hdg_sq = problem.epsilon * (h1 + h2 + jump_sq) + conv_sq + problem.rho0 * l2
-    return ErrorReport(err_l2=float(np.sqrt(l2)),
-                       err_jump=float(np.sqrt(jump_sq)), err_hdg=float(np.sqrt(hdg_sq)),
+    return ErrorReport(err_l2=float(np.sqrt(l2)), err_hdg=float(np.sqrt(hdg_sq)),
                        seminorm_h1_sq=h1, seminorm_h2_sq=h2,
                        jump_sq=jump_sq, conv_sq=conv_sq)
 
@@ -164,7 +161,7 @@ def hdg_norm(pair, problem, eta, region=None):
 def error_hdg(solution, exact, problem, eta, region=None):
     """Scheme-norm distance to the projected exact solution."""
     proj = project_to_hdg(exact, solution.dofmap)
-    diff = HdgSolution(mesh=solution.mesh, dofmap=solution.dofmap, u=proj.u - solution.u,
+    diff = HdgSolution(dofmap=solution.dofmap, u=proj.u - solution.u,
                        uhat=proj.uhat - solution.uhat)
     return hdg_norm(diff, problem, eta, region=region)
 
@@ -177,11 +174,14 @@ def conservation_residual(solution, problem):
     Neumann data.  The numerical normal flux is the assembly's
     eps dn(u) + w_u (uhat - u), with the gap weight
     w_u = eps eta / h_e + [b.n]- of :func:`hdgcd.assembly.flux_weights`, the
-    penalty and quadrature order the solve recorded in its info.
+    penalty and quadrature order the solve recorded in its info.  A
+    ValueError names ``eta`` or ``quad_order`` when the info lacks it.
     """
-    mesh = solution.mesh
-    eta = solution.info.get("eta", default_eta(solution.degree))
-    ctx = get_context(mesh, solution.degree, solution.info.get("quad_order"))
+    mesh, info = solution.mesh, solution.info
+    for key in ("eta", "quad_order"):
+        if key not in info:
+            raise ValueError(f"conservation_residual needs the solve's {key!r} in solution.info")
+    ctx = get_context(mesh, solution.degree, info["quad_order"])
 
     bgrad = ctx.streamline(mesh, ctx.volume_values(problem.b, "b", vector=True))
     conv = np.einsum("tqi,ti->tq", bgrad, solution.u)
@@ -192,7 +192,7 @@ def conservation_residual(solution, problem):
     tr = ctx.traces(mesh)
     diff = _trace_gap(ctx, tr, solution.edge_traces(), solution.u)
     dn = np.einsum("tpi,ti->tp", tr.normal_derivs, solution.u)
-    w_u = flux_weights(ctx, tr, problem, eta)[1]
+    w_u = flux_weights(ctx, tr, problem, info["eta"])[1]
     flux = problem.epsilon * dn + w_u * diff
     g_e = neumann_data(problem, mesh, ctx)
     flux = np.where(tr.neumann, 0.0 if g_e is None else tr.gather(g_e), flux)

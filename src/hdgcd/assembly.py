@@ -131,12 +131,13 @@ def eval_field(func, x, y, name, vector=False):
 
 
 def check_problem(problem, mesh):
-    """Verify reaction positivity and inflow/Dirichlet compatibility.
+    """Verify reaction positivity, uniqueness and inflow/Dirichlet compatibility.
 
     rho = c - div(b)/2 must stay above ``problem.rho0`` (up to ``RHO_TOL``)
     at the points of the degree-1 context with quadrature order
-    ``CHECK_QUAD_ORDER``, and the velocity must not enter the domain
-    through a non-Dirichlet boundary edge.
+    ``CHECK_QUAD_ORDER``, and above ``RHO_TOL`` at one of them when no edge
+    is Dirichlet (else constants solve the homogeneous problem); the
+    velocity must not enter the domain through a non-Dirichlet boundary edge.
     """
     ctx = get_context(mesh, 1, CHECK_QUAD_ORDER)
     ctx.volume_values(problem.b, "b", vector=True)   # named error before the inflow check uses b
@@ -152,6 +153,9 @@ def check_problem(problem, mesh):
     if min_rho < problem.rho0 - RHO_TOL:
         messages.append(
             f"rho = c - div(b)/2 drops to {min_rho:.3e}, below the declared bound {problem.rho0:.3e}")
+    if not (mesh.edge_tags == int(BoundaryTag.DIRICHLET)).any() and rho.max() <= RHO_TOL:
+        messages.append("no boundary edge is Dirichlet and rho = c - div(b)/2 vanishes "
+                        "everywhere, so the solution is unique only up to a constant")
     violations = verify_inflow_in_dirichlet(mesh, problem.b)
     if violations:
         e, (px, py) = violations[0]

@@ -66,14 +66,19 @@ class RunConfig:
         if self.study not in STUDIES:
             raise ValueError(f"unknown study {self.study!r}; available: {', '.join(STUDIES)}")
         study = STUDIES[self.study]
-        for name, fixed in study.fixes.items():
-            given = getattr(self, name)
-            if given is not None and given != fixed:
-                raise ValueError(f"--{name} {given} does not apply to the {self.study} study, "
-                                 f"which fixes it to {fixed}")
         defaults = dict(_DEFAULTS, mesh_sizes=study.mesh_sizes, **study.fixes)
         config = replace(self, **{name: value for name, value in defaults.items()
                                   if getattr(self, name) is None})
+        fixed_by = [(f"the {self.study} study", study.fixes)]
+        if config.method == "supg":   # the P1 baseline has no penalty and no trace space
+            fixed_by.append(("--method supg",
+                             {"degree": 1, "eta": default_eta(1), "skeleton": "dg"}))
+        for label, fixes in fixed_by:
+            for name, fixed in fixes.items():
+                given = getattr(self, name)
+                if given is not None and given != fixed:
+                    raise ValueError(f"--{name} {given} does not apply to {label}, "
+                                     f"which fixes it to {fixed}")
         if config.problem not in CASE_NAMES:
             raise ValueError(f"unknown problem {config.problem!r}; "
                              f"available: {', '.join(CASE_NAMES)}")
@@ -82,12 +87,6 @@ class RunConfig:
         if not isinstance(config.degree, int) or not 1 <= config.degree <= MAX_DEGREE:
             raise ValueError(f"degree must be an integer from 1 to {MAX_DEGREE}, "
                              f"got {config.degree!r}")
-        if config.method == "supg":   # the P1 baseline has no penalty and no trace space
-            for name, fixed in (("degree", 1), ("eta", default_eta(1)), ("skeleton", "dg")):
-                given = getattr(self, name)
-                if given is not None and given != fixed:
-                    raise ValueError(f"--{name} {given} does not apply to --method supg, "
-                                     f"which fixes it to {fixed}")
         if config.skeleton not in ("dg", "cg"):
             raise ValueError(f"unknown skeleton mode {config.skeleton!r}")
         if config.skeleton == "cg" and config.degree != 1:
@@ -246,7 +245,7 @@ def _reduced_limit_row(config, case, mesh, mode):
     sol = _solve_hdg(config, case, mesh, mode)
     err_l2 = error_l2(sol, case.exact)
     rep = error_hdg(sol, case.exact, case.problem, config.eta)
-    return {"err_l2": err_l2, "err_jump": rep.err_jump,
+    return {"err_l2": err_l2, "err_jump": float(np.sqrt(rep.jump_sq)),
             "err_conv": float(np.sqrt(rep.conv_sq)), "err_hdg": rep.err_hdg}, ()
 
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from hdgcd.mesh import BoundaryTag, extract_skeleton
+from hdgcd.mesh import BoundaryTag
 
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 MAX_DEGREE = 10
@@ -113,11 +113,11 @@ class EdgeBasis:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Positive-weight quadrature rule with a guaranteed exactness degree."""
+    """Positive-weight quadrature rule on a reference cell; :func:`quad_triangle`
+    and :func:`quad_edge` build it exact up to the order they are given."""
 
     points: np.ndarray
     weights: np.ndarray
-    exactness: int
 
 
 def _gauss01(npts):
@@ -145,7 +145,7 @@ def quad_triangle(order):
     pts = np.column_stack([x, y])
     pts.flags.writeable = False
     w.flags.writeable = False
-    return QuadratureRule(points=pts, weights=w, exactness=order)
+    return QuadratureRule(points=pts, weights=w)
 
 
 @lru_cache(maxsize=None)
@@ -155,15 +155,16 @@ def quad_edge(order):
     t, w = _gauss01(order // 2 + 1)
     t.flags.writeable = False
     w.flags.writeable = False
-    return QuadratureRule(points=t, weights=w, exactness=order)
+    return QuadratureRule(points=t, weights=w)
 
 
 class DofMap:
     """Global indexing of interior and skeleton unknowns.
 
     Interior dofs come first, element by element; active trace dofs
-    follow.  Trace dofs on Dirichlet edges are fixed to zero and removed
-    from the global index space (marked -1), not penalized.
+    follow.  Traces live on ``skeleton_edges``, the interior and Dirichlet
+    edges in ascending order; those on Dirichlet edges are fixed to zero
+    and removed from the global index space (marked -1), not penalized.
 
     ``skeleton_mode``:
       * ``"dg"``: one independent P_k trace per skeleton edge,
@@ -177,14 +178,13 @@ class DofMap:
             raise ValueError(f"unknown skeleton mode {skeleton_mode!r}")
         if skeleton_mode == "cg" and degree != 1:
             raise ValueError("continuous skeleton mode is only defined for degree 1")
-        basis = ElementBasis(degree)
+        self.ndof_elem = get_element_basis(degree).dim
         self.mesh = mesh
         self.degree = int(degree)
         self.skeleton_mode = skeleton_mode
-        self.ndof_elem = basis.dim
         self.ndof_edge = self.degree + 1
         self.n_interior = mesh.n_elements * self.ndof_elem
-        self.skeleton_edges = extract_skeleton(mesh)
+        self.skeleton_edges = np.flatnonzero(mesh.edge_tags != int(BoundaryTag.NEUMANN))
 
         ne = mesh.n_edges
         edge_dofs = np.full((ne, self.ndof_edge), -1, dtype=np.int64)

@@ -124,7 +124,6 @@ class Mesh:
         turn = np.array([1.0, -1.0])
         adj_t = np.stack([d2[:, ::-1] * turn, -d1[:, ::-1] * turn], axis=2)
         self.inv_jacobians_t = adj_t / det[:, None, None]
-        self.areas = 0.5 * det
         self.barycenters = tri_pts.mean(axis=1)
 
         # Local edge s joins local vertices s and s + 1; edges are the unique
@@ -203,7 +202,7 @@ class Mesh:
         for arr in (self.vertices, self.triangles, self.edges, self.edge_elems,
                     self.elem_edges, self.edge_forward, self.edge_tags,
                     self.jacobians, self.det_jacobians, self.inv_jacobians_t,
-                    self.areas, self.barycenters, self.h_e, self.h_K,
+                    self.barycenters, self.h_e, self.h_K,
                     self.normals, self.edge_midpoints):
             arr.flags.writeable = False
 
@@ -262,16 +261,6 @@ def build_uniform_triangulation(n, boundary=None):
     triangles = np.stack([np.column_stack([p00, p10, p11]),
                           np.column_stack([p00, p11, p01])], axis=1).reshape(-1, 3)
     return Mesh(vertices, triangles, boundary=boundary, generator_n=n)
-
-
-def extract_skeleton(mesh):
-    """Edge indices of the skeleton: interior plus Dirichlet boundary edges.
-
-    Neumann edges carry no trace unknowns and are excluded.  The result is
-    sorted ascending and stable across calls.
-    """
-    keep = mesh.edge_tags != int(BoundaryTag.NEUMANN)
-    return np.nonzero(keep)[0]
 
 
 def verify_inflow_in_dirichlet(mesh, velocity):

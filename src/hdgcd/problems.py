@@ -18,7 +18,6 @@ from hdgcd.analysis import subsquare
 from hdgcd.assembly import ProblemSpec
 from hdgcd.mesh import ON_BOUNDARY_TOL, dirichlet_where
 
-CASE_NAMES = ("smooth", "layer", "reduced_limit")
 # verify_source_term: its seeded sample points, and the largest scaled
 # residuals it accepts for the source and for the gradient
 SOURCE_CHECK_POINTS = 1000
@@ -52,16 +51,8 @@ class ManufacturedCase:
     reduced_exact: bool = False
 
 
-def _check_epsilon(epsilon):
-    if not 0.0 < epsilon < np.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    return float(epsilon)
-
-
 def case_smooth(epsilon):
     """u = sin(pi x) sin(pi y), b = (1, 1), c = 0, homogeneous Dirichlet."""
-    eps = _check_epsilon(epsilon)
-
     def exact(x, y):
         return np.sin(np.pi * x) * np.sin(np.pi * y)
 
@@ -72,9 +63,10 @@ def case_smooth(epsilon):
     def f(x, y):
         sx, cx = np.sin(np.pi * x), np.cos(np.pi * x)
         sy, cy = np.sin(np.pi * y), np.cos(np.pi * y)
-        return 2.0 * eps * np.pi ** 2 * sx * sy + np.pi * (cx * sy + sx * cy)
+        return 2.0 * epsilon * np.pi ** 2 * sx * sy + np.pi * (cx * sy + sx * cy)
 
-    problem = ProblemSpec(epsilon=eps, b=lambda x, y: (np.ones_like(x), np.ones_like(y)), f=f)
+    problem = ProblemSpec(epsilon=epsilon, b=lambda x, y: (np.ones_like(x), np.ones_like(y)),
+                          f=f)
     return ManufacturedCase(name="smooth", problem=problem, exact=exact,
                             exact_grad=exact_grad, region=None,
                             exact_max=1.0,
@@ -120,25 +112,25 @@ def case_layer(epsilon):
     measured on (0, 0.9)^2 where the solution is layer-free; the data
     quadrature is elevated because f varies on the eps scale.  The exact
     maximum is the square of the 1-D factor's, which is strictly concave on
-    [0, 1], so :func:`_layer_max` finds it by bisection on the sign of A'.
+    [0, 1]: :func:`_layer_max` bisects on the sign of A' once ProblemSpec
+    has accepted epsilon.
     """
-    eps = _check_epsilon(epsilon)
-
     def exact(x, y):
-        return _layer_value(x, eps) * _layer_value(y, eps)
+        return _layer_value(x, epsilon) * _layer_value(y, epsilon)
 
     def exact_grad(x, y):
-        ax, dax, _ = _layer_profile(x, eps)
-        ay, day, _ = _layer_profile(y, eps)
+        ax, dax, _ = _layer_profile(x, epsilon)
+        ay, day, _ = _layer_profile(y, epsilon)
         return dax * ay, ax * day
 
     def f(x, y):
-        ax, dax, d2ax = _layer_profile(x, eps)
-        ay, day, d2ay = _layer_profile(y, eps)
-        return -eps * (d2ax * ay + ax * d2ay) + dax * ay + ax * day
+        ax, dax, d2ax = _layer_profile(x, epsilon)
+        ay, day, d2ay = _layer_profile(y, epsilon)
+        return -epsilon * (d2ax * ay + ax * d2ay) + dax * ay + ax * day
 
-    amax = _layer_max(eps)
-    problem = ProblemSpec(epsilon=eps, b=lambda x, y: (np.ones_like(x), np.ones_like(y)), f=f)
+    problem = ProblemSpec(epsilon=epsilon, b=lambda x, y: (np.ones_like(x), np.ones_like(y)),
+                          f=f)
+    amax = _layer_max(epsilon)
     return ManufacturedCase(name="layer", problem=problem, exact=exact,
                             exact_grad=exact_grad, region=subsquare(0.9),
                             exact_max=amax * amax,
@@ -155,8 +147,6 @@ def case_reduced_limit(epsilon):
     transport problem without closing a boundary layer in the measured
     distance.  rho = c - div(b)/2 = 1.
     """
-    eps = _check_epsilon(epsilon)
-
     def exact(x, y):
         return x * np.exp(-x) * np.ones_like(y)
 
@@ -166,7 +156,7 @@ def case_reduced_limit(epsilon):
     def f(x, y):
         return np.exp(-x) * np.ones_like(y)
 
-    problem = ProblemSpec(epsilon=eps,
+    problem = ProblemSpec(epsilon=epsilon,
                           b=lambda x, y: (np.ones_like(x), np.zeros_like(y)),
                           f=f, c=lambda x, y: np.ones_like(x),
                           boundary=dirichlet_where(lambda x, y: x < ON_BOUNDARY_TOL),
@@ -178,12 +168,15 @@ def case_reduced_limit(epsilon):
                             reduced_exact=True)
 
 
+CASES = {"smooth": case_smooth, "layer": case_layer, "reduced_limit": case_reduced_limit}
+CASE_NAMES = tuple(CASES)
+
+
 def get_case(name, epsilon):
     """Look up a case constructor by name."""
-    table = {"smooth": case_smooth, "layer": case_layer, "reduced_limit": case_reduced_limit}
-    if name not in table:
+    if name not in CASES:
         raise ValueError(f"unknown case {name!r}; available: {', '.join(CASE_NAMES)}")
-    return table[name](epsilon)
+    return CASES[name](epsilon)
 
 
 def _fd_step(eps):

@@ -20,9 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from hdgcd import assembly
 from hdgcd.assembly import (ElementSystems, assemble_local_systems, assemble_monolithic,
-                            check_problem, scatter_systems)
+                            check_problem, default_eta, default_quad_order, scatter_systems)
 from hdgcd.fespace import build_dofmap
 
 COND_LIMIT = 1e14
@@ -69,14 +68,18 @@ class HdgSolution:
 
     ``u`` has shape (n_elements, ndof_elem) in the nodal element basis;
     ``uhat`` holds the active trace dofs (Dirichlet values are implicit
-    zeros).  ``info`` records sizes and solver diagnostics.
+    zeros).  The mesh, degree and skeleton mode are the dof map's.
+    ``info`` records sizes and solver diagnostics.
     """
 
-    mesh: object
     dofmap: object
     u: np.ndarray
     uhat: np.ndarray
     info: dict = field(default_factory=dict)
+
+    @property
+    def mesh(self):
+        return self.dofmap.mesh
 
     @property
     def degree(self):
@@ -178,28 +181,24 @@ def recover_interior(traces, system):
     if not worst <= RECOVERY_RTOL:
         raise SingularSystemError(
             f"interior recovery residual {worst:.3e} exceeds {RECOVERY_RTOL:.1e}")
-    return HdgSolution(mesh=dofmap.mesh, dofmap=dofmap, u=u, uhat=traces,
-                       info={"max_recovery_residual": worst})
+    return HdgSolution(dofmap=dofmap, u=u, uhat=traces, info={"max_recovery_residual": worst})
 
 
 def _prepare(problem, mesh, degree, eta, skeleton_mode):
     """Shared preamble of the drivers: default penalty, well-posedness
     check and dof map; returns (eta, dofmap)."""
     if eta is None:
-        eta = assembly.default_eta(degree)
+        eta = default_eta(degree)
     check_problem(problem, mesh).require_ok()
     return eta, build_dofmap(mesh, degree, skeleton_mode)
 
 
-def _solution_info(dofmap, eta, degree, skeleton_mode, quad_order, method):
+def _solution_info(dofmap, eta, quad_order, method):
     return {
-        "dofs_interior": dofmap.n_interior,
         "dofs_skeleton": dofmap.n_trace_active,
         "dofs_total": dofmap.n_total,
         "eta": float(eta),
-        "degree": degree,
-        "skeleton_mode": skeleton_mode,
-        "quad_order": quad_order if quad_order is not None else assembly.default_quad_order(degree),
+        "quad_order": default_quad_order(dofmap.degree) if quad_order is None else quad_order,
         "method": method,
     }
 
@@ -207,26 +206,26 @@ def _solution_info(dofmap, eta, degree, skeleton_mode, quad_order, method):
 def solve_hdg(problem, mesh, degree=1, eta=None, skeleton_mode="dg", quad_order=None):
     """Full driver: validate, assemble, condense, solve, recover.
 
-    Returns an :class:`HdgSolution` whose ``info`` dict records dof counts
-    (interior, skeleton, total), the penalty used and the quadrature order.
+    Returns an :class:`HdgSolution` whose ``info`` dict records the skeleton
+    and total dof counts, the penalty, quadrature order, method and recovery residual.
     """
     eta, dofmap = _prepare(problem, mesh, degree, eta, skeleton_mode)
     systems = assemble_local_systems(mesh, dofmap, problem, eta=eta, quad_order=quad_order)
     condensed = condense(systems, dofmap)
     traces = solve_skeleton(condensed)
     sol = recover_interior(traces, condensed)
-    sol.info.update(_solution_info(dofmap, eta, degree, skeleton_mode, quad_order, "condensed"))
+    sol.info.update(_solution_info(dofmap, eta, quad_order, "condensed"))
     return sol
 
 
-def solve_monolithic(problem, mesh, degree=1, eta=None, skeleton_mode="dg", quad_order=None):
-    """Reference driver solving the uncondensed coupled system directly."""
-    eta, dofmap = _prepare(problem, mesh, degree, eta, skeleton_mode)
+def solve_monolithic(problem, mesh, degree=1, quad_order=None):
+    """Reference driver solving the uncondensed system (default penalty, dg traces) directly."""
+    eta, dofmap = _prepare(problem, mesh, degree, None, "dg")
     mat, rhs = assemble_monolithic(mesh, dofmap, problem, eta=eta, quad_order=quad_order)
     x = sparse_solve(mat, rhs, "uncondensed")
     n_int = dofmap.n_interior
     u = x[:n_int].reshape(mesh.n_elements, dofmap.ndof_elem)
-    sol = HdgSolution(mesh=mesh, dofmap=dofmap, u=u, uhat=x[n_int:])
-    sol.info.update(_solution_info(dofmap, eta, degree, skeleton_mode, quad_order, "monolithic"))
+    sol = HdgSolution(dofmap=dofmap, u=u, uhat=x[n_int:])
+    sol.info.update(_solution_info(dofmap, eta, quad_order, "monolithic"))
     return sol
 

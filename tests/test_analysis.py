@@ -4,11 +4,12 @@ import pytest
 from hdgcd.analysis import (conservation_residual, convergence_table,
                             error_h1_broken, error_hdg, error_l2, hdg_norm,
                             overshoot_metric, project_to_hdg, subsquare)
-from hdgcd.assembly import ProblemSpec
+from hdgcd.assembly import ProblemSpec, assemble_local_systems
 from hdgcd.fespace import build_dofmap
 from hdgcd.mesh import build_uniform_triangulation
 from hdgcd.problems import case_layer, case_smooth
-from hdgcd.solver import HdgSolution, solve_hdg
+from hdgcd.solver import (HdgSolution, condense, recover_interior, solve_hdg,
+                          solve_skeleton)
 from test_unstructured import jittered_mesh
 
 
@@ -79,13 +80,14 @@ def test_hdg_norm_h2_counts_the_mixed_derivative_once():
     prob = ProblemSpec(epsilon=1.0, b=lambda x, y: (np.zeros_like(x), np.zeros_like(x)),
                        f=lambda x, y: np.zeros_like(x))
     h2_sq = hdg_norm(pair, prob, eta=10.0).seminorm_h2_sq
-    assert h2_sq == pytest.approx(17.0 * (mesh.areas * mesh.h_K ** 2).sum(), rel=1e-12)
+    areas = 0.5 * mesh.det_jacobians
+    assert h2_sq == pytest.approx(17.0 * (areas * mesh.h_K ** 2).sum(), rel=1e-12)
 
 
 def test_hdg_norm_zero_for_zero_pair():
     mesh = build_uniform_triangulation(2)
     dm = build_dofmap(mesh, 1)
-    zero = HdgSolution(mesh=mesh, dofmap=dm,
+    zero = HdgSolution(dofmap=dm,
                        u=np.zeros((mesh.n_elements, 3)),
                        uhat=np.zeros(dm.n_trace_active))
     prob = ProblemSpec(epsilon=1.0,
@@ -111,10 +113,26 @@ def test_conservation_residual_detects_perturbation():
     sol = solve_hdg(case.problem, mesh, degree=1)
     u = sol.u.copy()
     u[5] += 0.01
-    broken = HdgSolution(mesh=mesh, dofmap=sol.dofmap, u=u, uhat=sol.uhat,
+    broken = HdgSolution(dofmap=sol.dofmap, u=u, uhat=sol.uhat,
                          info=dict(sol.info))
     resid = conservation_residual(broken, case.problem)
     assert np.abs(resid[5]) > 1e-6
+
+
+def test_conservation_residual_needs_the_solve_settings():
+    # a solve run stage by stage records neither its penalty nor its quadrature
+    case = case_smooth(1e-3)
+    mesh = build_uniform_triangulation(8, case.problem.boundary)
+    dm = build_dofmap(mesh, 1)
+    system = condense(assemble_local_systems(mesh, dm, case.problem, eta=13.0), dm)
+    sol = recover_interior(solve_skeleton(system), system)
+    with pytest.raises(ValueError, match="needs the solve's 'eta'"):
+        conservation_residual(sol, case.problem)
+    sol.info["eta"] = 13.0
+    with pytest.raises(ValueError, match="needs the solve's 'quad_order'"):
+        conservation_residual(sol, case.problem)
+    sol.info["quad_order"] = None
+    assert np.abs(conservation_residual(sol, case.problem)).max() <= 1e-12
 
 
 def test_convergence_table():

@@ -142,7 +142,7 @@ def test_convective_form_jump_identity():
         ni = dm.n_interior
         for _ in range(10):
             v = rng.standard_normal(dm.n_total)
-            pair = HdgSolution(mesh=mesh, dofmap=dm,
+            pair = HdgSolution(dofmap=dm,
                                u=v[:ni].reshape(mesh.n_elements, dm.ndof_elem).copy(),
                                uhat=v[ni:].copy())
             rep = hdg_norm(pair, prob, eta=default_eta(k))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from hdgcd import fespace
 from hdgcd.analysis import project_to_hdg
-from hdgcd.fespace import EdgeBasis, ElementBasis, build_dofmap, quad_edge, quad_triangle
+from hdgcd.fespace import (EdgeBasis, ElementBasis, build_dofmap, get_element_basis, quad_edge,
+                           quad_triangle)
 from hdgcd.mesh import build_uniform_triangulation, dirichlet_where
 
 
@@ -127,6 +129,17 @@ def test_dofmap_counts_dg():
         # all-Dirichlet boundary: only interior edges carry active dofs
         assert dm.n_trace_active == n_interior_edges * (k + 1)
         assert dm.n_total == dm.n_interior + dm.n_trace_active
+
+
+def test_dofmap_reuses_the_cached_element_basis(monkeypatch):
+    mesh = build_uniform_triangulation(3)
+    dim = get_element_basis(3).dim
+
+    def no_new_basis(degree):
+        raise AssertionError("DofMap built a new ElementBasis")
+
+    monkeypatch.setattr(fespace, "ElementBasis", no_new_basis)
+    assert build_dofmap(mesh, 3).ndof_elem == dim == 10
 
 
 def test_dofmap_dirichlet_constrained():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from hdgcd.fespace import build_dofmap
 from hdgcd.mesh import (BoundaryTag, Mesh, MeshError, all_dirichlet,
                         build_uniform_triangulation, dirichlet_where,
-                        extract_skeleton, load_mesh, save_mesh,
+                        load_mesh, save_mesh,
                         verify_inflow_in_dirichlet)
 from test_unstructured import jittered_mesh
 
@@ -25,8 +26,8 @@ def test_triangles_counterclockwise():
     cross = ((v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
              - (v[:, 1, 1] - v[:, 0, 1]) * (v[:, 2, 0] - v[:, 0, 0]))
     assert (cross > 0).all()
-    np.testing.assert_allclose(mesh.areas, cross / 2.0)
-    np.testing.assert_allclose(mesh.areas.sum(), 1.0, rtol=1e-14)
+    np.testing.assert_allclose(0.5 * mesh.det_jacobians, cross / 2.0)
+    np.testing.assert_allclose(0.5 * mesh.det_jacobians.sum(), 1.0, rtol=1e-14)
 
 
 def test_edges_canonical_and_sorted():
@@ -104,7 +105,7 @@ def test_mixed_boundary_rule():
 def test_skeleton_excludes_neumann():
     rule = dirichlet_where(lambda x, y: x < 1e-12)
     mesh = build_uniform_triangulation(4, rule)
-    skel = extract_skeleton(mesh)
+    skel = build_dofmap(mesh, 1).skeleton_edges
     assert (mesh.edge_tags[skel] != int(BoundaryTag.NEUMANN)).all()
     n_interior = mesh.n_edges - mesh.boundary_edges.size
     assert skel.size == n_interior + 4  # four Dirichlet edges on x=0

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hdgcd.problems import (ManufacturedCase, _layer_max, _layer_profile, _layer_value,
-                            case_layer, case_reduced_limit, case_smooth, get_case,
+from hdgcd.problems import (CASE_NAMES, ManufacturedCase, _layer_max, _layer_profile,
+                            _layer_value, case_layer, case_reduced_limit, case_smooth, get_case,
                             verify_source_term)
 
 # maximum of the 1-D layer factor as the bounded Brent search that preceded
@@ -129,8 +129,12 @@ def test_get_case_dispatch():
         get_case("ramp", 1.0)
     with pytest.raises(ValueError):
         case_smooth(0.0)
-    with pytest.raises(ValueError, match="^epsilon must be positive and finite"):
+    with pytest.raises(ValueError, match="^diffusion coefficient must be positive and finite"):
         case_smooth(np.inf)
+    # every case hands epsilon to ProblemSpec first (the layer maximum would divide by it)
+    for name in CASE_NAMES:
+        with pytest.raises(ValueError, match="^diffusion coefficient must be positive and finite"):
+            get_case(name, 0.0)
 
 
 def test_verify_source_term_catches_wrong_source():

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from hdgcd.assembly import ProblemSpec, assemble_local_systems
 from hdgcd.fespace import build_dofmap
-from hdgcd.mesh import build_uniform_triangulation, dirichlet_where
+from hdgcd.mesh import BoundaryTag, build_uniform_triangulation, dirichlet_where
 from hdgcd.problems import case_layer, case_smooth
 from hdgcd.solver import (ElementSolvabilityError, SingularSystemError, condense,
                           recover_interior, solve_hdg, solve_monolithic, solve_skeleton,
@@ -53,13 +53,13 @@ def test_solution_info_populated():
     sol = solve_hdg(case.problem, mesh, degree=1)
     info = sol.info
     assert info["method"] == "condensed"
-    assert info["degree"] == 1
-    assert info["skeleton_mode"] == "dg"
-    assert info["dofs_interior"] == mesh.n_elements * 3
-    assert info["dofs_total"] == info["dofs_interior"] + info["dofs_skeleton"]
-    assert info["eta"] == pytest.approx(10.0)
-    assert 0.0 <= info["max_recovery_residual"] < 1e-10
     assert sol.degree == 1
+    assert sol.dofmap.skeleton_mode == "dg"
+    assert sol.mesh is mesh
+    assert info["dofs_total"] == 3 * mesh.n_elements + info["dofs_skeleton"]
+    assert info["eta"] == pytest.approx(10.0)
+    assert info["quad_order"] == 4
+    assert 0.0 <= info["max_recovery_residual"] < 1e-10
 
 
 def test_skeleton_dimension_formulas():
@@ -104,6 +104,27 @@ def test_rejects_invalid_problem():
     for solve in (solve_hdg, solve_monolithic, solve_supg):
         with pytest.raises(ValueError, match="^problem is not well posed on this mesh: rho"):
             solve(bad, mesh)
+
+
+@pytest.mark.parametrize("f", [lambda x, y: np.ones_like(x), lambda x, y: np.cos(np.pi * x)],
+                         ids=["f=1", "zero_mean_f"])
+def test_rejects_pure_neumann_problem_without_reaction(f):
+    # no Dirichlet edge and rho = 0: constants solve the homogeneous problem
+    def solid(x, y):
+        return np.zeros_like(x), np.zeros_like(x)
+
+    def neumann(x, y):
+        return BoundaryTag.NEUMANN
+
+    bad = ProblemSpec(epsilon=1.0, b=solid, f=f, boundary=neumann)
+    mesh = build_uniform_triangulation(4, bad.boundary)
+    for solve in (solve_hdg, solve_monolithic, solve_supg):
+        with pytest.raises(ValueError, match="no boundary edge is Dirichlet"):
+            solve(bad, mesh)
+    # a positive reaction makes the same boundary well posed
+    good = ProblemSpec(epsilon=1.0, b=solid, f=f, c=lambda x, y: np.ones_like(x),
+                       boundary=neumann, rho0=1.0)
+    assert np.isfinite(solve_hdg(good, mesh).u).all()
 
 
 def test_recovery_residual_is_enforced():

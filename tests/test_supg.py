@@ -101,7 +101,7 @@ def test_stabilized_system_matches_hand_assembly():
     for t in range(mesh.n_elements):
         vid = mesh.triangles[t]
         p = mesh.vertices[vid]
-        area = mesh.areas[t]
+        area = 0.5 * mesh.det_jacobians[t]
         # grad of barycentric coordinate i: perpendicular of the opposite
         # edge, scaled by 1 / (2 area)
         g = np.empty((3, 2))
