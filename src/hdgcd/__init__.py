@@ -9,12 +9,12 @@ comparison studies.
 
 from hdgcd.mesh import (BoundaryTag, Mesh, MeshError, all_dirichlet,
                         build_uniform_triangulation, dirichlet_where,
-                        load_mesh, save_mesh, verify_inflow_in_dirichlet)
+                        load_mesh, save_mesh)
 from hdgcd.fespace import (DofMap, EdgeBasis, ElementBasis, build_dofmap,
                            quad_edge, quad_triangle)
 from hdgcd.assembly import (ProblemSpec, assemble_local_systems,
                             assemble_monolithic, bracket, check_problem,
-                            default_eta)
+                            default_eta, verify_inflow_in_dirichlet)
 from hdgcd.solver import (ElementSolvabilityError, HdgSolution,
                           SingularSystemError, solve_hdg, solve_monolithic)
 from hdgcd.analysis import (conservation_residual, convergence_table,

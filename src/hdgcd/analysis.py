@@ -1,10 +1,10 @@
 """Error measures, mesh-dependent norms, conservation and overshoot checks.
 
 Errors against a known exact solution integrate with the elevated
-quadrature rule of exactness ``ERROR_QUAD_ORDER``.  The scheme's own norm
-acts on a discrete pair (element field, skeleton trace); distances to an
-exact solution in that norm go through the elementwise L2 projection of the
-exact solution, see :func:`project_to_hdg`.
+quadrature rule of exactness max(``ERROR_QUAD_ORDER``, 2k + 2).  The
+scheme's own norm acts on a discrete pair (element field, skeleton trace);
+distances to an exact solution in that norm go through the elementwise L2
+projection of the exact solution, see :func:`project_to_hdg`.
 
 The error measures and the scheme norm accept an optional region: a
 predicate ``(x, y) -> bool`` tested at element barycenters, or None for
@@ -18,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hdgcd.assembly import eval_field, flux_weights, get_context, neumann_data
+from hdgcd.assembly import default_quad_order, eval_field, flux_weights, get_context, neumann_data
 from hdgcd.solver import HdgSolution
 
+# floor of the quadrature order of the error measures; from k = 6 on the
+# default 2k + 2 is higher, and the P_k edge mass needs an order of 2k
 ERROR_QUAD_ORDER = 12
 
 
@@ -46,6 +48,11 @@ class ErrorReport:
     conv_sq: float
 
 
+def _error_context(mesh, degree):
+    """The context of the error measures, at order max(ERROR_QUAD_ORDER, 2k + 2)."""
+    return get_context(mesh, degree, max(ERROR_QUAD_ORDER, default_quad_order(degree)))
+
+
 def _region_mask(region, mesh):
     """Elements whose barycenter satisfies ``region``; all when it is None."""
     if region is None:
@@ -65,7 +72,7 @@ def _region_norm(ctx, mesh, sq, region):
 def error_l2(solution, exact, region=None):
     """Broken L2 distance between a discrete field and an exact solution."""
     mesh = solution.mesh
-    ctx = get_context(mesh, solution.degree, ERROR_QUAD_ORDER)
+    ctx = _error_context(mesh, solution.degree)
     diff = (solution.u @ ctx.N.T - ctx.volume_values(exact, "exact")) ** 2
     return _region_norm(ctx, mesh, diff, region)
 
@@ -73,7 +80,7 @@ def error_l2(solution, exact, region=None):
 def error_h1_broken(solution, exact_grad, region=None):
     """Broken H1 seminorm distance against the exact gradient."""
     mesh = solution.mesh
-    ctx = get_context(mesh, solution.degree, ERROR_QUAD_ORDER)
+    ctx = _error_context(mesh, solution.degree)
     grads = ctx.field_gradients(mesh, solution.u)
     gx, gy = ctx.volume_values(exact_grad, "exact_grad", vector=True)
     diff = (grads[..., 0] - gx) ** 2 + (grads[..., 1] - gy) ** 2
@@ -89,13 +96,14 @@ def project_to_hdg(exact, dofmap):
     projection would couple globally).  Constrained dofs stay zero.
     """
     mesh = dofmap.mesh
-    ctx = get_context(mesh, dofmap.degree, ERROR_QUAD_ORDER)
+    ctx = _error_context(mesh, dofmap.degree)
     u = _project(ctx.N, ctx.vol.weights, ctx.volume_values(exact, "exact"))
     uhat = np.zeros(dofmap.n_trace_active)
     if dofmap.skeleton_mode == "dg":
         free = np.flatnonzero(dofmap.edge_dofs[:, 0] >= 0)
         if free.size:
-            uhat[dofmap.edge_dofs[free]] = _project(ctx.E, ctx.edge.weights,
+            E = dofmap.edge_basis.values(ctx.edge.points)
+            uhat[dofmap.edge_dofs[free]] = _project(E, ctx.edge.weights,
                                                     ctx.edge_values(exact, "exact")[free])
     else:
         active = np.nonzero(dofmap.vertex_dofs >= 0)[0]
@@ -111,10 +119,10 @@ def _project(vals, weights, f):
     return np.linalg.solve(vals.T @ w_vals, (f @ w_vals).T).T
 
 
-def _trace_gap(ctx, tr, uhat_edges, u):
-    """uhat - u at the points of trace tables ``tr`` (nt, 3nqe);
-    ``uhat_edges`` are the traces per mesh edge."""
-    return tr.gather(uhat_edges) @ ctx.E_slots.T - np.einsum("tpi,ti->tp", tr.values, u)
+def _trace_gap(ctx, tr, pair):
+    """uhat - u of the discrete ``pair`` at the points of trace tables ``tr`` (nt, 3nqe)."""
+    E = pair.dofmap.slot_values(ctx.edge.points)
+    return tr.gather(pair.edge_traces()) @ E.T - np.einsum("tpi,ti->tp", tr.values, pair.u)
 
 
 def hdg_norm(pair, problem, eta, region=None):
@@ -143,7 +151,7 @@ def hdg_norm(pair, problem, eta, region=None):
 
     # edge quantities over the selected elements
     tr = ctx.traces(mesh)
-    diff2 = _trace_gap(ctx, tr, pair.edge_traces(), pair.u) ** 2
+    diff2 = _trace_gap(ctx, tr, pair) ** 2
     bn = tr.normal_velocity(*ctx.edge_values(problem.b, "b", vector=True))
     skel = mask[:, None] & ~tr.neumann
     jump_sq = float(((eta / tr.h) * tr.weights * diff2)[skel].sum())
@@ -190,7 +198,7 @@ def conservation_residual(solution, problem):
     residual = ((conv - ctx.volume_values(problem.f, "f")) * ctx.volume_weights(mesh)).sum(axis=1)
 
     tr = ctx.traces(mesh)
-    diff = _trace_gap(ctx, tr, solution.edge_traces(), solution.u)
+    diff = _trace_gap(ctx, tr, solution)
     dn = np.einsum("tpi,ti->tp", tr.normal_derivs, solution.u)
     w_u = flux_weights(ctx, tr, problem, info["eta"])[1]
     flux = problem.epsilon * dn + w_u * diff
@@ -230,6 +238,6 @@ def overshoot_metric(solution, exact_max):
     Samples element vertices plus the volume quadrature points of the
     whole mesh; a non-positive value means no overshoot at the sampling set.
     """
-    ctx = get_context(solution.mesh, solution.degree, ERROR_QUAD_ORDER)
+    ctx = _error_context(solution.mesh, solution.degree)
     uh = solution.u @ np.vstack([ctx.N_vert, ctx.N]).T   # (nt, 3 + nq)
     return float(uh.max() - exact_max)

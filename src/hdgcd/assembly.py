@@ -28,14 +28,17 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from hdgcd.fespace import (REF_VERTICES, build_dofmap, get_edge_basis, get_element_basis,
-                           quad_edge, quad_triangle)
-from hdgcd.mesh import BoundaryTag, verify_inflow_in_dirichlet
+from hdgcd.fespace import (MAX_DEGREE, MAX_QUAD_ORDER, REF_VERTICES, _bounded_int, build_dofmap,
+                           get_element_basis, quad_edge, quad_triangle)
+from hdgcd.mesh import BoundaryTag
 
 _NEUMANN = int(BoundaryTag.NEUMANN)
 # well-posedness check: rho is sampled at the points of this volume rule
 CHECK_QUAD_ORDER = 4
 RHO_TOL = 1e-10
+# inflow check: b . n at INFLOW_SAMPLES Gauss points per edge, flagged below -INFLOW_TOL
+INFLOW_SAMPLES = 4
+INFLOW_TOL = 1e-12
 
 
 def default_eta(degree):
@@ -130,17 +133,35 @@ def eval_field(func, x, y, name, vector=False):
     return out if vector else out[0]
 
 
+def verify_inflow_in_dirichlet(mesh, velocity):
+    """Check that the inflow boundary is contained in the Dirichlet part.
+
+    Samples ``b . n`` at ``INFLOW_SAMPLES`` Gauss points of every
+    non-Dirichlet boundary edge and returns the ``(edge_index, (x, y))``
+    pairs where it drops below ``-INFLOW_TOL``; empty when the check passes.
+    """
+    gl, _ = np.polynomial.legendre.leggauss(INFLOW_SAMPLES)
+    bnd = mesh.boundary_edges
+    edges = bnd[mesh.edge_tags[bnd] != int(BoundaryTag.DIRICHLET)]
+    t = mesh.edge_elems[edges, 0]
+    nrm = mesh.normals[t, (mesh.elem_edges[t] == edges[:, None]).argmax(axis=1)]
+    pts = mesh.edge_points(0.5 * (gl + 1.0), edges)
+    bx, by = eval_field(velocity, pts[..., 0], pts[..., 1], "b", vector=True)
+    bn = bx * nrm[:, None, 0] + by * nrm[:, None, 1]
+    return tuple((int(edges[i]), (float(pts[i, q, 0]), float(pts[i, q, 1])))
+                 for i, q in zip(*np.nonzero(bn < -INFLOW_TOL)))
+
+
 def check_problem(problem, mesh):
     """Verify reaction positivity, uniqueness and inflow/Dirichlet compatibility.
 
     rho = c - div(b)/2 must stay above ``problem.rho0`` (up to ``RHO_TOL``)
     at the points of the degree-1 context with quadrature order
     ``CHECK_QUAD_ORDER``, and above ``RHO_TOL`` at one of them when no edge
-    is Dirichlet (else constants solve the homogeneous problem); the
-    velocity must not enter the domain through a non-Dirichlet boundary edge.
+    is Dirichlet (else constants solve the homogeneous problem); on every
+    non-Dirichlet boundary edge b must be finite and must not enter.
     """
     ctx = get_context(mesh, 1, CHECK_QUAD_ORDER)
-    ctx.volume_values(problem.b, "b", vector=True)   # named error before the inflow check uses b
     cv = ctx.volume_values(problem.c, "c")
     dv = ctx.volume_values(problem.div_b, "div_b")
     rho = np.zeros(ctx.X_vol.shape[:2])
@@ -242,9 +263,9 @@ class AssemblyContext:
     Element traces along an edge are tabulated for both traversal
     directions so that every edge quantity is expressed in the canonical
     (ascending vertex index) parameterization shared by the trace basis;
-    :meth:`traces` gathers them for all three slots at once, and the
-    block-diagonal ``E_slots`` (3nqe, 3k1) maps an element's trace columns,
-    grouped by slot, to those points.
+    :meth:`traces` gathers them for all three slots at once.  The trace
+    basis itself belongs to the dof map (:meth:`hdgcd.fespace.DofMap.slot_values`
+    tabulates it at ``edge.points``), so the context holds element tables only.
     The context keeps no reference to its mesh, so it can live in
     ``mesh.contexts`` and be freed with it.  It is the only place that
     builds quadrature points, basis tables and physical point images.
@@ -252,7 +273,6 @@ class AssemblyContext:
 
     def __init__(self, mesh, degree, quad_order):
         self.basis = basis = get_element_basis(degree)
-        self.edge_basis = edge_basis = get_edge_basis(degree)
         self.vol = quad_triangle(quad_order)
         self.edge = quad_edge(quad_order)
         self.N = basis.values(self.vol.points)
@@ -260,8 +280,6 @@ class AssemblyContext:
         self.R = np.einsum("q,qia,qjb->abij", self.vol.weights, self.dN, self.dN)
         self.N_vert = basis.values(REF_VERTICES)
         t = self.edge.points
-        self.E = edge_basis.values(t)
-        self.E_slots = np.kron(np.eye(3), self.E)   # (3nqe, 3k1) trace values per slot
         # slot s from vertex s to s + 1, traversed backward (o = 0) or forward (o = 1)
         r0 = REF_VERTICES[:, None, None]
         r1 = np.roll(REF_VERTICES, -1, axis=0)[:, None, None]
@@ -324,10 +342,12 @@ class AssemblyContext:
 
 def get_context(mesh, degree, quad_order=None):
     """AssemblyContext of the shared degree-``degree`` bases, cached for the
-    lifetime of ``mesh``; the quadrature order defaults to 2k + 2."""
+    lifetime of ``mesh``; the quadrature order defaults to 2k + 2.  Both are
+    checked to be integers in range before they key the cache."""
     if quad_order is None:
         quad_order = default_quad_order(degree)
-    key = (int(degree), int(quad_order))
+    key = (_bounded_int("polynomial degree", degree, 1, MAX_DEGREE),
+           _bounded_int("quadrature order", quad_order, 0, MAX_QUAD_ORDER))
     if key not in mesh.contexts:
         mesh.contexts[key] = AssemblyContext(mesh, *key)
     return mesh.contexts[key]
@@ -390,10 +410,10 @@ def flux_weights(ctx, tr, problem, eta, parts=("diffusion", "convection")):
     return w_t, w_u
 
 
-def _edge_terms(ctx, mesh, out, problem, eta, parts):
+def _edge_terms(ctx, mesh, dofmap, out, problem, eta, parts):
     """Consistency terms and the gap coupling on every non-Neumann slot."""
     tr = ctx.traces(mesh)
-    E, Nq = ctx.E_slots, tr.values
+    E, Nq = dofmap.slot_values(ctx.edge.points), tr.values
     we = tr.weights * ~tr.neumann
     if "diffusion" in parts:
         # consistency term <eps dn(u), vhat - v> and its adjoint
@@ -429,13 +449,13 @@ def local_diffusion(mesh, element, basis, edge_basis, epsilon, eta):
     which ``edge_basis`` must share."""
     if not 0 <= element < mesh.n_elements:
         raise ValueError(f"element index {element} out of range")
-    if edge_basis.degree != basis.degree:
+    dofmap = build_dofmap(mesh, basis.degree)
+    if edge_basis.degree != dofmap.edge_basis.degree:
         raise ValueError(f"edge basis degree {edge_basis.degree} does not match "
                          f"element basis degree {basis.degree}")
     # the diffusive part never evaluates b or f
     problem = ProblemSpec(epsilon=epsilon, b=lambda x, y: (0 * x, 0 * y), f=lambda x, y: 0 * x)
-    return assemble_local_systems(mesh, build_dofmap(mesh, basis.degree), problem, eta=eta,
-                                  parts=("diffusion",))[element]
+    return assemble_local_systems(mesh, dofmap, problem, eta=eta, parts=("diffusion",))[element]
 
 
 def assemble_local_systems(mesh, dofmap, problem, eta=None, quad_order=None,
@@ -444,7 +464,8 @@ def assemble_local_systems(mesh, dofmap, problem, eta=None, quad_order=None,
 
     Field coefficients are evaluated once on the whole mesh and every term
     is batched over the elements.  ``parts`` restricts the assembled terms
-    (used by diagnostics and tests).
+    (used by diagnostics and tests).  A ``quad_order`` below 2k, whose edge
+    rule has too few points for the P_k trace mass, raises a ValueError.
     """
     unknown = set(parts) - {"diffusion", "convection", "load"}
     if unknown:
@@ -455,7 +476,10 @@ def assemble_local_systems(mesh, dofmap, problem, eta=None, quad_order=None,
     if not 0.0 < eta < np.inf:
         raise ValueError(f"penalty eta must be positive and finite, got {eta!r}")
     ctx = get_context(mesh, degree, quad_order)
-    out = ElementSystems.zeros(mesh.n_elements, ctx.basis.dim, 3 * ctx.edge_basis.dim)
+    if quad_order is not None and quad_order < 2 * degree:
+        raise ValueError(f"quadrature order {quad_order} is below 2k = {2 * degree} for "
+                         f"degree {degree}: the edge rule cannot hold the trace mass")
+    out = ElementSystems.zeros(mesh.n_elements, dofmap.ndof_elem, 3 * dofmap.ndof_edge)
     if "diffusion" in parts:
         out.A_uu += stiffness(ctx, mesh, problem.epsilon)
     if "convection" in parts:
@@ -464,7 +488,7 @@ def assemble_local_systems(mesh, dofmap, problem, eta=None, quad_order=None,
     if "load" in parts:
         out.b_u += load(ctx, mesh, problem)[0]
     if "diffusion" in parts or "convection" in parts:
-        _edge_terms(ctx, mesh, out, problem, eta, parts)
+        _edge_terms(ctx, mesh, dofmap, out, problem, eta, parts)
     return out
 
 

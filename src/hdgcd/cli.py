@@ -25,8 +25,8 @@ import numpy as np
 
 from hdgcd.analysis import (convergence_table, error_hdg, error_l2,
                             error_h1_broken, overshoot_metric)
-from hdgcd.assembly import default_eta
-from hdgcd.fespace import MAX_DEGREE, get_edge_basis, get_element_basis
+from hdgcd.assembly import default_eta, default_quad_order
+from hdgcd.fespace import check_skeleton_mode, get_element_basis
 from hdgcd.mesh import build_uniform_triangulation
 from hdgcd.problems import CASE_NAMES, get_case, verify_source_term
 from hdgcd.solver import ElementSolvabilityError, SingularSystemError, solve_hdg
@@ -62,7 +62,8 @@ class RunConfig:
     def validate(self):
         """A copy with every default filled in: the study's fixed settings,
         its mesh sizes, the global defaults and the penalty 10 k^2. Raises
-        ValueError naming the flag at fault."""
+        ValueError naming the flag at fault, or the library's own message for
+        a bad problem, epsilon, degree or skeleton mode."""
         if self.study not in STUDIES:
             raise ValueError(f"unknown study {self.study!r}; available: {', '.join(STUDIES)}")
         study = STUDIES[self.study]
@@ -79,20 +80,11 @@ class RunConfig:
                 if given is not None and given != fixed:
                     raise ValueError(f"--{name} {given} does not apply to {label}, "
                                      f"which fixes it to {fixed}")
-        if config.problem not in CASE_NAMES:
-            raise ValueError(f"unknown problem {config.problem!r}; "
-                             f"available: {', '.join(CASE_NAMES)}")
+        get_case(config.problem, config.epsilon)
         if config.method not in ("hdg", "supg"):
             raise ValueError(f"unknown method {config.method!r}")
-        if not isinstance(config.degree, int) or not 1 <= config.degree <= MAX_DEGREE:
-            raise ValueError(f"degree must be an integer from 1 to {MAX_DEGREE}, "
-                             f"got {config.degree!r}")
-        if config.skeleton not in ("dg", "cg"):
-            raise ValueError(f"unknown skeleton mode {config.skeleton!r}")
-        if config.skeleton == "cg" and config.degree != 1:
-            raise ValueError("continuous skeleton mode requires --degree 1")
-        if not 0.0 < config.epsilon < np.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {config.epsilon!r}")
+        get_element_basis(config.degree)
+        check_skeleton_mode(config.skeleton, config.degree)
         sizes = config.mesh_sizes
         if not sizes or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
             raise ValueError(f"--n {_joined(sizes)} must list strictly increasing positive mesh sizes")
@@ -189,16 +181,21 @@ def dump_trace(solution, path):
     skel = solution.dofmap.skeleton_edges
     ts = np.asarray(TRACE_SAMPLES)
     pts = solution.mesh.edge_points(ts, skel).reshape(-1, 2)
-    vals = solution.edge_traces()[skel] @ get_edge_basis(solution.degree).values(ts).T
+    vals = solution.edge_traces()[skel] @ solution.dofmap.edge_basis.values(ts).T
     _write_samples(path, _sample_template(pts), vals.ravel())
 
 
 _ROW_ERRORS = (ElementSolvabilityError, SingularSystemError, ValueError)
 
 
+def _quad_order(case, degree):
+    """The case's quadrature order as a floor under the default 2k + 2."""
+    return None if case.quad_order is None else max(case.quad_order, default_quad_order(degree))
+
+
 def _solve_hdg(config, case, mesh, mode):
     return solve_hdg(case.problem, mesh, degree=config.degree, eta=config.eta,
-                     skeleton_mode=mode, quad_order=case.quad_order)
+                     skeleton_mode=mode, quad_order=_quad_order(case, config.degree))
 
 
 def _region_errors(sol, case):
@@ -224,7 +221,7 @@ def _hdg_cells(config, case, mesh, mode):
 
 def _convergence_row(config, case, mesh, mode):
     if config.method == "supg":
-        sol = solve_supg(case.problem, mesh, quad_order=case.quad_order)
+        sol = solve_supg(case.problem, mesh, quad_order=_quad_order(case, 1))
         return _region_errors(sol, case), ()
     return _hdg_cells(config, case, mesh, mode)[1], ()
 
@@ -234,7 +231,7 @@ def _layer_row(config, case, mesh, mode):
     solver and of the stabilized baseline."""
     sol, cells = _hdg_cells(config, case, mesh, mode)
     cells["overshoot_hdg"] = overshoot_metric(sol, case.exact_max)
-    supg_sol = solve_supg(case.problem, mesh, quad_order=case.quad_order)
+    supg_sol = solve_supg(case.problem, mesh, quad_order=_quad_order(case, 1))
     cells["overshoot_supg"] = overshoot_metric(supg_sol, case.exact_max)
     return cells, (("uh_hdg", dump_field_grid, sol), ("uhat_hdg", dump_trace, sol),
                    ("uh_supg", dump_field_grid, supg_sol))

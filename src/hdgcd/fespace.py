@@ -17,12 +17,14 @@ from hdgcd.mesh import BoundaryTag
 
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 MAX_DEGREE = 10
-_MAX_QUAD_ORDER = 60
+MAX_QUAD_ORDER = 60
 
 
 def _bounded_int(name, value, lo, hi):
     """``int(value)`` for an integer ``lo <= value <= hi``; ValueError naming ``name`` otherwise."""
-    if not isinstance(value, (int, np.integer)) or value < lo:
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
         raise ValueError(f"{name} must be >= {lo}, got {value!r}")
     if value > hi:
         raise ValueError(f"{name} {value} exceeds supported maximum {hi}")
@@ -133,7 +135,7 @@ def quad_triangle(order):
     y = v; the extra (1 - v) jacobian factor raises the required degree in
     v by one.  All weights are positive for any order.
     """
-    order = _bounded_int("quadrature order", order, 0, _MAX_QUAD_ORDER)
+    order = _bounded_int("quadrature order", order, 0, MAX_QUAD_ORDER)
     nu = (order + 2) // 2
     nv = (order + 3) // 2
     u, wu = _gauss01(max(nu, 1))
@@ -151,22 +153,31 @@ def quad_triangle(order):
 @lru_cache(maxsize=None)
 def quad_edge(order):
     """Gauss-Legendre rule on [0, 1] exact up to ``order``."""
-    order = _bounded_int("quadrature order", order, 0, _MAX_QUAD_ORDER)
+    order = _bounded_int("quadrature order", order, 0, MAX_QUAD_ORDER)
     t, w = _gauss01(order // 2 + 1)
     t.flags.writeable = False
     w.flags.writeable = False
     return QuadratureRule(points=t, weights=w)
 
 
+def check_skeleton_mode(skeleton_mode, degree):
+    """ValueError unless ``skeleton_mode`` is ``"dg"``, or ``"cg"`` at degree 1."""
+    if skeleton_mode not in ("dg", "cg"):
+        raise ValueError(f"unknown skeleton mode {skeleton_mode!r}")
+    if skeleton_mode == "cg" and degree != 1:
+        raise ValueError("continuous skeleton mode is only defined for degree 1")
+
+
 class DofMap:
-    """Global indexing of interior and skeleton unknowns.
+    """Global indexing of interior and skeleton unknowns, and the trace space.
 
     Interior dofs come first, element by element; active trace dofs
     follow.  Traces live on ``skeleton_edges``, the interior and Dirichlet
     edges in ascending order; those on Dirichlet edges are fixed to zero
     and removed from the global index space (marked -1), not penalized.
+    The trace basis is ``edge_basis`` (``ndof_edge`` functions, see :meth:`slot_values`).
 
-    ``skeleton_mode``:
+    ``skeleton_mode`` (see :func:`check_skeleton_mode`):
       * ``"dg"``: one independent P_k trace per skeleton edge,
       * ``"cg"``: continuous piecewise-linear trace (requires k = 1);
         vertex values are shared and vertices touching a Dirichlet edge
@@ -174,15 +185,13 @@ class DofMap:
     """
 
     def __init__(self, mesh, degree, skeleton_mode="dg"):
-        if skeleton_mode not in ("dg", "cg"):
-            raise ValueError(f"unknown skeleton mode {skeleton_mode!r}")
-        if skeleton_mode == "cg" and degree != 1:
-            raise ValueError("continuous skeleton mode is only defined for degree 1")
+        check_skeleton_mode(skeleton_mode, degree)
         self.ndof_elem = get_element_basis(degree).dim
         self.mesh = mesh
         self.degree = int(degree)
         self.skeleton_mode = skeleton_mode
-        self.ndof_edge = self.degree + 1
+        self.edge_basis = get_edge_basis(self.degree)
+        self.ndof_edge = self.edge_basis.dim
         self.n_interior = mesh.n_elements * self.ndof_elem
         self.skeleton_edges = np.flatnonzero(mesh.edge_tags != int(BoundaryTag.NEUMANN))
 
@@ -214,6 +223,10 @@ class DofMap:
         """Global interior dof indices of every element, (nt, nd)."""
         return np.arange(self.n_interior).reshape(-1, self.ndof_elem)
 
+    def slot_values(self, t):
+        """Block-diagonal table (3 nq, 3 ndof_edge) of the trace basis at ``t`` (nq,) per slot."""
+        return np.kron(np.eye(3), self.edge_basis.values(t))
+
     def element_trace_dofs(self):
         """Active-trace indices of every element's three edge slots, slot by
         slot, (nt, 3 (k+1)); -1 where the slot is constrained (Dirichlet) or
@@ -226,13 +239,14 @@ def build_dofmap(mesh, degree, skeleton_mode="dg"):
     return DofMap(mesh, degree, skeleton_mode)
 
 
-@lru_cache(maxsize=None)
+# typed: 2.0 must reach the integer check, not the cached basis of 2
+@lru_cache(maxsize=None, typed=True)
 def get_element_basis(degree):
     """Shared immutable ElementBasis instance per degree."""
     return ElementBasis(degree)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def get_edge_basis(degree):
     """Shared immutable EdgeBasis instance per degree."""
     return EdgeBasis(degree)

@@ -13,10 +13,6 @@ import numpy as np
 
 # Tolerance for deciding whether a coordinate lies on a boundary feature.
 ON_BOUNDARY_TOL = 1e-12
-# The inflow check samples b . n at this many Gauss points per edge and
-# flags values below -INFLOW_TOL.
-INFLOW_SAMPLES = 4
-INFLOW_TOL = 1e-12
 
 
 class MeshError(ValueError):
@@ -83,7 +79,7 @@ class Mesh:
 
     def __init__(self, vertices, triangles, boundary=None, generator_n=None):
         vertices = np.ascontiguousarray(vertices, dtype=float)
-        triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+        triangles = np.asarray(triangles)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise MeshError("vertices must form an (nv, 2) array")
         finite = np.isfinite(vertices).all(axis=1)
@@ -91,12 +87,19 @@ class Mesh:
             raise MeshError(f"vertex {int(np.argmin(finite))} has non-finite coordinates")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise MeshError("triangles must form an (nt, 3) array")
+        if triangles.dtype.kind not in "iu":   # the int64 cast would turn 1.7 into 1
+            triangles = triangles.astype(float)
+            whole = (triangles == np.round(triangles)).all(axis=1)   # False for nan
+            if not whole.all():
+                raise MeshError(f"triangle {int(np.argmin(whole))} has a vertex index "
+                                "that is not a whole number")
         nv = vertices.shape[0]
         nt = triangles.shape[0]
         if nt == 0:
             raise MeshError("mesh has no elements")
         if triangles.min() < 0 or triangles.max() >= nv:
             raise MeshError("triangle vertex index out of range")
+        triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         unused = np.bincount(triangles.ravel(), minlength=nv) == 0
         if unused.any():
             raise MeshError(f"vertex {int(np.argmax(unused))} is not used by any triangle")
@@ -261,26 +264,6 @@ def build_uniform_triangulation(n, boundary=None):
     triangles = np.stack([np.column_stack([p00, p10, p11]),
                           np.column_stack([p00, p11, p01])], axis=1).reshape(-1, 3)
     return Mesh(vertices, triangles, boundary=boundary, generator_n=n)
-
-
-def verify_inflow_in_dirichlet(mesh, velocity):
-    """Check that the inflow boundary is contained in the Dirichlet part.
-
-    Samples ``b . n`` at ``INFLOW_SAMPLES`` Gauss points of every
-    non-Dirichlet boundary edge and returns the ``(edge_index, (x, y))``
-    pairs where it drops below ``-INFLOW_TOL``; empty when the check passes.
-    """
-    gl, _ = np.polynomial.legendre.leggauss(INFLOW_SAMPLES)
-    bnd = mesh.boundary_edges
-    edges = bnd[mesh.edge_tags[bnd] != int(BoundaryTag.DIRICHLET)]
-    t = mesh.edge_elems[edges, 0]
-    nrm = mesh.normals[t, (mesh.elem_edges[t] == edges[:, None]).argmax(axis=1)]
-    pts = mesh.edge_points(0.5 * (gl + 1.0), edges)
-    bx, by = velocity(pts[..., 0], pts[..., 1])
-    bn = np.broadcast_to(np.asarray(bx) * nrm[:, None, 0] + np.asarray(by) * nrm[:, None, 1],
-                         pts.shape[:2])   # a constant velocity still checks every sample
-    return tuple((int(edges[i]), (float(pts[i, q, 0]), float(pts[i, q, 1])))
-                 for i, q in zip(*np.nonzero(bn < -INFLOW_TOL)))
 
 
 def save_mesh(mesh, path):

@@ -2,7 +2,7 @@
 
 Each case bundles a :class:`~hdgcd.assembly.ProblemSpec` with the exact
 solution, its gradient, the measurement region, the exact maximum (for
-overshoot checks) and a quadrature hint for data with sharp gradients.
+overshoot checks) and a quadrature floor for data with sharp gradients.
 Sources are hard-coded analytically; :func:`verify_source_term`
 cross-checks them against finite differences of the exact solution.
 """
@@ -15,7 +15,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from hdgcd.analysis import subsquare
-from hdgcd.assembly import ProblemSpec
+from hdgcd.assembly import ProblemSpec, eval_field
 from hdgcd.mesh import ON_BOUNDARY_TOL, dirichlet_where
 
 # verify_source_term: its seeded sample points, and the largest scaled
@@ -37,7 +37,8 @@ class ManufacturedCase:
     first-order problem (epsilon = 0) rather than the full equation; for
     those the source check drops the diffusion term.  ``region`` is the
     measurement region, a predicate on element barycenters, or None for
-    the whole domain.
+    the whole domain.  ``quad_order`` is a floor, not an order: the CLI
+    solves the case at max(quad_order, 2k + 2), and None means 2k + 2.
     """
 
     name: str
@@ -185,11 +186,12 @@ def _fd_step(eps):
     return min(1e-3, max(2e-4, 0.02 * eps))
 
 
-def _fd(func, x, y, h, axis, weights, order):
-    """Finite-difference derivative of the given ``order`` of ``func`` along
-    ``axis``: the stencil ``weights`` (see ``_FD_FIRST``) over 12 h^order."""
+def _fd(exact, x, y, h, axis, weights, order):
+    """Finite-difference derivative of the given ``order`` of the exact solution
+    along ``axis``: the stencil ``weights`` (see ``_FD_FIRST``) over 12 h^order."""
     def at(shift):
-        return func(x + shift * h, y) if axis == 0 else func(x, y + shift * h)
+        xs, ys = (x + shift * h, y) if axis == 0 else (x, y + shift * h)
+        return eval_field(exact, xs, ys, "exact")
 
     total = sum(w * at(s) for s, w in zip((2.0, 1.0, 0.0, -1.0, -2.0), weights) if w)
     return total / (12.0 * h ** order)
@@ -204,7 +206,7 @@ def verify_source_term(case):
     laplacian (the diffusion term is dropped for reduced-limit cases).
     Residuals are scaled by 1 + |value|; the maximum scaled residual is
     returned, and a ValueError reports one above ``SOURCE_TOL`` (source)
-    or ``GRAD_TOL`` (gradient).
+    or ``GRAD_TOL`` (gradient), nan included; fields go through ``eval_field``.
     """
     rng = np.random.default_rng(SOURCE_CHECK_SEED)
     (xlo, xhi), (ylo, yhi) = case.sample_box
@@ -213,29 +215,29 @@ def verify_source_term(case):
     problem = case.problem
     h = _fd_step(problem.epsilon)
 
-    gx, gy = case.exact_grad(x, y)
+    gx, gy = eval_field(case.exact_grad, x, y, "exact_grad", vector=True)
     fx = _fd(case.exact, x, y, h, 0, _FD_FIRST, 1)
     fy = _fd(case.exact, x, y, h, 1, _FD_FIRST, 1)
     grad_resid = np.maximum(np.abs(gx - fx) / (1.0 + np.abs(gx)),
                             np.abs(gy - fy) / (1.0 + np.abs(gy)))
     worst_grad = float(grad_resid.max())
-    if worst_grad > GRAD_TOL:
+    if not worst_grad <= GRAD_TOL:
         i = int(np.argmax(grad_resid))
         raise ValueError(
             f"case {case.name}: gradient mismatch {worst_grad:.3e} at ({x[i]:.4f}, {y[i]:.4f})")
 
-    bx, by = problem.b(x, y)
-    pde = np.asarray(bx) * gx + np.asarray(by) * gy
+    bx, by = eval_field(problem.b, x, y, "b", vector=True)
+    pde = bx * gx + by * gy
     if problem.c is not None:
-        pde = pde + np.asarray(problem.c(x, y)) * case.exact(x, y)
+        pde = pde + eval_field(problem.c, x, y, "c") * eval_field(case.exact, x, y, "exact")
     if not case.reduced_exact:
         lap = (_fd(case.exact, x, y, h, 0, _FD_SECOND, 2)
                + _fd(case.exact, x, y, h, 1, _FD_SECOND, 2))
         pde = pde - problem.epsilon * lap
-    fv = np.asarray(problem.f(x, y), dtype=float)
+    fv = eval_field(problem.f, x, y, "f")
     resid = np.abs(fv - pde) / (1.0 + np.abs(fv))
     worst = float(resid.max())
-    if worst > SOURCE_TOL:
+    if not worst <= SOURCE_TOL:
         i = int(np.argmax(resid))
         raise ValueError(
             f"case {case.name}: source mismatch {worst:.3e} at ({x[i]:.4f}, {y[i]:.4f})")

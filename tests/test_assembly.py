@@ -11,7 +11,8 @@ from hdgcd.assembly import (AssemblyContext, ProblemSpec, assemble_local_systems
                             local_diffusion)
 from hdgcd.fespace import build_dofmap, get_edge_basis, get_element_basis
 from hdgcd.mesh import build_uniform_triangulation, dirichlet_where
-from hdgcd.solver import HdgSolution, solve_hdg
+from hdgcd.problems import case_smooth
+from hdgcd.solver import HdgSolution, solve_hdg, solve_monolithic
 from hdgcd.supg import solve_supg
 from hdgcd.analysis import error_h1_broken, error_hdg, error_l2, hdg_norm
 from test_unstructured import jittered_mesh
@@ -317,6 +318,48 @@ def test_vector_and_scalar_fields_of_any_container(solve):
                  (lambda x, y: np.array([1.0, 0.5]), lambda x, y: [1.0])):
         sol = solve(ProblemSpec(b=b, c=c, **base), mesh)
         np.testing.assert_allclose(np.ravel(sol.u), np.ravel(ref.u), rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("check", [check_problem, solve_supg, solve_hdg],
+                         ids=["check_problem", "supg", "hdg"])
+def test_velocity_not_finite_on_neumann_edges_is_named(check):
+    # b is NaN only on the outflow side x = 1, tagged Neumann: no volume point
+    # sees it, so the inflow check is where it must be caught
+    rule = dirichlet_where(lambda x, y: x < 1e-12)
+    mesh = build_uniform_triangulation(3, rule)
+    prob = ProblemSpec(epsilon=1.0, f=lambda x, y: np.ones_like(x), boundary=rule,
+                       b=lambda x, y: (np.where(x > 1.0 - 1e-12, np.nan, 1.0), np.zeros_like(y)))
+    with pytest.raises(ValueError, match="^field b has non-finite values$"):
+        check(prob, mesh)
+
+
+@pytest.mark.parametrize("degree,quad_order", [(1, 0), (1, 1), (2, 2), (3, 1), (3, 5), (4, 2)])
+def test_quadrature_order_below_2k_is_rejected(degree, quad_order):
+    # an edge rule of fewer than k + 1 points cannot hold the P_k trace mass:
+    # it made the skeleton singular, or gave err_l2 = 1.7e13 or 1.4 silently
+    case = case_smooth(1.0)
+    mesh = build_uniform_triangulation(4)
+    message = f"^quadrature order {quad_order} is below 2k = {2 * degree} for degree {degree}"
+    for solve in (solve_hdg, solve_monolithic):
+        with pytest.raises(ValueError, match=message):
+            solve(case.problem, mesh, degree=degree, quad_order=quad_order)
+    sol = solve_hdg(case.problem, mesh, degree=degree, quad_order=2 * degree)
+    assert sol.info["quad_order"] == 2 * degree
+
+
+def test_non_integer_degree_or_order_is_named():
+    case = case_smooth(1.0)
+    mesh = build_uniform_triangulation(2)
+    get_context(mesh, 2)   # a cached context of degree 2 must not answer for 2.0
+    with pytest.raises(ValueError, match=r"^quadrature order must be an integer, got 2\.5$"):
+        solve_hdg(case.problem, mesh, quad_order=2.5)
+    with pytest.raises(ValueError, match=r"^polynomial degree must be an integer, got 2\.0$"):
+        get_context(mesh, 2.0)
+    with pytest.raises(ValueError, match=r"^polynomial degree must be an integer, got 2\.0$"):
+        solve_hdg(case.problem, mesh, degree=2.0)
+    # only the well-posedness check's context and the one built above: no
+    # truncated (1, 2) or (2, 2)
+    assert set(mesh.contexts) == {(1, 4), (2, 6)}
 
 
 def test_velocity_without_two_components_is_named():

@@ -278,16 +278,34 @@ def test_main_config_file_and_flag_override(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value,message", [
     ("--eta", "inf", "eta must be positive and finite, got inf"),
-    ("--epsilon", "inf", "epsilon must be positive and finite, got inf"),
+    ("--epsilon", "inf", "diffusion coefficient must be positive and finite, got inf"),
     ("--study", "foo", "unknown study 'foo'; available: convergence, "),
-    ("--degree", "11", "degree must be an integer from 1 to 10, got 11"),
+    ("--degree", "11", "polynomial degree 11 exceeds supported maximum 10"),
     ("--n", ",,10", "bad value for n: could not parse mesh sizes from ',,10'"),
-], ids=["eta", "epsilon", "study", "degree", "n"])
+    ("--problem", "ramp", "unknown case 'ramp'; available: smooth, layer, reduced_limit"),
+    ("--skeleton", "cgx", "unknown skeleton mode 'cgx'"),
+    ("--degree", "0", "polynomial degree must be >= 1, got 0"),
+], ids=["eta", "epsilon", "study", "degree", "n", "problem", "skeleton", "degree0"])
 def test_main_rejects_bad_flag_value(flag, value, message, capsys):
     assert main(["--n", "2,4", flag, value]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("study,epsilon,degree", [
+    ("convergence", 1.0, 7), ("convergence", 1.0, 8), ("layer", 1e-2, 7), ("layer", 1e-2, 8)])
+def test_high_degree_rows_use_a_quadrature_that_follows_k(study, epsilon, degree):
+    # fixed order-12 rules ignored k: err_hdg read 3.8e3 at k = 7 and the
+    # rows of k = 8 were "# error: n=2: Singular matrix"
+    text = run_study(RunConfig(study=study, epsilon=epsilon, degree=degree, mesh_sizes=(2, 4)))
+    assert "# error:" not in text
+    columns = text.splitlines()[0].split(": ")[1].split(",")
+    rows = [dict(zip(columns, line.split(","))) for line in data_rows(text)]
+    assert len(rows) == 2
+    assert all(np.isfinite(float(row["err_hdg"])) for row in rows)
+    if study == "convergence":
+        assert max(float(row["err_hdg"]) for row in rows) <= 1e-2
 
 
 @pytest.mark.parametrize("study", ["convergence", "layer"])

@@ -67,6 +67,12 @@ def test_element_basis_rejects_bad_degree():
         EdgeBasis(-1)
     with pytest.raises(ValueError, match="^edge degree 11 exceeds supported maximum 10$"):
         EdgeBasis(11)
+    # a whole-valued float is named as a non-integer, also where a cached
+    # basis of that degree exists
+    get_element_basis(2)
+    for make in (ElementBasis, get_element_basis):
+        with pytest.raises(ValueError, match=r"^polynomial degree must be an integer, got 2\.0$"):
+            make(2.0)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
@@ -111,6 +117,8 @@ def test_edge_quadrature_exactness():
 def test_quadrature_order_bounds():
     with pytest.raises(ValueError, match="^quadrature order must be >= 0, got -1$"):
         quad_triangle(-1)
+    with pytest.raises(ValueError, match=r"^quadrature order must be an integer, got 2\.5$"):
+        quad_edge(2.5)
     with pytest.raises(ValueError, match="^quadrature order 61 exceeds supported maximum 60$"):
         quad_triangle(61)
     with pytest.raises(ValueError, match="^quadrature order must be >= 0, got -1$"):
@@ -167,10 +175,25 @@ def test_dofmap_cg_counts():
     dm = build_dofmap(mesh, 1, "cg")
     # interior vertices only; boundary vertices touch Dirichlet edges
     assert dm.n_trace_active == (4 - 1) ** 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^continuous skeleton mode is only defined for degree 1$"):
         build_dofmap(mesh, 2, "cg")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown skeleton mode 'mixed'$"):
         build_dofmap(mesh, 1, "mixed")
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_dofmap_owns_the_trace_basis(degree):
+    # one trace space: the edge basis, its width and the three-slot table
+    dm = build_dofmap(build_uniform_triangulation(2), degree)
+    assert dm.edge_basis is fespace.get_edge_basis(degree)
+    assert dm.ndof_edge == dm.edge_basis.dim == dm.edge_dofs.shape[1] == degree + 1
+    t = quad_edge(2 * degree + 2).points
+    slots = dm.slot_values(t)
+    assert slots.shape == (3 * t.size, 3 * (degree + 1))
+    for s in range(3):
+        for r in range(3):
+            block = slots[s * t.size:(s + 1) * t.size, r * (degree + 1):(r + 1) * (degree + 1)]
+            assert np.array_equal(block, dm.edge_basis.values(t) if s == r else 0.0 * block)
 
 
 def test_dofmap_cg_shares_vertices():

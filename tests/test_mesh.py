@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from hdgcd.assembly import verify_inflow_in_dirichlet
 from hdgcd.fespace import build_dofmap
 from hdgcd.mesh import (BoundaryTag, Mesh, MeshError, all_dirichlet,
                         build_uniform_triangulation, dirichlet_where,
-                        load_mesh, save_mesh,
-                        verify_inflow_in_dirichlet)
+                        load_mesh, save_mesh)
 from test_unstructured import jittered_mesh
 
 
@@ -165,6 +165,21 @@ def test_invalid_meshes_rejected():
         Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 2, 1]]))
     with pytest.raises(ValueError):
         build_uniform_triangulation(0)
+
+
+@pytest.mark.parametrize("bad", [1.7, np.nan])
+def test_non_integer_triangle_index_rejected(bad):
+    # the int64 cast made [0, 1.7, 2] the triangle (0, 1, 2)
+    vertices = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    message = "^triangle 1 has a vertex index that is not a whole number$"
+    with pytest.raises(MeshError, match=message):
+        Mesh(vertices, [[0, 1, 2], [1, 3, bad]])
+    with pytest.raises(MeshError, match="^triangle vertex index out of range$"):
+        Mesh(vertices, [[0, 1, 2], [1, 3, np.inf]])
+    # whole-valued floats still build the mesh
+    whole = Mesh(vertices, np.array([[0.0, 1.0, 2.0], [1.0, 3.0, 2.0]]))
+    assert np.array_equal(whole.triangles, [[0, 1, 2], [1, 3, 2]])
+    assert whole.triangles.dtype == np.int64
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,24 @@ def test_verify_source_term_catches_wrong_source():
     with pytest.raises(ValueError) as err:
         verify_source_term(bad)
     assert "source mismatch" in str(err.value)
+
+
+@pytest.mark.parametrize("name,field,message", [
+    ("f", lambda x, y: np.full_like(x, np.nan), "field f has non-finite values"),
+    ("exact", lambda x, y: np.full_like(x, np.nan), "field exact has non-finite values"),
+    ("exact_grad", lambda x, y: (x[:10], y[:10]),
+     r"field exact_grad does not evaluate to two components of point shape \(1000,\)"),
+])
+def test_verify_source_term_names_a_bad_field(name, field, message):
+    # a NaN source or exact solution read nan and passed; a misshapen
+    # gradient failed inside numpy's broadcasting
+    case = case_smooth(1.0)
+    if name == "f":
+        case = replace(case, problem=replace(case.problem, f=field))
+    else:
+        case = replace(case, **{name: field})
+    with pytest.raises(ValueError, match=f"^{message}"):
+        verify_source_term(case)
 
 
 def test_verify_source_term_catches_wrong_gradient():

@@ -14,6 +14,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from hdgcd.analysis import error_l2  # noqa: E402
+from hdgcd.assembly import ProblemSpec  # noqa: E402
+from hdgcd.mesh import dirichlet_where  # noqa: E402
 from hdgcd.solver import solve_hdg, solve_monolithic  # noqa: E402
 from test_unstructured import bilinear_problem, relabelled_mesh  # noqa: E402
 
@@ -48,3 +51,41 @@ def test_condensed_matches_monolithic(mesh, degree):
     mono = solve_monolithic(PROBLEM, mesh, degree=degree)
     gap = max(np.abs(cond.u - mono.u).max(), np.abs(cond.uhat - mono.uhat).max())
     assert gap <= 1e-10 * np.abs(mono.u).max()
+
+
+def polynomial(terms):
+    """u = sum c x^a y^b over the (c, a, b) ``terms``, with its gradient and
+    Laplacian, as functions of the coordinate arrays."""
+    def field(dx, dy):
+        def value(x, y):
+            total = np.zeros_like(x)
+            for c, a, b in terms:
+                # the falling factorials vanish where a derivative passes the power
+                fac = np.prod(np.arange(a, a - dx, -1)) * np.prod(np.arange(b, b - dy, -1))
+                total = total + c * fac * x ** max(a - dx, 0) * y ** max(b - dy, 0)
+            return total
+        return value
+
+    return field(0, 0), field(1, 0), field(0, 1), (field(2, 0), field(0, 2))
+
+
+OUTFLOW = dirichlet_where(lambda x, y: x < 1e-12)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(mesh=drawn_meshes(OUTFLOW), degree=st.integers(min_value=1, max_value=3),
+       coeffs=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=6, max_size=6))
+def test_polynomial_of_the_degree_is_reproduced(mesh, degree, coeffs):
+    # u = x q(x, y) with q in P_{k-1} vanishes on the Dirichlet side x = 0;
+    # b = (1, 0) and eps = 1, so f = -lap(u) + u_x and g_N = du/dn on the
+    # Neumann sides x = 1, y = 0 and y = 1.  The pair (u, u on the skeleton)
+    # solves the scheme, so the solve must return it on every drawn mesh.
+    q = [(tot - j, j) for tot in range(degree) for j in range(tot + 1)]
+    u, ux, uy, (uxx, uyy) = polynomial([(c, a + 1, b) for c, (a, b) in zip(coeffs, q)])
+    problem = ProblemSpec(
+        epsilon=1.0, b=lambda x, y: (np.ones_like(x), np.zeros_like(y)),
+        f=lambda x, y: -(uxx(x, y) + uyy(x, y)) + ux(x, y),
+        g_N=lambda x, y: np.where(x > 1.0 - 1e-12, ux(x, y),
+                                  np.where(y < 1e-12, -uy(x, y), uy(x, y))),
+        boundary=OUTFLOW)
+    assert error_l2(solve_hdg(problem, mesh, degree=degree), u) <= 1e-11

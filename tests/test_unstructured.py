@@ -137,13 +137,14 @@ def reference_residual(sol, problem):
     residual = (vol * ctx.volume_weights(mesh)).sum(axis=1)
     bx_e, by_e = ctx.edge_values(problem.b, "b", vector=True)
     g_n = ctx.edge_values(problem.g_N, "g_N")
+    trace = get_edge_basis(sol.degree).values(ctx.edge.points)
     for s in range(3):
         # slot s read straight from the mesh, independently of the trace tables
         edges, normals = mesh.elem_edges[:, s], mesh.normals[:, s]
         o = mesh.edge_forward[:, s].astype(np.intp)
         dphi = physical_gradients(ctx.dN_tr[s, o], mesh)
         dn = np.einsum("tqia,ta,ti->tq", dphi, normals, sol.u)
-        gap = sol.edge_traces()[edges] @ ctx.E.T - np.einsum("tqi,ti->tq", ctx.N_tr[s, o], sol.u)
+        gap = sol.edge_traces()[edges] @ trace.T - np.einsum("tqi,ti->tq", ctx.N_tr[s, o], sol.u)
         bn = bx_e[edges] * normals[:, :1] + by_e[edges] * normals[:, 1:]
         h = mesh.h_e[edges][:, None]
         flux = eps * (dn + eta / h * gap) + np.maximum(-bn, 0.0) * gap
