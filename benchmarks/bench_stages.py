@@ -21,13 +21,14 @@ functions, each timed with ``time.perf_counter``: ``mesh``
 (``build_uniform_triangulation``), ``prepare`` (``check_problem`` and
 ``build_dofmap``), ``assemble``, ``condense``, ``solve`` (``solve_skeleton``,
 nearly all of it the SuperLU factorization), ``recover``, ``err_l2``,
-``err_h1``, ``err_hdg`` and ``conservation``.  ``err_l2`` is the first
-post-processing call on a mesh, so it also builds the order-12 error
-context.  A case also records its element, skeleton-dof and nnz(S)
-counts, the fill ``(nnz(L) + nnz(U)) / nnz(S)`` of one extra untimed
-factorization, the largest ``import_rss_mb`` and peak RSS of its runs (the
-latter taken before that factorization), and the error values, so two
-columns can be checked for the same answers.
+``err_h1``, ``err_hdg``, ``conservation`` and ``dump`` (``dump_field_grid``
+and ``dump_trace`` of the solution into a temporary directory, removed
+afterwards).  ``err_l2`` is the first post-processing call on a mesh, so it
+also builds the order-12 error context.  A case also records its element,
+skeleton-dof and nnz(S) counts, the fill ``(nnz(L) + nnz(U)) / nnz(S)`` of
+one extra untimed factorization, the largest ``import_rss_mb`` and peak RSS
+of its runs (the latter taken before that factorization), and the error
+values, so two columns can be checked for the same answers.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -54,7 +56,7 @@ CASES = {
     "smooth_1e-3_n32_k3": ("smooth", 1e-3, 32, 3),
 }
 STAGES = ("mesh", "prepare", "assemble", "condense", "solve", "recover",
-          "err_l2", "err_h1", "err_hdg", "conservation")
+          "err_l2", "err_h1", "err_hdg", "conservation", "dump")
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -63,6 +65,7 @@ def pipeline(case, n, degree, times):
     ``times`` and returns the condensed system, the mesh and the errors."""
     # imported here, in the worker: the driving process may measure any checkout
     import hdgcd
+    import hdgcd.cli
     from hdgcd import solver
 
     def timed(stage, func, *args, **kwargs):
@@ -74,6 +77,11 @@ def pipeline(case, n, degree, times):
     def prepare(mesh):
         hdgcd.check_problem(problem, mesh).require_ok()
         return hdgcd.build_dofmap(mesh, degree)
+
+    def dump(sol):
+        with tempfile.TemporaryDirectory() as tmp:
+            hdgcd.cli.dump_field_grid(sol, os.path.join(tmp, "uh.dat"))
+            hdgcd.cli.dump_trace(sol, os.path.join(tmp, "uhat.dat"))
 
     problem, region = case.problem, case.region
     eta = hdgcd.default_eta(degree)
@@ -93,6 +101,7 @@ def pipeline(case, n, degree, times):
     }
     residual = timed("conservation", hdgcd.conservation_residual, sol, problem)
     errors["conservation_max"] = float(abs(residual).max())
+    timed("dump", dump, sol)
     return condensed, mesh, errors
 
 

@@ -343,11 +343,17 @@ class AssemblyContext:
 def get_context(mesh, degree, quad_order=None):
     """AssemblyContext of the shared degree-``degree`` bases, cached for the
     lifetime of ``mesh``; the quadrature order defaults to 2k + 2.  Both are
-    checked to be integers in range before they key the cache."""
+    checked to be integers in range before they key the cache, and an order
+    below 2k, whose rules cannot integrate the P_k mass (an edge rule of
+    fewer than k + 1 points), raises a ValueError: the one home of that rule
+    for the HDG systems, the SUPG baseline and the error norms."""
     if quad_order is None:
         quad_order = default_quad_order(degree)
     key = (_bounded_int("polynomial degree", degree, 1, MAX_DEGREE),
            _bounded_int("quadrature order", quad_order, 0, MAX_QUAD_ORDER))
+    if key[1] < 2 * key[0]:
+        raise ValueError(f"quadrature order {key[1]} is below 2k = {2 * key[0]} for "
+                         f"degree {key[0]}: the rules cannot integrate the P_k mass")
     if key not in mesh.contexts:
         mesh.contexts[key] = AssemblyContext(mesh, *key)
     return mesh.contexts[key]
@@ -464,8 +470,8 @@ def assemble_local_systems(mesh, dofmap, problem, eta=None, quad_order=None,
 
     Field coefficients are evaluated once on the whole mesh and every term
     is batched over the elements.  ``parts`` restricts the assembled terms
-    (used by diagnostics and tests).  A ``quad_order`` below 2k, whose edge
-    rule has too few points for the P_k trace mass, raises a ValueError.
+    (used by diagnostics and tests).  A ``quad_order`` below 2k raises a
+    ValueError (:func:`get_context`).
     """
     unknown = set(parts) - {"diffusion", "convection", "load"}
     if unknown:
@@ -476,9 +482,6 @@ def assemble_local_systems(mesh, dofmap, problem, eta=None, quad_order=None,
     if not 0.0 < eta < np.inf:
         raise ValueError(f"penalty eta must be positive and finite, got {eta!r}")
     ctx = get_context(mesh, degree, quad_order)
-    if quad_order is not None and quad_order < 2 * degree:
-        raise ValueError(f"quadrature order {quad_order} is below 2k = {2 * degree} for "
-                         f"degree {degree}: the edge rule cannot hold the trace mass")
     out = ElementSystems.zeros(mesh.n_elements, dofmap.ndof_elem, 3 * dofmap.ndof_edge)
     if "diffusion" in parts:
         out.A_uu += stiffness(ctx, mesh, problem.epsilon)

@@ -21,8 +21,9 @@ MAX_QUAD_ORDER = 60
 
 
 def _bounded_int(name, value, lo, hi):
-    """``int(value)`` for an integer ``lo <= value <= hi``; ValueError naming ``name`` otherwise."""
-    if not isinstance(value, (int, np.integer)):
+    """``int(value)`` for an integer ``lo <= value <= hi``; ValueError naming ``name``
+    otherwise.  A bool is not an integer here, though ``isinstance(True, int)``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < lo:
         raise ValueError(f"{name} must be >= {lo}, got {value!r}")

@@ -227,10 +227,17 @@ class Mesh:
 
     def physical_points(self, ref_points):
         """Images (nt, nq, 2) of reference-triangle points (nq, 2) in every element."""
-        # v0 + (r0 J[..., 0] + r1 J[..., 1]) in place: this order keeps the points bit-stable
-        out = ref_points[:, 0, None] * self.jacobians[:, None, :, 0]
-        out += ref_points[:, 1, None] * self.jacobians[:, None, :, 1]
-        out += self.vertices[self.triangles[:, 0], None, :]
+        # v0 + (r0 J[:, a, 0] + r1 J[:, a, 1]) one (nt, nq) coordinate plane at a
+        # time: this order keeps the points bit-stable, and planes avoid the
+        # slow length-2 innermost broadcast
+        r0, r1 = ref_points[:, 0], ref_points[:, 1]
+        v0 = self.vertices[self.triangles[:, 0]]
+        out = np.empty((self.n_elements, len(ref_points), 2))
+        for a in range(2):
+            plane = out[..., a]
+            np.multiply(self.jacobians[:, a, 0, None], r0, out=plane)
+            plane += self.jacobians[:, a, 1, None] * r1
+            plane += v0[:, a, None]
         return out
 
     def edge_points(self, t, edges=slice(None)):

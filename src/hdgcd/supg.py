@@ -73,7 +73,8 @@ def assemble_supg(problem, mesh, quad_order=None):
     The Galerkin part uses the volume kernels of the HDG element systems;
     SUPG adds tau_K (b . grad phi_j + c phi_j - f, b . grad phi_i)_K with
     tau_K from :func:`supg_tau`.  Returns (A, rhs, free) where ``free``
-    lists the unconstrained vertex indices.
+    lists the unconstrained vertex indices.  A ``quad_order`` below 2, which
+    cannot integrate the P1 mass, raises a ValueError, as it does for HDG.
     """
     ctx = get_context(mesh, 1, quad_order)
     b = ctx.volume_values(problem.b, "b", vector=True)

@@ -200,7 +200,7 @@ def _samples_text(pts, vals):
 def test_dumps_write_the_formatted_samples(tmp_path):
     # The dump text is exactly 'x y value' in %.12e on the 101 x 101 grid and
     # at three samples per edge, also for non-finite, negative-zero and
-    # subnormal values; the grid's template is formatted once.
+    # subnormal values.
     from hdgcd.fespace import get_edge_basis, get_element_basis
     case = case_smooth(1.0)
     mesh = build_uniform_triangulation(4, case.problem.boundary)
@@ -208,7 +208,6 @@ def test_dumps_write_the_formatted_samples(tmp_path):
     odd = solve_hdg(case.problem, mesh, degree=2)
     odd.u[0], odd.u[5], odd.u[9] = np.nan, -0.0, 1e-310
     odd.uhat[:3] = np.nan, -0.0, 5e-324
-    hdgcd.cli._grid_template.cache_clear()
     xs = np.linspace(0.0, 1.0, 101)
     pts = np.column_stack([np.tile(xs, 101), np.repeat(xs, 101)])
     elems, ref = hdgcd.cli._locate_points(mesh, pts)
@@ -223,14 +222,50 @@ def test_dumps_write_the_formatted_samples(tmp_path):
         dump_trace(sol, tmp_path / "trace.dat")
         assert (tmp_path / "trace.dat").read_text() == _samples_text(
             mesh.edge_points(ts, skel).reshape(-1, 2), vals.ravel())
-    assert hdgcd.cli._grid_template.cache_info()[:2] == (1, 1)   # (hits, misses)
     assert " nan\n" in path.read_text() and "e-310\n" in path.read_text()
     assert " nan\n" in (tmp_path / "trace.dat").read_text()
     # no sum of products gives -0.0, so the writer sees it directly
     pts, vals = np.array([[-0.0, 5e-324]]), np.array([-0.0])
-    hdgcd.cli._write_samples(path, hdgcd.cli._sample_template(pts), vals)
+    hdgcd.cli._write_samples(path, pts, vals)
     assert path.read_text() == _samples_text(pts, vals) == (
         "-0.000000000000e+00 4.940656458412e-324 -0.000000000000e+00\n")
+
+
+def _percent_lines(table):
+    return "".join(" ".join("%.12e" % v for v in row) + "\n" for row in table.tolist()).encode()
+
+
+def test_dump_writer_edge_cases():
+    # exact ties (2j+1)/2^14 in [0.1, 1) have 14 digits ending in 5 and
+    # round half to even; then inexact powers of ten, carries into the next
+    # decade, the edges of the two-digit exponents, zeros and non-finite
+    ties = [(2 * j + 1) / 2 ** 14 for j in range(820, 8192)]
+    edges = [1e22, 1e23, 1e-22, 1e-23, -1e22, -1e-23]
+    for k in (-300, -99, -5, 0, 5, 12, 99, 300):
+        edges += [float(f"9.9999999999995e{k}"), float(f"9.99999999999951e{k}"),
+                  float(f"9.99999999999949e{k}"), float(f"-9.9999999999995e{k}")]
+    for k in (98, 99, 100):
+        edges += [1.5 * 10.0 ** k, 1.5 * 10.0 ** -k, -(10.0 ** k), 10.0 ** -k,
+                  float(f"9.9999999999999e{k - 1}")]
+    edges += [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+              np.nan, np.inf, -np.inf, 1.0, -1.0, 0.5]
+    for values in (ties, edges):
+        x = np.array(values)
+        assert hdgcd.cli._format_rows(x[:, None]) == _percent_lines(x[:, None])
+    x = np.array(edges[: len(edges) // 3 * 3]).reshape(-1, 3)
+    assert hdgcd.cli._format_rows(x) == _percent_lines(x)
+    assert hdgcd.cli._format_rows(np.array([[-0.0, 5e-324, np.nan]])) == (
+        b"-0.000000000000e+00 4.940656458412e-324 nan\n")
+
+
+def test_dump_writer_on_random_bit_patterns(tmp_path):
+    # 300k doubles of uniformly drawn bits: every exponent, NaN payloads,
+    # subnormals and both zeros, in rows of three, written in several blocks
+    bits = np.random.default_rng(20131).integers(0, 2 ** 64, size=300_000, dtype=np.uint64)
+    x = bits.view(np.float64).reshape(-1, 3)
+    assert len(x) > 2 * hdgcd.cli._WRITE_ROWS
+    hdgcd.cli._write_samples(tmp_path / "bits.dat", x[:, :2], x[:, 2])
+    assert (tmp_path / "bits.dat").read_bytes() == _percent_lines(x)
 
 
 def test_main_writes_csv_and_exit_codes(tmp_path, capsys):

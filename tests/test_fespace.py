@@ -3,6 +3,8 @@ import pytest
 
 from hdgcd import fespace
 from hdgcd.analysis import project_to_hdg
+from hdgcd.assembly import get_context
+from hdgcd.cli import RunConfig
 from hdgcd.fespace import (EdgeBasis, ElementBasis, build_dofmap, get_element_basis, quad_edge,
                            quad_triangle)
 from hdgcd.mesh import build_uniform_triangulation, dirichlet_where
@@ -73,6 +75,21 @@ def test_element_basis_rejects_bad_degree():
     for make in (ElementBasis, get_element_basis):
         with pytest.raises(ValueError, match=r"^polynomial degree must be an integer, got 2\.0$"):
             make(2.0)
+
+
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_bool_is_not_an_integer(flag):
+    # isinstance(True, int) held, so degree=True ran at degree 1 and the
+    # CLI printed "degree=True" in its config comment
+    mesh = build_uniform_triangulation(2)
+    message = f"must be an integer, got {flag!r}$"
+    with pytest.raises(ValueError, match="^polynomial degree " + message):
+        RunConfig(degree=flag, mesh_sizes=(2,)).validate()
+    with pytest.raises(ValueError, match="^polynomial degree " + message):
+        get_context(mesh, flag)
+    with pytest.raises(ValueError, match="^quadrature order " + message):
+        quad_triangle(flag)
+    assert not mesh.contexts
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
