@@ -21,14 +21,20 @@ functions, each timed with ``time.perf_counter``: ``mesh``
 (``build_uniform_triangulation``), ``prepare`` (``check_problem`` and
 ``build_dofmap``), ``assemble``, ``condense``, ``solve`` (``solve_skeleton``,
 nearly all of it the SuperLU factorization), ``recover``, ``err_l2``,
-``err_h1``, ``err_hdg``, ``conservation`` and ``dump`` (``dump_field_grid``
-and ``dump_trace`` of the solution into a temporary directory, removed
-afterwards).  ``err_l2`` is the first post-processing call on a mesh, so it
-also builds the order-12 error context.  A case also records its element,
-skeleton-dof and nnz(S) counts, the fill ``(nnz(L) + nnz(U)) / nnz(S)`` of
-one extra untimed factorization, the largest ``import_rss_mb`` and peak RSS
-of its runs (the latter taken before that factorization), and the error
-values, so two columns can be checked for the same answers.
+``err_h1``, ``err_hdg``, ``errors`` (``analysis.errors``, the three
+measures from one call; skipped for a checkout without it),
+``conservation`` and ``dump`` (``dump_field_grid`` and ``dump_trace`` of
+the solution into a temporary directory, removed afterwards).  ``err_l2``
+is the first post-processing call on a mesh, so it also builds the
+order-12 error context.  ``total_s`` leaves out ``errors``, which repeats
+the three measures, so columns with and without it compare.  A case also
+records its element, skeleton-dof and nnz(S) counts, the fill
+``(nnz(L) + nnz(U)) / nnz(S)`` of one extra untimed factorization, the
+largest ``import_rss_mb`` and peak RSS of its runs (the latter taken before
+that factorization), the peak RSS after each stage of each run
+(``stage_rss_mb``, a list per stage in run order, so a run whose peak is
+high shows the stage that raised it), and the error values, so two columns
+can be checked for the same answers.
 """
 
 from __future__ import annotations
@@ -56,13 +62,23 @@ CASES = {
     "smooth_1e-3_n32_k3": ("smooth", 1e-3, 32, 3),
 }
 STAGES = ("mesh", "prepare", "assemble", "condense", "solve", "recover",
-          "err_l2", "err_h1", "err_hdg", "conservation", "dump")
+          "err_l2", "err_h1", "err_hdg", "errors", "conservation", "dump")
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def pipeline(case, n, degree, times):
+def peak_rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def total_s(stages_s):
+    """Seconds of the stages other than ``errors``."""
+    return sum(t for s, t in stages_s.items() if s != "errors")
+
+
+def pipeline(case, n, degree, times, rss):
     """One mesh-to-conservation run; appends each stage's seconds to
-    ``times`` and returns the condensed system, the mesh and the errors."""
+    ``times`` and the peak RSS after it to ``rss``, and returns the
+    condensed system, the mesh and the errors."""
     # imported here, in the worker: the driving process may measure any checkout
     import hdgcd
     import hdgcd.cli
@@ -72,6 +88,7 @@ def pipeline(case, n, degree, times):
         start = time.perf_counter()
         out = func(*args, **kwargs)
         times[stage].append(time.perf_counter() - start)
+        rss[stage].append(peak_rss_mb())
         return out
 
     def prepare(mesh):
@@ -99,6 +116,8 @@ def pipeline(case, n, degree, times):
         "err_hdg": timed("err_hdg", hdgcd.error_hdg, sol, case.exact, problem, eta,
                          region=region).err_hdg,
     }
+    if hasattr(hdgcd.analysis, "errors"):
+        timed("errors", hdgcd.analysis.errors, sol, case, eta)
     residual = timed("conservation", hdgcd.conservation_residual, sol, problem)
     errors["conservation_max"] = float(abs(residual).max())
     timed("dump", dump, sol)
@@ -110,17 +129,17 @@ def run_case(name):
     start = time.perf_counter()
     import hdgcd
     import_s = time.perf_counter() - start
-    import_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    import_rss_mb = peak_rss_mb()
     import numpy as np
     import scipy
     from hdgcd import solver
 
     problem_name, epsilon, n, degree = CASES[name]
     case = hdgcd.get_case(problem_name, epsilon)
-    pipeline(case, WARMUP_N, degree, {s: [] for s in STAGES})
-    times = {s: [] for s in STAGES}
-    condensed, mesh, errors = pipeline(case, n, degree, times)
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    pipeline(case, WARMUP_N, degree, {s: [] for s in STAGES}, {s: [] for s in STAGES})
+    times, rss = {s: [] for s in STAGES}, {s: [] for s in STAGES}
+    condensed, mesh, errors = pipeline(case, n, degree, times, rss)
+    peak = peak_rss_mb()
     lu = solver.sparse_factor(condensed.S, "skeleton")
     return {
         "case": {"problem": problem_name, "epsilon": epsilon, "n": n, "degree": degree},
@@ -130,8 +149,9 @@ def run_case(name):
         "fill": (lu.L.nnz + lu.U.nnz) / condensed.S.nnz,
         "import_s": import_s,
         "import_rss_mb": round(import_rss_mb, 1),
-        "stages_s": {s: t[0] for s, t in times.items()},
-        "peak_rss_mb": round(peak_rss_mb, 1),
+        "stages_s": {s: t[0] for s, t in times.items() if t},
+        "stage_rss_mb": {s: round(r[0], 1) for s, r in rss.items() if r},
+        "peak_rss_mb": round(peak, 1),
         "errors": errors,
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__},
@@ -161,23 +181,26 @@ def measure(label, checkout, name):
     if record.pop("hdgcd_src") != str(src):
         raise SystemExit(f"{label} {name}: hdgcd was not imported from {src}")
     print(f"{label:>10} {name:<22} import {record['import_s']:.3f} s  "
-          f"total {sum(record['stages_s'].values()):.3f} s  "
+          f"total {total_s(record['stages_s']):.3f} s  "
           f"peak {record['peak_rss_mb']} MB", file=sys.stderr)
     return record
 
 
 def combine(runs):
     """One case's record from its runs: import, stage and total medians, the
-    largest RSS peaks; the counts and errors must agree between runs."""
+    largest RSS peaks, the per-stage RSS of every run; the counts and errors
+    must agree between runs."""
     fixed = ("case", "elements", "skeleton_dofs", "nnz_S", "fill", "errors")
     if any(run[key] != runs[0][key] for run in runs for key in fixed):
         raise SystemExit(f"runs of {runs[0]['case']} disagree on {fixed}")
     record = {key: runs[0][key] for key in fixed}
     record["import_s"] = statistics.median(run["import_s"] for run in runs)
     record["import_rss_mb"] = max(run["import_rss_mb"] for run in runs)
-    record["stages_s"] = {s: statistics.median(run["stages_s"][s] for run in runs) for s in STAGES}
-    record["total_s"] = statistics.median(sum(run["stages_s"].values()) for run in runs)
+    stages = [s for s in STAGES if s in runs[0]["stages_s"]]
+    record["stages_s"] = {s: statistics.median(run["stages_s"][s] for run in runs) for s in stages}
+    record["total_s"] = statistics.median(total_s(run["stages_s"]) for run in runs)
     record["peak_rss_mb"] = max(run["peak_rss_mb"] for run in runs)
+    record["stage_rss_mb"] = {s: [run["stage_rss_mb"][s] for run in runs] for s in stages}
     return record
 
 

@@ -9,7 +9,13 @@ projection of the exact solution, see :func:`project_to_hdg`.
 The error measures and the scheme norm accept an optional region: a
 predicate ``(x, y) -> bool`` tested at element barycenters, or None for
 the whole domain.  An element contributes when its barycenter lies
-inside, and its edge terms follow the element.
+inside, and its edge terms follow the element.  Fields are evaluated, and
+trace tables built, only on the region's elements and their edges.  Matrix
+products still run over every element, since BLAS may round a row
+differently among other rows, so each element's integral and the sum over
+the region stay bit-identical to a whole-mesh evaluation.  :func:`errors`
+gives the three distances of a case's solution from one evaluation of the
+exact solution per point set and one of its gradient.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hdgcd.assembly import default_quad_order, eval_field, flux_weights, get_context, neumann_data
+from hdgcd.assembly import (check_penalty, default_quad_order, eval_field, flux_weights,
+                            get_context, neumann_data)
 from hdgcd.solver import HdgSolution
 
 # floor of the quadrature order of the error measures; from k = 6 on the
@@ -54,37 +61,104 @@ def _error_context(mesh, degree):
 
 
 def _region_mask(region, mesh):
-    """Elements whose barycenter satisfies ``region``; all when it is None."""
+    """Elements whose barycenter satisfies ``region``; all when it is None.
+
+    Raises ValueError naming ``region`` when it does not give one bool per
+    element."""
     if region is None:
         return np.ones(mesh.n_elements, dtype=bool)
     bc = mesh.barycenters
-    return np.asarray(region(bc[:, 0], bc[:, 1]), dtype=bool)
+    mask = np.asarray(region(bc[:, 0], bc[:, 1]), dtype=bool)
+    if mask.shape != (mesh.n_elements,):
+        raise ValueError(f"region must give one bool per element barycenter, shape "
+                         f"({mesh.n_elements},); got shape {mask.shape}")
+    return mask
 
 
-def _region_norm(ctx, mesh, sq, region):
-    """sqrt of the integral of the squares ``sq`` (nt, nq) at the volume
-    points over the elements of ``region``."""
-    mask = _region_mask(region, mesh)
-    per_elem = (sq * ctx.volume_weights(mesh)).sum(axis=1)
-    return float(np.sqrt(per_elem[mask].sum()))
+def _elements(region, mesh):
+    """Index of the elements of ``region``: a slice, which keeps views, for
+    the whole mesh, else their ascending indices."""
+    return slice(None) if region is None else np.flatnonzero(_region_mask(region, mesh))
+
+
+def _reached(elems, per_element, entities):
+    """Positions in ``entities`` (ascending indices) of those that the
+    elements ``elems`` reach through the table ``per_element`` (nt, 3)."""
+    if isinstance(elems, slice):
+        return elems
+    return np.flatnonzero(np.isin(entities, per_element[elems]))
+
+
+def _rows(values, rows, n):
+    """``values`` (m, ...) as the ``rows`` of n rows, zero elsewhere."""
+    if isinstance(rows, slice):
+        return values
+    out = np.zeros((n,) + values.shape[1:])
+    out[rows] = values
+    return out
+
+
+def _root(per_elem):
+    """sqrt of the sum of per-element integrals."""
+    return float(np.sqrt(per_elem.sum()))
+
+
+def _l2_sq(ctx, mesh, elems, u, exact):
+    """Integrals of (u_h - exact)^2 over the elements ``elems``, from all
+    coefficients ``u`` (nt, nd) and the exact values at their points."""
+    diff = ((u @ ctx.N.T)[elems] - exact) ** 2
+    return (diff * ctx.volume_weights(mesh, elems)).sum(axis=1)
+
+
+def _h1_sq(ctx, mesh, elems, u, exact_grad):
+    """Integrals of |grad u_h - exact_grad|^2 over the elements ``elems``.
+
+    The field ``exact_grad`` is evaluated after the discrete gradients, whose
+    evaluation peaks at twice their size, so the two peaks do not add."""
+    grads = ctx.field_gradients(mesh, u)[elems]
+    gx, gy = ctx.volume_values(exact_grad, "exact_grad", vector=True, elements=elems)
+    diff = (grads[..., 0] - gx) ** 2 + (grads[..., 1] - gy) ** 2
+    return (diff * ctx.volume_weights(mesh, elems)).sum(axis=1)
 
 
 def error_l2(solution, exact, region=None):
     """Broken L2 distance between a discrete field and an exact solution."""
     mesh = solution.mesh
     ctx = _error_context(mesh, solution.degree)
-    diff = (solution.u @ ctx.N.T - ctx.volume_values(exact, "exact")) ** 2
-    return _region_norm(ctx, mesh, diff, region)
+    elems = _elements(region, mesh)
+    return _root(_l2_sq(ctx, mesh, elems, solution.u,
+                        ctx.volume_values(exact, "exact", elements=elems)))
 
 
 def error_h1_broken(solution, exact_grad, region=None):
     """Broken H1 seminorm distance against the exact gradient."""
     mesh = solution.mesh
     ctx = _error_context(mesh, solution.degree)
-    grads = ctx.field_gradients(mesh, solution.u)
-    gx, gy = ctx.volume_values(exact_grad, "exact_grad", vector=True)
-    diff = (grads[..., 0] - gx) ** 2 + (grads[..., 1] - gy) ** 2
-    return _region_norm(ctx, mesh, diff, region)
+    return _root(_h1_sq(ctx, mesh, _elements(region, mesh), solution.u, exact_grad))
+
+
+def _projection(exact, dofmap, ctx, elems, exact_vol):
+    """The pair projection of :func:`project_to_hdg` on the elements
+    ``elems`` and their edges, from the values ``exact_vol`` of ``exact`` at
+    their volume points: coefficients u (nt, nd) and active trace dofs,
+    zero off those elements and edges."""
+    mesh = dofmap.mesh
+    u = _project(ctx.N, ctx.vol.weights, _rows(exact_vol, elems, mesh.n_elements))
+    uhat = np.zeros(dofmap.n_trace_active)
+    if dofmap.skeleton_mode == "dg":
+        free = np.flatnonzero(dofmap.edge_dofs[:, 0] >= 0)
+        if free.size:
+            at = _reached(elems, mesh.elem_edges, free)
+            vals = ctx.edge_values(exact, "exact", edges=free[at])
+            E = dofmap.edge_basis.values(ctx.edge.points)
+            uhat[dofmap.edge_dofs[free]] = _project(E, ctx.edge.weights,
+                                                    _rows(vals, at, free.size))
+    else:
+        active = np.flatnonzero(dofmap.vertex_dofs >= 0)
+        active = active[_reached(elems, mesh.triangles, active)]
+        vx = mesh.vertices[active]
+        uhat[dofmap.vertex_dofs[active]] = eval_field(exact, vx[:, 0], vx[:, 1], "exact")
+    return u, uhat
 
 
 def project_to_hdg(exact, dofmap):
@@ -95,20 +169,8 @@ def project_to_hdg(exact, dofmap):
     continuous mode it interpolates vertex values (an elementwise L2
     projection would couple globally).  Constrained dofs stay zero.
     """
-    mesh = dofmap.mesh
-    ctx = _error_context(mesh, dofmap.degree)
-    u = _project(ctx.N, ctx.vol.weights, ctx.volume_values(exact, "exact"))
-    uhat = np.zeros(dofmap.n_trace_active)
-    if dofmap.skeleton_mode == "dg":
-        free = np.flatnonzero(dofmap.edge_dofs[:, 0] >= 0)
-        if free.size:
-            E = dofmap.edge_basis.values(ctx.edge.points)
-            uhat[dofmap.edge_dofs[free]] = _project(E, ctx.edge.weights,
-                                                    ctx.edge_values(exact, "exact")[free])
-    else:
-        active = np.nonzero(dofmap.vertex_dofs >= 0)[0]
-        vx = mesh.vertices[active]
-        uhat[dofmap.vertex_dofs[active]] = eval_field(exact, vx[:, 0], vx[:, 1], "exact")
+    ctx = _error_context(dofmap.mesh, dofmap.degree)
+    u, uhat = _projection(exact, dofmap, ctx, slice(None), ctx.volume_values(exact, "exact"))
     return HdgSolution(dofmap=dofmap, u=u, uhat=uhat, info={"method": "projection"})
 
 
@@ -119,10 +181,46 @@ def _project(vals, weights, f):
     return np.linalg.solve(vals.T @ w_vals, (f @ w_vals).T).T
 
 
-def _trace_gap(ctx, tr, pair):
-    """uhat - u of the discrete ``pair`` at the points of trace tables ``tr`` (nt, 3nqe)."""
+def _trace_gap(ctx, tr, pair, elems=slice(None)):
+    """uhat - u of the discrete ``pair`` at the points of the trace tables
+    ``tr`` (m, 3nqe) of the elements ``elems``."""
+    mesh = pair.mesh
     E = pair.dofmap.slot_values(ctx.edge.points)
-    return tr.gather(pair.edge_traces()) @ E.T - np.einsum("tpi,ti->tp", tr.values, pair.u)
+    uhat = pair.edge_traces()[mesh.elem_edges].reshape(mesh.n_elements, -1) @ E.T
+    return uhat[elems] - np.einsum("tpi,ti->tp", tr.values, pair.u[elems])
+
+
+def _scheme_norm(pair, problem, eta, elems):
+    """:class:`ErrorReport` of a discrete pair over the elements ``elems``."""
+    mesh = pair.mesh
+    ctx = get_context(mesh, pair.degree)
+
+    # volume quantities
+    w = ctx.volume_weights(mesh, elems)
+    l2_sq_elem = ((pair.u @ ctx.N.T)[elems] ** 2 * w).sum(axis=1)
+    h1_sq_elem = ((ctx.field_gradients(mesh, pair.u)[elems] ** 2).sum(axis=-1) * w).sum(axis=1)
+    # |alpha| = 2 derivatives: u_xx, u_xy (counted once) and u_yy; P1 has none
+    h2_sq_elem = np.zeros(len(w))
+    if pair.degree > 1:
+        hess = ctx.field_hessians(mesh, pair.u)[elems]
+        h2 = hess[..., 0, 0] ** 2 + hess[..., 0, 1] ** 2 + hess[..., 1, 1] ** 2
+        h2_sq_elem = (h2 * w).sum(axis=1) * mesh.h_K[elems] ** 2
+
+    # edge quantities on the slots of those elements
+    tr = ctx.traces(mesh, elems)
+    diff2 = _trace_gap(ctx, tr, pair, elems) ** 2
+    bn = tr.normal_velocity(*ctx.edge_values(problem.b, "b", vector=True))
+    skel = ~tr.neumann
+    jump_sq = float(((eta / tr.h) * tr.weights * diff2)[skel].sum())
+    conv_sq = float((tr.weights * np.abs(bn) * diff2)[skel].sum())
+
+    h1 = float(h1_sq_elem.sum())
+    h2 = float(h2_sq_elem.sum())
+    l2 = float(l2_sq_elem.sum())
+    hdg_sq = problem.epsilon * (h1 + h2 + jump_sq) + conv_sq + problem.rho0 * l2
+    return ErrorReport(err_l2=float(np.sqrt(l2)), err_hdg=float(np.sqrt(hdg_sq)),
+                       seminorm_h1_sq=h1, seminorm_h2_sq=h2,
+                       jump_sq=jump_sq, conv_sq=conv_sq)
 
 
 def hdg_norm(pair, problem, eta, region=None):
@@ -132,46 +230,51 @@ def hdg_norm(pair, problem, eta, region=None):
     seminorms plus the penalty-weighted jump; the convective part sums
     |b.n|-weighted jumps over element boundaries and the rho0-weighted L2
     norm.  Edge terms skip Neumann edges and follow the elements of
-    ``region``.
+    ``region``.  A penalty ``eta`` that is not positive and finite raises
+    a ValueError.
     """
-    mesh = pair.mesh
-    ctx = get_context(mesh, pair.degree)
-    mask = _region_mask(region, mesh)
+    check_penalty(eta)
+    return _scheme_norm(pair, problem, eta, _elements(region, pair.mesh))
 
-    # volume quantities
-    w = ctx.volume_weights(mesh)
-    l2_sq_elem = ((pair.u @ ctx.N.T) ** 2 * w).sum(axis=1)
-    h1_sq_elem = ((ctx.field_gradients(mesh, pair.u) ** 2).sum(axis=-1) * w).sum(axis=1)
-    # |alpha| = 2 derivatives: u_xx, u_xy (counted once) and u_yy; P1 has none
-    h2_sq_elem = np.zeros(mesh.n_elements)
-    if pair.degree > 1:
-        hess = ctx.field_hessians(mesh, pair.u)
-        h2 = hess[..., 0, 0] ** 2 + hess[..., 0, 1] ** 2 + hess[..., 1, 1] ** 2
-        h2_sq_elem = (h2 * w).sum(axis=1) * mesh.h_K ** 2
 
-    # edge quantities over the selected elements
-    tr = ctx.traces(mesh)
-    diff2 = _trace_gap(ctx, tr, pair) ** 2
-    bn = tr.normal_velocity(*ctx.edge_values(problem.b, "b", vector=True))
-    skel = mask[:, None] & ~tr.neumann
-    jump_sq = float(((eta / tr.h) * tr.weights * diff2)[skel].sum())
-    conv_sq = float((tr.weights * np.abs(bn) * diff2)[skel].sum())
-
-    h1 = float(h1_sq_elem[mask].sum())
-    h2 = float(h2_sq_elem[mask].sum())
-    l2 = float(l2_sq_elem[mask].sum())
-    hdg_sq = problem.epsilon * (h1 + h2 + jump_sq) + conv_sq + problem.rho0 * l2
-    return ErrorReport(err_l2=float(np.sqrt(l2)), err_hdg=float(np.sqrt(hdg_sq)),
-                       seminorm_h1_sq=h1, seminorm_h2_sq=h2,
-                       jump_sq=jump_sq, conv_sq=conv_sq)
+def _distance(solution, projection, problem, eta, elems):
+    """Scheme-norm distance over ``elems`` to a :func:`_projection`."""
+    u, uhat = projection
+    diff = HdgSolution(dofmap=solution.dofmap, u=u - solution.u, uhat=uhat - solution.uhat)
+    return _scheme_norm(diff, problem, eta, elems)
 
 
 def error_hdg(solution, exact, problem, eta, region=None):
     """Scheme-norm distance to the projected exact solution."""
-    proj = project_to_hdg(exact, solution.dofmap)
-    diff = HdgSolution(dofmap=solution.dofmap, u=proj.u - solution.u,
-                       uhat=proj.uhat - solution.uhat)
-    return hdg_norm(diff, problem, eta, region=region)
+    check_penalty(eta)
+    mesh = solution.mesh
+    ctx = _error_context(mesh, solution.degree)
+    elems = _elements(region, mesh)
+    projection = _projection(exact, solution.dofmap, ctx, elems,
+                             ctx.volume_values(exact, "exact", elements=elems))
+    return _distance(solution, projection, problem, eta, elems)
+
+
+def errors(solution, case, eta):
+    """``(err_l2, err_h1, report)`` of a solution of ``case`` over
+    ``case.region``: the values of :func:`error_l2`, :func:`error_h1_broken`
+    and :func:`error_hdg` (an :class:`ErrorReport`) with penalty ``eta``.
+
+    ``case.exact`` is evaluated once at the volume points, for the L2
+    distance and the projection alike, and once at the edge points (at the
+    vertices for continuous traces); ``case.exact_grad`` once at the volume
+    points.  All of them only on the region's elements and their edges.
+    """
+    check_penalty(eta)
+    mesh = solution.mesh
+    ctx = _error_context(mesh, solution.degree)
+    elems = _elements(case.region, mesh)
+    exact = ctx.volume_values(case.exact, "exact", elements=elems)
+    err_l2 = _root(_l2_sq(ctx, mesh, elems, solution.u, exact))
+    projection = _projection(case.exact, solution.dofmap, ctx, elems, exact)
+    del exact   # freed before the H1 peak, which is the largest
+    err_h1 = _root(_h1_sq(ctx, mesh, elems, solution.u, case.exact_grad))
+    return err_l2, err_h1, _distance(solution, projection, case.problem, eta, elems)
 
 
 def conservation_residual(solution, problem):

@@ -51,6 +51,12 @@ def default_quad_order(degree):
     return 2 * degree + 2
 
 
+def check_penalty(eta):
+    """Raise ValueError unless the penalty ``eta`` is positive and finite."""
+    if not 0.0 < eta < np.inf:
+        raise ValueError(f"penalty eta must be positive and finite, got {eta!r}")
+
+
 def bracket(x):
     """Positive and negative parts (max(0, x), max(0, -x)) of b . n.
 
@@ -226,8 +232,8 @@ def _swap(a):
 
 
 class TraceTables(NamedTuple):
-    """The three edge slots of every element in canonical edge orientation,
-    with the slot and point axes flattened to p = s * nqe + q."""
+    """The three edge slots of each of nt elements in canonical edge
+    orientation, with the slot and point axes flattened to p = s * nqe + q."""
 
     edges: np.ndarray          # (nt, 3) global edge index of each slot
     neumann: np.ndarray        # (nt, 3nqe) True on Neumann edges (no trace)
@@ -239,17 +245,20 @@ class TraceTables(NamedTuple):
 
     def gather(self, per_edge):
         """Rows (ne, m) of per-edge data at every element's slots, (nt, 3m)."""
-        return per_edge[self.edges].reshape(len(self.edges), -1)
+        slots = per_edge[self.edges]
+        return slots.reshape(len(slots), 3 * per_edge.shape[1])
 
     def normal_velocity(self, bx_e, by_e):
         """b . n at the trace points, from velocity values per edge (ne, nqe)."""
         return self.gather(bx_e) * self.normals[..., 0] + self.gather(by_e) * self.normals[..., 1]
 
 
-def pull_back(mesh, v):
-    """Reference components J^{-1} v (2, nt, ...) of the physical vectors
-    ``v`` (2, nt, ...), so that v . grad phi = (J^{-1} v) . grad_ref phi."""
-    m = mesh.inv_jacobians_t.reshape(mesh.inv_jacobians_t.shape + (1,) * (v.ndim - 2))
+def pull_back(mesh, v, elements=slice(None)):
+    """Reference components J^{-1} v (2, m, ...) of the physical vectors
+    ``v`` (2, m, ...) on the elements ``elements``, so that
+    v . grad phi = (J^{-1} v) . grad_ref phi."""
+    m = mesh.inv_jacobians_t[elements]
+    m = m.reshape(m.shape + (1,) * (v.ndim - 2))
     return np.stack([m[:, 0, a] * v[0] + m[:, 1, a] * v[1] for a in (0, 1)])
 
 
@@ -269,6 +278,9 @@ class AssemblyContext:
     The context keeps no reference to its mesh, so it can live in
     ``mesh.contexts`` and be freed with it.  It is the only place that
     builds quadrature points, basis tables and physical point images.
+    :meth:`volume_weights`, :meth:`volume_values` and :meth:`traces` take an
+    optional index of elements (a slice keeps views) and then cover those
+    elements only.
     """
 
     def __init__(self, mesh, degree, quad_order):
@@ -309,35 +321,39 @@ class AssemblyContext:
         h = (m @ h_ref.reshape(nt, 2, -1)).reshape(nt, -1, 2) @ _swap(m)   # rows (a, q)
         return h.reshape(nt, 2, -1, 2).transpose(0, 2, 1, 3)
 
-    def volume_weights(self, mesh):
-        """Physical volume quadrature weights, (nt, nq)."""
-        return self.vol.weights * mesh.det_jacobians[:, None]
+    def volume_weights(self, mesh, elements=slice(None)):
+        """Physical volume quadrature weights of ``elements``, (m, nq)."""
+        return self.vol.weights * mesh.det_jacobians[elements, None]
 
-    def volume_values(self, func, name, vector=False):
-        """:func:`eval_field` of ``func`` at the volume points, (nt, nq)."""
-        return eval_field(func, self.X_vol[..., 0], self.X_vol[..., 1], name, vector)
+    def volume_values(self, func, name, vector=False, elements=slice(None)):
+        """:func:`eval_field` of ``func`` at the volume points of ``elements``, (m, nq)."""
+        pts = self.X_vol[elements]
+        return eval_field(func, pts[..., 0], pts[..., 1], name, vector)
 
-    def edge_values(self, func, name, vector=False):
-        """:func:`eval_field` of ``func`` at the edge points, (ne, nqe)."""
-        return eval_field(func, self.X_edge[..., 0], self.X_edge[..., 1], name, vector)
+    def edge_values(self, func, name, vector=False, edges=slice(None)):
+        """:func:`eval_field` of ``func`` at the points of ``edges``, (n, nqe)."""
+        pts = self.X_edge[edges]
+        return eval_field(func, pts[..., 0], pts[..., 1], name, vector)
 
-    def traces(self, mesh):
-        """:class:`TraceTables` of all three edge slots of every element.
+    def traces(self, mesh, elements=slice(None)):
+        """:class:`TraceTables` of all three edge slots of the elements.
 
         The orientation gather ``N_tr[s, edge_forward[:, s]]`` happens here
         only; the tables are built per call and not cached.
         """
-        nt, nqe = mesh.n_elements, self.edge.weights.size
-        o = mesh.edge_forward.astype(np.intp)
+        nqe = self.edge.weights.size
+        o = mesh.edge_forward[elements].astype(np.intp)
         slots = np.arange(3)
-        edges = mesh.elem_edges
+        edges, elem_normals = mesh.elem_edges[elements], mesh.normals[elements]
+        nt = len(edges)
         neumann, h, normals = (np.repeat(a, nqe, axis=1) for a in
-                               (mesh.edge_tags[edges] == _NEUMANN, mesh.h_e[edges], mesh.normals))
+                               (mesh.edge_tags[edges] == _NEUMANN, mesh.h_e[edges], elem_normals))
         # d/dn of a basis function: reference gradient . J^{-1} n
-        n_ref = pull_back(mesh, np.moveaxis(mesh.normals, -1, 0))
-        dn = np.einsum("tsqib,bts->tsqi", self.dN_tr[slots, o], n_ref).reshape(nt, 3 * nqe, -1)
+        n_ref = pull_back(mesh, np.moveaxis(elem_normals, -1, 0), elements)
+        shape = (nt, 3 * nqe, self.N.shape[1])   # explicit for an empty selection
+        dn = np.einsum("tsqib,bts->tsqi", self.dN_tr[slots, o], n_ref).reshape(shape)
         return TraceTables(edges, neumann, h, normals, np.tile(self.edge.weights, 3) * h,
-                           self.N_tr[slots, o].reshape(nt, 3 * nqe, -1), dn)
+                           self.N_tr[slots, o].reshape(shape), dn)
 
 
 def get_context(mesh, degree, quad_order=None):
@@ -479,8 +495,7 @@ def assemble_local_systems(mesh, dofmap, problem, eta=None, quad_order=None,
     degree = dofmap.degree
     if eta is None:
         eta = default_eta(degree)
-    if not 0.0 < eta < np.inf:
-        raise ValueError(f"penalty eta must be positive and finite, got {eta!r}")
+    check_penalty(eta)
     ctx = get_context(mesh, degree, quad_order)
     out = ElementSystems.zeros(mesh.n_elements, dofmap.ndof_elem, 3 * dofmap.ndof_edge)
     if "diffusion" in parts:

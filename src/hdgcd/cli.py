@@ -23,7 +23,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from hdgcd.analysis import (convergence_table, error_hdg, error_l2,
-                            error_h1_broken, overshoot_metric)
+                            error_h1_broken, errors, overshoot_metric)
 from hdgcd.assembly import default_eta, default_quad_order
 from hdgcd.fespace import check_skeleton_mode, get_element_basis
 from hdgcd.mesh import build_uniform_triangulation
@@ -268,21 +268,13 @@ def _solve_hdg(config, case, mesh, mode):
                      skeleton_mode=mode, quad_order=_quad_order(case, config.degree))
 
 
-def _region_errors(sol, case):
-    """dofs_total and the L2 and broken H1 errors over the case's region."""
-    return {"dofs_total": sol.info["dofs_total"],
-            "err_l2": error_l2(sol, case.exact, region=case.region),
-            "err_h1": error_h1_broken(sol, case.exact_grad, region=case.region)}
-
-
 def _hdg_cells(config, case, mesh, mode):
-    """An HDG solve and the cells the convergence and layer tables share."""
+    """An HDG solve and the cells the convergence and layer tables share,
+    the errors over the case's region from one :func:`errors` call."""
     sol = _solve_hdg(config, case, mesh, mode)
-    cells = _region_errors(sol, case)
-    cells["dofs_skeleton"] = sol.info["dofs_skeleton"]
-    cells["err_hdg"] = error_hdg(sol, case.exact, case.problem, config.eta,
-                                 region=case.region).err_hdg
-    return sol, cells
+    err_l2, err_h1, report = errors(sol, case, config.eta)
+    return sol, {"dofs_total": sol.info["dofs_total"], "dofs_skeleton": sol.info["dofs_skeleton"],
+                 "err_l2": err_l2, "err_h1": err_h1, "err_hdg": report.err_hdg}
 
 
 # A row function maps (config, case, mesh, skeleton mode) to the row's
@@ -292,7 +284,9 @@ def _hdg_cells(config, case, mesh, mode):
 def _convergence_row(config, case, mesh, mode):
     if config.method == "supg":
         sol = solve_supg(case.problem, mesh, quad_order=_quad_order(case, 1))
-        return _region_errors(sol, case), ()
+        return {"dofs_total": sol.info["dofs_total"],
+                "err_l2": error_l2(sol, case.exact, region=case.region),
+                "err_h1": error_h1_broken(sol, case.exact_grad, region=case.region)}, ()
     return _hdg_cells(config, case, mesh, mode)[1], ()
 
 

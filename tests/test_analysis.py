@@ -1,10 +1,13 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from hdgcd.analysis import (conservation_residual, convergence_table,
-                            error_h1_broken, error_hdg, error_l2, hdg_norm,
+from hdgcd.analysis import (_error_context, conservation_residual, convergence_table,
+                            error_h1_broken, error_hdg, error_l2, errors, hdg_norm,
                             overshoot_metric, project_to_hdg, subsquare)
-from hdgcd.assembly import ProblemSpec, assemble_local_systems
+from hdgcd.assembly import ProblemSpec, assemble_local_systems, get_context
 from hdgcd.fespace import build_dofmap
 from hdgcd.mesh import build_uniform_triangulation
 from hdgcd.problems import case_layer, case_smooth
@@ -188,3 +191,130 @@ def test_layer_region_excludes_layers():
     centers = mesh.barycenters[mask]
     assert (centers < 0.9).all()
     assert _region_mask(None, mesh).all()
+
+
+ERRORS_CASES = [("layer", 1e-6, 1, "dg"), ("layer", 1e-6, 2, "dg"), ("layer", 1e-6, 3, "dg"),
+                ("smooth", 1e-3, 1, "dg"), ("smooth", 1e-3, 2, "dg"), ("smooth", 1e-3, 3, "dg"),
+                ("layer", 1e-6, 1, "cg"), ("smooth", 1e-3, 1, "cg")]
+
+
+def _case_solution(name, eps, k, mode, n=6):
+    case = (case_layer if name == "layer" else case_smooth)(eps)
+    mesh = build_uniform_triangulation(n, case.problem.boundary)
+    return case, solve_hdg(case.problem, mesh, degree=k, skeleton_mode=mode)
+
+
+@pytest.mark.parametrize("name,eps,k,mode", ERRORS_CASES)
+def test_errors_equal_the_single_measures(name, eps, k, mode):
+    case, sol = _case_solution(name, eps, k, mode)
+    assert (case.region is None) == (name == "smooth")
+    err_l2, err_h1, rep = errors(sol, case, 7.5)
+    assert err_l2 == error_l2(sol, case.exact, region=case.region)
+    assert err_h1 == error_h1_broken(sol, case.exact_grad, region=case.region)
+    assert vars(rep) == vars(error_hdg(sol, case.exact, case.problem, 7.5, region=case.region))
+
+
+def _counted(func, sizes):
+    def wrapped(x, y):
+        sizes.append(x.size)
+        return func(x, y)
+    return wrapped
+
+
+@pytest.mark.parametrize("mode", ["dg", "cg"])
+def test_errors_evaluate_each_field_once_per_point_set_on_the_region(mode):
+    case, sol = _case_solution("layer", 1e-6, 1, mode, n=8)
+    mesh = sol.mesh
+    inside = case.region(mesh.barycenters[:, 0], mesh.barycenters[:, 1])
+    assert 0 < inside.sum() < mesh.n_elements
+    exact_sizes, grad_sizes = [], []
+    counted = replace(case, exact=_counted(case.exact, exact_sizes),
+                      exact_grad=_counted(case.exact_grad, grad_sizes))
+    assert errors(sol, counted, 7.5) == errors(sol, case, 7.5)
+    del exact_sizes[3:], grad_sizes[1:]   # the second, uncounted call adds nothing
+
+    ctx = _error_context(mesh, 1)
+    volume = inside.sum() * ctx.vol.weights.size
+    if mode == "dg":   # the free edges of the region's elements, at the edge points
+        free = set(np.flatnonzero(sol.dofmap.edge_dofs[:, 0] >= 0))
+        trace = len(free & set(mesh.elem_edges[inside].ravel())) * ctx.edge.weights.size
+    else:              # the free vertices of the region's elements
+        free = set(np.flatnonzero(sol.dofmap.vertex_dofs >= 0))
+        trace = len(free & set(mesh.triangles[inside].ravel()))
+    assert exact_sizes == [volume, trace]
+    assert grad_sizes == [volume]
+
+
+BAD_PENALTIES = [-10.0, 0.0, np.nan, np.inf]
+
+
+@pytest.mark.parametrize("measure", ["error_hdg", "hdg_norm", "errors"])
+@pytest.mark.parametrize("eta", BAD_PENALTIES, ids=["negative", "zero", "nan", "inf"])
+def test_scheme_norm_rejects_a_bad_penalty(measure, eta):
+    # these returned 0.1199 (eta = -10) and 0.1228 (eta = 0), and nan or inf as the result
+    case, sol = _case_solution("smooth", 1e-3, 1, "dg", n=4)
+    calls = {"error_hdg": lambda: error_hdg(sol, case.exact, case.problem, eta),
+             "hdg_norm": lambda: hdg_norm(sol, case.problem, eta),
+             "errors": lambda: errors(sol, case, eta)}
+    with pytest.raises(ValueError, match="^penalty eta must be positive and finite, got "):
+        calls[measure]()
+
+
+@pytest.mark.parametrize("region,shape", [
+    (lambda x, y: True, "()"),
+    (lambda x, y: np.array([True, False, True]), "(3,)"),
+], ids=["scalar", "length-3"])
+@pytest.mark.parametrize("measure", ["error_l2", "error_h1_broken", "error_hdg", "hdg_norm"])
+def test_region_must_give_one_bool_per_element(region, shape, measure):
+    # these failed with a raw IndexError from the boolean mask
+    case, sol = _case_solution("smooth", 1e-3, 1, "dg", n=4)
+    calls = {"error_l2": lambda: error_l2(sol, case.exact, region=region),
+             "error_h1_broken": lambda: error_h1_broken(sol, case.exact_grad, region=region),
+             "error_hdg": lambda: error_hdg(sol, case.exact, case.problem, 10.0, region=region),
+             "hdg_norm": lambda: hdg_norm(sol, case.problem, 10.0, region=region)}
+    message = rf"^region must give one bool per element barycenter, shape \(32,\); got shape {re.escape(shape)}$"
+    with pytest.raises(ValueError, match=message):
+        calls[measure]()
+    with pytest.raises(ValueError, match=message):
+        errors(sol, replace(case, region=region), 10.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_region_sums_equal_whole_mesh_sums(k):
+    # the region's element integrals, summed in element order, are those of
+    # a whole-mesh evaluation masked afterwards, to the last bit; regions of
+    # one element and of scattered elements included
+    case = case_smooth(1e-3)
+    mesh = jittered_mesh(7, case.problem.boundary)
+    sol = solve_hdg(case.problem, mesh, degree=k)
+    ctx = _error_context(mesh, k)
+    w = ctx.volume_weights(mesh)
+    l2_elem = ((sol.u @ ctx.N.T - ctx.volume_values(case.exact, "exact")) ** 2 * w).sum(axis=1)
+    grads = ctx.field_gradients(mesh, sol.u)
+    gx, gy = ctx.volume_values(case.exact_grad, "exact_grad", vector=True)
+    h1_elem = (((grads[..., 0] - gx) ** 2 + (grads[..., 1] - gy) ** 2) * w).sum(axis=1)
+    proj = project_to_hdg(case.exact, sol.dofmap)
+    gap = HdgSolution(dofmap=sol.dofmap, u=proj.u - sol.u, uhat=proj.uhat - sol.uhat)
+    tctx = get_context(mesh, k)
+    tr = tctx.traces(mesh)
+    slot_gap = (tr.gather(gap.edge_traces()) @ sol.dofmap.slot_values(tctx.edge.points).T
+                - np.einsum("tpi,ti->tp", tr.values, gap.u))
+    jump_pts = (10.0 / tr.h) * tr.weights * slot_gap ** 2
+    for region in (subsquare(0.9), subsquare(0.2), lambda x, y: np.sin(40.0 * x) > 0.0,
+                   lambda x, y: np.arange(x.size) == 17):
+        mask = region(mesh.barycenters[:, 0], mesh.barycenters[:, 1])
+        assert error_l2(sol, case.exact, region=region) == float(np.sqrt(l2_elem[mask].sum()))
+        assert (error_h1_broken(sol, case.exact_grad, region=region)
+                == float(np.sqrt(h1_elem[mask].sum())))
+        # the region's projection equals the whole-mesh projection there
+        rep = hdg_norm(gap, case.problem, 10.0, region=region)
+        assert vars(error_hdg(sol, case.exact, case.problem, 10.0, region=region)) == vars(rep)
+        assert rep.jump_sq == float(jump_pts[mask[:, None] & ~tr.neumann].sum())
+
+
+def test_empty_region_gives_a_zero_report():
+    case, sol = _case_solution("smooth", 1e-3, 2, "dg", n=4)
+    nowhere = replace(case, region=subsquare(1e-9))
+    err_l2, err_h1, rep = errors(sol, nowhere, 10.0)
+    assert err_l2 == err_h1 == 0.0
+    assert set(vars(rep).values()) == {0.0}
