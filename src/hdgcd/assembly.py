@@ -165,16 +165,17 @@ def check_problem(problem, mesh):
     at the points of the degree-1 context with quadrature order
     ``CHECK_QUAD_ORDER``, and above ``RHO_TOL`` at one of them when no edge
     is Dirichlet (else constants solve the homogeneous problem); on every
-    non-Dirichlet boundary edge b must be finite and must not enter.
+    non-Dirichlet boundary edge b must be finite and must not enter.  Without
+    ``c`` and ``div_b`` rho is zero, and no context is built.
     """
-    ctx = get_context(mesh, 1, CHECK_QUAD_ORDER)
-    cv = ctx.volume_values(problem.c, "c")
-    dv = ctx.volume_values(problem.div_b, "div_b")
-    rho = np.zeros(ctx.X_vol.shape[:2])
-    if cv is not None:
-        rho += cv
-    if dv is not None:
-        rho -= 0.5 * dv
+    rho = np.zeros(1)
+    if problem.c is not None or problem.div_b is not None:
+        ctx = get_context(mesh, 1, CHECK_QUAD_ORDER)
+        rho = np.zeros(ctx.X_vol.shape[:2])
+        if problem.c is not None:
+            rho += ctx.volume_values(problem.c, "c")
+        if problem.div_b is not None:
+            rho -= 0.5 * ctx.volume_values(problem.div_b, "div_b")
     min_rho = float(rho.min())
     messages = []
     if min_rho < problem.rho0 - RHO_TOL:

@@ -24,7 +24,7 @@ import numpy as np
 
 from hdgcd.analysis import (convergence_table, error_hdg, error_l2,
                             error_h1_broken, errors, overshoot_metric)
-from hdgcd.assembly import default_eta, default_quad_order
+from hdgcd.assembly import check_penalty, default_eta, default_quad_order
 from hdgcd.fespace import check_skeleton_mode, get_element_basis
 from hdgcd.mesh import build_uniform_triangulation
 from hdgcd.problems import CASE_NAMES, get_case, verify_source_term
@@ -62,7 +62,7 @@ class RunConfig:
         """A copy with every default filled in: the study's fixed settings,
         its mesh sizes, the global defaults and the penalty 10 k^2. Raises
         ValueError naming the flag at fault, or the library's own message for
-        a bad problem, epsilon, degree or skeleton mode."""
+        a bad problem, epsilon, degree, skeleton mode or penalty."""
         if self.study not in STUDIES:
             raise ValueError(f"unknown study {self.study!r}; available: {', '.join(STUDIES)}")
         study = STUDIES[self.study]
@@ -92,8 +92,7 @@ class RunConfig:
                              f"{self.study} study, which sweeps epsilon on one mesh size")
         if config.eta is None:
             return replace(config, eta=default_eta(config.degree))
-        if not 0.0 < config.eta < np.inf:
-            raise ValueError(f"eta must be positive and finite, got {config.eta!r}")
+        check_penalty(config.eta)
         return config
 
 
@@ -141,7 +140,7 @@ _EXP_WORDS = _word(ord("e"), np.where(np.arange(-99, 100) < 0, ord("-"), ord("+"
 _SEP_WORDS = _word([ord(" "), ord("\n")])
 # 10^p for p = -89..113, correctly rounded, at index p + 89
 _POW10 = np.array([float(f"1e{p}") for p in range(-89, 114)])
-_WRITE_ROWS = 1 << 14   # the 101 x 101 grid is one block
+_WRITE_ROWS = 1 << 14   # rows per block of _write_samples
 
 
 def _scaled(a, e):
@@ -149,21 +148,21 @@ def _scaled(a, e):
     return a * _POW10[(101 - np.clip(e, -101, 101)).astype(int)]
 
 
-def _format_rows(table):
+def _format_words(table):
     """The rows of the float array ``table`` (n, c) as '%.12e %.12e ...' lines,
-    as bytes equal to Python's %-formatting of every value.
+    each value NUL-padded to 24 bytes: an (n, 24 c) uint8 array whose bytes,
+    without the NULs, equal Python's %-formatting of every value.
 
-    Each value gets six words of an (n c, 6) array (sign and lead digit,
-    three 4-digit groups, exponent, separator) whose NUL padding is dropped
-    at the end.  The 13 digits are m = round(y) of y = |x| 10^(12 - e) in
-    [1e12, 1e13).  y carries at most two roundings, the power of ten and the
-    product, so it is within 2 2^-53 1e13 < 0.0023 of the exact value, and
-    floor(y + 0.5) is the correctly rounded m unless y lies within 0.005 of a
-    half.  Those near-ties, NaN, infinities, exponents of three digits
-    (subnormals among them) and any y still outside [1e12, 1e13) after the
-    one correction of e are formatted by Python instead: about 1% of random
-    values, none of them misprinted.  m < 2^53, so its split into digit
-    groups in float arithmetic is exact.
+    Each value gets six 4-byte words (sign and lead digit, three 4-digit
+    groups, exponent, separator).  The 13 digits are m = round(y) of
+    y = |x| 10^(12 - e) in [1e12, 1e13).  y carries at most two roundings,
+    the power of ten and the product, so it is within 2 2^-53 1e13 < 0.0023
+    of the exact value, and floor(y + 0.5) is the correctly rounded m unless
+    y lies within 0.005 of a half.  Those near-ties, NaN, infinities,
+    exponents of three digits (subnormals among them) and any y still
+    outside [1e12, 1e13) after the one correction of e are formatted by
+    Python instead: about 1% of random values, none of them misprinted.
+    m < 2^53, so its split into digit groups in float arithmetic is exact.
     """
     x = np.ascontiguousarray(table, dtype=float)
     flat = x.ravel()
@@ -197,8 +196,18 @@ def _format_rows(table):
     if slow.size:   # at most 20 bytes: "-1.234567890123e-308"
         fallback = b"".join((b"%.12e" % v).ljust(20, b"\0") for v in flat[slow].tolist())
         text[slow, :20] = np.frombuffer(fallback, dtype=np.uint8).reshape(-1, 20)
-    text = text.ravel()
-    return text[text != 0].tobytes()
+    return text.reshape(x.shape[0], 24 * x.shape[1])
+
+
+def _strip(words):
+    """The bytes of the word array ``words`` without their NUL padding."""
+    return words.tobytes().translate(None, b"\0")
+
+
+def _format_rows(table):
+    """The rows of the float array ``table`` (n, c) as '%.12e %.12e ...' lines,
+    as bytes equal to Python's %-formatting of every value."""
+    return _strip(_format_words(table))
 
 
 def _write_samples(path, pts, vals):
@@ -211,10 +220,30 @@ def _write_samples(path, pts, vals):
             fh.write(_format_rows(table[start:start + _WRITE_ROWS]))
 
 
+def _grid_axis():
+    return np.linspace(0.0, 1.0, GRID_RESOLUTION)
+
+
 def _grid_points():
-    xs = np.linspace(0.0, 1.0, GRID_RESOLUTION)
+    xs = _grid_axis()
     xg, yg = np.meshgrid(xs, xs, indexing="xy")
     return np.column_stack([xg.ravel(), yg.ravel()])
+
+
+def _write_grid(path, values):
+    """'x y value' lines of the grid values (R^2,), x fastest as in
+    :func:`_grid_points`.  Only the values are formatted per point: the R
+    distinct coordinates, each with its trailing space, are formatted once
+    and broadcast into an (R, R, 72) byte buffer beside the value words."""
+    xs = _grid_axis()
+    r = xs.size
+    coords = _format_words(np.column_stack([xs, xs]))[:, :24]   # 'x ' words
+    buf = np.empty((r, r, 72), dtype=np.uint8)
+    buf[:, :, :24] = coords[None, :, :]
+    buf[:, :, 24:48] = coords[:, None, :]
+    buf[:, :, 48:] = _format_words(values[:, None]).reshape(r, r, 24)
+    with open(path, "wb") as fh:
+        fh.write(_strip(buf))
 
 
 def _locate_points(mesh, pts):
@@ -240,10 +269,9 @@ def _locate_points(mesh, pts):
 
 def dump_field_grid(solution, path):
     """Sample the element field on the regular grid, written as 'x y value'."""
-    pts = _grid_points()
-    elems, ref = _locate_points(solution.mesh, pts)
+    elems, ref = _locate_points(solution.mesh, _grid_points())
     basis = get_element_basis(solution.degree)
-    _write_samples(path, pts, (solution.u[elems] * basis.values(ref)).sum(axis=1))
+    _write_grid(path, (solution.u[elems] * basis.values(ref)).sum(axis=1))
 
 
 def dump_trace(solution, path):
@@ -395,6 +423,13 @@ def _rates(prev, row):
             convergence_table([prev["err_h1"], row["err_h1"]], h)[0])
 
 
+def _write_dumps(config, n, dumps):
+    """Write a row's dumps next to ``config.out``; a function, so that its
+    loop variables, which hold the row's solutions, end with it."""
+    for tag, write, sol in dumps:
+        write(sol, f"{config.out.removesuffix('.csv')}_{tag}_n{n}.dat")
+
+
 def run_study(config):
     """Run ``config.study`` row by row; returns the CSV text, also written
     to ``config.out`` with the study's dumps next to it.
@@ -423,8 +458,8 @@ def run_study(config):
         rows.append(cells)
         prev = cells
         if config.out:
-            for tag, write, sol in dumps:
-                write(sol, f"{config.out.removesuffix('.csv')}_{tag}_n{point['n']}.dat")
+            _write_dumps(config, point["n"], dumps)
+        del dumps   # the row's solutions do not live through the next row's solves
     comments, failure = study.close(rows) if study.close else ([], None)
     text = "\n".join(lines + comments) + "\n"
     if config.out:

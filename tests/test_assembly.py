@@ -95,6 +95,34 @@ def test_check_problem_rho_and_inflow():
     assert any("inflow" in m.lower() for m in report.messages)
 
 
+def test_check_problem_builds_the_rho_context_only_for_c_or_div_b():
+    # rho = c - div(b)/2 is sampled at the order-4 points of the degree-1
+    # context; without c and div_b it is zero and no context is built
+    def c(x, y):
+        return 1.0 + x * y - y * y
+
+    def div_b(x, y):
+        return x
+
+    for kwargs in ({"c": c}, {"c": c, "div_b": div_b}, {"div_b": lambda x, y: -x}):
+        mesh = build_uniform_triangulation(4)
+        report = check_problem(ProblemSpec(epsilon=1.0, b=constant_velocity(0.7, -0.4),
+                                           f=lambda x, y: np.zeros_like(x), **kwargs), mesh)
+        assert set(mesh.contexts) == {(1, 4)}
+        pts = get_context(mesh, 1, 4).X_vol
+        rho = np.zeros(pts.shape[:2])
+        if "c" in kwargs:
+            rho += c(pts[..., 0], pts[..., 1])
+        if "div_b" in kwargs:
+            rho -= 0.5 * kwargs["div_b"](pts[..., 0], pts[..., 1])
+        assert report.ok and report.min_rho == float(rho.min())
+    mesh = build_uniform_triangulation(4)
+    report = check_problem(make_problem(rho0=1.0), mesh)
+    assert mesh.contexts == {} and report.min_rho == 0.0
+    assert report.messages == (
+        "rho = c - div(b)/2 drops to 0.000e+00, below the declared bound 1.000e+00",)
+
+
 def test_diffusive_local_matrices_symmetric():
     mesh = build_uniform_triangulation(3)
     for k in (1, 2, 3):
@@ -357,9 +385,9 @@ def test_non_integer_degree_or_order_is_named():
         get_context(mesh, 2.0)
     with pytest.raises(ValueError, match=r"^polynomial degree must be an integer, got 2\.0$"):
         solve_hdg(case.problem, mesh, degree=2.0)
-    # only the well-posedness check's context and the one built above: no
-    # truncated (1, 2) or (2, 2)
-    assert set(mesh.contexts) == {(1, 4), (2, 6)}
+    # only the context built above: no truncated (1, 2) or (2, 2), and no
+    # (1, 4) for the well-posedness check, as rho = 0 without c and div_b
+    assert set(mesh.contexts) == {(2, 6)}
 
 
 def test_velocity_without_two_components_is_named():

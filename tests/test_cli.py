@@ -231,6 +231,18 @@ def test_dumps_write_the_formatted_samples(tmp_path):
         "-0.000000000000e+00 4.940656458412e-324 -0.000000000000e+00\n")
 
 
+@pytest.mark.parametrize("resolution", [1, 7])
+def test_grid_writer_formats_the_grid_points(tmp_path, monkeypatch, resolution):
+    # the coordinates are formatted once and broadcast, x fastest
+    monkeypatch.setattr(hdgcd.cli, "GRID_RESOLUTION", resolution)
+    vals = np.random.default_rng(resolution).standard_normal(resolution ** 2)
+    vals[-1] = np.nan
+    hdgcd.cli._write_grid(tmp_path / "grid.dat", vals)
+    table = np.column_stack([hdgcd.cli._grid_points(), vals])
+    assert table.shape == (resolution ** 2, 3)
+    assert (tmp_path / "grid.dat").read_bytes() == _percent_lines(table)
+
+
 def _percent_lines(table):
     return "".join(" ".join("%.12e" % v for v in row) + "\n" for row in table.tolist()).encode()
 
@@ -312,7 +324,7 @@ def test_main_config_file_and_flag_override(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag,value,message", [
-    ("--eta", "inf", "eta must be positive and finite, got inf"),
+    ("--eta", "inf", "penalty eta must be positive and finite, got inf"),
     ("--epsilon", "inf", "diffusion coefficient must be positive and finite, got inf"),
     ("--study", "foo", "unknown study 'foo'; available: convergence, "),
     ("--degree", "11", "polynomial degree 11 exceeds supported maximum 10"),

@@ -6,10 +6,18 @@
 * User fields reach numbers only through ``assembly.eval_field``: no other
   function calls ``.b``, ``.c``, ``.f``, ``.exact`` or ``.exact_grad``, or a
   callable named ``velocity`` or ``func``.
+
+One guard runs code instead: a layer study keeps nothing past its rows.
+``hdgcd.cli``'s module globals keep their names and objects, and each
+study mesh holds only the assembly contexts the solves and norms use.
 """
 
 import ast
+import weakref
 from pathlib import Path
+
+import hdgcd.cli
+from hdgcd.cli import RunConfig, run_study
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hdgcd"
 TRACE_NAMES = {"get_edge_basis", "EdgeBasis"}
@@ -76,3 +84,37 @@ def test_fields_are_called_only_in_eval_field():
                       if isinstance(node, ast.FunctionDef) and node.name == "eval_field")
     body = ast.Module(body=eval_field.body, type_ignores=[])
     assert [call for _, call in raw_field_calls(body)] == ["func("]
+
+
+def test_a_layer_study_keeps_no_cache(tmp_path, monkeypatch):
+    meshes, solutions = [], []
+    build = hdgcd.cli.build_uniform_triangulation
+
+    def recording_build(*args, **kwargs):
+        # no solution of the previous rows is alive when the next row's
+        # mesh is built
+        assert [ref() for ref in solutions] == [None] * len(solutions)
+        meshes.append(build(*args, **kwargs))
+        return meshes[-1]
+
+    def weakly_recorded(solve):
+        def call(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            solutions.append(weakref.ref(sol))
+            return sol
+        return call
+
+    def state():
+        return {name: (id(value), len(value) if isinstance(value, (dict, list, set)) else None)
+                for name, value in vars(hdgcd.cli).items()}
+
+    monkeypatch.setattr(hdgcd.cli, "build_uniform_triangulation", recording_build)
+    for name in ("solve_hdg", "solve_supg"):
+        monkeypatch.setattr(hdgcd.cli, name, weakly_recorded(getattr(hdgcd.cli, name)))
+    before = state()
+    run_study(RunConfig(study="layer", epsilon=1e-6, mesh_sizes=(4, 6, 8),
+                        out=str(tmp_path / "layer.csv")))
+    assert state() == before
+    assert len(meshes) == 3 and len(solutions) == 6
+    # the case's order-12 context, and the scheme norm's at the default 2k + 2
+    assert [set(mesh.contexts) for mesh in meshes] == [{(1, 4), (1, 12)}] * 3
