@@ -15,19 +15,18 @@ pulls in (``import_s``) and reads the peak RSS right after it
 (``import_rss_mb``).  Then it runs the pipeline once untimed on a 4x4 mesh,
 then once timed on a freshly built mesh, as the CLI does.  Each case is run
 REPEAT times per checkout, the checkouts alternating run by run so that a
-drift in the host's speed reaches both columns alike; ``import_s`` and each
-stage are the medians of those runs.  The stages are the library's public
+drift in the host's speed reaches both columns alike; ``import_s`` is the
+median of those runs, and each stage and ``total_s`` (the sum of the
+stages) are recorded as the ``q1``, ``median`` and ``q3`` of them, so a
+change can be told from the spread.  The stages are the library's public
 functions, each timed with ``time.perf_counter``: ``mesh``
 (``build_uniform_triangulation``), ``prepare`` (``check_problem`` and
 ``build_dofmap``), ``assemble``, ``condense``, ``solve`` (``solve_skeleton``,
-nearly all of it the SuperLU factorization), ``recover``, ``err_l2``,
-``err_h1``, ``err_hdg``, ``errors`` (``analysis.errors``, the three
-measures from one call; skipped for a checkout without it),
+nearly all of it the SuperLU factorization), ``recover``, ``errors``
+(``analysis.errors``: the L2, broken H1 and scheme-norm distances over the
+case's region; it also builds the order-12 error context),
 ``conservation`` and ``dump`` (``dump_field_grid`` and ``dump_trace`` of
-the solution into a temporary directory, removed afterwards).  ``err_l2``
-is the first post-processing call on a mesh, so it also builds the
-order-12 error context.  ``total_s`` leaves out ``errors``, which repeats
-the three measures, so columns with and without it compare.  A case also
+the solution into a temporary directory, removed afterwards).  A case also
 records its element, skeleton-dof and nnz(S) counts, the fill
 ``(nnz(L) + nnz(U)) / nnz(S)`` of one extra untimed factorization, the
 largest ``import_rss_mb`` and peak RSS of its runs (the latter taken before
@@ -51,7 +50,7 @@ import tempfile
 import time
 from pathlib import Path
 
-REPEAT = 3
+REPEAT = 5
 WARMUP_N = 4
 # name: (problem, epsilon, mesh subdivisions, degree)
 CASES = {
@@ -62,7 +61,7 @@ CASES = {
     "smooth_1e-3_n32_k3": ("smooth", 1e-3, 32, 3),
 }
 STAGES = ("mesh", "prepare", "assemble", "condense", "solve", "recover",
-          "err_l2", "err_h1", "err_hdg", "errors", "conservation", "dump")
+          "errors", "conservation", "dump")
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -70,9 +69,10 @@ def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def total_s(stages_s):
-    """Seconds of the stages other than ``errors``."""
-    return sum(t for s, t in stages_s.items() if s != "errors")
+def quartiles(values):
+    """``{"q1", "median", "q3"}`` of ``values`` (at least two)."""
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"q1": q1, "median": statistics.median(values), "q3": q3}
 
 
 def pipeline(case, n, degree, times, rss):
@@ -100,7 +100,7 @@ def pipeline(case, n, degree, times, rss):
             hdgcd.cli.dump_field_grid(sol, os.path.join(tmp, "uh.dat"))
             hdgcd.cli.dump_trace(sol, os.path.join(tmp, "uhat.dat"))
 
-    problem, region = case.problem, case.region
+    problem = case.problem
     eta = hdgcd.default_eta(degree)
     mesh = timed("mesh", hdgcd.build_uniform_triangulation, n, problem.boundary)
     dofmap = timed("prepare", prepare, mesh)
@@ -110,14 +110,8 @@ def pipeline(case, n, degree, times, rss):
     traces = timed("solve", solver.solve_skeleton, condensed)
     sol = timed("recover", solver.recover_interior, traces, condensed)
     sol.info.update(eta=eta, quad_order=case.quad_order)
-    errors = {
-        "err_l2": timed("err_l2", hdgcd.error_l2, sol, case.exact, region=region),
-        "err_h1": timed("err_h1", hdgcd.error_h1_broken, sol, case.exact_grad, region=region),
-        "err_hdg": timed("err_hdg", hdgcd.error_hdg, sol, case.exact, problem, eta,
-                         region=region).err_hdg,
-    }
-    if hasattr(hdgcd.analysis, "errors"):
-        timed("errors", hdgcd.analysis.errors, sol, case, eta)
+    err_l2, err_h1, report = timed("errors", hdgcd.analysis.errors, sol, case, eta)
+    errors = {"err_l2": err_l2, "err_h1": err_h1, "err_hdg": report.err_hdg}
     residual = timed("conservation", hdgcd.conservation_residual, sol, problem)
     errors["conservation_max"] = float(abs(residual).max())
     timed("dump", dump, sol)
@@ -149,8 +143,8 @@ def run_case(name):
         "fill": (lu.L.nnz + lu.U.nnz) / condensed.S.nnz,
         "import_s": import_s,
         "import_rss_mb": round(import_rss_mb, 1),
-        "stages_s": {s: t[0] for s, t in times.items() if t},
-        "stage_rss_mb": {s: round(r[0], 1) for s, r in rss.items() if r},
+        "stages_s": {s: t[0] for s, t in times.items()},
+        "stage_rss_mb": {s: round(r[0], 1) for s, r in rss.items()},
         "peak_rss_mb": round(peak, 1),
         "errors": errors,
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
@@ -181,26 +175,25 @@ def measure(label, checkout, name):
     if record.pop("hdgcd_src") != str(src):
         raise SystemExit(f"{label} {name}: hdgcd was not imported from {src}")
     print(f"{label:>10} {name:<22} import {record['import_s']:.3f} s  "
-          f"total {total_s(record['stages_s']):.3f} s  "
+          f"total {sum(record['stages_s'].values()):.3f} s  "
           f"peak {record['peak_rss_mb']} MB", file=sys.stderr)
     return record
 
 
 def combine(runs):
-    """One case's record from its runs: import, stage and total medians, the
-    largest RSS peaks, the per-stage RSS of every run; the counts and errors
-    must agree between runs."""
+    """One case's record from its runs: the import median, the stage and
+    total quartiles, the largest RSS peaks, the per-stage RSS of every run;
+    the counts and errors must agree between runs."""
     fixed = ("case", "elements", "skeleton_dofs", "nnz_S", "fill", "errors")
     if any(run[key] != runs[0][key] for run in runs for key in fixed):
         raise SystemExit(f"runs of {runs[0]['case']} disagree on {fixed}")
     record = {key: runs[0][key] for key in fixed}
     record["import_s"] = statistics.median(run["import_s"] for run in runs)
     record["import_rss_mb"] = max(run["import_rss_mb"] for run in runs)
-    stages = [s for s in STAGES if s in runs[0]["stages_s"]]
-    record["stages_s"] = {s: statistics.median(run["stages_s"][s] for run in runs) for s in stages}
-    record["total_s"] = statistics.median(total_s(run["stages_s"]) for run in runs)
+    record["stages_s"] = {s: quartiles([run["stages_s"][s] for run in runs]) for s in STAGES}
+    record["total_s"] = quartiles([sum(run["stages_s"].values()) for run in runs])
     record["peak_rss_mb"] = max(run["peak_rss_mb"] for run in runs)
-    record["stage_rss_mb"] = {s: [run["stage_rss_mb"][s] for run in runs] for s in stages}
+    record["stage_rss_mb"] = {s: [run["stage_rss_mb"][s] for run in runs] for s in STAGES}
     return record
 
 
@@ -235,7 +228,8 @@ def main(argv=None):
 
     report = {
         "benchmark": "benchmarks/bench_stages.py",
-        "method": {"repeat": REPEAT, "statistic": "median", "warmup_n": WARMUP_N,
+        "method": {"repeat": REPEAT, "statistic": "q1, median, q3 (import_s: median)",
+                   "warmup_n": WARMUP_N,
                    "clock": "time.perf_counter",
                    "process": "one interpreter per run, checkouts alternating"},
         "host": {"cpu_count": os.cpu_count(), "usable_cpus": len(os.sched_getaffinity(0)),

@@ -9,13 +9,14 @@ projection of the exact solution, see :func:`project_to_hdg`.
 The error measures and the scheme norm accept an optional region: a
 predicate ``(x, y) -> bool`` tested at element barycenters, or None for
 the whole domain.  An element contributes when its barycenter lies
-inside, and its edge terms follow the element.  Fields are evaluated, and
-trace tables built, only on the region's elements and their edges.  Matrix
-products still run over every element, since BLAS may round a row
-differently among other rows, so each element's integral and the sum over
-the region stay bit-identical to a whole-mesh evaluation.  :func:`errors`
-gives the three distances of a case's solution from one evaluation of the
-exact solution per point set and one of its gradient.
+inside, and its edge terms follow the element.  Fields are evaluated only
+on the region's elements and their edges; the scheme norm slices the
+whole mesh's trace tables.  Matrix products still run over every element,
+since BLAS may round a row differently among other rows, so each
+element's integral and the sum over the region stay bit-identical to a
+whole-mesh evaluation.  :func:`errors` gives the three distances of a
+case's solution from one evaluation of the exact solution per point set
+and one of its gradient.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hdgcd.assembly import (check_penalty, default_quad_order, eval_field, flux_weights,
-                            get_context, neumann_data)
+from hdgcd.assembly import (TraceTables, check_penalty, default_quad_order, eval_field,
+                            flux_weights, get_context, neumann_data)
 from hdgcd.solver import HdgSolution
 
 # floor of the quadrature order of the error measures; from k = 6 on the
@@ -60,25 +61,19 @@ def _error_context(mesh, degree):
     return get_context(mesh, degree, max(ERROR_QUAD_ORDER, default_quad_order(degree)))
 
 
-def _region_mask(region, mesh):
-    """Elements whose barycenter satisfies ``region``; all when it is None.
-
-    Raises ValueError naming ``region`` when it does not give one bool per
-    element."""
+def _elements(region, mesh):
+    """Index of the elements whose barycenter satisfies ``region``: a slice,
+    which keeps views, for the whole mesh (None), else their ascending
+    indices.  Raises ValueError naming ``region`` when it does not give one
+    bool per element."""
     if region is None:
-        return np.ones(mesh.n_elements, dtype=bool)
+        return slice(None)
     bc = mesh.barycenters
     mask = np.asarray(region(bc[:, 0], bc[:, 1]), dtype=bool)
     if mask.shape != (mesh.n_elements,):
         raise ValueError(f"region must give one bool per element barycenter, shape "
                          f"({mesh.n_elements},); got shape {mask.shape}")
-    return mask
-
-
-def _elements(region, mesh):
-    """Index of the elements of ``region``: a slice, which keeps views, for
-    the whole mesh, else their ascending indices."""
-    return slice(None) if region is None else np.flatnonzero(_region_mask(region, mesh))
+    return np.flatnonzero(mask)
 
 
 def _reached(elems, per_element, entities):
@@ -103,22 +98,22 @@ def _root(per_elem):
     return float(np.sqrt(per_elem.sum()))
 
 
-def _l2_sq(ctx, mesh, elems, u, exact):
-    """Integrals of (u_h - exact)^2 over the elements ``elems``, from all
-    coefficients ``u`` (nt, nd) and the exact values at their points."""
-    diff = ((u @ ctx.N.T)[elems] - exact) ** 2
-    return (diff * ctx.volume_weights(mesh, elems)).sum(axis=1)
+def _l2_sq(ctx, solution, elems, exact):
+    """Integrals of (u_h - exact)^2 over the elements ``elems``, from the
+    exact values at their points."""
+    diff = ((solution.u @ ctx.N.T)[elems] - exact) ** 2
+    return (diff * ctx.volume_weights(solution.mesh, elems)).sum(axis=1)
 
 
-def _h1_sq(ctx, mesh, elems, u, exact_grad):
+def _h1_sq(ctx, solution, elems, exact_grad):
     """Integrals of |grad u_h - exact_grad|^2 over the elements ``elems``.
 
     The field ``exact_grad`` is evaluated after the discrete gradients, whose
     evaluation peaks at twice their size, so the two peaks do not add."""
-    grads = ctx.field_gradients(mesh, u)[elems]
+    grads = ctx.field_gradients(solution.mesh, solution.u)[elems]
     gx, gy = ctx.volume_values(exact_grad, "exact_grad", vector=True, elements=elems)
     diff = (grads[..., 0] - gx) ** 2 + (grads[..., 1] - gy) ** 2
-    return (diff * ctx.volume_weights(mesh, elems)).sum(axis=1)
+    return (diff * ctx.volume_weights(solution.mesh, elems)).sum(axis=1)
 
 
 def error_l2(solution, exact, region=None):
@@ -126,15 +121,14 @@ def error_l2(solution, exact, region=None):
     mesh = solution.mesh
     ctx = _error_context(mesh, solution.degree)
     elems = _elements(region, mesh)
-    return _root(_l2_sq(ctx, mesh, elems, solution.u,
-                        ctx.volume_values(exact, "exact", elements=elems)))
+    return _root(_l2_sq(ctx, solution, elems, ctx.volume_values(exact, "exact", elements=elems)))
 
 
 def error_h1_broken(solution, exact_grad, region=None):
     """Broken H1 seminorm distance against the exact gradient."""
     mesh = solution.mesh
     ctx = _error_context(mesh, solution.degree)
-    return _root(_h1_sq(ctx, mesh, _elements(region, mesh), solution.u, exact_grad))
+    return _root(_h1_sq(ctx, solution, _elements(region, mesh), exact_grad))
 
 
 def _projection(exact, dofmap, ctx, elems, exact_vol):
@@ -146,7 +140,7 @@ def _projection(exact, dofmap, ctx, elems, exact_vol):
     u = _project(ctx.N, ctx.vol.weights, _rows(exact_vol, elems, mesh.n_elements))
     uhat = np.zeros(dofmap.n_trace_active)
     if dofmap.skeleton_mode == "dg":
-        free = np.flatnonzero(dofmap.edge_dofs[:, 0] >= 0)
+        free = dofmap.free_edges
         if free.size:
             at = _reached(elems, mesh.elem_edges, free)
             vals = ctx.edge_values(exact, "exact", edges=free[at])
@@ -154,7 +148,7 @@ def _projection(exact, dofmap, ctx, elems, exact_vol):
             uhat[dofmap.edge_dofs[free]] = _project(E, ctx.edge.weights,
                                                     _rows(vals, at, free.size))
     else:
-        active = np.flatnonzero(dofmap.vertex_dofs >= 0)
+        active = dofmap.free_vertices
         active = active[_reached(elems, mesh.triangles, active)]
         vx = mesh.vertices[active]
         uhat[dofmap.vertex_dofs[active]] = eval_field(exact, vx[:, 0], vx[:, 1], "exact")
@@ -184,9 +178,9 @@ def _project(vals, weights, f):
 def _trace_gap(ctx, tr, pair, elems=slice(None)):
     """uhat - u of the discrete ``pair`` at the points of the trace tables
     ``tr`` (m, 3nqe) of the elements ``elems``."""
-    mesh = pair.mesh
-    E = pair.dofmap.slot_values(ctx.edge.points)
-    uhat = pair.edge_traces()[mesh.elem_edges].reshape(mesh.n_elements, -1) @ E.T
+    dofmap = pair.dofmap
+    E = dofmap.slot_values(ctx.edge.points)
+    uhat = dofmap.gather(pair.uhat, dofmap.element_trace_dofs()) @ E.T
     return uhat[elems] - np.einsum("tpi,ti->tp", tr.values, pair.u[elems])
 
 
@@ -207,7 +201,7 @@ def _scheme_norm(pair, problem, eta, elems):
         h2_sq_elem = (h2 * w).sum(axis=1) * mesh.h_K[elems] ** 2
 
     # edge quantities on the slots of those elements
-    tr = ctx.traces(mesh, elems)
+    tr = TraceTables._make(table[elems] for table in ctx.traces(mesh))
     diff2 = _trace_gap(ctx, tr, pair, elems) ** 2
     bn = tr.normal_velocity(*ctx.edge_values(problem.b, "b", vector=True))
     skel = ~tr.neumann
@@ -270,10 +264,10 @@ def errors(solution, case, eta):
     ctx = _error_context(mesh, solution.degree)
     elems = _elements(case.region, mesh)
     exact = ctx.volume_values(case.exact, "exact", elements=elems)
-    err_l2 = _root(_l2_sq(ctx, mesh, elems, solution.u, exact))
+    err_l2 = _root(_l2_sq(ctx, solution, elems, exact))
     projection = _projection(case.exact, solution.dofmap, ctx, elems, exact)
     del exact   # freed before the H1 peak, which is the largest
-    err_h1 = _root(_h1_sq(ctx, mesh, elems, solution.u, case.exact_grad))
+    err_h1 = _root(_h1_sq(ctx, solution, elems, case.exact_grad))
     return err_l2, err_h1, _distance(solution, projection, case.problem, eta, elems)
 
 

@@ -121,11 +121,13 @@ def eval_field(func, x, y, name, vector=False):
     A vector field (``vector=True``) may return any sequence or array of two
     components and comes back stacked as (2, *x.shape); None stays None.
     Raises ValueError naming the field when the values do not broadcast to
-    the points, a vector field has no two components, or a value is not finite.
+    the points, a vector field has no two components, or a value is not
+    finite; ``func`` runs with floating-point warnings off, so that is all it reports.
     """
     if func is None:
         return None
-    vals = func(x, y)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vals = func(x, y)
     try:
         comps = list(vals) if vector else [vals]
         if len(comps) != (2 if vector else 1):
@@ -254,11 +256,11 @@ class TraceTables(NamedTuple):
         return self.gather(bx_e) * self.normals[..., 0] + self.gather(by_e) * self.normals[..., 1]
 
 
-def pull_back(mesh, v, elements=slice(None)):
-    """Reference components J^{-1} v (2, m, ...) of the physical vectors
-    ``v`` (2, m, ...) on the elements ``elements``, so that
+def pull_back(mesh, v):
+    """Reference components J^{-1} v (2, nt, ...) of the physical vectors
+    ``v`` (2, nt, ...) on every element, so that
     v . grad phi = (J^{-1} v) . grad_ref phi."""
-    m = mesh.inv_jacobians_t[elements]
+    m = mesh.inv_jacobians_t
     m = m.reshape(m.shape + (1,) * (v.ndim - 2))
     return np.stack([m[:, 0, a] * v[0] + m[:, 1, a] * v[1] for a in (0, 1)])
 
@@ -279,9 +281,8 @@ class AssemblyContext:
     The context keeps no reference to its mesh, so it can live in
     ``mesh.contexts`` and be freed with it.  It is the only place that
     builds quadrature points, basis tables and physical point images.
-    :meth:`volume_weights`, :meth:`volume_values` and :meth:`traces` take an
-    optional index of elements (a slice keeps views) and then cover those
-    elements only.
+    :meth:`volume_weights` and :meth:`volume_values` take an optional index
+    of elements (a slice keeps views) and then cover those elements only.
     """
 
     def __init__(self, mesh, degree, quad_order):
@@ -336,22 +337,21 @@ class AssemblyContext:
         pts = self.X_edge[edges]
         return eval_field(func, pts[..., 0], pts[..., 1], name, vector)
 
-    def traces(self, mesh, elements=slice(None)):
-        """:class:`TraceTables` of all three edge slots of the elements.
+    def traces(self, mesh):
+        """:class:`TraceTables` of all three edge slots of every element.
 
         The orientation gather ``N_tr[s, edge_forward[:, s]]`` happens here
         only; the tables are built per call and not cached.
         """
         nqe = self.edge.weights.size
-        o = mesh.edge_forward[elements].astype(np.intp)
+        o = mesh.edge_forward.astype(np.intp)
         slots = np.arange(3)
-        edges, elem_normals = mesh.elem_edges[elements], mesh.normals[elements]
-        nt = len(edges)
+        edges = mesh.elem_edges
         neumann, h, normals = (np.repeat(a, nqe, axis=1) for a in
-                               (mesh.edge_tags[edges] == _NEUMANN, mesh.h_e[edges], elem_normals))
+                               (mesh.edge_tags[edges] == _NEUMANN, mesh.h_e[edges], mesh.normals))
         # d/dn of a basis function: reference gradient . J^{-1} n
-        n_ref = pull_back(mesh, np.moveaxis(elem_normals, -1, 0), elements)
-        shape = (nt, 3 * nqe, self.N.shape[1])   # explicit for an empty selection
+        n_ref = pull_back(mesh, np.moveaxis(mesh.normals, -1, 0))
+        shape = (mesh.n_elements, 3 * nqe, self.N.shape[1])
         dn = np.einsum("tsqib,bts->tsqi", self.dN_tr[slots, o], n_ref).reshape(shape)
         return TraceTables(edges, neumann, h, normals, np.tile(self.edge.weights, 3) * h,
                            self.N_tr[slots, o].reshape(shape), dn)
@@ -460,9 +460,8 @@ def neumann_data(problem, mesh, ctx):
     neu = mesh.edge_tags == _NEUMANN
     if problem.g_N is None or not neu.any():
         return None
-    xe = ctx.X_edge[neu]
-    g = np.zeros(ctx.X_edge.shape[:2])
-    g[neu] = eval_field(problem.g_N, xe[..., 0], xe[..., 1], "g_N")
+    g = np.zeros((mesh.n_edges, ctx.edge.weights.size))
+    g[neu] = ctx.edge_values(problem.g_N, "g_N", edges=neu)
     return g
 
 
@@ -520,11 +519,9 @@ def assemble_monolithic(mesh, dofmap, problem, eta=None, quad_order=None,
     """
     systems = assemble_local_systems(mesh, dofmap, problem, eta=eta,
                                      quad_order=quad_order, parts=parts)
-    trace_gids = dofmap.element_trace_dofs()
-    traces = np.where(trace_gids >= 0, dofmap.n_interior + trace_gids, -1)
-    gids = np.concatenate([dofmap.element_dofs(), traces], axis=1)
     loads = np.concatenate([systems.b_u, systems.b_t], axis=1)
-    return scatter_systems(systems.full_matrix(), loads, gids, dofmap.n_total)
+    return scatter_systems(systems.full_matrix(), loads, dofmap.element_global_dofs(),
+                           dofmap.n_total)
 
 
 def scatter_systems(mats, vecs, gids, n):

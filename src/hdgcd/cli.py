@@ -26,7 +26,7 @@ from hdgcd.analysis import (convergence_table, error_hdg, error_l2,
                             error_h1_broken, errors, overshoot_metric)
 from hdgcd.assembly import check_penalty, default_eta, default_quad_order
 from hdgcd.fespace import check_skeleton_mode, get_element_basis
-from hdgcd.mesh import build_uniform_triangulation
+from hdgcd.mesh import _locate_points, build_uniform_triangulation
 from hdgcd.problems import CASE_NAMES, get_case, verify_source_term
 from hdgcd.solver import ElementSolvabilityError, SingularSystemError, solve_hdg
 from hdgcd.supg import solve_supg
@@ -116,11 +116,6 @@ def _config_comment(config):
                 study=config.study, problem=config.problem, method=config.method,
                 degree=config.degree, eps=config.epsilon, eta=config.eta,
                 skel=config.skeleton, n=_joined(config.mesh_sizes))
-
-
-def _write_text(path, text):
-    with open(path, "w") as fh:
-        fh.write(text)
 
 
 def _word(*columns):
@@ -246,27 +241,6 @@ def _write_grid(path, values):
         fh.write(_strip(buf))
 
 
-def _locate_points(mesh, pts):
-    """Element index and reference coordinates of each sample point."""
-    n = mesh.generator_n
-    if n is None:
-        raise ValueError("field dumps need a build_uniform_triangulation mesh")
-    x = np.clip(pts[:, 0], 0.0, 1.0)
-    y = np.clip(pts[:, 1], 0.0, 1.0)
-    i = np.minimum((x * n).astype(int), n - 1)
-    j = np.minimum((y * n).astype(int), n - 1)
-    xl = x * n - i
-    yl = y * n - j
-    lower = yl <= xl
-    elems = 2 * (j * n + i) + np.where(lower, 0, 1)
-    ref = np.empty_like(pts)
-    ref[lower, 0] = xl[lower] - yl[lower]
-    ref[lower, 1] = yl[lower]
-    ref[~lower, 0] = xl[~lower]
-    ref[~lower, 1] = yl[~lower] - xl[~lower]
-    return elems, ref
-
-
 def dump_field_grid(solution, path):
     """Sample the element field on the regular grid, written as 'x y value'."""
     elems, ref = _locate_points(solution.mesh, _grid_points())
@@ -291,37 +265,37 @@ def _quad_order(case, degree):
     return None if case.quad_order is None else max(case.quad_order, default_quad_order(degree))
 
 
-def _solve_hdg(config, case, mesh, mode):
+def _solve_hdg(config, case, mesh):
     return solve_hdg(case.problem, mesh, degree=config.degree, eta=config.eta,
-                     skeleton_mode=mode, quad_order=_quad_order(case, config.degree))
+                     skeleton_mode=config.skeleton, quad_order=_quad_order(case, config.degree))
 
 
-def _hdg_cells(config, case, mesh, mode):
+def _hdg_cells(config, case, mesh):
     """An HDG solve and the cells the convergence and layer tables share,
     the errors over the case's region from one :func:`errors` call."""
-    sol = _solve_hdg(config, case, mesh, mode)
+    sol = _solve_hdg(config, case, mesh)
     err_l2, err_h1, report = errors(sol, case, config.eta)
     return sol, {"dofs_total": sol.info["dofs_total"], "dofs_skeleton": sol.info["dofs_skeleton"],
                  "err_l2": err_l2, "err_h1": err_h1, "err_hdg": report.err_hdg}
 
 
-# A row function maps (config, case, mesh, skeleton mode) to the row's
-# cells by column name and its dumps, (file tag, writer, solution) triples
-# written only with --out.
+# A row function maps (config, case, mesh) to the row's cells by column
+# name and its dumps, (file tag, writer, solution) triples written only
+# with --out.
 
-def _convergence_row(config, case, mesh, mode):
+def _convergence_row(config, case, mesh):
     if config.method == "supg":
         sol = solve_supg(case.problem, mesh, quad_order=_quad_order(case, 1))
         return {"dofs_total": sol.info["dofs_total"],
                 "err_l2": error_l2(sol, case.exact, region=case.region),
                 "err_h1": error_h1_broken(sol, case.exact_grad, region=case.region)}, ()
-    return _hdg_cells(config, case, mesh, mode)[1], ()
+    return _hdg_cells(config, case, mesh)[1], ()
 
 
-def _layer_row(config, case, mesh, mode):
+def _layer_row(config, case, mesh):
     """Errors in the layer-free box and the overshoots of the hybrid
     solver and of the stabilized baseline."""
-    sol, cells = _hdg_cells(config, case, mesh, mode)
+    sol, cells = _hdg_cells(config, case, mesh)
     cells["overshoot_hdg"] = overshoot_metric(sol, case.exact_max)
     supg_sol = solve_supg(case.problem, mesh, quad_order=_quad_order(case, 1))
     cells["overshoot_supg"] = overshoot_metric(supg_sol, case.exact_max)
@@ -329,22 +303,22 @@ def _layer_row(config, case, mesh, mode):
                    ("uh_supg", dump_field_grid, supg_sol))
 
 
-def _reduced_limit_row(config, case, mesh, mode):
+def _reduced_limit_row(config, case, mesh):
     """Distance to the transport limit u0 at one epsilon."""
-    sol = _solve_hdg(config, case, mesh, mode)
+    sol = _solve_hdg(config, case, mesh)
     err_l2 = error_l2(sol, case.exact)
     rep = error_hdg(sol, case.exact, case.problem, config.eta)
     return {"err_l2": err_l2, "err_jump": float(np.sqrt(rep.jump_sq)),
             "err_conv": float(np.sqrt(rep.conv_sq)), "err_hdg": rep.err_hdg}, ()
 
 
-def _skeleton_row(config, case, mesh, mode):
+def _skeleton_row(config, case, mesh):
     """The layer problem with a discontinuous or a continuous trace space."""
-    sol = _solve_hdg(config, case, mesh, mode)
+    sol = _solve_hdg(config, case, mesh)
     cells = {"dofs_total": sol.info["dofs_total"], "dofs_skeleton": sol.info["dofs_skeleton"],
              "err_l2": error_l2(sol, case.exact, region=case.region),
              "overshoot": overshoot_metric(sol, case.exact_max)}
-    return cells, ((f"uhat_{mode}", dump_trace, sol),)
+    return cells, ((f"uhat_{config.skeleton}", dump_trace, sol),)
 
 
 def _last_two_ratio(rows):
@@ -396,7 +370,9 @@ STUDIES = {
 
 
 def _sweep(config, study):
-    """(error label, point cells, case, mesh) of each row in sweep order.
+    """(error label, point cells, row config, case, mesh) of each row in
+    sweep order; a study with its own ``modes`` gets one row config per
+    skeleton mode.
 
     The source check and the mesh build run here, outside the rows' error
     handling, so a wrong source term or mesh aborts the study."""
@@ -411,7 +387,8 @@ def _sweep(config, study):
                 label = f"epsilon={eps:.6e}" if study.sweeps_epsilon else f"n={n}"
                 if study.modes:
                     label += f" mode={mode}"
-                yield label, dict(point, mode=mode), case, mesh
+                row_config = replace(config, skeleton=mode) if study.modes else config
+                yield label, dict(point, mode=mode), row_config, case, mesh
 
 
 def _rates(prev, row):
@@ -444,9 +421,9 @@ def run_study(config):
     columns = study.columns.split(",")
     lines = [f"# hdgcd {config.study} v1: {study.columns}", _config_comment(config)]
     rows, prev = [], None
-    for label, point, case, mesh in _sweep(config, study):
+    for label, point, row_config, case, mesh in _sweep(config, study):
         try:
-            cells, dumps = study.row(config, case, mesh, point["mode"])
+            cells, dumps = study.row(row_config, case, mesh)
         except _ROW_ERRORS as exc:
             lines.append(f"# error: {label}: {exc}")
             prev = None
@@ -463,7 +440,8 @@ def run_study(config):
     comments, failure = study.close(rows) if study.close else ([], None)
     text = "\n".join(lines + comments) + "\n"
     if config.out:
-        _write_text(config.out, text)
+        with open(config.out, "w") as fh:
+            fh.write(text)
     if failure:
         raise StudyError(failure)
     return text

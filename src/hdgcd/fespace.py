@@ -173,9 +173,11 @@ class DofMap:
     """Global indexing of interior and skeleton unknowns, and the trace space.
 
     Interior dofs come first, element by element; active trace dofs
-    follow.  Traces live on ``skeleton_edges``, the interior and Dirichlet
-    edges in ascending order; those on Dirichlet edges are fixed to zero
-    and removed from the global index space (marked -1), not penalized.
+    follow (:meth:`element_global_dofs`).  Traces live on ``skeleton_edges``,
+    the interior and Dirichlet edges in ascending order; those on Dirichlet
+    edges are fixed to zero and removed from the global index space (marked
+    -1, which :meth:`gather` reads as 0), not penalized.  ``free_edges``
+    ("dg") or ``free_vertices`` ("cg") lists the entities with active dofs.
     The trace basis is ``edge_basis`` (``ndof_edge`` functions, see :meth:`slot_values`).
 
     ``skeleton_mode`` (see :func:`check_skeleton_mode`):
@@ -198,16 +200,16 @@ class DofMap:
 
         ne = mesh.n_edges
         edge_dofs = np.full((ne, self.ndof_edge), -1, dtype=np.int64)
-        self.vertex_dofs = None
+        self.vertex_dofs = self.free_edges = self.free_vertices = None
         skel = self.skeleton_edges
         dirichlet = mesh.edge_tags == int(BoundaryTag.DIRICHLET)
         if skeleton_mode == "dg":
-            free = skel[~dirichlet[skel]]
+            self.free_edges = free = skel[~dirichlet[skel]]
             self.n_trace_active = free.size * self.ndof_edge
             edge_dofs[free] = np.arange(self.n_trace_active).reshape(-1, self.ndof_edge)
         else:
             skel_verts = np.unique(mesh.edges[skel])
-            free = np.setdiff1d(skel_verts, mesh.edges[dirichlet])
+            self.free_vertices = free = np.setdiff1d(skel_verts, mesh.edges[dirichlet])
             vertex_dofs = np.full(mesh.n_vertices, -1, dtype=np.int64)
             vertex_dofs[free] = np.arange(free.size)
             self.n_trace_active = int(free.size)
@@ -220,10 +222,6 @@ class DofMap:
     def n_total(self):
         return self.n_interior + self.n_trace_active
 
-    def element_dofs(self):
-        """Global interior dof indices of every element, (nt, nd)."""
-        return np.arange(self.n_interior).reshape(-1, self.ndof_elem)
-
     def slot_values(self, t):
         """Block-diagonal table (3 nq, 3 ndof_edge) of the trace basis at ``t`` (nq,) per slot."""
         return np.kron(np.eye(3), self.edge_basis.values(t))
@@ -233,6 +231,20 @@ class DofMap:
         slot, (nt, 3 (k+1)); -1 where the slot is constrained (Dirichlet) or
         off the skeleton (Neumann)."""
         return self.edge_dofs[self.mesh.elem_edges].reshape(self.mesh.n_elements, -1)
+
+    def element_global_dofs(self):
+        """Global indices (nt, nd + 3 (k+1)) of every element's interior dofs,
+        then its trace slots: active trace dofs are numbered after all
+        interior ones, and a constrained slot stays -1."""
+        interior = np.arange(self.n_interior).reshape(-1, self.ndof_elem)
+        traces = self.element_trace_dofs()
+        traces = np.where(traces >= 0, self.n_interior + traces, -1)
+        return np.concatenate([interior, traces], axis=1)
+
+    def gather(self, uhat, dofs):
+        """Values of the active trace vector ``uhat`` at the index table
+        ``dofs`` (e.g. ``edge_dofs``), 0 where an index is -1."""
+        return np.append(uhat, 0.0)[dofs]
 
 
 def build_dofmap(mesh, degree, skeleton_mode="dg"):

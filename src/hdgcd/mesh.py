@@ -166,8 +166,6 @@ class Mesh:
 
         evec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
         self.h_e = np.hypot(evec[:, 0], evec[:, 1])
-        if np.any(self.h_e <= 0.0):
-            raise MeshError("degenerate edge of zero length")
         self.edge_midpoints = 0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])
 
         # Element diameter = longest edge of the triangle.
@@ -266,11 +264,31 @@ def build_uniform_triangulation(n, boundary=None):
     p00 = j * (n + 1) + i
     p10, p01 = p00 + 1, p00 + n + 1
     p11 = p01 + 1
-    # cell (i, j) gives triangle 2 (j n + i) below and 2 (j n + i) + 1 above its
-    # diagonal; cli._locate_points relies on this numbering
+    # cell (i, j): triangle 2 (j n + i) below its diagonal, 2 (j n + i) + 1 above
     triangles = np.stack([np.column_stack([p00, p10, p11]),
                           np.column_stack([p00, p11, p01])], axis=1).reshape(-1, 3)
     return Mesh(vertices, triangles, boundary=boundary, generator_n=n)
+
+
+def _locate_points(mesh, pts):
+    """Element index and reference coordinates of each sample point."""
+    n = mesh.generator_n
+    if n is None:
+        raise ValueError("field dumps need a build_uniform_triangulation mesh")
+    x = np.clip(pts[:, 0], 0.0, 1.0)
+    y = np.clip(pts[:, 1], 0.0, 1.0)
+    i = np.minimum((x * n).astype(int), n - 1)
+    j = np.minimum((y * n).astype(int), n - 1)
+    xl = x * n - i
+    yl = y * n - j
+    lower = yl <= xl
+    elems = 2 * (j * n + i) + np.where(lower, 0, 1)
+    ref = np.empty_like(pts)
+    ref[lower, 0] = xl[lower] - yl[lower]
+    ref[lower, 1] = yl[lower]
+    ref[~lower, 0] = xl[~lower]
+    ref[~lower, 1] = yl[~lower] - xl[~lower]
+    return elems, ref
 
 
 def save_mesh(mesh, path):

@@ -87,7 +87,7 @@ class HdgSolution:
 
     def edge_traces(self):
         """Trace coefficients per mesh edge, (ne, k+1), zeros where constrained."""
-        return np.append(self.uhat, 0.0)[self.dofmap.edge_dofs]   # -1 reads the appended 0
+        return self.dofmap.gather(self.uhat, self.dofmap.edge_dofs)
 
 
 def condense(local_systems, dofmap):
@@ -173,7 +173,7 @@ def recover_interior(traces, system):
     dofmap = system.dofmap
     sy = system.systems
     traces = np.asarray(traces, dtype=float)
-    uhat = np.append(traces, 0.0)[dofmap.element_trace_dofs()]   # -1 reads the appended 0
+    uhat = dofmap.gather(traces, dofmap.element_trace_dofs())
     u = system.W[..., -1] - (system.W[..., :-1] @ uhat[..., None])[..., 0]
     rhs = sy.b_u - (sy.A_ut @ uhat[..., None])[..., 0]
     resid = np.abs((sy.A_uu @ u[..., None])[..., 0] - rhs).max(axis=1)

@@ -143,6 +143,13 @@ def test_diffusion_scales_linearly_in_epsilon():
     np.testing.assert_allclose(tiny, 1e-6 * one, rtol=1e-12)
 
 
+def test_local_diffusion_rejects_an_element_past_the_mesh():
+    mesh = build_uniform_triangulation(1)
+    basis, eb = get_element_basis(1), get_edge_basis(1)
+    with pytest.raises(ValueError, match="^element index 2 out of range$"):
+        local_diffusion(mesh, mesh.n_elements, basis, eb, epsilon=1.0, eta=10.0)
+
+
 def test_convective_form_nonnegative_globally():
     # with div b = 0 and c = 0 the global convective-reaction form is
     # positive semidefinite; elementwise it need not be
@@ -250,7 +257,7 @@ def test_monolithic_matches_local_blocks():
     vec = np.zeros(dm.n_total)
     blocks = assemble_local_systems(mesh, dm, prob)
     ni = dm.n_interior
-    elem_dofs, trace_dofs = dm.element_dofs(), dm.element_trace_dofs()
+    elem_dofs, trace_dofs = np.arange(ni).reshape(mesh.n_elements, -1), dm.element_trace_dofs()
     for t in range(mesh.n_elements):
         blk = blocks[t]
         rows_u = elem_dofs[t]

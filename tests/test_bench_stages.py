@@ -38,24 +38,24 @@ def test_pipeline_times_every_stage_once(tmp_path, monkeypatch):
     peaks = [rss[stage][0] for stage in bench.STAGES]
     assert peaks == sorted(peaks) and peaks[0] > 0.0, rss
     assert mesh.n_elements == 32 and condensed.n_trace == 2 * 40
+    assert set(errors) == {"err_l2", "err_h1", "err_hdg", "conservation_max"}
     assert all(np.isfinite(v) for v in errors.values()), errors
     assert errors["conservation_max"] <= 1e-12
     # the dump stage wrote into one temporary directory and removed it
     assert [d.parent for d in made] == [tmp_path] and not any(tmp_path.iterdir())
 
 
-def test_runs_combine_per_stage_and_total_leaves_out_errors():
+def test_runs_combine_into_quartiles_per_stage_and_total():
     bench = load_script()
-    stages = dict.fromkeys(bench.STAGES, 1.0)
     runs = [{"case": {}, "elements": 1, "skeleton_dofs": 1, "nnz_S": 1, "fill": 1.0,
-             "errors": {}, "import_s": 0.5, "import_rss_mb": 60.0, "stages_s": dict(stages),
+             "errors": {}, "import_s": 0.5, "import_rss_mb": 60.0,
+             "stages_s": dict.fromkeys(bench.STAGES, t),
              "stage_rss_mb": dict.fromkeys(bench.STAGES, mb), "peak_rss_mb": mb}
-            for mb in (80.0, 90.0)]
+            for t, mb in ((1.0, 80.0), (2.0, 90.0), (4.0, 85.0), (3.0, 70.0), (5.0, 75.0))]
     record = bench.combine(runs)
-    assert record["total_s"] == len(bench.STAGES) - 1
-    assert record["stage_rss_mb"]["errors"] == [80.0, 90.0] and record["peak_rss_mb"] == 90.0
-    # a checkout without analysis.errors records no such stage
-    for run in runs:
-        del run["stages_s"]["errors"], run["stage_rss_mb"]["errors"]
-    record = bench.combine(runs)
-    assert "errors" not in record["stages_s"] and record["total_s"] == len(bench.STAGES) - 1
+    # quantiles of 1..5 by the exclusive method: positions 1.5 and 4.5
+    assert record["stages_s"] == dict.fromkeys(bench.STAGES, {"q1": 1.5, "median": 3.0, "q3": 4.5})
+    n = len(bench.STAGES)
+    assert record["total_s"] == {"q1": 1.5 * n, "median": 3.0 * n, "q3": 4.5 * n}
+    assert record["stage_rss_mb"]["errors"] == [80.0, 90.0, 85.0, 70.0, 75.0]
+    assert record["peak_rss_mb"] == 90.0 and record["import_s"] == 0.5

@@ -10,7 +10,7 @@ import pytest
 import hdgcd.cli
 from hdgcd.cli import (STUDIES, RunConfig, StudyError, dump_field_grid, dump_trace, main,
                        run_study)
-from hdgcd.mesh import Mesh, build_uniform_triangulation
+from hdgcd.mesh import Mesh, _locate_points, build_uniform_triangulation
 from hdgcd.problems import case_smooth
 from hdgcd.solver import SingularSystemError, solve_hdg
 
@@ -154,6 +154,20 @@ def test_reduced_limit_study_raises_on_divergence(monkeypatch):
         run_study(config)
 
 
+def test_last_two_ratio_skips_a_zero_distance():
+    rows = [{"err_l2": 0.0}, {"err_l2": 1.0}]
+    assert hdgcd.cli._last_two_ratio(rows) == ([], None)
+    assert hdgcd.cli._last_two_ratio(rows[1:]) == ([], None)
+
+
+def test_overflowing_field_fails_by_name_without_a_warning(capsys):
+    # the layer source at epsilon = 1e-300 divides inf by inf; the warning
+    # would be an error here (filterwarnings = error)
+    assert main(["--study", "layer", "--epsilon", "1e-300", "--n", "2,4"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: field f has non-finite values\n")
+
+
 def test_skeleton_comparison_rows():
     config = RunConfig(study="skeleton_compare", epsilon=1e-6, mesh_sizes=(5,))
     text = run_study(config)
@@ -210,7 +224,7 @@ def test_dumps_write_the_formatted_samples(tmp_path):
     odd.uhat[:3] = np.nan, -0.0, 5e-324
     xs = np.linspace(0.0, 1.0, 101)
     pts = np.column_stack([np.tile(xs, 101), np.repeat(xs, 101)])
-    elems, ref = hdgcd.cli._locate_points(mesh, pts)
+    elems, ref = _locate_points(mesh, pts)
     path = tmp_path / "grid.dat"
     for sol in (smooth, odd):
         vals = (sol.u[elems] * get_element_basis(2).values(ref)).sum(axis=1)

@@ -167,6 +167,28 @@ def test_invalid_meshes_rejected():
         build_uniform_triangulation(0)
 
 
+def test_malformed_meshes_are_named():
+    unit = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(MeshError, match=r"^triangles must form an \(nt, 3\) array$"):
+        Mesh(unit, np.zeros((1, 4)))
+    with pytest.raises(MeshError, match="^mesh has no elements$"):
+        Mesh(unit, np.zeros((0, 3), dtype=int))
+    # two disjoint triangles: V - E + T = 6 - 6 + 2
+    far = [[2.0, 0.0], [3.0, 0.0], [2.0, 1.0]]
+    with pytest.raises(MeshError, match=r"^Euler characteristic V - E \+ T = 2, expected 1$"):
+        Mesh(unit + far, [[0, 1, 2], [3, 4, 5]])
+    with pytest.raises(MeshError, match="^boundary edges must be tagged Dirichlet or Neumann$"):
+        build_uniform_triangulation(2, lambda x, y: BoundaryTag.INTERIOR)
+
+
+def test_duplicate_coordinates_are_not_positively_oriented():
+    # vertices 2 and 3 coincide, so edge (2, 3) has zero length and triangle
+    # 1 has zero area: the orientation check is what rejects it
+    vertices = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
+    with pytest.raises(MeshError, match="^triangle 1 is not positively oriented$"):
+        Mesh(vertices, [[0, 1, 2], [1, 3, 2]])
+
+
 @pytest.mark.parametrize("bad", [1.7, np.nan])
 def test_non_integer_triangle_index_rejected(bad):
     # the int64 cast made [0, 1.7, 2] the triangle (0, 1, 2)

@@ -16,7 +16,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from hdgcd.analysis import error_l2  # noqa: E402
+from hdgcd.analysis import conservation_residual, error_l2  # noqa: E402
 from hdgcd.assembly import ProblemSpec  # noqa: E402
 from hdgcd.cli import _format_rows  # noqa: E402
 from hdgcd.mesh import dirichlet_where  # noqa: E402
@@ -44,7 +44,7 @@ def drawn_meshes(draw, boundary):
     return relabelled_mesh(n, boundary, jitter, permute, rotate)
 
 
-PROBLEM = bilinear_problem()[0]
+PROBLEM, _, F_SUP = bilinear_problem()
 
 
 @settings(derandomize=True, max_examples=20, deadline=None, database=None)
@@ -54,6 +54,8 @@ def test_condensed_matches_monolithic(mesh, degree):
     mono = solve_monolithic(PROBLEM, mesh, degree=degree)
     gap = max(np.abs(cond.u - mono.u).max(), np.abs(cond.uhat - mono.uhat).max())
     assert gap <= 1e-10 * np.abs(mono.u).max()
+    # and each element balances its fluxes, as on the seeded jittered mesh
+    assert np.abs(conservation_residual(cond, PROBLEM)).max() <= 1e-12 * (1.0 + F_SUP)
 
 
 def polynomial(terms):

@@ -187,3 +187,21 @@ def test_skeleton_factor_fill_is_bounded():
 def test_singular_system_is_named(name, dense):
     with pytest.raises(SingularSystemError, match=f"^{name} system is singular"):
         sparse_solve(sp.csr_matrix(dense), np.ones(2), name)
+
+
+def test_overflowing_solution_is_named():
+    # 1 / 1e-320 overflows to inf in the triangular solve
+    with pytest.raises(SingularSystemError, match=r"^x system is singular \(non-finite solution\)$"):
+        sparse_solve(sp.csr_matrix([[1e-320]]), np.ones(1), "x")
+
+
+def test_all_dirichlet_triangle_has_no_skeleton():
+    # every edge of a lone triangle is Dirichlet, so no trace dof is active
+    from hdgcd.mesh import Mesh
+    mesh = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
+    problem = ProblemSpec(epsilon=1.0, b=lambda x, y: (np.ones_like(x), np.ones_like(x)),
+                          f=lambda x, y: np.ones_like(x))
+    sol = solve_hdg(problem, mesh, degree=2)
+    assert sol.uhat.size == 0 and sol.info["dofs_skeleton"] == 0
+    assert sol.u.shape == (1, 6) and np.isfinite(sol.u).all() and np.abs(sol.u).max() > 0.0
+    assert (sol.edge_traces() == 0.0).all()

@@ -6,6 +6,13 @@
 * User fields reach numbers only through ``assembly.eval_field``: no other
   function calls ``.b``, ``.c``, ``.f``, ``.exact`` or ``.exact_grad``, or a
   callable named ``velocity`` or ``func``.
+* The dof map owns its index conventions: ``np.append`` (the -1 slot that
+  reads 0) and any comparison on ``edge_dofs``, ``vertex_dofs`` or
+  ``element_trace_dofs()`` appear only in ``fespace.py``.
+* ``mesh.py`` owns the uniform mesh's numbering: only it reads
+  ``generator_n``.  Only ``AssemblyContext`` reads its edge points ``X_edge``.
+* A study row reads one config: every ``Study.row`` takes exactly
+  ``(config, case, mesh)``.
 
 One guard runs code instead: a layer study keeps nothing past its rows.
 ``hdgcd.cli``'s module globals keep their names and objects, and each
@@ -13,17 +20,19 @@ study mesh holds only the assembly contexts the solves and norms use.
 """
 
 import ast
+import inspect
 import weakref
 from pathlib import Path
 
 import hdgcd.cli
-from hdgcd.cli import RunConfig, run_study
+from hdgcd.cli import STUDIES, RunConfig, run_study
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hdgcd"
 TRACE_NAMES = {"get_edge_basis", "EdgeBasis"}
 TRACE_ATTRS = {"edge_basis", "E", "E_slots"}
 FIELD_ATTRS = {"b", "c", "f", "exact", "exact_grad"}
 FIELD_PARAMS = {"velocity", "func"}
+DOF_TABLES = {"edge_dofs", "vertex_dofs", "element_trace_dofs"}
 
 
 def modules():
@@ -84,6 +93,58 @@ def test_fields_are_called_only_in_eval_field():
                       if isinstance(node, ast.FunctionDef) and node.name == "eval_field")
     body = ast.Module(body=eval_field.body, type_ignores=[])
     assert [call for _, call in raw_field_calls(body)] == ["func("]
+
+
+def dof_conventions(tree):
+    """(line, what) of each ``np.append`` call and each comparison that
+    mentions a dof table of ``DOF_TABLES``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "append" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "np"):
+            yield node.lineno, "np.append"
+        elif isinstance(node, ast.Compare):
+            for ident in sorted({ident for ident, _ in names(node)} & DOF_TABLES):
+                yield node.lineno, f"comparison on {ident}"
+
+
+def attribute_reads(tree, attr):
+    return [sub.lineno for sub in ast.walk(tree) if isinstance(sub, ast.Attribute)
+            and sub.attr == attr and isinstance(sub.ctx, ast.Load)]
+
+
+def test_dof_index_conventions_stay_in_fespace():
+    trees = modules()
+    found = [f"{name}:{line} {what}" for name, tree in trees.items() if name != "fespace.py"
+             for line, what in dof_conventions(tree)]
+    assert found == []
+    # the guard does see the dof map's own gather
+    assert "np.append" in {what for _, what in dof_conventions(trees["fespace.py"])}
+
+
+def test_generator_n_is_read_only_in_mesh():
+    trees = modules()
+    found = [f"{name}:{line}" for name, tree in trees.items() if name != "mesh.py"
+             for line in attribute_reads(tree, "generator_n")]
+    assert found == []
+    assert attribute_reads(trees["mesh.py"], "generator_n")
+
+
+def test_edge_points_are_read_only_in_the_context():
+    trees = modules()
+    cls = next(node for node in trees["assembly.py"].body
+               if isinstance(node, ast.ClassDef) and node.name == "AssemblyContext")
+    inside = set(attribute_reads(cls, "X_edge"))
+    found = [f"{name}:{line}" for name, tree in trees.items()
+             for line in attribute_reads(tree, "X_edge")
+             if not (name == "assembly.py" and line in inside)]
+    assert found == [] and inside
+
+
+def test_every_row_takes_config_case_and_mesh():
+    params = {name: list(inspect.signature(study.row).parameters)
+              for name, study in STUDIES.items()}
+    assert params == dict.fromkeys(STUDIES, ["config", "case", "mesh"])
 
 
 def test_a_layer_study_keeps_no_cache(tmp_path, monkeypatch):
