@@ -7,7 +7,10 @@ Usage (from the repository root)::
 Each ``LABEL=CHECKOUT`` names a source checkout, a directory holding
 ``src/hdgcd``; with none given, this checkout is measured under the label
 ``current``.  Naming two checkouts (``parent=../old change=.``) puts both
-columns side by side in one file.
+columns side by side in one file, and then ``inside_spread`` lists, per
+case, the stages (and ``total_s``) whose second-column median lies inside
+the first column's [q1, q3]: moves that the first column's own spread
+cannot tell from noise.
 
 Every run of a case is a fresh interpreter, so imports, caches and the peak
 RSS belong to that run alone.  It first times ``import hdgcd`` with all it
@@ -197,6 +200,18 @@ def combine(runs):
     return record
 
 
+def inside_spread(first, second):
+    """Per case, the stages and ``total_s`` whose median in the column
+    ``second`` lies inside the [q1, q3] of the column ``first``."""
+    out = {}
+    for name, base in first["cases"].items():
+        other = second["cases"][name]
+        pairs = [(s, base["stages_s"][s], other["stages_s"][s]) for s in STAGES]
+        pairs.append(("total_s", base["total_s"], other["total_s"]))
+        out[name] = [s for s, b, o in pairs if b["q1"] <= o["median"] <= b["q3"]]
+    return out
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="*", metavar="LABEL=CHECKOUT")
@@ -238,6 +253,11 @@ def main(argv=None):
                              ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}},
         "columns": results,
     }
+    if len(results) == 2:
+        report["inside_spread"] = inside_spread(*results.values())
+        for name, stages in report["inside_spread"].items():
+            print(f"{name:<22} inside the first column's spread: {', '.join(stages) or '-'}",
+                  file=sys.stderr)
     text = json.dumps(report, indent=1) + "\n"
     if args.out:
         Path(args.out).write_text(text)

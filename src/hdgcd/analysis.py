@@ -9,14 +9,11 @@ projection of the exact solution, see :func:`project_to_hdg`.
 The error measures and the scheme norm accept an optional region: a
 predicate ``(x, y) -> bool`` tested at element barycenters, or None for
 the whole domain.  An element contributes when its barycenter lies
-inside, and its edge terms follow the element.  Fields are evaluated only
-on the region's elements and their edges; the scheme norm slices the
-whole mesh's trace tables.  Matrix products still run over every element,
-since BLAS may round a row differently among other rows, so each
-element's integral and the sum over the region stay bit-identical to a
-whole-mesh evaluation.  :func:`errors` gives the three distances of a
-case's solution from one evaluation of the exact solution per point set
-and one of its gradient.
+inside, and its edge terms follow the element.  Fields are evaluated and
+element integrals formed on the whole mesh; the region only selects which
+of them are summed, so an exact field must be finite everywhere.
+:func:`errors` gives the three distances of a case's solution from one
+evaluation of the exact solution per point set and one of its gradient.
 """
 
 from __future__ import annotations
@@ -76,44 +73,27 @@ def _elements(region, mesh):
     return np.flatnonzero(mask)
 
 
-def _reached(elems, per_element, entities):
-    """Positions in ``entities`` (ascending indices) of those that the
-    elements ``elems`` reach through the table ``per_element`` (nt, 3)."""
-    if isinstance(elems, slice):
-        return elems
-    return np.flatnonzero(np.isin(entities, per_element[elems]))
-
-
-def _rows(values, rows, n):
-    """``values`` (m, ...) as the ``rows`` of n rows, zero elsewhere."""
-    if isinstance(rows, slice):
-        return values
-    out = np.zeros((n,) + values.shape[1:])
-    out[rows] = values
-    return out
-
-
 def _root(per_elem):
     """sqrt of the sum of per-element integrals."""
     return float(np.sqrt(per_elem.sum()))
 
 
-def _l2_sq(ctx, solution, elems, exact):
-    """Integrals of (u_h - exact)^2 over the elements ``elems``, from the
-    exact values at their points."""
-    diff = ((solution.u @ ctx.N.T)[elems] - exact) ** 2
-    return (diff * ctx.volume_weights(solution.mesh, elems)).sum(axis=1)
+def _l2_sq(ctx, solution, exact):
+    """Integrals of (u_h - exact)^2 over each element, from the exact
+    values at the volume points."""
+    diff = (solution.u @ ctx.N.T - exact) ** 2
+    return (diff * ctx.volume_weights(solution.mesh)).sum(axis=1)
 
 
-def _h1_sq(ctx, solution, elems, exact_grad):
-    """Integrals of |grad u_h - exact_grad|^2 over the elements ``elems``.
+def _h1_sq(ctx, solution, exact_grad):
+    """Integrals of |grad u_h - exact_grad|^2 over each element.
 
     The field ``exact_grad`` is evaluated after the discrete gradients, whose
     evaluation peaks at twice their size, so the two peaks do not add."""
-    grads = ctx.field_gradients(solution.mesh, solution.u)[elems]
-    gx, gy = ctx.volume_values(exact_grad, "exact_grad", vector=True, elements=elems)
+    grads = ctx.field_gradients(solution.mesh, solution.u)
+    gx, gy = ctx.volume_values(exact_grad, "exact_grad", vector=True)
     diff = (grads[..., 0] - gx) ** 2 + (grads[..., 1] - gy) ** 2
-    return (diff * ctx.volume_weights(solution.mesh, elems)).sum(axis=1)
+    return (diff * ctx.volume_weights(solution.mesh)).sum(axis=1)
 
 
 def error_l2(solution, exact, region=None):
@@ -121,36 +101,32 @@ def error_l2(solution, exact, region=None):
     mesh = solution.mesh
     ctx = _error_context(mesh, solution.degree)
     elems = _elements(region, mesh)
-    return _root(_l2_sq(ctx, solution, elems, ctx.volume_values(exact, "exact", elements=elems)))
+    return _root(_l2_sq(ctx, solution, ctx.volume_values(exact, "exact"))[elems])
 
 
 def error_h1_broken(solution, exact_grad, region=None):
     """Broken H1 seminorm distance against the exact gradient."""
     mesh = solution.mesh
     ctx = _error_context(mesh, solution.degree)
-    return _root(_h1_sq(ctx, solution, _elements(region, mesh), exact_grad))
+    elems = _elements(region, mesh)   # checked before any field is evaluated
+    return _root(_h1_sq(ctx, solution, exact_grad)[elems])
 
 
-def _projection(exact, dofmap, ctx, elems, exact_vol):
-    """The pair projection of :func:`project_to_hdg` on the elements
-    ``elems`` and their edges, from the values ``exact_vol`` of ``exact`` at
-    their volume points: coefficients u (nt, nd) and active trace dofs,
-    zero off those elements and edges."""
-    mesh = dofmap.mesh
-    u = _project(ctx.N, ctx.vol.weights, _rows(exact_vol, elems, mesh.n_elements))
+def _projection(exact, dofmap, ctx, exact_vol):
+    """The pair projection of :func:`project_to_hdg`, from the values
+    ``exact_vol`` of ``exact`` at the volume points: coefficients u (nt, nd)
+    and active trace dofs."""
+    u = _project(ctx.N, ctx.vol.weights, exact_vol)
     uhat = np.zeros(dofmap.n_trace_active)
     if dofmap.skeleton_mode == "dg":
         free = dofmap.free_edges
         if free.size:
-            at = _reached(elems, mesh.elem_edges, free)
-            vals = ctx.edge_values(exact, "exact", edges=free[at])
             E = dofmap.edge_basis.values(ctx.edge.points)
-            uhat[dofmap.edge_dofs[free]] = _project(E, ctx.edge.weights,
-                                                    _rows(vals, at, free.size))
+            uhat[dofmap.edge_dofs[free]] = _project(
+                E, ctx.edge.weights, ctx.edge_values(exact, "exact", edges=free))
     else:
         active = dofmap.free_vertices
-        active = active[_reached(elems, mesh.triangles, active)]
-        vx = mesh.vertices[active]
+        vx = dofmap.mesh.vertices[active]
         uhat[dofmap.vertex_dofs[active]] = eval_field(exact, vx[:, 0], vx[:, 1], "exact")
     return u, uhat
 
@@ -164,7 +140,7 @@ def project_to_hdg(exact, dofmap):
     projection would couple globally).  Constrained dofs stay zero.
     """
     ctx = _error_context(dofmap.mesh, dofmap.degree)
-    u, uhat = _projection(exact, dofmap, ctx, slice(None), ctx.volume_values(exact, "exact"))
+    u, uhat = _projection(exact, dofmap, ctx, ctx.volume_values(exact, "exact"))
     return HdgSolution(dofmap=dofmap, u=u, uhat=uhat, info={"method": "projection"})
 
 
@@ -175,13 +151,13 @@ def _project(vals, weights, f):
     return np.linalg.solve(vals.T @ w_vals, (f @ w_vals).T).T
 
 
-def _trace_gap(ctx, tr, pair, elems=slice(None)):
+def _trace_gap(ctx, tr, pair):
     """uhat - u of the discrete ``pair`` at the points of the trace tables
-    ``tr`` (m, 3nqe) of the elements ``elems``."""
+    ``tr`` (nt, 3nqe)."""
     dofmap = pair.dofmap
     E = dofmap.slot_values(ctx.edge.points)
     uhat = dofmap.gather(pair.uhat, dofmap.element_trace_dofs()) @ E.T
-    return uhat[elems] - np.einsum("tpi,ti->tp", tr.values, pair.u[elems])
+    return uhat - np.einsum("tpi,ti->tp", tr.values, pair.u)
 
 
 def _scheme_norm(pair, problem, eta, elems):
@@ -190,27 +166,28 @@ def _scheme_norm(pair, problem, eta, elems):
     ctx = get_context(mesh, pair.degree)
 
     # volume quantities
-    w = ctx.volume_weights(mesh, elems)
-    l2_sq_elem = ((pair.u @ ctx.N.T)[elems] ** 2 * w).sum(axis=1)
-    h1_sq_elem = ((ctx.field_gradients(mesh, pair.u)[elems] ** 2).sum(axis=-1) * w).sum(axis=1)
+    w = ctx.volume_weights(mesh)
+    l2_sq_elem = ((pair.u @ ctx.N.T) ** 2 * w).sum(axis=1)
+    h1_sq_elem = ((ctx.field_gradients(mesh, pair.u) ** 2).sum(axis=-1) * w).sum(axis=1)
     # |alpha| = 2 derivatives: u_xx, u_xy (counted once) and u_yy; P1 has none
     h2_sq_elem = np.zeros(len(w))
     if pair.degree > 1:
-        hess = ctx.field_hessians(mesh, pair.u)[elems]
+        hess = ctx.field_hessians(mesh, pair.u)
         h2 = hess[..., 0, 0] ** 2 + hess[..., 0, 1] ** 2 + hess[..., 1, 1] ** 2
-        h2_sq_elem = (h2 * w).sum(axis=1) * mesh.h_K[elems] ** 2
+        h2_sq_elem = (h2 * w).sum(axis=1) * mesh.h_K ** 2
 
-    # edge quantities on the slots of those elements
-    tr = TraceTables._make(table[elems] for table in ctx.traces(mesh))
-    diff2 = _trace_gap(ctx, tr, pair, elems) ** 2
+    # edge quantities: the gap on every slot, then the slots of those elements
+    tr = ctx.traces(mesh)
+    diff2 = _trace_gap(ctx, tr, pair)[elems] ** 2
+    tr = TraceTables._make(table[elems] for table in tr)
     bn = tr.normal_velocity(*ctx.edge_values(problem.b, "b", vector=True))
     skel = ~tr.neumann
     jump_sq = float(((eta / tr.h) * tr.weights * diff2)[skel].sum())
     conv_sq = float((tr.weights * np.abs(bn) * diff2)[skel].sum())
 
-    h1 = float(h1_sq_elem.sum())
-    h2 = float(h2_sq_elem.sum())
-    l2 = float(l2_sq_elem.sum())
+    h1 = float(h1_sq_elem[elems].sum())
+    h2 = float(h2_sq_elem[elems].sum())
+    l2 = float(l2_sq_elem[elems].sum())
     hdg_sq = problem.epsilon * (h1 + h2 + jump_sq) + conv_sq + problem.rho0 * l2
     return ErrorReport(err_l2=float(np.sqrt(l2)), err_hdg=float(np.sqrt(hdg_sq)),
                        seminorm_h1_sq=h1, seminorm_h2_sq=h2,
@@ -244,8 +221,7 @@ def error_hdg(solution, exact, problem, eta, region=None):
     mesh = solution.mesh
     ctx = _error_context(mesh, solution.degree)
     elems = _elements(region, mesh)
-    projection = _projection(exact, solution.dofmap, ctx, elems,
-                             ctx.volume_values(exact, "exact", elements=elems))
+    projection = _projection(exact, solution.dofmap, ctx, ctx.volume_values(exact, "exact"))
     return _distance(solution, projection, problem, eta, elems)
 
 
@@ -257,17 +233,18 @@ def errors(solution, case, eta):
     ``case.exact`` is evaluated once at the volume points, for the L2
     distance and the projection alike, and once at the edge points (at the
     vertices for continuous traces); ``case.exact_grad`` once at the volume
-    points.  All of them only on the region's elements and their edges.
+    points.  All of them on the whole mesh; ``case.region`` selects the
+    element integrals that are summed.
     """
     check_penalty(eta)
     mesh = solution.mesh
     ctx = _error_context(mesh, solution.degree)
     elems = _elements(case.region, mesh)
-    exact = ctx.volume_values(case.exact, "exact", elements=elems)
-    err_l2 = _root(_l2_sq(ctx, solution, elems, exact))
-    projection = _projection(case.exact, solution.dofmap, ctx, elems, exact)
+    exact = ctx.volume_values(case.exact, "exact")
+    err_l2 = _root(_l2_sq(ctx, solution, exact)[elems])
+    projection = _projection(case.exact, solution.dofmap, ctx, exact)
     del exact   # freed before the H1 peak, which is the largest
-    err_h1 = _root(_h1_sq(ctx, solution, elems, case.exact_grad))
+    err_h1 = _root(_h1_sq(ctx, solution, case.exact_grad)[elems])
     return err_l2, err_h1, _distance(solution, projection, case.problem, eta, elems)
 
 

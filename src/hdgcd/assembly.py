@@ -121,13 +121,17 @@ def eval_field(func, x, y, name, vector=False):
     A vector field (``vector=True``) may return any sequence or array of two
     components and comes back stacked as (2, *x.shape); None stays None.
     Raises ValueError naming the field when the values do not broadcast to
-    the points, a vector field has no two components, or a value is not
-    finite; ``func`` runs with floating-point warnings off, so that is all it reports.
+    the points, a vector field has no two components, a value is not
+    finite, or ``func`` raises an ArithmeticError (a Python float overflow);
+    ``func`` runs with floating-point warnings off, so that is all it reports.
     """
     if func is None:
         return None
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals = func(x, y)
+    try:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            vals = func(x, y)
+    except ArithmeticError as exc:
+        raise ValueError(f"field {name} fails to evaluate: {type(exc).__name__}: {exc}") from None
     try:
         comps = list(vals) if vector else [vals]
         if len(comps) != (2 if vector else 1):
@@ -281,8 +285,6 @@ class AssemblyContext:
     The context keeps no reference to its mesh, so it can live in
     ``mesh.contexts`` and be freed with it.  It is the only place that
     builds quadrature points, basis tables and physical point images.
-    :meth:`volume_weights` and :meth:`volume_values` take an optional index
-    of elements (a slice keeps views) and then cover those elements only.
     """
 
     def __init__(self, mesh, degree, quad_order):
@@ -323,14 +325,13 @@ class AssemblyContext:
         h = (m @ h_ref.reshape(nt, 2, -1)).reshape(nt, -1, 2) @ _swap(m)   # rows (a, q)
         return h.reshape(nt, 2, -1, 2).transpose(0, 2, 1, 3)
 
-    def volume_weights(self, mesh, elements=slice(None)):
-        """Physical volume quadrature weights of ``elements``, (m, nq)."""
-        return self.vol.weights * mesh.det_jacobians[elements, None]
+    def volume_weights(self, mesh):
+        """Physical volume quadrature weights, (nt, nq)."""
+        return self.vol.weights * mesh.det_jacobians[:, None]
 
-    def volume_values(self, func, name, vector=False, elements=slice(None)):
-        """:func:`eval_field` of ``func`` at the volume points of ``elements``, (m, nq)."""
-        pts = self.X_vol[elements]
-        return eval_field(func, pts[..., 0], pts[..., 1], name, vector)
+    def volume_values(self, func, name, vector=False):
+        """:func:`eval_field` of ``func`` at the volume points, (nt, nq)."""
+        return eval_field(func, self.X_vol[..., 0], self.X_vol[..., 1], name, vector)
 
     def edge_values(self, func, name, vector=False, edges=slice(None)):
         """:func:`eval_field` of ``func`` at the points of ``edges``, (n, nqe)."""

@@ -524,6 +524,9 @@ def main(argv=None):
             ElementSolvabilityError, SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory; lower --n or --degree", file=sys.stderr)
+        return 1
     if not config.out:
         sys.stdout.write(text)
     return 0

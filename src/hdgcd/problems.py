@@ -197,6 +197,7 @@ def _fd(exact, x, y, h, axis, weights, order):
     return total / (12.0 * h ** order)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def verify_source_term(case):
     """Cross-check the hard-coded source against finite differences.
 
@@ -206,7 +207,8 @@ def verify_source_term(case):
     laplacian (the diffusion term is dropped for reduced-limit cases).
     Residuals are scaled by 1 + |value|; the maximum scaled residual is
     returned, and a ValueError reports one above ``SOURCE_TOL`` (source)
-    or ``GRAD_TOL`` (gradient), nan included; fields go through ``eval_field``.
+    or ``GRAD_TOL`` (gradient), nan included; fields go through ``eval_field``,
+    and the check's own arithmetic runs with floating-point warnings off.
     """
     rng = np.random.default_rng(SOURCE_CHECK_SEED)
     (xlo, xhi), (ylo, yhi) = case.sample_box

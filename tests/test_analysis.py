@@ -221,7 +221,8 @@ def _counted(func, sizes):
 
 
 @pytest.mark.parametrize("mode", ["dg", "cg"])
-def test_errors_evaluate_each_field_once_per_point_set_on_the_region(mode):
+def test_errors_evaluate_each_field_once_per_point_set(mode):
+    # on the whole mesh, although the layer case's region leaves elements out
     case, sol = _case_solution("layer", 1e-6, 1, mode, n=8)
     mesh = sol.mesh
     inside = case.region(mesh.barycenters[:, 0], mesh.barycenters[:, 1])
@@ -230,18 +231,26 @@ def test_errors_evaluate_each_field_once_per_point_set_on_the_region(mode):
     counted = replace(case, exact=_counted(case.exact, exact_sizes),
                       exact_grad=_counted(case.exact_grad, grad_sizes))
     assert errors(sol, counted, 7.5) == errors(sol, case, 7.5)
-    del exact_sizes[3:], grad_sizes[1:]   # the second, uncounted call adds nothing
 
     ctx = _error_context(mesh, 1)
-    volume = inside.sum() * ctx.vol.weights.size
-    if mode == "dg":   # the free edges of the region's elements, at the edge points
-        free = set(np.flatnonzero(sol.dofmap.edge_dofs[:, 0] >= 0))
-        trace = len(free & set(mesh.elem_edges[inside].ravel())) * ctx.edge.weights.size
-    else:              # the free vertices of the region's elements
-        free = set(np.flatnonzero(sol.dofmap.vertex_dofs >= 0))
-        trace = len(free & set(mesh.triangles[inside].ravel()))
+    volume = mesh.n_elements * ctx.vol.weights.size
+    if mode == "dg":   # every free edge, at the edge points
+        trace = int((sol.dofmap.edge_dofs[:, 0] >= 0).sum()) * ctx.edge.weights.size
+    else:              # every free vertex
+        trace = int((sol.dofmap.vertex_dofs >= 0).sum())
     assert exact_sizes == [volume, trace]
     assert grad_sizes == [volume]
+
+
+def test_an_exact_field_must_be_finite_outside_the_region():
+    # the region selects element integrals; it does not hide a field's values
+    case, sol = _case_solution("layer", 1e-6, 1, "dg", n=8)
+    broken = replace(case, exact=lambda x, y: np.where(x < 0.95, case.exact(x, y), np.nan))
+    assert not case.region(0.95, 0.5)
+    with pytest.raises(ValueError, match="^field exact has non-finite values$"):
+        errors(sol, broken, 7.5)
+    with pytest.raises(ValueError, match="^field exact has non-finite values$"):
+        error_l2(sol, broken.exact, region=case.region)
 
 
 BAD_PENALTIES = [-10.0, 0.0, np.nan, np.inf]

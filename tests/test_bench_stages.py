@@ -1,6 +1,8 @@
 """Smoke test of the stage-timing script that performance claims cite: its
 pipeline runs every stage once on a small case, reads the peak RSS after
-each, gets the right answers and leaves no dump file behind."""
+each, gets the right answers and leaves no dump file behind; its runs
+combine into quartiles, and a second column's medians are flagged when
+they lie inside the first column's spread."""
 
 import importlib.util
 import tempfile
@@ -59,3 +61,25 @@ def test_runs_combine_into_quartiles_per_stage_and_total():
     assert record["total_s"] == {"q1": 1.5 * n, "median": 3.0 * n, "q3": 4.5 * n}
     assert record["stage_rss_mb"]["errors"] == [80.0, 90.0, 85.0, 70.0, 75.0]
     assert record["peak_rss_mb"] == 90.0 and record["import_s"] == 0.5
+
+
+def _column(bench, spreads, total):
+    """A one-case column whose stages have the (q1, median, q3) ``spreads``."""
+    keys = ("q1", "median", "q3")
+    return {"cases": {"c": {"stages_s": {s: dict(zip(keys, spreads[s])) for s in bench.STAGES},
+                            "total_s": dict(zip(keys, total))}}}
+
+
+def test_second_column_medians_inside_the_first_spread_are_flagged():
+    bench = load_script()
+    first = _column(bench, dict.fromkeys(bench.STAGES, (1.0, 2.0, 3.0)), (9.0, 18.0, 27.0))
+    medians = dict(zip(bench.STAGES, (0.5, 1.0, 2.5, 3.0, 3.5, 1.0, 3.0, 9.0, 0.99)))
+    second = _column(bench, {s: (m - 0.5, m, m + 0.5) for s, m in medians.items()},
+                     (20.0, 27.5, 30.0))
+    # the quartiles themselves count as inside; just outside them does not
+    assert bench.inside_spread(first, second) == {
+        "c": ["prepare", "assemble", "condense", "recover", "errors"]}
+    second["cases"]["c"]["total_s"]["median"] = 27.0
+    assert bench.inside_spread(first, second)["c"][-1] == "total_s"
+    # the first column's spread decides, not the second's
+    assert bench.inside_spread(second, first) == {"c": ["assemble"]}

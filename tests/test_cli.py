@@ -161,11 +161,34 @@ def test_last_two_ratio_skips_a_zero_distance():
 
 
 def test_overflowing_field_fails_by_name_without_a_warning(capsys):
-    # the layer source at epsilon = 1e-300 divides inf by inf; the warning
-    # would be an error here (filterwarnings = error)
-    assert main(["--study", "layer", "--epsilon", "1e-300", "--n", "2,4"]) == 1
+    # the layer source at epsilon = 1e-300 divides inf by inf, and at 1e308
+    # the source check's own eps * lap overflows before f is read; the
+    # warning would be an error here (filterwarnings = error)
+    for argv in (["--study", "layer", "--epsilon", "1e-300", "--n", "2,4"],
+                 ["--epsilon", "1e308", "--n", "2"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: field f has non-finite values\n")
+
+
+@pytest.mark.parametrize("argv", [["--problem", "layer", "--epsilon", "1e160"],
+                                  ["--study", "layer", "--epsilon", "1e308"]])
+def test_a_field_that_raises_overflow_fails_by_name(argv, capsys):
+    # eps ** 2 of a Python float raises OverflowError in the layer profile
+    assert main(argv + ["--n", "2"]) == 1
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: field f has non-finite values\n")
+    assert captured.out == ""
+    assert captured.err.startswith("error: field exact_grad fails to evaluate: OverflowError: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_out_of_memory_fails_by_name(monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(hdgcd.cli, "solve_hdg", no_memory)
+    assert main(["--n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: out of memory; lower --n or --degree\n")
 
 
 def test_skeleton_comparison_rows():

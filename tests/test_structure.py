@@ -13,6 +13,9 @@
   ``generator_n``.  Only ``AssemblyContext`` reads its edge points ``X_edge``.
 * A study row reads one config: every ``Study.row`` takes exactly
   ``(config, case, mesh)``.
+* The error measures have one evaluation domain, the whole mesh: the
+  context's volume helpers take no element index, and ``analysis.py``
+  tests no index for being a slice.
 
 One guard runs code instead: a layer study keeps nothing past its rows.
 ``hdgcd.cli``'s module globals keep their names and objects, and each
@@ -25,6 +28,7 @@ import weakref
 from pathlib import Path
 
 import hdgcd.cli
+from hdgcd.assembly import AssemblyContext
 from hdgcd.cli import STUDIES, RunConfig, run_study
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hdgcd"
@@ -145,6 +149,23 @@ def test_every_row_takes_config_case_and_mesh():
     params = {name: list(inspect.signature(study.row).parameters)
               for name, study in STUDIES.items()}
     assert params == dict.fromkeys(STUDIES, ["config", "case", "mesh"])
+
+
+def slice_tests(tree):
+    """Lines of the ``isinstance(..., slice)`` calls in ``tree``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and "slice" in {ident for ident, _ in names(node.args[1])}]
+
+
+def test_error_measures_evaluate_on_the_whole_mesh():
+    assert slice_tests(modules()["analysis.py"]) == []
+    assert slice_tests(ast.parse("isinstance(rows, (slice, list))")) == [1]
+    params = {name: list(inspect.signature(getattr(AssemblyContext, name)).parameters)
+              for name in ("volume_values", "volume_weights")}
+    assert params == {"volume_values": ["self", "func", "name", "vector"],
+                      "volume_weights": ["self", "mesh"]}
 
 
 def test_a_layer_study_keeps_no_cache(tmp_path, monkeypatch):
