@@ -7,10 +7,10 @@ Usage (from the repository root)::
 Each ``LABEL=CHECKOUT`` names a source checkout, a directory holding
 ``src/hdgcd``; with none given, this checkout is measured under the label
 ``current``.  Naming two checkouts (``parent=../old change=.``) puts both
-columns side by side in one file, and then ``inside_spread`` lists, per
-case, the stages (and ``total_s``) whose second-column median lies inside
-the first column's [q1, q3]: moves that the first column's own spread
-cannot tell from noise.
+columns side by side in one file, and then ``resolved`` lists, per case,
+the stages (and ``total_s``) where the second column is faster, or
+slower, in every pair of runs and the medians differ by more than the
+first column's q3 - q1; every other stage is unresolved.
 
 Every run of a case is a fresh interpreter, so imports, caches and the peak
 RSS belong to that run alone.  It first times ``import hdgcd`` with all it
@@ -20,8 +20,9 @@ then once timed on a freshly built mesh, as the CLI does.  Each case is run
 REPEAT times per checkout, the checkouts alternating run by run so that a
 drift in the host's speed reaches both columns alike; ``import_s`` is the
 median of those runs, and each stage and ``total_s`` (the sum of the
-stages) are recorded as the ``q1``, ``median`` and ``q3`` of them, so a
-change can be told from the spread.  The stages are the library's public
+stages) are recorded as the ``q1``, ``median`` and ``q3`` of them, and
+per run in run order (``runs_s``), so that run i of one column pairs with
+run i of the other.  The stages are the library's public
 functions, each timed with ``time.perf_counter``: ``mesh``
 (``build_uniform_triangulation``), ``prepare`` (``check_problem`` and
 ``build_dofmap``), ``assemble``, ``condense``, ``solve`` (``solve_skeleton``,
@@ -185,8 +186,9 @@ def measure(label, checkout, name):
 
 def combine(runs):
     """One case's record from its runs: the import median, the stage and
-    total quartiles, the largest RSS peaks, the per-stage RSS of every run;
-    the counts and errors must agree between runs."""
+    total quartiles, the stage and total seconds of every run, the largest
+    RSS peaks, the per-stage RSS of every run; the counts and errors must
+    agree between runs."""
     fixed = ("case", "elements", "skeleton_dofs", "nnz_S", "fill", "errors")
     if any(run[key] != runs[0][key] for run in runs for key in fixed):
         raise SystemExit(f"runs of {runs[0]['case']} disagree on {fixed}")
@@ -194,21 +196,33 @@ def combine(runs):
     record["import_s"] = statistics.median(run["import_s"] for run in runs)
     record["import_rss_mb"] = max(run["import_rss_mb"] for run in runs)
     record["stages_s"] = {s: quartiles([run["stages_s"][s] for run in runs]) for s in STAGES}
-    record["total_s"] = quartiles([sum(run["stages_s"].values()) for run in runs])
+    totals = [sum(run["stages_s"].values()) for run in runs]
+    record["total_s"] = quartiles(totals)
+    record["runs_s"] = {s: [run["stages_s"][s] for run in runs] for s in STAGES}
+    record["runs_s"]["total_s"] = totals
     record["peak_rss_mb"] = max(run["peak_rss_mb"] for run in runs)
     record["stage_rss_mb"] = {s: [run["stage_rss_mb"][s] for run in runs] for s in STAGES}
     return record
 
 
-def inside_spread(first, second):
-    """Per case, the stages and ``total_s`` whose median in the column
-    ``second`` lies inside the [q1, q3] of the column ``first``."""
+def resolved(first, second):
+    """Per case, ``{"faster": [...], "slower": [...]}``: the stages and
+    ``total_s`` where the column ``second`` is faster (slower) than the
+    column ``first`` in every pair of runs, and its median differs from the
+    first's by more than the first column's q3 - q1."""
     out = {}
     for name, base in first["cases"].items():
         other = second["cases"][name]
-        pairs = [(s, base["stages_s"][s], other["stages_s"][s]) for s in STAGES]
-        pairs.append(("total_s", base["total_s"], other["total_s"]))
-        out[name] = [s for s, b, o in pairs if b["q1"] <= o["median"] <= b["q3"]]
+        out[name] = moved = {"faster": [], "slower": []}
+        for s in (*STAGES, "total_s"):
+            b, o = (rec["total_s"] if s == "total_s" else rec["stages_s"][s] for rec in (base, other))
+            if abs(o["median"] - b["median"]) <= b["q3"] - b["q1"]:
+                continue
+            pairs = list(zip(base["runs_s"][s], other["runs_s"][s]))
+            if all(y < x for x, y in pairs):
+                moved["faster"].append(s)
+            elif all(y > x for x, y in pairs):
+                moved["slower"].append(s)
     return out
 
 
@@ -254,10 +268,10 @@ def main(argv=None):
         "columns": results,
     }
     if len(results) == 2:
-        report["inside_spread"] = inside_spread(*results.values())
-        for name, stages in report["inside_spread"].items():
-            print(f"{name:<22} inside the first column's spread: {', '.join(stages) or '-'}",
-                  file=sys.stderr)
+        report["resolved"] = resolved(*results.values())
+        for name, moved in report["resolved"].items():
+            print(f"{name:<22} faster in every pair: {', '.join(moved['faster']) or '-'}; "
+                  f"slower in every pair: {', '.join(moved['slower']) or '-'}", file=sys.stderr)
     text = json.dumps(report, indent=1) + "\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hdgcd.assembly import (TraceTables, check_penalty, default_quad_order, eval_field,
-                            flux_weights, get_context, neumann_data)
+                            flux_weights, get_context, neumann_data, pull_back)
 from hdgcd.solver import HdgSolution
 
 # floor of the quadrature order of the error measures; from k = 6 on the
@@ -265,8 +265,8 @@ def conservation_residual(solution, problem):
             raise ValueError(f"conservation_residual needs the solve's {key!r} in solution.info")
     ctx = get_context(mesh, solution.degree, info["quad_order"])
 
-    bgrad = ctx.streamline(mesh, ctx.volume_values(problem.b, "b", vector=True))
-    conv = np.einsum("tqi,ti->tq", bgrad, solution.u)
+    b_ref = pull_back(mesh, ctx.volume_values(problem.b, "b", vector=True))
+    conv = np.einsum("atq,tqa->tq", b_ref, np.tensordot(solution.u, ctx.dN, axes=(1, 1)))
     if problem.c is not None:
         conv = conv + ctx.volume_values(problem.c, "c") * (solution.u @ ctx.N.T)
     residual = ((conv - ctx.volume_values(problem.f, "f")) * ctx.volume_weights(mesh)).sum(axis=1)

@@ -23,6 +23,7 @@ enter the global index space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -276,6 +277,7 @@ class AssemblyContext:
     triangle: the context holds reference basis tables and the stiffness
     tensors ``R[a, b] = sum_q w_q d_a phi_i d_b phi_j`` (2, 2, nd, nd), and
     the element metric maps coefficients, never the basis (:func:`pull_back`).
+    The per-point product tables of :func:`table_product` are built on first use.
     Element traces along an edge are tabulated for both traversal
     directions so that every edge quantity is expressed in the canonical
     (ascending vertex index) parameterization shared by the trace basis;
@@ -305,11 +307,19 @@ class AssemblyContext:
         self.X_vol = mesh.physical_points(self.vol.points)
         self.X_edge = mesh.edge_points(t)
 
-    def streamline(self, mesh, b):
-        """Streamline derivatives b . grad phi (nt, nq, nd) of the basis from
-        the velocity ``b`` (2, nt, nq) at the volume points."""
-        bx, by = pull_back(mesh, b)
-        return bx[..., None] * self.dN[..., 0] + by[..., None] * self.dN[..., 1]
+    @cached_property
+    def transport_tables(self):
+        """phi_i dx phi_j, phi_i dy phi_j and phi_i phi_j (3, nq, nd, nd)."""
+        N, dN = self.N[..., None], self.dN[:, None]
+        return np.stack([N * dN[..., 0], N * dN[..., 1], N * self.N[:, None]])
+
+    @cached_property
+    def streamline_tables(self):
+        """dx phi_i dx phi_j, dx phi_i dy phi_j + dy phi_i dx phi_j, dy phi_i dy phi_j,
+        dx phi_i phi_j and dy phi_i phi_j (5, nq, nd, nd)."""
+        dx, dy, N = self.dN[..., 0, None], self.dN[..., 1, None], self.N[:, None]
+        dxT, dyT = _swap(dx), _swap(dy)
+        return np.stack([dx * dxT, dx * dyT + dy * dxT, dy * dyT, dx * N, dy * N])
 
     def field_gradients(self, mesh, u):
         """Physical gradients M g_ref (nt, nq, 2), M = J^{-T}, at the volume
@@ -388,18 +398,25 @@ def stiffness(ctx, mesh, epsilon):
     return np.tensordot(metric, ctx.R, axes=2)
 
 
+def table_product(coefs, tables):
+    """sum_k coefs[k] @ tables[k] (nt, nd, nd) as one matrix product of the weighted
+    coefficients ``coefs`` (nt, nq) and the leading per-point tables (k, nq, nd, nd)
+    of the context, whose derivatives are on the reference triangle."""
+    nd = tables.shape[-1]
+    out = np.concatenate(coefs, axis=1) @ tables[:len(coefs)].reshape(-1, nd * nd)
+    return out.reshape(-1, nd, nd)
+
+
 def transport(ctx, mesh, b, c):
     """Transport and reaction term (b . grad phi_j + c phi_j, phi_i)_K.
 
     ``b`` (2, nt, nq) and ``c`` (nt, nq) or None are the coefficient values
-    at the volume points.  Also returns the streamline derivatives
-    b . grad phi (nt, nq, nd) and the weighted trial values
-    w (b . grad phi + c phi) (nt, nq, nd) the term is built from.
+    at the volume points; the weighted, pulled-back velocity and w c meet
+    the context's ``transport_tables``.
     """
-    bgrad = ctx.streamline(mesh, b)
-    trial = bgrad if c is None else bgrad + c[..., None] * ctx.N
-    w_trial = ctx.volume_weights(mesh)[..., None] * trial
-    return ctx.N.T @ w_trial, bgrad, w_trial
+    w = ctx.volume_weights(mesh)
+    coefs = [*(w * pull_back(mesh, b))] + ([] if c is None else [w * c])
+    return table_product(coefs, ctx.transport_tables)
 
 
 def load(ctx, mesh, problem):
@@ -503,7 +520,7 @@ def assemble_local_systems(mesh, dofmap, problem, eta=None, quad_order=None,
         out.A_uu += stiffness(ctx, mesh, problem.epsilon)
     if "convection" in parts:
         out.A_uu += transport(ctx, mesh, ctx.volume_values(problem.b, "b", vector=True),
-                              ctx.volume_values(problem.c, "c"))[0]
+                              ctx.volume_values(problem.c, "c"))
     if "load" in parts:
         out.b_u += load(ctx, mesh, problem)[0]
     if "diffusion" in parts or "convection" in parts:

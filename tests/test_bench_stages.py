@@ -1,8 +1,9 @@
 """Smoke test of the stage-timing script that performance claims cite: its
 pipeline runs every stage once on a small case, reads the peak RSS after
 each, gets the right answers and leaves no dump file behind; its runs
-combine into quartiles, and a second column's medians are flagged when
-they lie inside the first column's spread."""
+combine into quartiles and per-run seconds, and a second column's stages
+are resolved only when every pair of runs and the first column's spread
+agree."""
 
 import importlib.util
 import tempfile
@@ -63,23 +64,35 @@ def test_runs_combine_into_quartiles_per_stage_and_total():
     assert record["peak_rss_mb"] == 90.0 and record["import_s"] == 0.5
 
 
-def _column(bench, spreads, total):
-    """A one-case column whose stages have the (q1, median, q3) ``spreads``."""
-    keys = ("q1", "median", "q3")
-    return {"cases": {"c": {"stages_s": {s: dict(zip(keys, spreads[s])) for s in bench.STAGES},
-                            "total_s": dict(zip(keys, total))}}}
+def _column(bench, stage_runs):
+    """A one-case column combined from five runs; ``stage_runs[s]`` holds the
+    seconds of stage s in run order."""
+    runs = [{"case": {}, "elements": 1, "skeleton_dofs": 1, "nnz_S": 1, "fill": 1.0,
+             "errors": {}, "import_s": 0.5, "import_rss_mb": 60.0,
+             "stages_s": {s: stage_runs[s][i] for s in bench.STAGES},
+             "stage_rss_mb": dict.fromkeys(bench.STAGES, 80.0), "peak_rss_mb": 80.0}
+            for i in range(5)]
+    return {"cases": {"c": bench.combine(runs)}}
 
 
-def test_second_column_medians_inside_the_first_spread_are_flagged():
+def test_stages_are_resolved_by_pairs_and_the_first_spread():
     bench = load_script()
-    first = _column(bench, dict.fromkeys(bench.STAGES, (1.0, 2.0, 3.0)), (9.0, 18.0, 27.0))
-    medians = dict(zip(bench.STAGES, (0.5, 1.0, 2.5, 3.0, 3.5, 1.0, 3.0, 9.0, 0.99)))
-    second = _column(bench, {s: (m - 0.5, m, m + 0.5) for s, m in medians.items()},
-                     (20.0, 27.5, 30.0))
-    # the quartiles themselves count as inside; just outside them does not
-    assert bench.inside_spread(first, second) == {
-        "c": ["prepare", "assemble", "condense", "recover", "errors"]}
-    second["cases"]["c"]["total_s"]["median"] = 27.0
-    assert bench.inside_spread(first, second)["c"][-1] == "total_s"
-    # the first column's spread decides, not the second's
-    assert bench.inside_spread(second, first) == {"c": ["assemble"]}
+    base = np.array([10.0, 11.0, 12.0, 13.0, 14.0])   # q1 10.5, median 12, q3 13.5
+    first = _column(bench, dict.fromkeys(bench.STAGES, base))
+    assert first["cases"]["c"]["runs_s"]["mesh"] == list(base)
+    assert first["cases"]["c"]["runs_s"]["total_s"] == list(9 * base)
+    mesh, prepare, assemble, condense, solve, *rest = bench.STAGES
+    second = _column(bench, {
+        mesh: base - 4.0,                                 # faster in every pair, beyond the IQR
+        prepare: base + 4.0,                              # slower in every pair, beyond the IQR
+        assemble: base - 3.0,                             # medians differ by exactly the IQR
+        condense: np.array([6.0, 7.0, 8.0, 9.0, 15.0]),   # faster in four pairs of five
+        solve: base - 1.0,                                # every pair, inside the IQR
+        **dict.fromkeys(rest, base)})
+    assert bench.resolved(first, second) == {"c": {"faster": [mesh], "slower": [prepare]}}
+    # the first column's spread and run order decide, read from either side
+    assert bench.resolved(second, first) == {"c": {"faster": [prepare], "slower": [mesh]}}
+    # the total resolves once every stage moves: 9 x 4 s beyond its IQR of 27 s
+    shifted = _column(bench, dict.fromkeys(bench.STAGES, base - 4.0))
+    assert bench.resolved(first, shifted) == {
+        "c": {"faster": [*bench.STAGES, "total_s"], "slower": []}}

@@ -17,9 +17,12 @@
   context's volume helpers take no element index, and ``analysis.py``
   tests no index for being a slice.
 
-One guard runs code instead: a layer study keeps nothing past its rows.
+Two guards run code instead.  A layer study keeps nothing past its rows:
 ``hdgcd.cli``'s module globals keep their names and objects, and each
-study mesh holds only the assembly contexts the solves and norms use.
+study mesh holds only the assembly contexts the solves and norms use.  The
+volume kernels read the context's per-point product tables, which only a
+kernel builds: ``transport`` returns one stacked matrix array, and the
+context has no ``streamline`` derivatives.
 """
 
 import ast
@@ -27,9 +30,15 @@ import inspect
 import weakref
 from pathlib import Path
 
+import numpy as np
+
 import hdgcd.cli
-from hdgcd.assembly import AssemblyContext
+from hdgcd.analysis import error_l2, project_to_hdg
+from hdgcd.assembly import AssemblyContext, get_context, transport
 from hdgcd.cli import STUDIES, RunConfig, run_study
+from hdgcd.fespace import build_dofmap
+from hdgcd.mesh import build_uniform_triangulation
+from hdgcd.problems import case_smooth
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hdgcd"
 TRACE_NAMES = {"get_edge_basis", "EdgeBasis"}
@@ -200,3 +209,19 @@ def test_a_layer_study_keeps_no_cache(tmp_path, monkeypatch):
     assert len(meshes) == 3 and len(solutions) == 6
     # the case's order-12 context, and the scheme norm's at the default 2k + 2
     assert [set(mesh.contexts) for mesh in meshes] == [{(1, 4), (1, 12)}] * 3
+
+
+def test_volume_kernels_build_the_reference_tables_on_first_use():
+    assert not hasattr(AssemblyContext, "streamline")
+    tables = ("transport_tables", "streamline_tables")
+    # an error-only context never builds them, even at k = 8
+    case = case_smooth(1.0)
+    mesh = build_uniform_triangulation(2)
+    assert error_l2(project_to_hdg(case.exact, build_dofmap(mesh, 8)), case.exact) < 1e-6
+    assert mesh.contexts and all(name not in vars(ctx) for ctx in mesh.contexts.values()
+                                 for name in tables)
+    ctx = get_context(mesh, 2)
+    mat = transport(ctx, mesh, ctx.volume_values(lambda x, y: (1.0 + 0 * x, y), "b", vector=True),
+                    None)
+    assert isinstance(mat, np.ndarray) and mat.shape == (mesh.n_elements, 6, 6)
+    assert "transport_tables" in vars(ctx) and "streamline_tables" not in vars(ctx)

@@ -96,7 +96,7 @@ def test_stabilized_system_matches_hand_assembly():
     A, rhs, free = assemble_supg(prob, mesh)
 
     nv = mesh.n_vertices
-    dense = np.zeros((nv, nv))
+    dense, plain = np.zeros((nv, nv)), np.zeros((nv, nv))
     load = np.zeros(nv)
     for t in range(mesh.n_elements):
         vid = mesh.triangles[t]
@@ -114,10 +114,15 @@ def test_stabilized_system_matches_hand_assembly():
         # tau_K (b . grad phi_j + c phi_j, b . grad phi_i)_K and (f, tau_K b . grad phi_i)_K
         tau = supg_tau(mesh.h_K[t], np.hypot(*bvec), eps)
         stab = tau * area * np.outer(g @ bvec, g @ bvec + c_val / 3.0)
+        plain[np.ix_(vid, vid)] += stiff + mass + conv
         dense[np.ix_(vid, vid)] += stiff + mass + conv + stab
         load[vid] += f_val * area / 3.0 + tau * f_val * area * (g @ bvec)
     np.testing.assert_allclose(A.toarray(), dense[np.ix_(free, free)], atol=1e-13)
     np.testing.assert_allclose(rhs, load[free], atol=1e-14)
+    # the unstabilized system of the Galerkin comparison below, element by element
+    A_plain, _, free_plain = plain_system(prob, mesh)
+    np.testing.assert_array_equal(free_plain, free)
+    np.testing.assert_allclose(A_plain.toarray(), plain[np.ix_(free, free)], atol=1e-13)
 
 
 def test_tau_on_arrays_matches_scalar_calls():
@@ -142,18 +147,25 @@ def test_tau_on_arrays_matches_scalar_calls():
         supg_tau(h_K, b_norm, 0.0)
 
 
-def plain_galerkin(problem, mesh, quad_order):
-    """Nodal values of the unstabilized P1 Galerkin solution, from the volume
-    kernels SUPG shares with the HDG element systems."""
+def plain_system(problem, mesh, quad_order=None):
+    """The unstabilized P1 Galerkin system (A, rhs, free) on the free
+    vertices, from the volume kernels SUPG shares with the HDG element
+    systems."""
     ctx = get_context(mesh, 1, quad_order)
     mats = stiffness(ctx, mesh, problem.epsilon)
     mats += transport(ctx, mesh, ctx.volume_values(problem.b, "b", vector=True),
-                      ctx.volume_values(problem.c, "c"))[0]
+                      ctx.volume_values(problem.c, "c"))
     free = np.setdiff1d(np.arange(mesh.n_vertices),
                         mesh.edges[mesh.edge_tags == BoundaryTag.DIRICHLET])
     gids = np.full(mesh.n_vertices, -1)
     gids[free] = np.arange(free.size)
     mat, rhs = scatter_systems(mats, load(ctx, mesh, problem)[0], gids[mesh.triangles], free.size)
+    return mat, rhs, free
+
+
+def plain_galerkin(problem, mesh, quad_order):
+    """Nodal values of the unstabilized P1 Galerkin solution."""
+    mat, rhs, free = plain_system(problem, mesh, quad_order)
     nodal = np.zeros(mesh.n_vertices)
     nodal[free] = np.linalg.solve(mat.toarray(), rhs)
     return nodal

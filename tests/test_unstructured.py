@@ -3,7 +3,8 @@
 Uniform meshes have two element shapes and fixed slot orientations, so a
 wrong orientation gather or Neumann mask can cancel there.  This mesh has
 a distinct shape per element, random vertex and element numbering and a
-rotated start vertex per triangle.
+rotated start vertex per triangle.  A smoothly perturbed family of such
+meshes carries the paper's convergence rates.
 """
 
 from dataclasses import replace
@@ -11,12 +12,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hdgcd.analysis import conservation_residual, error_l2
-from hdgcd.assembly import (ProblemSpec, assemble_local_systems, get_context, local_diffusion,
-                            pull_back, stiffness, transport)
+from hdgcd.analysis import conservation_residual, convergence_table, error_l2, errors
+from hdgcd.assembly import (ProblemSpec, assemble_local_systems, default_eta, get_context, load,
+                            local_diffusion, pull_back, scatter_systems, stiffness, transport)
 from hdgcd.fespace import build_dofmap, get_edge_basis, get_element_basis, quad_triangle
 from hdgcd.mesh import BoundaryTag, Mesh, build_uniform_triangulation, dirichlet_where
+from hdgcd.problems import case_smooth
 from hdgcd.solver import solve_hdg, solve_monolithic
+from hdgcd.supg import assemble_supg, supg_tau
 
 SEED = 20240214
 
@@ -56,6 +59,21 @@ def jittered_mesh(n, boundary, seed=SEED):
         rng.permutation, lambda nt: rng.integers(0, 3, nt))
 
 
+def perturbed_mesh(n, boundary, phase, seed=SEED):
+    """:func:`relabelled_mesh` with interior vertices (x, y) moved along one
+    smooth field, 0.2 h / sqrt(2) (sin(7x + 3y + phase), cos(5x - 2y + phase))
+    with h = 1/n, and seeded random numbering and rotation: the same shapes
+    at every n, so rates read against h carry no jitter noise."""
+    rng = np.random.default_rng(seed)
+    grid = relabelled_mesh(n, boundary, lambda k: (np.zeros(k), np.zeros(k)),
+                           rng.permutation, lambda nt: rng.integers(0, 3, nt))
+    x, y = grid.vertices.T
+    inner = ((grid.vertices > 0.0) & (grid.vertices < 1.0)).all(axis=1)
+    shift = np.column_stack([np.sin(7.0 * x + 3.0 * y + phase), np.cos(5.0 * x - 2.0 * y + phase)])
+    moved = grid.vertices + (0.2 / (n * np.sqrt(2.0))) * inner[:, None] * shift
+    return Mesh(moved, grid.triangles, boundary=boundary)
+
+
 def bilinear_problem():
     """u = x y: Dirichlet (zero) on the inflow sides x = 0 and y = 0,
     Neumann flux eps du/dn on the outflow sides."""
@@ -87,6 +105,22 @@ def test_jittered_mesh_invariants(degree):
     assert np.abs(conservation_residual(sol, problem)).max() <= 1e-12 * (1.0 + f_sup)
     if degree >= 2:
         assert error_l2(sol, exact) <= 1e-10
+
+
+def test_smooth_rates_on_a_perturbed_family():
+    # the paper's rates at eps = 1 on one smoothly perturbed, renumbered
+    # family, against the nominal h = 1/n, with criterion 2's margin of 0.2:
+    # L2 k + 1, broken H1 and the scheme norm k
+    case = case_smooth(1.0)
+    ns = (4, 8, 16, 32)
+    for k in (1, 2, 3):
+        errs = []
+        for n in ns:
+            sol = solve_hdg(case.problem, perturbed_mesh(n, case.problem.boundary, 0.0), degree=k)
+            err_l2, err_h1, report = errors(sol, case, default_eta(k))
+            errs.append((err_l2, err_h1, report.err_hdg))
+        rates = [convergence_table(e, [1.0 / n for n in ns])[-1] for e in zip(*errs)]
+        np.testing.assert_allclose(rates, [k + 1, k, k], rtol=0.0, atol=0.2, err_msg=f"k={k}")
 
 
 def test_local_diffusion_matches_stacked_slice():
@@ -160,8 +194,9 @@ def assert_close_to_max(got, want):
 @pytest.mark.parametrize("quad_order", [None, 12], ids=["default", "q12"])
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_reference_kernels_match_physical_quadrature(degree, quad_order):
-    # stiffness from the reference tensors, transport and the conservation
-    # residual from the pulled-back velocity, against physical gradients
+    # stiffness from the reference tensors, transport, the SUPG streamline
+    # term and the conservation residual from the pulled-back velocity,
+    # against physical gradients
     problem, _, _ = bilinear_problem()
     mesh = jittered_mesh(4, problem.boundary)
     ctx = get_context(mesh, degree, quad_order)
@@ -173,9 +208,25 @@ def test_reference_kernels_match_physical_quadrature(degree, quad_order):
     swirl = ctx.volume_values(lambda x, y: (1.0 + y * y, x - 0.5 * y), "b", vector=True)
     c = ctx.volume_values(problem.c, "c")
     bgrad_ref = swirl[0][..., None] * G[..., 0] + swirl[1][..., None] * G[..., 1]
-    mat, bgrad, _ = transport(ctx, mesh, swirl, c)
-    assert_close_to_max(bgrad, bgrad_ref)
-    assert_close_to_max(mat, ctx.N.T @ (w[..., None] * (bgrad_ref + c[..., None] * ctx.N)))
+    transport_ref = ctx.N.T @ (w[..., None] * (bgrad_ref + c[..., None] * ctx.N))
+    assert_close_to_max(transport(ctx, mesh, swirl, c), transport_ref)
+    if degree == 1:
+        # the SUPG system, its streamline term and load from the streamline
+        # tables; at eps = 1e-3 the streamline term outweighs the stiffness
+        eps = 1e-3
+        supg = replace(problem, epsilon=eps, b=lambda x, y: (1.0 + y * y, x - 0.5 * y))
+        A, rhs, free = assemble_supg(supg, mesh, quad_order)
+        tau = supg_tau(mesh.h_K, np.hypot(*swirl).max(axis=1), eps)[:, None]
+        wb = w[..., None] * bgrad_ref
+        mats = (eps * np.einsum("tqia,tqja->tij", w[..., None, None] * G, G) + transport_ref
+                + tau[..., None] * np.einsum("tqi,tqj->tij", wb, bgrad_ref + c[..., None] * ctx.N))
+        f = ctx.volume_values(supg.f, "f")
+        loads = load(ctx, mesh, supg)[0] + tau * np.einsum("tq,tqi->ti", f, wb)
+        gids = np.full(mesh.n_vertices, -1)
+        gids[free] = np.arange(free.size)
+        A_ref, rhs_ref = scatter_systems(mats, loads, gids[mesh.triangles], free.size)
+        assert_close_to_max(A.toarray(), A_ref.toarray())
+        assert_close_to_max(rhs, rhs_ref)
 
     # a solved pair balances to round-off; a seeded perturbation makes every
     # term of the residual count
