@@ -5,7 +5,7 @@ uhat on the element's three edge slots.  Rows are test functions, columns
 trial functions:
 
     [ A_uu  A_ut ] [ u    ]   [ b_u ]
-    [ A_tu  A_tt ] [ uhat ] = [ b_t ]
+    [ A_tu  A_tt ] [ uhat ] = [  0  ]
 
 Elements couple only through one numerical flux on their boundaries,
 eps dn(u) + w_u (uhat - u).  Its two gap weights (:func:`flux_weights`) are
@@ -205,8 +205,8 @@ class ElementSystems:
     """Element-local systems of a whole mesh, stacked along a leading axis.
 
     Blocks are (nt, nd, nd) ``A_uu``, (nt, nd, ntr) ``A_ut``, (nt, ntr, nd)
-    ``A_tu``, (nt, ntr, ntr) ``A_tt`` and the loads ``b_u`` (nt, nd) and
-    ``b_t`` (nt, ntr).  Trace columns are grouped by local edge slot,
+    ``A_tu``, (nt, ntr, ntr) ``A_tt`` and the load ``b_u`` (nt, nd); no
+    term loads a trace row.  Trace columns are grouped by local edge slot,
     ``ndof_edge`` entries per slot in canonical edge orientation, as in
     :meth:`hdgcd.fespace.DofMap.element_trace_dofs`.  ``systems[t]`` gives
     element t's blocks as views.
@@ -217,14 +217,13 @@ class ElementSystems:
     A_tu: np.ndarray
     A_tt: np.ndarray
     b_u: np.ndarray
-    b_t: np.ndarray
 
     @classmethod
     def zeros(cls, n_elements, ndof_elem, ndof_trace):
         nt, nd, ntr = n_elements, ndof_elem, ndof_trace
         return cls(A_uu=np.zeros((nt, nd, nd)), A_ut=np.zeros((nt, nd, ntr)),
                    A_tu=np.zeros((nt, ntr, nd)), A_tt=np.zeros((nt, ntr, ntr)),
-                   b_u=np.zeros((nt, nd)), b_t=np.zeros((nt, ntr)))
+                   b_u=np.zeros((nt, nd)))
 
     def __getitem__(self, element):
         return ElementSystems(**{name: arr[element] for name, arr in vars(self).items()})
@@ -407,30 +406,24 @@ def table_product(coefs, tables):
     return out.reshape(-1, nd, nd)
 
 
-def transport(ctx, mesh, b, c):
+def transport(ctx, wb, wc):
     """Transport and reaction term (b . grad phi_j + c phi_j, phi_i)_K.
 
-    ``b`` (2, nt, nq) and ``c`` (nt, nq) or None are the coefficient values
-    at the volume points; the weighted, pulled-back velocity and w c meet
-    the context's ``transport_tables``.
+    ``wb`` (2, nt, nq) is the pulled-back velocity J^{-1} b and ``wc``
+    (nt, nq) or None the reaction c, both times the volume weights w; they
+    meet the context's ``transport_tables``.
     """
-    w = ctx.volume_weights(mesh)
-    coefs = [*(w * pull_back(mesh, b))] + ([] if c is None else [w * c])
-    return table_product(coefs, ctx.transport_tables)
+    return table_product([*wb] + ([] if wc is None else [wc]), ctx.transport_tables)
 
 
-def load(ctx, mesh, problem):
-    """Source (f, phi_i)_K plus the Neumann data <g_N, phi_i> on Neumann slots.
-
-    Also returns the weighted source values w f (nt, nq).
-    """
-    w_f = ctx.volume_weights(mesh) * ctx.volume_values(problem.f, "f")
+def load(ctx, w_f, g, tr):
+    """Source (f, phi_i)_K plus the Neumann data <g_N, phi_i> on Neumann slots,
+    from the weighted source values ``w_f`` (nt, nq) and the :func:`neumann_data`
+    ``g``, which meets the trace tables ``tr``; both may be None without g_N."""
     out = w_f @ ctx.N
-    g = neumann_data(problem, mesh, ctx)
     if g is not None:
-        tr = ctx.traces(mesh)
         out += np.einsum("tp,tpi->ti", tr.weights * tr.gather(g), tr.values)
-    return out, w_f
+    return out
 
 
 def flux_weights(ctx, tr, problem, eta, parts=("diffusion", "convection")):
@@ -451,9 +444,8 @@ def flux_weights(ctx, tr, problem, eta, parts=("diffusion", "convection")):
     return w_t, w_u
 
 
-def _edge_terms(ctx, mesh, dofmap, out, problem, eta, parts):
-    """Consistency terms and the gap coupling on every non-Neumann slot."""
-    tr = ctx.traces(mesh)
+def _edge_terms(ctx, tr, dofmap, out, problem, eta, parts):
+    """Consistency terms and the gap coupling on every non-Neumann slot of ``tr``."""
     E, Nq = dofmap.slot_values(ctx.edge.points), tr.values
     we = tr.weights * ~tr.neumann
     if "diffusion" in parts:
@@ -502,10 +494,10 @@ def assemble_local_systems(mesh, dofmap, problem, eta=None, quad_order=None,
                            parts=("diffusion", "convection", "load")):
     """Stacked :class:`ElementSystems` of the full form on every element.
 
-    Field coefficients are evaluated once on the whole mesh and every term
-    is batched over the elements.  ``parts`` restricts the assembled terms
-    (used by diagnostics and tests).  A ``quad_order`` below 2k raises a
-    ValueError (:func:`get_context`).
+    Field coefficients, volume weights and trace tables are formed once,
+    here, on the whole mesh, and every term is batched over the elements.
+    ``parts`` restricts the assembled terms (used by diagnostics and tests).
+    A ``quad_order`` below 2k raises a ValueError (:func:`get_context`).
     """
     unknown = set(parts) - {"diffusion", "convection", "load"}
     if unknown:
@@ -515,16 +507,20 @@ def assemble_local_systems(mesh, dofmap, problem, eta=None, quad_order=None,
         eta = default_eta(degree)
     check_penalty(eta)
     ctx = get_context(mesh, degree, quad_order)
+    w = ctx.volume_weights(mesh)
     out = ElementSystems.zeros(mesh.n_elements, dofmap.ndof_elem, 3 * dofmap.ndof_edge)
     if "diffusion" in parts:
         out.A_uu += stiffness(ctx, mesh, problem.epsilon)
     if "convection" in parts:
-        out.A_uu += transport(ctx, mesh, ctx.volume_values(problem.b, "b", vector=True),
-                              ctx.volume_values(problem.c, "c"))
+        out.A_uu += transport(
+            ctx, w * pull_back(mesh, ctx.volume_values(problem.b, "b", vector=True)),
+            None if problem.c is None else w * ctx.volume_values(problem.c, "c"))
+    g = neumann_data(problem, mesh, ctx) if "load" in parts else None
+    tr = None if g is None else ctx.traces(mesh)
     if "load" in parts:
-        out.b_u += load(ctx, mesh, problem)[0]
+        out.b_u += load(ctx, w * ctx.volume_values(problem.f, "f"), g, tr)
     if "diffusion" in parts or "convection" in parts:
-        _edge_terms(ctx, mesh, dofmap, out, problem, eta, parts)
+        _edge_terms(ctx, ctx.traces(mesh) if tr is None else tr, dofmap, out, problem, eta, parts)
     return out
 
 
@@ -537,7 +533,7 @@ def assemble_monolithic(mesh, dofmap, problem, eta=None, quad_order=None,
     """
     systems = assemble_local_systems(mesh, dofmap, problem, eta=eta,
                                      quad_order=quad_order, parts=parts)
-    loads = np.concatenate([systems.b_u, systems.b_t], axis=1)
+    loads = np.pad(systems.b_u, [(0, 0), (0, systems.A_tt.shape[-1])])   # zero trace rows
     return scatter_systems(systems.full_matrix(), loads, dofmap.element_global_dofs(),
                            dofmap.n_total)
 

@@ -3,7 +3,7 @@
 The global system is never formed in the production path: each element's
 interior block is eliminated locally,
 
-    S = sum_K (A_tt - A_tu A_uu^{-1} A_ut),   g = sum_K (b_t - A_tu A_uu^{-1} b_u),
+    S = sum_K (A_tt - A_tu A_uu^{-1} A_ut),   g = -sum_K A_tu A_uu^{-1} b_u,
 
 the condensed system S uhat = g is solved with one SuperLU factorization,
 and interior unknowns are recovered from the same eliminations.  All element
@@ -115,7 +115,7 @@ def condense(local_systems, dofmap):
     W = X[..., :ntr + 1].copy()
     del X   # the inverse columns would otherwise stay alive through the scatter below
     s_loc = sy.A_tt - sy.A_tu @ W[..., :-1]
-    g_loc = sy.b_t - (sy.A_tu @ W[..., -1:])[..., 0]
+    g_loc = -(sy.A_tu @ W[..., -1:])[..., 0]
     s_mat, g = scatter_systems(s_loc, g_loc, dofmap.element_trace_dofs(), dofmap.n_trace_active)
     return CondensedSystem(S=s_mat, g=g, dofmap=dofmap, systems=sy, W=W)
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hdgcd.assembly import (check_problem, get_context, load, pull_back, scatter_systems,
-                            stiffness, table_product, transport)
+from hdgcd.assembly import (check_problem, get_context, load, neumann_data, pull_back,
+                            scatter_systems, stiffness, table_product, transport)
 from hdgcd.mesh import BoundaryTag
 from hdgcd.solver import sparse_solve
 
@@ -80,12 +80,15 @@ def assemble_supg(problem, mesh, quad_order=None):
     b = ctx.volume_values(problem.b, "b", vector=True)
     # per-element sup of |b| at the quadrature points
     tau = supg_tau(mesh.h_K, np.hypot(*b).max(axis=1), problem.epsilon)
-    rhs, w_f = load(ctx, mesh, problem)   # first, so f's temporaries meet no kernel's
-    c = ctx.volume_values(problem.c, "c")
-    mats = stiffness(ctx, mesh, problem.epsilon) + transport(ctx, mesh, b, c)
-    w, (bx, by) = ctx.volume_weights(mesh), pull_back(mesh, b)
-    rhs += tau[:, None] * ((w_f * bx) @ ctx.dN[..., 0] + (w_f * by) @ ctx.dN[..., 1])
+    # the load first, so f's temporaries meet no kernel's
+    w, g = ctx.volume_weights(mesh), neumann_data(problem, mesh, ctx)
+    w_f = w * ctx.volume_values(problem.f, "f")
+    rhs = load(ctx, w_f, g, None if g is None else ctx.traces(mesh))
+    c, (bx, by) = ctx.volume_values(problem.c, "c"), pull_back(mesh, b)
     wx, wy = w * bx, w * by
+    mats = stiffness(ctx, mesh, problem.epsilon) + transport(ctx, (wx, wy),
+                                                             None if c is None else w * c)
+    rhs += tau[:, None] * ((w_f * bx) @ ctx.dN[..., 0] + (w_f * by) @ ctx.dN[..., 1])
     coefs = [wx * bx, wx * by, wy * by] + ([] if c is None else [c * wx, c * wy])
     mats += tau[:, None, None] * table_product(coefs, ctx.streamline_tables)
 

@@ -5,6 +5,8 @@ import weakref
 import numpy as np
 import pytest
 
+import hdgcd.assembly
+import hdgcd.supg
 from hdgcd.assembly import (AssemblyContext, ProblemSpec, assemble_local_systems,
                             assemble_monolithic, bracket, check_problem,
                             default_eta, default_quad_order, get_context,
@@ -13,7 +15,7 @@ from hdgcd.fespace import build_dofmap, get_edge_basis, get_element_basis
 from hdgcd.mesh import build_uniform_triangulation, dirichlet_where
 from hdgcd.problems import case_smooth
 from hdgcd.solver import HdgSolution, solve_hdg, solve_monolithic
-from hdgcd.supg import solve_supg
+from hdgcd.supg import assemble_supg, solve_supg
 from hdgcd.analysis import error_h1_broken, error_hdg, error_l2, hdg_norm
 from test_unstructured import jittered_mesh
 
@@ -202,19 +204,52 @@ def test_local_blocks_shapes():
     assert blk.full_matrix().shape == (15, 15)
 
 
+def counting(monkeypatch, owner, name, calls):
+    """Replace ``owner.name`` by a wrapper that appends ``name`` to ``calls``."""
+    func = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(name)
+        return func(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 def test_assembly_builds_trace_tables_once(monkeypatch):
     calls = []
-    traces = AssemblyContext.traces
-
-    def counted(self, mesh):
-        calls.append(mesh)
-        return traces(self, mesh)
-
-    monkeypatch.setattr(AssemblyContext, "traces", counted)
-    mesh = build_uniform_triangulation(3)
+    counting(monkeypatch, AssemblyContext, "traces", calls)
+    rule = dirichlet_where(lambda x, y: x < 1e-12)
+    mesh = build_uniform_triangulation(3, rule)
     prob = make_problem(c=lambda x, y: np.ones_like(x), rho0=1.0)
     assemble_local_systems(mesh, build_dofmap(mesh, 2), prob)
     assert len(calls) == 1
+    # the Neumann load and the edge terms share one table
+    calls.clear()
+    prob = make_problem(c=lambda x, y: np.ones_like(x), rho0=1.0, boundary=rule,
+                        g_N=lambda x, y: 1.0 + y)
+    assemble_local_systems(mesh, build_dofmap(mesh, 2), prob)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("g_N", [None, lambda x, y: 1.0 + y], ids=["dirichlet", "neumann"])
+def test_assemblers_form_each_coefficient_array_once(monkeypatch, g_N):
+    # the volume weights once per assembly; pull-backs of the velocity and,
+    # in the trace tables, of the normals; SUPG builds its trace table only
+    # for Neumann data
+    calls = []
+    counting(monkeypatch, AssemblyContext, "volume_weights", calls)
+    counting(monkeypatch, AssemblyContext, "traces", calls)
+    for module in (hdgcd.assembly, hdgcd.supg):
+        counting(monkeypatch, module, "pull_back", calls)
+    rule = dirichlet_where(lambda x, y: x < 1e-12)
+    mesh = build_uniform_triangulation(3, rule)
+    prob = make_problem(c=lambda x, y: np.ones_like(x), rho0=1.0, boundary=rule, g_N=g_N)
+    assemble_local_systems(mesh, build_dofmap(mesh, 1), prob)
+    assert sorted(calls) == ["pull_back", "pull_back", "traces", "volume_weights"]
+    calls.clear()
+    assemble_supg(prob, mesh)
+    traced = ["pull_back", "traces"] if g_N else []
+    assert sorted(calls) == sorted(["pull_back", "volume_weights"] + traced)
 
 
 def test_neumann_load_only_touches_interior():
@@ -224,9 +259,11 @@ def test_neumann_load_only_touches_interior():
     t = int(mesh.edge_elems[mesh.boundary_edges[np.argmax(
         mesh.edge_midpoints[mesh.boundary_edges, 0])], 0])
     prob = make_problem(boundary=rule, g_N=lambda x, y: np.ones_like(x))
-    blk = assemble_local_systems(mesh, build_dofmap(mesh, 1), prob, parts=("load",))[t]
-    assert np.abs(blk.b_u).max() > 0.0
-    assert np.abs(blk.b_t).max() == 0.0
+    dm = build_dofmap(mesh, 1)
+    _, rhs = assemble_monolithic(mesh, dm, prob, parts=("load",))
+    assert np.abs(rhs[dm.n_interior:]).max() == 0.0
+    interior = np.arange(dm.n_interior).reshape(mesh.n_elements, -1)
+    assert np.abs(rhs[interior[t]]).max() > 0.0
 
 
 def test_neumann_flux_integral_value():
@@ -269,7 +306,6 @@ def test_monolithic_matches_local_blocks():
         dense[np.ix_(rows_t, rows_u)] += blk.A_tu[act, :]
         dense[np.ix_(rows_t, rows_t)] += blk.A_tt[np.ix_(act, act)]
         vec[rows_u] += blk.b_u
-        vec[rows_t] += blk.b_t[act]
     np.testing.assert_allclose(A.toarray(), dense, atol=1e-13)
     np.testing.assert_allclose(rhs, vec, atol=1e-13)
 

@@ -16,6 +16,9 @@
 * The error measures have one evaluation domain, the whole mesh: the
   context's volume helpers take no element index, and ``analysis.py``
   tests no index for being a slice.
+* The assemblers form the coefficient arrays: ``transport`` and ``load``
+  take them and name none of ``volume_weights``, ``pull_back`` or
+  ``traces``.
 
 Two guards run code instead.  A layer study keeps nothing past its rows:
 ``hdgcd.cli``'s module globals keep their names and objects, and each
@@ -34,7 +37,7 @@ import numpy as np
 
 import hdgcd.cli
 from hdgcd.analysis import error_l2, project_to_hdg
-from hdgcd.assembly import AssemblyContext, get_context, transport
+from hdgcd.assembly import AssemblyContext, get_context, pull_back, transport
 from hdgcd.cli import STUDIES, RunConfig, run_study
 from hdgcd.fespace import build_dofmap
 from hdgcd.mesh import build_uniform_triangulation
@@ -177,6 +180,17 @@ def test_error_measures_evaluate_on_the_whole_mesh():
                       "volume_weights": ["self", "mesh"]}
 
 
+def test_kernels_take_the_arrays_their_assembler_formed():
+    formers = {"volume_weights", "pull_back", "traces"}
+    functions = {node.name: node for node in modules()["assembly.py"].body
+                 if isinstance(node, ast.FunctionDef)}
+    found = {name: sorted({ident for ident, _ in names(functions[name])} & formers)
+             for name in ("transport", "load")}
+    assert found == {"transport": [], "load": []}
+    # the guard does see the assembler's own calls
+    assert {ident for ident, _ in names(functions["assemble_local_systems"])} >= formers
+
+
 def test_a_layer_study_keeps_no_cache(tmp_path, monkeypatch):
     meshes, solutions = [], []
     build = hdgcd.cli.build_uniform_triangulation
@@ -221,7 +235,7 @@ def test_volume_kernels_build_the_reference_tables_on_first_use():
     assert mesh.contexts and all(name not in vars(ctx) for ctx in mesh.contexts.values()
                                  for name in tables)
     ctx = get_context(mesh, 2)
-    mat = transport(ctx, mesh, ctx.volume_values(lambda x, y: (1.0 + 0 * x, y), "b", vector=True),
-                    None)
+    b = ctx.volume_values(lambda x, y: (1.0 + 0 * x, y), "b", vector=True)
+    mat = transport(ctx, ctx.volume_weights(mesh) * pull_back(mesh, b), None)
     assert isinstance(mat, np.ndarray) and mat.shape == (mesh.n_elements, 6, 6)
     assert "transport_tables" in vars(ctx) and "streamline_tables" not in vars(ctx)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hdgcd.assembly import ProblemSpec, get_context, load, scatter_systems, stiffness, transport
+from hdgcd.assembly import (ProblemSpec, get_context, load, neumann_data, pull_back,
+                            scatter_systems, stiffness, transport)
 from hdgcd.mesh import BoundaryTag, build_uniform_triangulation, dirichlet_where
 from hdgcd.supg import PE_LIMIT, PE_SERIES, assemble_supg, solve_supg, supg_tau
 from hdgcd.analysis import error_l2
@@ -152,14 +153,17 @@ def plain_system(problem, mesh, quad_order=None):
     vertices, from the volume kernels SUPG shares with the HDG element
     systems."""
     ctx = get_context(mesh, 1, quad_order)
+    w, c = ctx.volume_weights(mesh), ctx.volume_values(problem.c, "c")
     mats = stiffness(ctx, mesh, problem.epsilon)
-    mats += transport(ctx, mesh, ctx.volume_values(problem.b, "b", vector=True),
-                      ctx.volume_values(problem.c, "c"))
+    mats += transport(ctx, w * pull_back(mesh, ctx.volume_values(problem.b, "b", vector=True)),
+                      None if c is None else w * c)
+    rhs = load(ctx, w * ctx.volume_values(problem.f, "f"), neumann_data(problem, mesh, ctx),
+               ctx.traces(mesh))
     free = np.setdiff1d(np.arange(mesh.n_vertices),
                         mesh.edges[mesh.edge_tags == BoundaryTag.DIRICHLET])
     gids = np.full(mesh.n_vertices, -1)
     gids[free] = np.arange(free.size)
-    mat, rhs = scatter_systems(mats, load(ctx, mesh, problem)[0], gids[mesh.triangles], free.size)
+    mat, rhs = scatter_systems(mats, rhs, gids[mesh.triangles], free.size)
     return mat, rhs, free
 
 

@@ -14,7 +14,8 @@ import pytest
 
 from hdgcd.analysis import conservation_residual, convergence_table, error_l2, errors
 from hdgcd.assembly import (ProblemSpec, assemble_local_systems, default_eta, get_context, load,
-                            local_diffusion, pull_back, scatter_systems, stiffness, transport)
+                            local_diffusion, neumann_data, pull_back, scatter_systems, stiffness,
+                            transport)
 from hdgcd.fespace import build_dofmap, get_edge_basis, get_element_basis, quad_triangle
 from hdgcd.mesh import BoundaryTag, Mesh, build_uniform_triangulation, dirichlet_where
 from hdgcd.problems import case_smooth
@@ -209,7 +210,7 @@ def test_reference_kernels_match_physical_quadrature(degree, quad_order):
     c = ctx.volume_values(problem.c, "c")
     bgrad_ref = swirl[0][..., None] * G[..., 0] + swirl[1][..., None] * G[..., 1]
     transport_ref = ctx.N.T @ (w[..., None] * (bgrad_ref + c[..., None] * ctx.N))
-    assert_close_to_max(transport(ctx, mesh, swirl, c), transport_ref)
+    assert_close_to_max(transport(ctx, w * pull_back(mesh, swirl), w * c), transport_ref)
     if degree == 1:
         # the SUPG system, its streamline term and load from the streamline
         # tables; at eps = 1e-3 the streamline term outweighs the stiffness
@@ -221,7 +222,8 @@ def test_reference_kernels_match_physical_quadrature(degree, quad_order):
         mats = (eps * np.einsum("tqia,tqja->tij", w[..., None, None] * G, G) + transport_ref
                 + tau[..., None] * np.einsum("tqi,tqj->tij", wb, bgrad_ref + c[..., None] * ctx.N))
         f = ctx.volume_values(supg.f, "f")
-        loads = load(ctx, mesh, supg)[0] + tau * np.einsum("tq,tqi->ti", f, wb)
+        loads = (load(ctx, w * f, neumann_data(supg, mesh, ctx), ctx.traces(mesh))
+                 + tau * np.einsum("tq,tqi->ti", f, wb))
         gids = np.full(mesh.n_vertices, -1)
         gids[free] = np.arange(free.size)
         A_ref, rhs_ref = scatter_systems(mats, loads, gids[mesh.triangles], free.size)
