@@ -24,10 +24,11 @@ drift in the host's speed reaches both columns alike; ``import_s`` is the
 median of those runs, and each stage and ``total_s`` (the sum of the
 stages) are recorded as the ``q1``, ``median`` and ``q3`` of them, and
 per run in run order (``runs_s``), so that run i of one column pairs with
-run i of the other.  The stages are the library's public
+run i of the other.  The stages are the library's own
 functions, each timed with ``time.perf_counter``: ``mesh``
-(``build_uniform_triangulation``), ``prepare`` (``check_problem`` and
-``build_dofmap``), ``assemble``, ``condense``, ``solve`` (``solve_skeleton``,
+(``build_uniform_triangulation``), ``prepare`` (``solver._prepare``, the
+drivers' preamble: default penalty, ``check_problem`` and ``build_dofmap``),
+``assemble``, ``condense``, ``solve`` (``solve_skeleton``,
 nearly all of it the SuperLU factorization), ``recover``, ``errors``
 (``analysis.errors``: the L2, broken H1 and scheme-norm distances over the
 case's region; it also builds the order-12 error context),
@@ -98,19 +99,15 @@ def pipeline(case, n, degree, times, rss):
         rss[stage].append(peak_rss_mb())
         return out
 
-    def prepare(mesh):
-        hdgcd.check_problem(problem, mesh).require_ok()
-        return hdgcd.build_dofmap(mesh, degree)
-
     def dump(sol):
         with tempfile.TemporaryDirectory() as tmp:
             hdgcd.cli.dump_field_grid(sol, os.path.join(tmp, "uh.dat"))
             hdgcd.cli.dump_trace(sol, os.path.join(tmp, "uhat.dat"))
 
     problem = case.problem
-    eta, quad_order = hdgcd.default_eta(degree), hdgcd.cli._quad_order(case, degree)
+    quad_order = hdgcd.cli._quad_order(case, degree)
     mesh = timed("mesh", hdgcd.build_uniform_triangulation, n, problem.boundary)
-    dofmap = timed("prepare", prepare, mesh)
+    eta, dofmap = timed("prepare", solver._prepare, problem, mesh, degree, None, "dg")
     systems = timed("assemble", hdgcd.assemble_local_systems, mesh, dofmap, problem,
                     eta=eta, quad_order=quad_order)
     condensed = timed("condense", solver.condense, systems, dofmap)
@@ -145,7 +142,7 @@ def run_case(name):
     return {
         "case": {"problem": problem_name, "epsilon": epsilon, "n": n, "degree": degree},
         "elements": mesh.n_elements,
-        "skeleton_dofs": condensed.n_trace,
+        "skeleton_dofs": condensed.g.size,
         "nnz_S": int(condensed.S.nnz),
         "fill": (lu.L.nnz + lu.U.nnz) / condensed.S.nnz,
         "import_s": import_s,

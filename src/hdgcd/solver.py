@@ -9,7 +9,9 @@ the condensed system S uhat = g is solved with one SuperLU factorization,
 and interior unknowns are recovered from the same eliminations.  All element
 work is batched over the stacked :class:`hdgcd.assembly.ElementSystems`.  The
 uncondensed system assembled by :func:`hdgcd.assembly.assemble_monolithic`
-serves as the reference the condensed path is verified against.
+serves as the reference the condensed path is verified against.  Every
+global system (skeleton, uncondensed, stabilized) is solved and its
+residual checked by the one :func:`sparse_solve`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class ElementSolvabilityError(RuntimeError):
 
 
 class SingularSystemError(RuntimeError):
-    """The condensed skeleton system could not be solved reliably."""
+    """A global sparse system could not be solved reliably."""
 
 
 @dataclass
@@ -56,10 +58,6 @@ class CondensedSystem:
     dofmap: object
     systems: ElementSystems
     W: np.ndarray
-
-    @property
-    def n_trace(self):
-        return self.g.size
 
 
 @dataclass
@@ -132,34 +130,28 @@ def sparse_factor(mat, name):
 
 
 def sparse_solve(mat, rhs, name):
-    """Solve ``mat x = rhs`` through :func:`sparse_factor`; a singular
-    matrix or a non-finite solution raises :class:`SingularSystemError`
-    naming the ``name`` system."""
+    """Solve ``mat x = rhs`` through :func:`sparse_factor`, the one path of
+    every global system, and verify the residual against RESIDUAL_RTOL *
+    (|mat| |x| + |rhs|) in the max norm.  A singular matrix, a non-finite
+    solution or a violated bound raises :class:`SingularSystemError` naming
+    the ``name`` system; an empty system has the empty solution."""
+    if not mat.shape[0]:
+        return np.zeros(0)
     x = sparse_factor(mat, name).solve(rhs)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(f"{name} system is singular (non-finite solution)")
+    resid = float(np.abs(mat @ x - rhs).max())
+    bound = RESIDUAL_RTOL * (float(np.abs(mat).sum(axis=1).max()) * float(np.abs(x).max())
+                             + float(np.abs(rhs).max()))
+    if resid > bound:
+        raise SingularSystemError(f"{name} residual {resid:.3e} exceeds tolerance {bound:.3e}")
     return x
 
 
 def solve_skeleton(system):
-    """Solve the condensed system S uhat = g and return the trace vector.
-
-    S is factorized by :func:`sparse_factor` (minimum-degree ordering on
-    S + S^T, threshold pivoting).  The residual is verified against
-    RESIDUAL_RTOL * (|S| |x| + |g|); a violation, a singular S or a
-    non-finite solution raises :class:`SingularSystemError`.
-    """
-    if system.n_trace == 0:
-        return np.zeros(0)
-    x = sparse_solve(system.S, system.g, "skeleton")
-    resid = float(np.abs(system.S @ x - system.g).max())
-    s_norm = float(np.abs(system.S).sum(axis=1).max()) if system.S.nnz else 0.0
-    bound = RESIDUAL_RTOL * (s_norm * float(np.abs(x).max(initial=0.0))
-                             + float(np.abs(system.g).max(initial=0.0)))
-    if resid > bound:
-        raise SingularSystemError(
-            f"skeleton residual {resid:.3e} exceeds tolerance {bound:.3e}")
-    return x
+    """Solve the condensed system S uhat = g by :func:`sparse_solve` and
+    return the trace vector."""
+    return sparse_solve(system.S, system.g, "skeleton")
 
 
 def recover_interior(traces, system):

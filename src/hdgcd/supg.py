@@ -39,7 +39,8 @@ def supg_tau(h_K, b_norm, epsilon):
         raise ValueError(f"b_norm must be non-negative, got {b_norm!r}")
     if not np.all(h > 0.0):
         raise ValueError(f"h_K must be positive, got {h_K!r}")
-    pe = b / (2.0 * epsilon)
+    with np.errstate(over="ignore"):   # Pe = inf at subnormal eps: the asymptotic branch
+        pe = b / (2.0 * epsilon)
     factor = np.piecewise(pe, [pe < PE_SERIES, pe > PE_LIMIT],
                           [lambda p: p / 3.0 - p ** 3 / 45.0,
                            lambda p: 1.0 - 1.0 / p,
@@ -106,7 +107,6 @@ def solve_supg(problem, mesh, quad_order=None):
     check_problem(problem, mesh).require_ok()
     mat, rhs, free = assemble_supg(problem, mesh, quad_order=quad_order)
     nodal = np.zeros(mesh.n_vertices)
-    if free.size:
-        nodal[free] = sparse_solve(mat, rhs, "stabilized")
+    nodal[free] = sparse_solve(mat, rhs, "stabilized")
     return SupgSolution(mesh=mesh, nodal=nodal,
                         info={"dofs_total": int(free.size), "method": "supg"})

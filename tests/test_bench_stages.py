@@ -42,7 +42,7 @@ def test_pipeline_times_every_stage_once(tmp_path, monkeypatch):
     # ru_maxrss never falls, so the per-stage peaks rise in stage order
     peaks = [rss[stage][0] for stage in bench.STAGES]
     assert peaks == sorted(peaks) and peaks[0] > 0.0, rss
-    assert mesh.n_elements == 32 and condensed.n_trace == 2 * 40
+    assert mesh.n_elements == 32 and condensed.g.size == 2 * 40
     assert set(errors) == {"err_l2", "err_h1", "err_hdg", "conservation_max"}
     assert all(np.isfinite(v) for v in errors.values()), errors
     assert errors["conservation_max"] <= 1e-12

@@ -205,3 +205,19 @@ def test_all_dirichlet_triangle_has_no_skeleton():
     assert sol.uhat.size == 0 and sol.info["dofs_skeleton"] == 0
     assert sol.u.shape == (1, 6) and np.isfinite(sol.u).all() and np.abs(sol.u).max() > 0.0
     assert (sol.edge_traces() == 0.0).all()
+    # the stabilized system of its three Dirichlet vertices is empty too
+    supg = solve_supg(problem, mesh)
+    assert (supg.nodal == 0.0).all() and supg.nodal.shape == (3,)
+    assert supg.info["dofs_total"] == 0
+    assert sparse_solve(sp.csr_matrix((0, 0)), np.zeros(0), "x").shape == (0,)
+
+
+@pytest.mark.parametrize("name, solve", [("skeleton", solve_hdg), ("uncondensed", solve_monolithic),
+                                         ("stabilized", solve_supg)],
+                         ids=["skeleton", "uncondensed", "stabilized"])
+def test_every_system_checks_its_residual(name, solve, monkeypatch):
+    # no solve is exact in floating point, so a zero tolerance must trip
+    monkeypatch.setattr("hdgcd.solver.RESIDUAL_RTOL", 0.0)
+    mesh = build_uniform_triangulation(4)
+    with pytest.raises(SingularSystemError, match=f"^{name} residual .* exceeds tolerance"):
+        solve(case_smooth(1e-3).problem, mesh)

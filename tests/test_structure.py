@@ -19,6 +19,8 @@
 * The assemblers form the coefficient arrays: ``transport`` and ``load``
   take them and name none of ``volume_weights``, ``pull_back`` or
   ``traces``.
+* Every global system is solved and verified in one place: only
+  ``sparse_solve`` names ``RESIDUAL_RTOL`` or calls ``sparse_factor``.
 
 Two guards run code instead.  A layer study keeps nothing past its rows:
 ``hdgcd.cli``'s module globals keep their names and objects, and each
@@ -189,6 +191,33 @@ def test_kernels_take_the_arrays_their_assembler_formed():
     assert found == {"transport": [], "load": []}
     # the guard does see the assembler's own calls
     assert {ident for ident, _ in names(functions["assemble_local_systems"])} >= formers
+
+
+def solve_checks(tree):
+    """(line, what) of each read or import of ``RESIDUAL_RTOL`` and each
+    call of ``sparse_factor`` in ``tree``; the constant's definition is
+    no read."""
+    for node in ast.walk(tree):
+        if ((isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+             and node.id == "RESIDUAL_RTOL")
+                or (isinstance(node, ast.Attribute) and node.attr == "RESIDUAL_RTOL")
+                or (isinstance(node, ast.alias) and node.name == "RESIDUAL_RTOL")):
+            yield node.lineno, "RESIDUAL_RTOL"
+        elif isinstance(node, ast.Call) and "sparse_factor" in {i for i, _ in names(node.func)}:
+            yield node.lineno, "sparse_factor("
+
+
+def test_only_sparse_solve_solves_and_checks_a_global_system():
+    trees = modules()
+    solve = next(node for node in trees["solver.py"].body
+                 if isinstance(node, ast.FunctionDef) and node.name == "sparse_solve")
+    inside = set(solve_checks(solve))
+    found = [f"{name}:{line} {what}" for name, tree in trees.items()
+             for line, what in solve_checks(tree)
+             if not (name == "solver.py" and (line, what) in inside)]
+    assert found == []
+    # the guard does see the solver's own factor call and bound
+    assert {what for _, what in inside} == {"RESIDUAL_RTOL", "sparse_factor("}
 
 
 def test_a_layer_study_keeps_no_cache(tmp_path, monkeypatch):

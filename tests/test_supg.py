@@ -6,6 +6,7 @@ from hdgcd.assembly import (ProblemSpec, get_context, load, neumann_data, pull_b
 from hdgcd.mesh import BoundaryTag, build_uniform_triangulation, dirichlet_where
 from hdgcd.supg import PE_LIMIT, PE_SERIES, assemble_supg, solve_supg, supg_tau
 from hdgcd.analysis import error_l2
+from hdgcd.cli import main
 
 
 def test_tau_reference_value():
@@ -48,6 +49,13 @@ def test_tau_degenerate_and_invalid():
         supg_tau(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         supg_tau(0.1, -1.0, 1.0)
+
+
+def test_tau_at_subnormal_epsilon_takes_the_limit_without_a_warning(capsys):
+    # Pe = |b| / (2 eps) overflows to inf, the asymptotic branch (filterwarnings = error)
+    assert supg_tau(0.5, 1.0, 1e-310) == 0.25
+    assert main(["--n", "2", "--method", "supg", "--epsilon", "1e-310"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_tau_monotone_in_epsilon():
