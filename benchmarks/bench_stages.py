@@ -101,8 +101,8 @@ def pipeline(case, n, degree, times, rss):
 
     def dump(sol):
         with tempfile.TemporaryDirectory() as tmp:
-            hdgcd.cli.dump_field_grid(sol, os.path.join(tmp, "uh.dat"))
-            hdgcd.cli.dump_trace(sol, os.path.join(tmp, "uhat.dat"))
+            hdgcd.cli.dump_field_grid(sol, os.path.join(tmp, "uh.npy"))
+            hdgcd.cli.dump_trace(sol, os.path.join(tmp, "uhat.npy"))
 
     problem = case.problem
     quad_order = hdgcd.cli._quad_order(case, degree)

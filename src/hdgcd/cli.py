@@ -1,4 +1,4 @@
-"""Batch experiment driver: studies, CSV tables and plot-ready field dumps.
+"""Batch experiment driver: studies, CSV tables and field dumps.
 
 Each study emits a CSV whose column schema is versioned in a leading
 ``#`` comment; reruns with the same configuration are byte-identical.
@@ -6,7 +6,9 @@ All studies share one row loop, :func:`run_study`; a study supplies only
 its columns, default mesh sizes, the settings it fixes and a row function
 (:data:`STUDIES`). Solver failures do not abort a study: the affected row
 is replaced by a ``# error:`` comment in sweep order and the remaining rows
-still run.
+still run. With ``--out``, a row's field dumps go next to the CSV as
+``.npy`` files (NumPy NEP 1), each one float64 (n, 3) array of
+(x, y, value) rows; read them with ``np.load``.
 
 Configuration comes from command-line flags, optionally seeded from a
 ``key=value`` text file (flags override the file). An unknown file key,
@@ -118,138 +120,30 @@ def _config_comment(config):
                 skel=config.skeleton, n=_joined(config.mesh_sizes))
 
 
-def _word(*columns):
-    """Little-endian 4-byte words whose i-th byte is ``columns[i]``, NUL-padded."""
-    return sum(np.asarray(c, dtype="<u4") << (8 * i) for i, c in enumerate(columns))
-
-
-# The words of the %.12e text, built as arrays: "d." and "-d." by [sign,
-# lead digit], the groups "0000".."9999", "e-99".."e+99" by exponent + 99,
-# and the separators " " and newline after a value.
-_DIGIT = np.arange(10) + ord("0")
-_LEAD_WORDS = np.stack([_word(_DIGIT, ord(".")), _word(ord("-"), _DIGIT, ord("."))])
-_GROUP_WORDS = _word(*(np.arange(10000) // 10 ** p % 10 + ord("0") for p in (3, 2, 1, 0)))
-_EXP = np.abs(np.arange(-99, 100))
-_EXP_WORDS = _word(ord("e"), np.where(np.arange(-99, 100) < 0, ord("-"), ord("+")),
-                   _EXP // 10 + ord("0"), _EXP % 10 + ord("0"))
-_SEP_WORDS = _word([ord(" "), ord("\n")])
-# 10^p for p = -89..113, correctly rounded, at index p + 89
-_POW10 = np.array([float(f"1e{p}") for p in range(-89, 114)])
-_WRITE_ROWS = 1 << 14   # rows per block of _write_samples
-
-
-def _scaled(a, e):
-    """a 10^(12 - e), for exponents e clipped to [-101, 101]."""
-    return a * _POW10[(101 - np.clip(e, -101, 101)).astype(int)]
-
-
-def _format_words(table):
-    """The rows of the float array ``table`` (n, c) as '%.12e %.12e ...' lines,
-    each value NUL-padded to 24 bytes: an (n, 24 c) uint8 array whose bytes,
-    without the NULs, equal Python's %-formatting of every value.
-
-    Each value gets six 4-byte words (sign and lead digit, three 4-digit
-    groups, exponent, separator).  The 13 digits are m = round(y) of
-    y = |x| 10^(12 - e) in [1e12, 1e13).  y carries at most two roundings,
-    the power of ten and the product, so it is within 2 2^-53 1e13 < 0.0023
-    of the exact value, and floor(y + 0.5) is the correctly rounded m unless
-    y lies within 0.005 of a half.  Those near-ties, NaN, infinities,
-    exponents of three digits (subnormals among them) and any y still
-    outside [1e12, 1e13) after the one correction of e are formatted by
-    Python instead: about 1% of random values, none of them misprinted.
-    m < 2^53, so its split into digit groups in float arithmetic is exact.
-    """
-    x = np.ascontiguousarray(table, dtype=float)
-    flat = x.ravel()
-    finite = np.isfinite(flat)
-    a = np.where(finite & (flat != 0.0), np.abs(flat), 1.0)
-    e = np.floor(np.log10(a))
-    y = _scaled(a, e)
-    e += (y >= 1e13).astype(float) - (y < 1e12)   # log10 is off by one next to 10^e
-    y = _scaled(a, e)
-    m = np.floor(y + 0.5)
-    carry = m == 1e13                              # 9.9999999999995 rounds to 10
-    m[carry], e[carry] = 1e12, e[carry] + 1.0
-    slow = (~finite | (np.abs(e) > 99) | (y < 1e12) | (y >= 1e13)
-            | (np.abs(y - np.floor(y) - 0.5) < 0.005))
-    m[slow | (flat == 0.0)], e[slow] = 0.0, 0.0
-    groups = []
-    for scale in (1e12, 1e8, 1e4):
-        q = np.floor(m / scale)
-        m -= q * scale
-        groups.append(q.astype(int))
-    lead, g1, g2 = groups
-    words = np.empty((flat.size, 6), dtype="<u4")
-    words[:, 0] = _LEAD_WORDS[np.signbit(flat).astype(int), lead]
-    words[:, 1] = _GROUP_WORDS[g1]
-    words[:, 2] = _GROUP_WORDS[g2]
-    words[:, 3] = _GROUP_WORDS[m.astype(int)]
-    words[:, 4] = _EXP_WORDS[e.astype(int) + 99]
-    words.reshape(x.shape + (6,))[..., 5] = _SEP_WORDS[(np.arange(x.shape[1]) + 1) // x.shape[1]]
-    text = words.view(np.uint8).reshape(flat.size, 24)
-    slow = np.flatnonzero(slow)
-    if slow.size:   # at most 20 bytes: "-1.234567890123e-308"
-        fallback = b"".join((b"%.12e" % v).ljust(20, b"\0") for v in flat[slow].tolist())
-        text[slow, :20] = np.frombuffer(fallback, dtype=np.uint8).reshape(-1, 20)
-    return text.reshape(x.shape[0], 24 * x.shape[1])
-
-
-def _strip(words):
-    """The bytes of the word array ``words`` without their NUL padding."""
-    return words.tobytes().translate(None, b"\0")
-
-
-def _format_rows(table):
-    """The rows of the float array ``table`` (n, c) as '%.12e %.12e ...' lines,
-    as bytes equal to Python's %-formatting of every value."""
-    return _strip(_format_words(table))
-
-
-def _write_samples(path, pts, vals):
-    """'x y value' lines of the points ``pts`` (n, 2) and values ``vals`` (n,),
-    formatted _WRITE_ROWS rows at a time: the writer's scratch arrays take
-    about 150 bytes per value, and blocks keep them small and in cache."""
-    table = np.column_stack([pts, vals])
-    with open(path, "wb") as fh:
-        for start in range(0, len(table), _WRITE_ROWS):
-            fh.write(_format_rows(table[start:start + _WRITE_ROWS]))
-
-
-def _grid_axis():
-    return np.linspace(0.0, 1.0, GRID_RESOLUTION)
-
-
 def _grid_points():
-    xs = _grid_axis()
+    xs = np.linspace(0.0, 1.0, GRID_RESOLUTION)
     xg, yg = np.meshgrid(xs, xs, indexing="xy")
     return np.column_stack([xg.ravel(), yg.ravel()])
 
 
-def _write_grid(path, values):
-    """'x y value' lines of the grid values (R^2,), x fastest as in
-    :func:`_grid_points`.  Only the values are formatted per point: the R
-    distinct coordinates, each with its trailing space, are formatted once
-    and broadcast into an (R, R, 72) byte buffer beside the value words."""
-    xs = _grid_axis()
-    r = xs.size
-    coords = _format_words(np.column_stack([xs, xs]))[:, :24]   # 'x ' words
-    buf = np.empty((r, r, 72), dtype=np.uint8)
-    buf[:, :, :24] = coords[None, :, :]
-    buf[:, :, 24:48] = coords[:, None, :]
-    buf[:, :, 48:] = _format_words(values[:, None]).reshape(r, r, 24)
+def _write_samples(path, pts, vals):
+    """The points ``pts`` (n, 2) and values ``vals`` (n,) as one float64
+    (n, 3) array of (x, y, value) rows in ``.npy`` format, written to
+    exactly ``path`` (``np.save`` would append ``.npy`` to a bare name)."""
     with open(path, "wb") as fh:
-        fh.write(_strip(buf))
+        np.save(fh, np.column_stack([pts, vals]))
 
 
 def dump_field_grid(solution, path):
-    """Sample the element field on the regular grid, written as 'x y value'."""
-    elems, ref = _locate_points(solution.mesh, _grid_points())
+    """Sample the element field on the regular grid, x fastest, as (x, y, value) rows."""
+    pts = _grid_points()
+    elems, ref = _locate_points(solution.mesh, pts)
     basis = get_element_basis(solution.degree)
-    _write_grid(path, (solution.u[elems] * basis.values(ref)).sum(axis=1))
+    _write_samples(path, pts, (solution.u[elems] * basis.values(ref)).sum(axis=1))
 
 
 def dump_trace(solution, path):
-    """Sample the skeleton trace per edge, written as 'x y value'."""
+    """Sample the skeleton trace edge by edge at TRACE_SAMPLES, as (x, y, value) rows."""
     skel = solution.dofmap.skeleton_edges
     ts = np.asarray(TRACE_SAMPLES)
     pts = solution.mesh.edge_points(ts, skel).reshape(-1, 2)
@@ -404,7 +298,7 @@ def _write_dumps(config, n, dumps):
     """Write a row's dumps next to ``config.out``; a function, so that its
     loop variables, which hold the row's solutions, end with it."""
     for tag, write, sol in dumps:
-        write(sol, f"{config.out.removesuffix('.csv')}_{tag}_n{n}.dat")
+        write(sol, f"{config.out.removesuffix('.csv')}_{tag}_n{n}.npy")
 
 
 def run_study(config):

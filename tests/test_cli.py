@@ -122,13 +122,13 @@ def test_layer_study_columns_and_dumps(tmp_path):
     row = data_rows(text)[0].split(",")
     over_hdg, over_supg = float(row[9]), float(row[10])
     assert over_supg > over_hdg
-    for stem in ("layer_uh_hdg_n5.dat", "layer_uhat_hdg_n5.dat",
-                 "layer_uh_supg_n5.dat"):
-        dump = tmp_path / stem
-        assert dump.exists()
-        cols = np.loadtxt(dump)
-        assert cols.shape[1] == 3
-    grid = np.loadtxt(tmp_path / "layer_uh_hdg_n5.dat")
+    for stem in ("layer_uh_hdg_n5.npy", "layer_uhat_hdg_n5.npy",
+                 "layer_uh_supg_n5.npy"):
+        cols = np.load(tmp_path / stem)
+        assert cols.dtype == np.float64 and cols.ndim == 2 and cols.shape[1] == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "layer.csv", "layer_uh_hdg_n5.npy", "layer_uh_supg_n5.npy", "layer_uhat_hdg_n5.npy"]
+    grid = np.load(tmp_path / "layer_uh_hdg_n5.npy")
     assert grid.shape[0] == 101 * 101
     assert grid[:, 0].min() == 0.0 and grid[:, 0].max() == 1.0
 
@@ -158,6 +158,10 @@ def test_last_two_ratio_skips_a_zero_distance():
     rows = [{"err_l2": 0.0}, {"err_l2": 1.0}]
     assert hdgcd.cli._last_two_ratio(rows) == ([], None)
     assert hdgcd.cli._last_two_ratio(rows[1:]) == ([], None)
+    # a ratio between 2 and 3 already fails
+    comments, failure = hdgcd.cli._last_two_ratio([{"err_l2": 1.0}, {"err_l2": 2.5}])
+    assert comments == ["# last_two_ratio_l2=2.500000"]
+    assert failure == "distance to the reduced solution is not bounded: last-two ratio 2.500 > 2"
 
 
 def test_overflowing_field_fails_by_name_without_a_warning(capsys):
@@ -206,9 +210,9 @@ def test_dump_field_grid_matches_solution(tmp_path):
     case = case_smooth(1.0)
     mesh = build_uniform_triangulation(4, case.problem.boundary)
     sol = solve_hdg(case.problem, mesh, degree=1)
-    path = tmp_path / "field.dat"
+    path = tmp_path / "field.npy"
     dump_field_grid(sol, path)
-    data = np.loadtxt(path)
+    data = np.load(path)
     assert data.shape == (101 * 101, 3)
     # compare a handful of rows against direct evaluation; on element
     # boundaries the broken field is multivalued, so accept any candidate
@@ -227,17 +231,22 @@ def test_dump_field_grid_matches_solution(tmp_path):
     # sample points are located on the uniform grid only
     generic = solve_hdg(case.problem, Mesh(mesh.vertices, mesh.triangles), degree=1)
     with pytest.raises(ValueError, match="build_uniform_triangulation"):
-        dump_field_grid(generic, tmp_path / "generic.dat")
+        dump_field_grid(generic, tmp_path / "generic.npy")
 
 
-def _samples_text(pts, vals):
-    return "%.12e %.12e %.12e\n" * len(pts) % tuple(np.column_stack([pts, vals]).ravel().tolist())
+def _same_bits(path, pts, vals):
+    """The dump at ``path`` holds exactly the float64 rows (x, y, value),
+    compared bit for bit so that NaN, -0.0 and subnormals count."""
+    data = np.load(path)
+    expected = np.column_stack([pts, vals])
+    return data.dtype == np.float64 and np.array_equal(data.view(np.uint64),
+                                                       expected.view(np.uint64))
 
 
 def test_dumps_write_the_formatted_samples(tmp_path):
-    # The dump text is exactly 'x y value' in %.12e on the 101 x 101 grid and
-    # at three samples per edge, also for non-finite, negative-zero and
-    # subnormal values.
+    # The dumps hold exactly (x, y, value) on the 101 x 101 grid, x fastest,
+    # and at three samples per edge, edge by edge, also for non-finite,
+    # negative-zero and subnormal values.
     from hdgcd.fespace import get_edge_basis, get_element_basis
     case = case_smooth(1.0)
     mesh = build_uniform_triangulation(4, case.problem.boundary)
@@ -248,73 +257,31 @@ def test_dumps_write_the_formatted_samples(tmp_path):
     xs = np.linspace(0.0, 1.0, 101)
     pts = np.column_stack([np.tile(xs, 101), np.repeat(xs, 101)])
     elems, ref = _locate_points(mesh, pts)
-    path = tmp_path / "grid.dat"
+    ts = np.array([0.0, 0.5, 1.0])
     for sol in (smooth, odd):
         vals = (sol.u[elems] * get_element_basis(2).values(ref)).sum(axis=1)
-        dump_field_grid(sol, path)
-        assert path.read_text() == _samples_text(pts, vals)
-        ts = np.array([0.0, 0.5, 1.0])
+        dump_field_grid(sol, tmp_path / "grid.npy")
+        assert _same_bits(tmp_path / "grid.npy", pts, vals)
         skel = sol.dofmap.skeleton_edges
         vals = sol.edge_traces()[skel] @ get_edge_basis(2).values(ts).T
-        dump_trace(sol, tmp_path / "trace.dat")
-        assert (tmp_path / "trace.dat").read_text() == _samples_text(
-            mesh.edge_points(ts, skel).reshape(-1, 2), vals.ravel())
-    assert " nan\n" in path.read_text() and "e-310\n" in path.read_text()
-    assert " nan\n" in (tmp_path / "trace.dat").read_text()
+        dump_trace(sol, tmp_path / "trace.npy")
+        assert _same_bits(tmp_path / "trace.npy",
+                          mesh.edge_points(ts, skel).reshape(-1, 2), vals.ravel())
+    grid, trace = np.load(tmp_path / "grid.npy"), np.load(tmp_path / "trace.npy")
+    assert np.isnan(grid[:, 2]).any() and (np.abs(grid[:, 2]) == 1e-310).any()
+    assert np.isnan(trace[:, 2]).any()
     # no sum of products gives -0.0, so the writer sees it directly
     pts, vals = np.array([[-0.0, 5e-324]]), np.array([-0.0])
-    hdgcd.cli._write_samples(path, pts, vals)
-    assert path.read_text() == _samples_text(pts, vals) == (
-        "-0.000000000000e+00 4.940656458412e-324 -0.000000000000e+00\n")
-
-
-@pytest.mark.parametrize("resolution", [1, 7])
-def test_grid_writer_formats_the_grid_points(tmp_path, monkeypatch, resolution):
-    # the coordinates are formatted once and broadcast, x fastest
-    monkeypatch.setattr(hdgcd.cli, "GRID_RESOLUTION", resolution)
-    vals = np.random.default_rng(resolution).standard_normal(resolution ** 2)
-    vals[-1] = np.nan
-    hdgcd.cli._write_grid(tmp_path / "grid.dat", vals)
-    table = np.column_stack([hdgcd.cli._grid_points(), vals])
-    assert table.shape == (resolution ** 2, 3)
-    assert (tmp_path / "grid.dat").read_bytes() == _percent_lines(table)
-
-
-def _percent_lines(table):
-    return "".join(" ".join("%.12e" % v for v in row) + "\n" for row in table.tolist()).encode()
-
-
-def test_dump_writer_edge_cases():
-    # exact ties (2j+1)/2^14 in [0.1, 1) have 14 digits ending in 5 and
-    # round half to even; then inexact powers of ten, carries into the next
-    # decade, the edges of the two-digit exponents, zeros and non-finite
-    ties = [(2 * j + 1) / 2 ** 14 for j in range(820, 8192)]
-    edges = [1e22, 1e23, 1e-22, 1e-23, -1e22, -1e-23]
-    for k in (-300, -99, -5, 0, 5, 12, 99, 300):
-        edges += [float(f"9.9999999999995e{k}"), float(f"9.99999999999951e{k}"),
-                  float(f"9.99999999999949e{k}"), float(f"-9.9999999999995e{k}")]
-    for k in (98, 99, 100):
-        edges += [1.5 * 10.0 ** k, 1.5 * 10.0 ** -k, -(10.0 ** k), 10.0 ** -k,
-                  float(f"9.9999999999999e{k - 1}")]
-    edges += [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
-              np.nan, np.inf, -np.inf, 1.0, -1.0, 0.5]
-    for values in (ties, edges):
-        x = np.array(values)
-        assert hdgcd.cli._format_rows(x[:, None]) == _percent_lines(x[:, None])
-    x = np.array(edges[: len(edges) // 3 * 3]).reshape(-1, 3)
-    assert hdgcd.cli._format_rows(x) == _percent_lines(x)
-    assert hdgcd.cli._format_rows(np.array([[-0.0, 5e-324, np.nan]])) == (
-        b"-0.000000000000e+00 4.940656458412e-324 nan\n")
-
-
-def test_dump_writer_on_random_bit_patterns(tmp_path):
-    # 300k doubles of uniformly drawn bits: every exponent, NaN payloads,
-    # subnormals and both zeros, in rows of three, written in several blocks
-    bits = np.random.default_rng(20131).integers(0, 2 ** 64, size=300_000, dtype=np.uint64)
-    x = bits.view(np.float64).reshape(-1, 3)
-    assert len(x) > 2 * hdgcd.cli._WRITE_ROWS
-    hdgcd.cli._write_samples(tmp_path / "bits.dat", x[:, :2], x[:, 2])
-    assert (tmp_path / "bits.dat").read_bytes() == _percent_lines(x)
+    hdgcd.cli._write_samples(tmp_path / "odd.npy", pts, vals)
+    assert _same_bits(tmp_path / "odd.npy", pts, vals)
+    # the dump goes to exactly the given name, with no .npy appended
+    dump_field_grid(odd, tmp_path / "field.dat")
+    assert (tmp_path / "field.dat").exists() and not (tmp_path / "field.dat.npy").exists()
+    assert (tmp_path / "field.dat").read_bytes() == (tmp_path / "grid.npy").read_bytes()
+    # and a rerun writes the same bytes
+    first = (tmp_path / "trace.npy").read_bytes()
+    dump_trace(odd, tmp_path / "trace.npy")
+    assert (tmp_path / "trace.npy").read_bytes() == first
 
 
 def test_main_writes_csv_and_exit_codes(tmp_path, capsys):

@@ -139,6 +139,11 @@ def test_inflow_check():
     assert (mids[:, 0] > 1.0 - 1e-12).all()  # inflow through x=1, tagged Neumann
     # a velocity given as constants samples the same points
     assert verify_inflow_in_dirichlet(mesh, lambda x, y: (-1.0, 0.0)) == bad
+    # b . n changes sign at the midpoint of the lowest x = 1 edge and enters
+    # below it, where only the Gauss points off the midpoint see it
+    turning = verify_inflow_in_dirichlet(mesh, lambda x, y: (y - 0.125, np.zeros_like(x)))
+    assert {e for e, _ in turning} == {12}
+    assert all(x == 1.0 and y < 0.125 for _, (x, y) in turning)
 
 
 def test_invalid_meshes_rejected():

@@ -174,12 +174,13 @@ def test_verify_source_term_names_a_bad_field(name, field, message):
 
 
 def test_verify_source_term_catches_wrong_gradient():
+    # off by 1e-4, far above GRAD_TOL; the source check would also see it
+    # through b . grad(u), so the gradient check must be the one to fail
     good = case_smooth(1.0)
-    bad = ManufacturedCase(
-        name="smooth", problem=good.problem, exact=good.exact,
-        exact_grad=lambda x, y: (np.ones_like(x), np.ones_like(y)),
-        region=good.region, exact_max=good.exact_max,
-        sample_box=good.sample_box)
-    with pytest.raises(ValueError) as err:
-        verify_source_term(bad)
-    assert "gradient mismatch" in str(err.value)
+
+    def grad(x, y):
+        gx, gy = good.exact_grad(x, y)
+        return gx + 1e-4, gy + 1e-4
+
+    with pytest.raises(ValueError, match="^case smooth: gradient mismatch"):
+        verify_source_term(replace(good, exact_grad=grad))

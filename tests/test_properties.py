@@ -3,9 +3,7 @@
 Each mesh example draws a square grid of n = 2..5 cells per side, moves
 every interior vertex by up to 0.2 h, permutes the elements, relabels the
 vertices and rotates each triangle's vertex order, so every element has its
-own shape, numbering and slot orientation.  The dump writer's examples are
-lists of any doubles, NaN, infinities and subnormals included.
-``derandomize=True`` and no
+own shape, numbering and slot orientation.  ``derandomize=True`` and no
 example database keep the run deterministic; Hypothesis still caches the
 constants it reads from local source files under ``.hypothesis/``.
 """
@@ -18,7 +16,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hdgcd.analysis import conservation_residual, error_l2  # noqa: E402
 from hdgcd.assembly import ProblemSpec  # noqa: E402
-from hdgcd.cli import _format_rows  # noqa: E402
 from hdgcd.mesh import dirichlet_where  # noqa: E402
 from hdgcd.solver import solve_hdg, solve_monolithic  # noqa: E402
 from test_unstructured import bilinear_problem, relabelled_mesh  # noqa: E402
@@ -95,12 +92,3 @@ def test_polynomial_of_the_degree_is_reproduced(mesh, degree, coeffs):
         boundary=OUTFLOW)
     assert error_l2(solve_hdg(problem, mesh, degree=degree), u) <= 1e-11
 
-
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-                       min_size=1, max_size=40))
-def test_dump_writer_equals_percent_formatting(values):
-    # the vectorized writer prints every double, also the ones it hands to
-    # Python (near-ties, non-finite, three-digit exponents), as %.12e does
-    x = np.array(values)
-    assert _format_rows(x[:, None]) == "".join("%.12e\n" % v for v in values).encode()

@@ -24,11 +24,25 @@ def test_tau_small_peclet_series():
     pe = 5e-5
     expect = (h / (2.0 * b)) * (pe / 3.0 - pe ** 3 / 45.0)
     assert supg_tau(h, b, eps) == pytest.approx(expect, rel=1e-15)
-    # branch agreement at (almost) the same Peclet number on both sides of
-    # the switch: the direct coth evaluation loses ~1e-7 to cancellation
-    lo = supg_tau(1.0, 1.0, 1.0 / (2.0 * 1e-4 * (1.0 - 1e-9)))
-    hi = supg_tau(1.0, 1.0, 1.0 / (2.0 * 1e-4 * (1.0 + 1e-9)))
-    assert hi == pytest.approx(lo, rel=1e-6)
+    # branch agreement at adjacent Peclet numbers on both sides of the
+    # switch (b = 2 Pe, eps = 1 and h = 2 b give tau = coth Pe - 1/Pe)
+    lo, hi = np.nextafter(PE_SERIES, 0.0), PE_SERIES
+    assert supg_tau(4.0 * hi, 2.0 * hi, 1.0) == pytest.approx(
+        supg_tau(4.0 * lo, 2.0 * lo, 1.0), rel=1e-12)
+
+
+# coth Pe - 1/Pe at these Peclet numbers, from mpmath 1.3.0 at 40 digits
+TAU_FACTORS = {5e-5: 1.666666666388889e-05, 1.1e-4: 3.666666663708889e-05,
+               1e-3: 0.0003333333111111132, 0.05: 0.01666388955009925,
+               0.08: 0.026655295819479796, 1.0: 0.3130352854993313,
+               10.0: 0.9000000041223073, 49.0: 0.9795918367346939}
+
+
+@pytest.mark.parametrize("pe", sorted(TAU_FACTORS))
+def test_tau_matches_high_precision_values(pe):
+    # b = 2 Pe and eps = 1 give exactly this Pe, and h = 2 b a unit scale;
+    # the direct form cancels to ~4e-8 just above a switch at Pe = 1e-4
+    assert supg_tau(4.0 * pe, 2.0 * pe, 1.0) == pytest.approx(TAU_FACTORS[pe], rel=2e-13)
 
 
 def test_tau_large_peclet_limit():
