@@ -265,11 +265,11 @@ def conservation_residual(solution, problem):
             raise ValueError(f"conservation_residual needs the solve's {key!r} in solution.info")
     ctx = get_context(mesh, solution.degree, info["quad_order"])
 
-    b_ref = pull_back(mesh, ctx.volume_values(problem.b, "b", vector=True))
-    conv = np.einsum("atq,tqa->tq", b_ref, np.tensordot(solution.u, ctx.dN, axes=(1, 1)))
-    if problem.c is not None:
-        conv = conv + ctx.volume_values(problem.c, "c") * (solution.u @ ctx.N.T)
-    residual = ((conv - ctx.volume_values(problem.f, "f")) * ctx.volume_weights(mesh)).sum(axis=1)
+    b, c, f = ctx.fields(problem)
+    conv = np.einsum("atq,tqa->tq", pull_back(mesh, b), np.tensordot(solution.u, ctx.dN, (1, 1)))
+    if c is not None:
+        conv = conv + c * (solution.u @ ctx.N.T)
+    residual = ((conv - f) * ctx.volume_weights(mesh)).sum(axis=1)
 
     tr = ctx.traces(mesh)
     diff = _trace_gap(ctx, tr, solution)

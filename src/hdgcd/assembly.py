@@ -75,7 +75,10 @@ class ProblemSpec:
     ``f``, ``g_N`` and ``div_b`` are scalar fields (None means zero).
     ``boundary`` is the edge-midpoint tagging rule handed to the mesh
     generator; None tags the whole boundary Dirichlet.  ``rho0`` is the
-    claimed lower bound of rho = c - div(b)/2.
+    claimed lower bound of rho = c - div(b)/2.  ``b``, ``c`` and ``f`` are evaluated
+    once per problem and point set (:meth:`AssemblyContext.fields`) and shared by the
+    HDG and SUPG assemblies and ``conservation_residual``, so fields must be pure
+    functions of (x, y): a problem solved twice on one mesh reuses its values.
     """
 
     epsilon: float
@@ -180,7 +183,7 @@ def check_problem(problem, mesh):
         ctx = get_context(mesh, 1, CHECK_QUAD_ORDER)
         rho = np.zeros(ctx.X_vol.shape[:2])
         if problem.c is not None:
-            rho += ctx.volume_values(problem.c, "c")
+            rho += ctx.fields(problem)[1]
         if problem.div_b is not None:
             rho -= 0.5 * ctx.volume_values(problem.div_b, "div_b")
     min_rho = float(rho.min())
@@ -284,7 +287,8 @@ class AssemblyContext:
     basis itself belongs to the dof map (:meth:`hdgcd.fespace.DofMap.slot_values`
     tabulates it at ``edge.points``), so the context holds element tables only.
     The context keeps no reference to its mesh, so it can live in
-    ``mesh.contexts`` and be freed with it.  It is the only place that
+    ``mesh.contexts`` and be freed with it, and with it the one problem
+    whose volume fields it holds (:meth:`fields`).  It is the only place that
     builds quadrature points, basis tables and physical point images.
     """
 
@@ -305,6 +309,7 @@ class AssemblyContext:
         self.dN_tr = basis.gradients(pts).reshape(3, 2, t.size, -1, 2)
         self.X_vol = mesh.physical_points(self.vol.points)
         self.X_edge = mesh.edge_points(t)
+        self._fields = (None, None)
 
     @cached_property
     def transport_tables(self):
@@ -341,6 +346,20 @@ class AssemblyContext:
     def volume_values(self, func, name, vector=False):
         """:func:`eval_field` of ``func`` at the volume points, (nt, nq)."""
         return eval_field(func, self.X_vol[..., 0], self.X_vol[..., 1], name, vector)
+
+    def fields(self, problem):
+        """Read-only :meth:`volume_values` of ``problem``'s b (2, nt, nq), c (nt, nq)
+        or None and f (nt, nq), evaluated once per problem: the context keeps the
+        last problem it was asked for and its values, and drops them first."""
+        if self._fields[0] is not problem:
+            self._fields = (None, None)   # the last problem's values go first
+            values = (self.volume_values(problem.b, "b", vector=True),
+                      self.volume_values(problem.c, "c"), self.volume_values(problem.f, "f"))
+            for v in values:
+                if v is not None:
+                    v.flags.writeable = False
+            self._fields = (problem, values)
+        return self._fields[1]
 
     def edge_values(self, func, name, vector=False, edges=slice(None)):
         """:func:`eval_field` of ``func`` at the points of ``edges``, (n, nqe)."""
@@ -511,14 +530,14 @@ def assemble_local_systems(mesh, dofmap, problem, eta=None, quad_order=None,
     out = ElementSystems.zeros(mesh.n_elements, dofmap.ndof_elem, 3 * dofmap.ndof_edge)
     if "diffusion" in parts:
         out.A_uu += stiffness(ctx, mesh, problem.epsilon)
+    if "convection" in parts or "load" in parts:
+        b, c, f = ctx.fields(problem)
     if "convection" in parts:
-        out.A_uu += transport(
-            ctx, w * pull_back(mesh, ctx.volume_values(problem.b, "b", vector=True)),
-            None if problem.c is None else w * ctx.volume_values(problem.c, "c"))
+        out.A_uu += transport(ctx, w * pull_back(mesh, b), None if c is None else w * c)
     g = neumann_data(problem, mesh, ctx) if "load" in parts else None
     tr = None if g is None else ctx.traces(mesh)
     if "load" in parts:
-        out.b_u += load(ctx, w * ctx.volume_values(problem.f, "f"), g, tr)
+        out.b_u += load(ctx, w * f, g, tr)
     if "diffusion" in parts or "convection" in parts:
         _edge_terms(ctx, ctx.traces(mesh) if tr is None else tr, dofmap, out, problem, eta, parts)
     return out

@@ -80,14 +80,14 @@ def assemble_supg(problem, mesh, quad_order=None):
     cannot integrate the P1 mass, raises a ValueError, as it does for HDG.
     """
     ctx = get_context(mesh, 1, quad_order)
-    b = ctx.volume_values(problem.b, "b", vector=True)
+    b, c, f = ctx.fields(problem)   # the one field pass, shared with the HDG assembly
     # per-element sup of |b| at the quadrature points
     tau = supg_tau(mesh.h_K, np.hypot(*b).max(axis=1), problem.epsilon)
-    # the load first, so f's temporaries meet no kernel's
+    # the load before the kernels, so its temporaries meet none of theirs
     w, g = ctx.volume_weights(mesh), neumann_data(problem, mesh, ctx)
-    w_f = w * ctx.volume_values(problem.f, "f")
+    w_f = w * f
     rhs = load(ctx, w_f, g, None if g is None else ctx.traces(mesh))
-    c, (bx, by) = ctx.volume_values(problem.c, "c"), pull_back(mesh, b)
+    bx, by = pull_back(mesh, b)
     wx, wy = w * bx, w * by
     mats = stiffness(ctx, mesh, problem.epsilon) + transport(ctx, (wx, wy),
                                                              None if c is None else w * c)

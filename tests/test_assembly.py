@@ -1,19 +1,22 @@
 import gc
 import itertools
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import hdgcd.assembly
+import hdgcd.cli
 import hdgcd.supg
 from hdgcd.assembly import (AssemblyContext, ProblemSpec, assemble_local_systems,
                             assemble_monolithic, bracket, check_problem,
                             default_eta, default_quad_order, get_context,
                             local_diffusion)
-from hdgcd.fespace import build_dofmap, get_edge_basis, get_element_basis
+from hdgcd.fespace import build_dofmap, get_edge_basis, get_element_basis, quad_triangle
 from hdgcd.mesh import build_uniform_triangulation, dirichlet_where
-from hdgcd.problems import case_smooth
+from hdgcd.cli import RunConfig, run_study
+from hdgcd.problems import case_smooth, get_case
 from hdgcd.solver import HdgSolution, solve_hdg, solve_monolithic
 from hdgcd.supg import assemble_supg, solve_supg
 from hdgcd.analysis import error_h1_broken, error_hdg, error_l2, hdg_norm
@@ -95,6 +98,16 @@ def test_check_problem_rho_and_inflow():
     report = check_problem(backward, mesh_mixed)
     assert not report.ok
     assert any("inflow" in m.lower() for m in report.messages)
+
+
+def test_check_problem_rho_tolerance():
+    # RHO_TOL forgives round-off below rho0, not a real dip
+    mesh = build_uniform_triangulation(2)
+    for dip, ok in ((1e-6, False), (1e-12, True)):
+        report = check_problem(make_problem(c=lambda x, y: np.full_like(x, 1.0 - dip), rho0=1.0),
+                               mesh)
+        assert report.ok == ok and report.min_rho == 1.0 - dip
+        assert ok or report.messages[0].startswith("rho = c - div(b)/2 drops to")
 
 
 def test_check_problem_builds_the_rho_context_only_for_c_or_div_b():
@@ -353,6 +366,55 @@ def test_context_dies_with_its_mesh():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_a_layer_study_evaluates_its_source_once_per_mesh(monkeypatch):
+    # the HDG and SUPG solves of a row share the order-12 source values
+    shapes = []
+
+    def counting_case(name, epsilon):
+        case = get_case(name, epsilon)
+
+        def f(x, y):
+            shapes.append(np.shape(x))
+            return case.problem.f(x, y)
+
+        return replace(case, problem=replace(case.problem, f=f))
+
+    monkeypatch.setattr(hdgcd.cli, "get_case", counting_case)
+    run_study(RunConfig(study="layer", epsilon=1e-6, mesh_sizes=(4, 8)))
+    nq = quad_triangle(12).weights.size
+    assert [s for s in shapes if len(s) == 2] == [(32, nq), (128, nq)]
+
+
+def solve_both(problem, mesh):
+    return solve_hdg(problem, mesh).u, solve_supg(problem, mesh).nodal
+
+
+def test_solves_on_one_mesh_reuse_no_other_problems_fields():
+    a = make_problem(epsilon=1e-2, b=(1.0, 0.3), f=lambda x, y: 1.0 + x * y)
+    b = make_problem(epsilon=1e-2, b=(1.0, -0.2), c=lambda x, y: 1.0 + y, rho0=1.0,
+                     f=lambda x, y: np.sin(3.0 * x))
+    mesh = build_uniform_triangulation(4)
+    for problem in (a, b, a):
+        got = solve_both(problem, mesh)
+        fresh = solve_both(problem, build_uniform_triangulation(4))
+        assert all(np.array_equal(x, y) for x, y in zip(got, fresh))
+        values = get_context(mesh, 1).fields(problem)
+        assert all(v is None or not v.flags.writeable for v in values)
+
+
+def test_the_field_slot_holds_one_problem():
+    mesh = build_uniform_triangulation(3)
+    a = make_problem(epsilon=1e-2, f=lambda x, y: x)
+    solve_hdg(a, mesh)
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is not None   # the context holds the last problem's values
+    solve_hdg(make_problem(epsilon=1e-2, f=lambda x, y: y), mesh)
+    gc.collect()
+    assert ref() is None
 
 
 BAD_FIELDS = {

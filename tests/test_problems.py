@@ -123,6 +123,20 @@ def test_reduced_limit_case():
         assert mesh.edge_tags[e] == int(expect)
 
 
+def test_reduced_limit_boundary_rule_is_tight():
+    # the bottom edge (0, 0)-(2e-4, 0) touches the inflow side x = 0, but its
+    # midpoint lies 1e-4 off it: the edge is Neumann, not Dirichlet
+    from hdgcd.mesh import BoundaryTag, Mesh
+    vertices = np.array([[0.0, 0.0], [2e-4, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    mesh = Mesh(vertices, np.array([[0, 1, 4], [1, 2, 3], [1, 3, 4]]),
+                case_reduced_limit(1e-4).problem.boundary)
+    tags = {tuple(int(v) for v in mesh.edges[e]): int(mesh.edge_tags[e])
+            for e in mesh.boundary_edges}
+    assert tags == {(0, 1): BoundaryTag.NEUMANN, (1, 2): BoundaryTag.NEUMANN,
+                    (2, 3): BoundaryTag.NEUMANN, (3, 4): BoundaryTag.NEUMANN,
+                    (0, 4): BoundaryTag.DIRICHLET}
+
+
 def test_get_case_dispatch():
     assert get_case("smooth", 1.0).name == "smooth"
     assert get_case("layer", 1e-3).name == "layer"

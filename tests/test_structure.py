@@ -16,6 +16,8 @@
 * The error measures have one evaluation domain, the whole mesh: the
   context's volume helpers take no element index, and ``analysis.py``
   tests no index for being a slice.
+* A problem's volume fields are evaluated in one place: ``problem.b``,
+  ``.c`` and ``.f`` reach ``volume_values`` only in ``AssemblyContext.fields``.
 * The assemblers form the coefficient arrays: ``transport`` and ``load``
   take them and name none of ``volume_weights``, ``pull_back`` or
   ``traces``.
@@ -180,6 +182,32 @@ def test_error_measures_evaluate_on_the_whole_mesh():
               for name in ("volume_values", "volume_weights")}
     assert params == {"volume_values": ["self", "func", "name", "vector"],
                       "volume_weights": ["self", "mesh"]}
+
+
+def volume_field_calls(tree):
+    """(line, field) of each ``volume_values`` call in ``tree`` whose field is
+    a ``.b``, ``.c`` or ``.f`` attribute."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "volume_values" and node.args
+                and isinstance(node.args[0], ast.Attribute)
+                and node.args[0].attr in {"b", "c", "f"}):
+            yield node.lineno, node.args[0].attr
+
+
+def test_problem_fields_reach_volume_values_only_in_the_field_pass():
+    trees = modules()
+    cls = next(node for node in trees["assembly.py"].body
+               if isinstance(node, ast.ClassDef) and node.name == "AssemblyContext")
+    method = next(node for node in cls.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "fields")
+    inside = set(volume_field_calls(method))
+    found = [f"{name}:{line} .{attr}" for name, tree in trees.items()
+             for line, attr in volume_field_calls(tree)
+             if not (name == "assembly.py" and (line, attr) in inside)]
+    assert found == []
+    # the guard does see the field pass's own calls
+    assert sorted(attr for _, attr in inside) == ["b", "c", "f"]
 
 
 def test_kernels_take_the_arrays_their_assembler_formed():
