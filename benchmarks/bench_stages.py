@@ -41,7 +41,11 @@ largest ``import_rss_mb`` and peak RSS of its runs (the latter taken before
 that factorization), the peak RSS after each stage of each run
 (``stage_rss_mb``, a list per stage in run order, so a run whose peak is
 high shows the stage that raised it), and the error values, so two columns
-can be checked for the same answers.
+can be checked for the same answers.  The peak RSS hides a cut in live
+temporaries (the allocator keeps freed heap), so each run also repeats the
+pipeline once, untimed, under ``tracemalloc`` and records each stage's
+traced peak above its start in MiB (``stage_traced_peak_mib``, a list per
+stage in run order).
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 REPEAT = 10
@@ -83,20 +88,27 @@ def quartiles(values):
     return {"q1": q1, "median": statistics.median(values), "q3": q3}
 
 
-def pipeline(case, n, degree, times, rss):
+def pipeline(case, n, degree, times, rss, traced=None):
     """One mesh-to-conservation run; appends each stage's seconds to
     ``times`` and the peak RSS after it to ``rss``, and returns the
-    condensed system, the mesh and the errors."""
+    condensed system, the mesh and the errors.  Given ``traced``, it appends
+    there each stage's tracemalloc peak above its start, in MiB, and must
+    run under ``tracemalloc``."""
     # imported here, in the worker: the driving process may measure any checkout
     import hdgcd
     import hdgcd.cli
     from hdgcd import solver
 
     def timed(stage, func, *args, **kwargs):
+        if traced is not None:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
         start = time.perf_counter()
         out = func(*args, **kwargs)
         times[stage].append(time.perf_counter() - start)
         rss[stage].append(peak_rss_mb())
+        if traced is not None:
+            traced[stage].append((tracemalloc.get_traced_memory()[1] - base) / 2 ** 20)
         return out
 
     def dump(sol):
@@ -139,6 +151,10 @@ def run_case(name):
     condensed, mesh, errors = pipeline(case, n, degree, times, rss)
     peak = peak_rss_mb()
     lu = solver.sparse_factor(condensed.S, "skeleton")
+    traced = {s: [] for s in STAGES}
+    tracemalloc.start()
+    pipeline(case, n, degree, {s: [] for s in STAGES}, {s: [] for s in STAGES}, traced)
+    tracemalloc.stop()
     return {
         "case": {"problem": problem_name, "epsilon": epsilon, "n": n, "degree": degree},
         "elements": mesh.n_elements,
@@ -150,6 +166,7 @@ def run_case(name):
         "stages_s": {s: t[0] for s, t in times.items()},
         "stage_rss_mb": {s: round(r[0], 1) for s, r in rss.items()},
         "peak_rss_mb": round(peak, 1),
+        "stage_traced_peak_mib": {s: round(p[0], 2) for s, p in traced.items()},
         "errors": errors,
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__},
@@ -187,8 +204,8 @@ def measure(label, checkout, name):
 def combine(runs):
     """One case's record from its runs: the import median, the stage and
     total quartiles, the stage and total seconds of every run, the largest
-    RSS peaks, the per-stage RSS of every run; the counts and errors must
-    agree between runs."""
+    RSS peaks, the per-stage RSS and traced peaks of every run; the counts
+    and errors must agree between runs."""
     fixed = ("case", "elements", "skeleton_dofs", "nnz_S", "fill", "errors")
     if any(run[key] != runs[0][key] for run in runs for key in fixed):
         raise SystemExit(f"runs of {runs[0]['case']} disagree on {fixed}")
@@ -201,7 +218,8 @@ def combine(runs):
     record["runs_s"] = {s: [run["stages_s"][s] for run in runs] for s in STAGES}
     record["runs_s"]["total_s"] = totals
     record["peak_rss_mb"] = max(run["peak_rss_mb"] for run in runs)
-    record["stage_rss_mb"] = {s: [run["stage_rss_mb"][s] for run in runs] for s in STAGES}
+    for key in ("stage_rss_mb", "stage_traced_peak_mib"):
+        record[key] = {s: [run[key][s] for run in runs] for s in STAGES}
     return record
 
 

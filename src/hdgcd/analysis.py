@@ -157,7 +157,7 @@ def _trace_gap(ctx, tr, pair):
     dofmap = pair.dofmap
     E = dofmap.slot_values(ctx.edge.points)
     uhat = dofmap.gather(pair.uhat, dofmap.element_trace_dofs()) @ E.T
-    return uhat - np.einsum("tpi,ti->tp", tr.values, pair.u)
+    return uhat - tr.select(pair.u @ ctx.N_tr.reshape(-1, pair.u.shape[1]).T)
 
 
 def _scheme_norm(pair, problem, eta, elems):
@@ -273,7 +273,9 @@ def conservation_residual(solution, problem):
 
     tr = ctx.traces(mesh)
     diff = _trace_gap(ctx, tr, solution)
-    dn = np.einsum("tpi,ti->tp", tr.normal_derivs, solution.u)
+    u, nt = solution.u, mesh.n_elements
+    grad_ref = tr.select(u @ np.swapaxes(ctx.dN_tr, -1, -2).reshape(-1, u.shape[1]).T)
+    dn = np.einsum("tsqb,tsb->tsq", grad_ref.reshape(nt, 3, -1, 2), tr.normals_ref).reshape(nt, -1)
     w_u = flux_weights(ctx, tr, problem, info["eta"])[1]
     flux = problem.epsilon * dn + w_u * diff
     g_e = neumann_data(problem, mesh, ctx)

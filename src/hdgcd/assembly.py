@@ -13,7 +13,9 @@ w_t = eps eta / h_e + [b.n]+ against trace test functions and
 w_u = eps eta / h_e + [b.n]- against interior ones.  The volume terms are
 the broken stiffness, transport and reaction; one edge pass adds the
 adjoint-consistent flux terms <eps dn(u), vhat - v> + <uhat - u, eps dn(v)>
-and the gap coupling <uhat - u, w_t vhat - w_u v>.
+and the gap coupling <uhat - u, w_t vhat - w_u v>.  Every term is one
+product of per-element coefficients with reference tables (:func:`table_product`),
+so no element carries basis values of its own.
 Trace terms live on every element edge except Neumann boundary edges;
 Neumann edges only receive the flux load against the interior test
 function.  Trace dofs on Dirichlet edges are fixed to zero and never
@@ -243,15 +245,17 @@ def _swap(a):
 
 class TraceTables(NamedTuple):
     """The three edge slots of each of nt elements in canonical edge
-    orientation, with the slot and point axes flattened to p = s * nqe + q."""
+    orientation, with the slot and point axes flattened to p = s * nqe + q.
+    They hold no element basis: slot s of element t reads the context's
+    ``N_tr[s, o]`` and ``dN_tr[s, o]``, o = ``orientation[t, s]``."""
 
     edges: np.ndarray          # (nt, 3) global edge index of each slot
     neumann: np.ndarray        # (nt, 3nqe) True on Neumann edges (no trace)
     h: np.ndarray              # (nt, 3nqe) edge length h_e
     normals: np.ndarray        # (nt, 3nqe, 2) unit outward normal
     weights: np.ndarray        # (nt, 3nqe) edge quadrature weights times h_e
-    values: np.ndarray         # (nt, 3nqe, nd) element basis values
-    normal_derivs: np.ndarray  # (nt, 3nqe, nd) physical d/dn of the basis
+    orientation: np.ndarray    # (nt, 3) 1 where the slot runs forward along its edge, else 0
+    normals_ref: np.ndarray    # (nt, 3, 2) pulled-back normal J^{-1} n: dn phi = n_ref . grad_ref phi
 
     def gather(self, per_edge):
         """Rows (ne, m) of per-edge data at every element's slots, (nt, 3m)."""
@@ -261,6 +265,21 @@ class TraceTables(NamedTuple):
     def normal_velocity(self, bx_e, by_e):
         """b . n at the trace points, from velocity values per edge (ne, nqe)."""
         return self.gather(bx_e) * self.normals[..., 0] + self.gather(by_e) * self.normals[..., 1]
+
+    def expand(self, coef):
+        """Coefficients (nt, 3nqe[, c]) laid out over (slot, orientation, point[,
+        component]), (nt, 3 * 2 * nqe[* c]): zero in the orientation a slot does not read."""
+        nt = len(coef)
+        out = np.zeros((nt, 3, 2, coef[0].size // 3))
+        out[np.arange(nt)[:, None], np.arange(3), self.orientation] = coef.reshape(nt, 3, -1)
+        return out.reshape(nt, -1)
+
+    def select(self, values):
+        """Values (nt, 3 * 2 * nqe[* c]) over (slot, orientation, point[, component])
+        in the orientation each slot reads, (nt, 3nqe[* c])."""
+        nt = len(values)
+        slots = values.reshape(nt, 3, 2, -1)[np.arange(nt)[:, None], np.arange(3), self.orientation]
+        return slots.reshape(nt, -1)
 
 
 def pull_back(mesh, v):
@@ -280,10 +299,10 @@ class AssemblyContext:
     tensors ``R[a, b] = sum_q w_q d_a phi_i d_b phi_j`` (2, 2, nd, nd), and
     the element metric maps coefficients, never the basis (:func:`pull_back`).
     The per-point product tables of :func:`table_product` are built on first use.
-    Element traces along an edge are tabulated for both traversal
-    directions so that every edge quantity is expressed in the canonical
-    (ascending vertex index) parameterization shared by the trace basis;
-    :meth:`traces` gathers them for all three slots at once.  The trace
+    Element traces along an edge, ``N_tr`` and ``dN_tr`` [s, o, q, ...], are
+    tabulated for both traversal directions o, so that every edge quantity is
+    expressed in the canonical (ascending vertex index) parameterization shared
+    by the trace basis; :meth:`traces` records the direction each slot reads.  The trace
     basis itself belongs to the dof map (:meth:`hdgcd.fespace.DofMap.slot_values`
     tabulates it at ``edge.points``), so the context holds element tables only.
     The context keeps no reference to its mesh, so it can live in
@@ -369,21 +388,16 @@ class AssemblyContext:
     def traces(self, mesh):
         """:class:`TraceTables` of all three edge slots of every element.
 
-        The orientation gather ``N_tr[s, edge_forward[:, s]]`` happens here
-        only; the tables are built per call and not cached.
+        The slot orientations ``edge_forward`` are read here only; the
+        tables are built per call and not cached.
         """
         nqe = self.edge.weights.size
-        o = mesh.edge_forward.astype(np.intp)
-        slots = np.arange(3)
         edges = mesh.elem_edges
         neumann, h, normals = (np.repeat(a, nqe, axis=1) for a in
                                (mesh.edge_tags[edges] == _NEUMANN, mesh.h_e[edges], mesh.normals))
-        # d/dn of a basis function: reference gradient . J^{-1} n
-        n_ref = pull_back(mesh, np.moveaxis(mesh.normals, -1, 0))
-        shape = (mesh.n_elements, 3 * nqe, self.N.shape[1])
-        dn = np.einsum("tsqib,bts->tsqi", self.dN_tr[slots, o], n_ref).reshape(shape)
+        n_ref = np.moveaxis(pull_back(mesh, np.moveaxis(mesh.normals, -1, 0)), 0, -1)
         return TraceTables(edges, neumann, h, normals, np.tile(self.edge.weights, 3) * h,
-                           self.N_tr[slots, o].reshape(shape), dn)
+                           mesh.edge_forward.astype(np.intp), n_ref)
 
 
 def get_context(mesh, degree, quad_order=None):
@@ -417,12 +431,11 @@ def stiffness(ctx, mesh, epsilon):
 
 
 def table_product(coefs, tables):
-    """sum_k coefs[k] @ tables[k] (nt, nd, nd) as one matrix product of the weighted
-    coefficients ``coefs`` (nt, nq) and the leading per-point tables (k, nq, nd, nd)
-    of the context, whose derivatives are on the reference triangle."""
-    nd = tables.shape[-1]
-    out = np.concatenate(coefs, axis=1) @ tables[:len(coefs)].reshape(-1, nd * nd)
-    return out.reshape(-1, nd, nd)
+    """sum_p coefs[:, p] tables[p] (nt, m, n) as one matrix product of the weighted
+    coefficients ``coefs`` (nt, P) and the leading P point rows of per-point
+    reference tables (..., m, n), whose derivatives are on the reference triangle."""
+    m, n = tables.shape[-2:]
+    return (coefs @ tables.reshape(-1, m * n)[:coefs.shape[1]]).reshape(-1, m, n)
 
 
 def transport(ctx, wb, wc):
@@ -432,7 +445,8 @@ def transport(ctx, wb, wc):
     (nt, nq) or None the reaction c, both times the volume weights w; they
     meet the context's ``transport_tables``.
     """
-    return table_product([*wb] + ([] if wc is None else [wc]), ctx.transport_tables)
+    coefs = np.concatenate([*wb] + ([] if wc is None else [wc]), axis=1)
+    return table_product(coefs, ctx.transport_tables)
 
 
 def load(ctx, w_f, g, tr):
@@ -441,7 +455,7 @@ def load(ctx, w_f, g, tr):
     ``g``, which meets the trace tables ``tr``; both may be None without g_N."""
     out = w_f @ ctx.N
     if g is not None:
-        out += np.einsum("tp,tpi->ti", tr.weights * tr.gather(g), tr.values)
+        out += tr.expand(tr.weights * tr.gather(g)) @ ctx.N_tr.reshape(-1, ctx.N.shape[1])
     return out
 
 
@@ -464,21 +478,32 @@ def flux_weights(ctx, tr, problem, eta, parts=("diffusion", "convection")):
 
 
 def _edge_terms(ctx, tr, dofmap, out, problem, eta, parts):
-    """Consistency terms and the gap coupling on every non-Neumann slot of ``tr``."""
-    E, Nq = dofmap.slot_values(ctx.edge.points), tr.values
+    """Consistency terms and the gap coupling on every non-Neumann slot of ``tr``,
+    each one :func:`table_product` of a coefficient spread over both slot
+    orientations (:meth:`TraceTables.expand`) with a table of basis products
+    along the slots, built per call from the trace basis, ``N_tr`` and ``dN_tr``."""
+    E = dofmap.slot_values(ctx.edge.points)
+    E_o = E.reshape(3, 1, -1, E.shape[1], 1)            # [s, o, q, a, 1], alike in both orientations
+    N, dN = ctx.N_tr[..., None, :], _swap(ctx.dN_tr)[..., None, :]   # [s, o, q(, b), 1, i]
+    E_N = E_o * N
     we = tr.weights * ~tr.neumann
     if "diffusion" in parts:
-        # consistency term <eps dn(u), vhat - v> and its adjoint
-        wdn = (problem.epsilon * we)[..., None] * tr.normal_derivs
-        out.A_tu += E.T @ wdn
-        out.A_ut += _swap(wdn) @ E
-        out.A_uu -= _swap(Nq) @ wdn + _swap(wdn) @ Nq
+        # consistency term <eps dn(u), vhat - v> and its adjoint, weighted eps w J^{-1} n
+        wdn = tr.expand((problem.epsilon * we).reshape(len(we), 3, -1, 1)
+                        * tr.normals_ref[:, :, None])
+        E_dN = table_product(wdn, E_o[..., None, :, :] * dN)
+        N_dN = table_product(wdn, ctx.N_tr[..., None, :, None] * dN)
+        out.A_tu += E_dN
+        out.A_ut += _swap(E_dN)
+        out.A_uu -= N_dN + _swap(N_dN)
+        del wdn   # freed before the gap weights form theirs
     # gap coupling <uhat - u, w_t vhat - w_u v>
-    w_t, w_u = ((we * w)[..., None] for w in flux_weights(ctx, tr, problem, eta, parts))
-    out.A_tt += E.T @ (w_t * E)
-    out.A_tu -= E.T @ (w_t * Nq)
-    out.A_ut -= _swap(Nq) @ (w_u * E)
-    out.A_uu += _swap(Nq) @ (w_u * Nq)
+    w_t, w_u = (we * w for w in flux_weights(ctx, tr, problem, eta, parts))
+    out.A_tt += table_product(w_t, E[:, :, None] * E[:, None])
+    out.A_tu -= table_product(tr.expand(w_t), E_N)
+    w_u = tr.expand(w_u)
+    out.A_ut -= _swap(table_product(w_u, E_N))
+    out.A_uu += table_product(w_u, ctx.N_tr[..., None] * N)
 
 
 def neumann_data(problem, mesh, ctx):

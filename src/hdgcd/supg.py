@@ -92,7 +92,8 @@ def assemble_supg(problem, mesh, quad_order=None):
     mats = stiffness(ctx, mesh, problem.epsilon) + transport(ctx, (wx, wy),
                                                              None if c is None else w * c)
     rhs += tau[:, None] * ((w_f * bx) @ ctx.dN[..., 0] + (w_f * by) @ ctx.dN[..., 1])
-    coefs = [wx * bx, wx * by, wy * by] + ([] if c is None else [c * wx, c * wy])
+    coefs = np.concatenate([wx * bx, wx * by, wy * by] + ([] if c is None else [c * wx, c * wy]),
+                           axis=1)
     mats += tau[:, None, None] * table_product(coefs, ctx.streamline_tables)
 
     constrained = np.zeros(mesh.n_vertices, dtype=bool)

@@ -1,12 +1,14 @@
 """Smoke test of the stage-timing script that performance claims cite: its
 pipeline runs every stage once on a small case, reads the peak RSS after
-each, gets the right answers and leaves no dump file behind; its runs
+each and, under tracemalloc, each stage's traced peak, gets the right
+answers and leaves no dump file behind; its runs
 combine into quartiles and per-run seconds, and a second column's stages
 are resolved only when nine of ten pairs of runs and the first column's
 spread agree.  The pipeline assembles at the CLI's quadrature order."""
 
 import importlib.util
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +52,19 @@ def test_pipeline_times_every_stage_once(tmp_path, monkeypatch):
     assert [d.parent for d in made] == [tmp_path] and not any(tmp_path.iterdir())
 
 
+def test_traced_pipeline_records_each_stage_peak():
+    bench = load_script()
+    times, rss, traced = ({stage: [] for stage in bench.STAGES} for _ in range(3))
+    tracemalloc.start()
+    try:
+        bench.pipeline(case_smooth(1e-3), 4, 1, times, rss, traced)
+    finally:
+        tracemalloc.stop()
+    assert all(len(p) == 1 and p[0] >= 0.0 for p in traced.values()), traced
+    # the element systems alone hold 32 x (9 x 9 + 3) doubles
+    assert traced["assemble"][0] > 32 * 84 * 8 / 2 ** 20
+
+
 def test_pipeline_assembles_at_the_cli_quadrature_order(monkeypatch):
     # the layer case's order 12 is a floor under 2k + 2 = 14 at k = 6
     orders = []
@@ -76,7 +91,8 @@ def test_runs_combine_into_quartiles_per_stage_and_total():
     runs = [{"case": {}, "elements": 1, "skeleton_dofs": 1, "nnz_S": 1, "fill": 1.0,
              "errors": {}, "import_s": 0.5, "import_rss_mb": 60.0,
              "stages_s": dict.fromkeys(bench.STAGES, t),
-             "stage_rss_mb": dict.fromkeys(bench.STAGES, mb), "peak_rss_mb": mb}
+             "stage_rss_mb": dict.fromkeys(bench.STAGES, mb), "peak_rss_mb": mb,
+             "stage_traced_peak_mib": dict.fromkeys(bench.STAGES, mb / 10.0)}
             for t, mb in ((1.0, 80.0), (2.0, 90.0), (4.0, 85.0), (3.0, 70.0), (5.0, 75.0))]
     record = bench.combine(runs)
     # quantiles of 1..5 by the exclusive method: positions 1.5 and 4.5
@@ -84,6 +100,7 @@ def test_runs_combine_into_quartiles_per_stage_and_total():
     n = len(bench.STAGES)
     assert record["total_s"] == {"q1": 1.5 * n, "median": 3.0 * n, "q3": 4.5 * n}
     assert record["stage_rss_mb"]["errors"] == [80.0, 90.0, 85.0, 70.0, 75.0]
+    assert record["stage_traced_peak_mib"]["errors"] == [8.0, 9.0, 8.5, 7.0, 7.5]
     assert record["peak_rss_mb"] == 90.0 and record["import_s"] == 0.5
 
 
@@ -93,7 +110,8 @@ def _column(bench, stage_runs):
     runs = [{"case": {}, "elements": 1, "skeleton_dofs": 1, "nnz_S": 1, "fill": 1.0,
              "errors": {}, "import_s": 0.5, "import_rss_mb": 60.0,
              "stages_s": {s: stage_runs[s][i] for s in bench.STAGES},
-             "stage_rss_mb": dict.fromkeys(bench.STAGES, 80.0), "peak_rss_mb": 80.0}
+             "stage_rss_mb": dict.fromkeys(bench.STAGES, 80.0), "peak_rss_mb": 80.0,
+             "stage_traced_peak_mib": dict.fromkeys(bench.STAGES, 8.0)}
             for i in range(10)]
     return {"cases": {"c": bench.combine(runs)}}
 

@@ -11,6 +11,10 @@
   ``element_trace_dofs()`` appear only in ``fespace.py``.
 * ``mesh.py`` owns the uniform mesh's numbering: only it reads
   ``generator_n``.  Only ``AssemblyContext`` reads its edge points ``X_edge``.
+* Orientation has one home: outside ``mesh.py`` only
+  ``AssemblyContext.traces`` reads ``edge_forward``, and the
+  ``TraceTables`` it builds hold no per-element basis axis, so their shapes
+  do not depend on the degree.
 * A study row reads one config: every ``Study.row`` takes exactly
   ``(config, case, mesh)``.
 * The error measures have one evaluation domain, the whole mesh: the
@@ -159,6 +163,23 @@ def test_edge_points_are_read_only_in_the_context():
              for line in attribute_reads(tree, "X_edge")
              if not (name == "assembly.py" and line in inside)]
     assert found == [] and inside
+
+
+def test_orientation_is_read_only_where_the_trace_tables_are_built():
+    trees = modules()
+    cls = next(node for node in trees["assembly.py"].body
+               if isinstance(node, ast.ClassDef) and node.name == "AssemblyContext")
+    traces = next(node for node in cls.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "traces")
+    inside = set(attribute_reads(traces, "edge_forward"))
+    found = [f"{name}:{line}" for name, tree in trees.items() if name != "mesh.py"
+             for line in attribute_reads(tree, "edge_forward")
+             if not (name == "assembly.py" and line in inside)]
+    assert found == [] and inside
+    # no field carries a basis axis: degrees 1 and 4 build equal shapes
+    mesh = build_uniform_triangulation(3)
+    shapes = [[np.shape(field) for field in get_context(mesh, k, 8).traces(mesh)] for k in (1, 4)]
+    assert shapes[0] == shapes[1]
 
 
 def test_every_row_takes_config_case_and_mesh():

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from hdgcd.analysis import conservation_residual, convergence_table, error_l2, errors
-from hdgcd.assembly import (ProblemSpec, assemble_local_systems, default_eta, get_context, load,
-                            local_diffusion, neumann_data, pull_back, scatter_systems, stiffness,
-                            transport)
+from hdgcd.assembly import (ElementSystems, ProblemSpec, _edge_terms, assemble_local_systems,
+                            default_eta, get_context, load, local_diffusion, neumann_data,
+                            pull_back, scatter_systems, stiffness, transport)
 from hdgcd.fespace import build_dofmap, get_edge_basis, get_element_basis, quad_triangle
 from hdgcd.mesh import BoundaryTag, Mesh, build_uniform_triangulation, dirichlet_where
 from hdgcd.problems import case_smooth
@@ -188,8 +188,61 @@ def reference_residual(sol, problem):
     return residual
 
 
+def reference_edge_blocks(mesh, degree, quad_order, problem, eta):
+    """The edge part of the element systems, the consistency terms
+    <eps dn(u), vhat - v> + <uhat - u, eps dn(v)> and the gap coupling
+    <uhat - u, w_t vhat - w_u v>, from physical gradients one slot at a time."""
+    ctx = get_context(mesh, degree, quad_order)
+    eps, nt = problem.epsilon, mesh.n_elements
+    trace = get_edge_basis(degree).values(ctx.edge.points)
+    psi, m = np.broadcast_to(trace, (nt,) + trace.shape), trace.shape[1]
+    out = ElementSystems.zeros(nt, ctx.N.shape[1], 3 * m)
+    bx_e, by_e = ctx.edge_values(problem.b, "b", vector=True)
+
+    def form(w, test, trial):
+        return np.einsum("tq,tqi,tqj->tij", w, test, trial)
+
+    for s in range(3):
+        # slot s read straight from the mesh, independently of the trace tables
+        edges, normals = mesh.elem_edges[:, s], mesh.normals[:, s]
+        o = mesh.edge_forward[:, s].astype(np.intp)
+        phi = ctx.N_tr[s, o]
+        dn = eps * np.einsum("tqia,ta->tqi", physical_gradients(ctx.dN_tr[s, o], mesh), normals)
+        bn = bx_e[edges] * normals[:, :1] + by_e[edges] * normals[:, 1:]
+        h = mesh.h_e[edges][:, None]
+        w = ctx.edge.weights * h * (mesh.edge_tags[edges] != BoundaryTag.NEUMANN)[:, None]
+        w_t, w_u = (w * (eps * eta / h + np.maximum(sign * bn, 0.0)) for sign in (1.0, -1.0))
+        slot = slice(s * m, (s + 1) * m)
+        out.A_tt[:, slot, slot] += form(w_t, psi, psi)
+        out.A_tu[:, slot] += form(w, psi, dn) - form(w_t, psi, phi)
+        out.A_ut[:, :, slot] += form(w, dn, psi) - form(w_u, phi, psi)
+        out.A_uu += form(w_u, phi, phi) - form(w, phi, dn) - form(w, dn, phi)
+    return out
+
+
 def assert_close_to_max(got, want):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("neumann", [False, True], ids=["dirichlet", "neumann"])
+@pytest.mark.parametrize("quad_order", [None, 12], ids=["default", "q12"])
+@pytest.mark.parametrize("degree", [1, 2, 3, 6])
+def test_edge_kernels_match_slot_by_slot_reference(degree, quad_order, neumann):
+    # the one-product edge kernels, their orientation expansion included,
+    # against the edge forms assembled per slot with a swirling velocity,
+    # so that both upwind brackets and the diffusive terms count
+    problem, _, _ = bilinear_problem()
+    problem = replace(problem, epsilon=0.05, b=lambda x, y: (1.0 + y * y, x - 0.5 * y),
+                      boundary=problem.boundary if neumann else None)
+    mesh = jittered_mesh(4, problem.boundary)
+    assert (mesh.edge_tags == BoundaryTag.NEUMANN).any() == neumann
+    dofmap = build_dofmap(mesh, degree)
+    ctx = get_context(mesh, degree, quad_order)
+    got = ElementSystems.zeros(mesh.n_elements, dofmap.ndof_elem, 3 * dofmap.ndof_edge)
+    _edge_terms(ctx, ctx.traces(mesh), dofmap, got, problem, 13.0, ("diffusion", "convection"))
+    want = reference_edge_blocks(mesh, degree, quad_order, problem, 13.0)
+    for name in ("A_uu", "A_ut", "A_tu", "A_tt"):
+        assert_close_to_max(getattr(got, name), getattr(want, name))
 
 
 @pytest.mark.parametrize("quad_order", [None, 12], ids=["default", "q12"])
