@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -120,12 +121,6 @@ def _config_comment(config):
                 skel=config.skeleton, n=_joined(config.mesh_sizes))
 
 
-def _grid_points():
-    xs = np.linspace(0.0, 1.0, GRID_RESOLUTION)
-    xg, yg = np.meshgrid(xs, xs, indexing="xy")
-    return np.column_stack([xg.ravel(), yg.ravel()])
-
-
 def _write_samples(path, pts, vals):
     """The points ``pts`` (n, 2) and values ``vals`` (n,) as one float64
     (n, 3) array of (x, y, value) rows in ``.npy`` format, written to
@@ -134,12 +129,31 @@ def _write_samples(path, pts, vals):
         np.save(fh, np.column_stack([pts, vals]))
 
 
-def dump_field_grid(solution, path):
-    """Sample the element field on the regular grid, x fastest, as (x, y, value) rows."""
-    pts = _grid_points()
-    elems, ref = _locate_points(solution.mesh, pts)
-    basis = get_element_basis(solution.degree)
-    _write_samples(path, pts, (solution.u[elems] * basis.values(ref)).sum(axis=1))
+class GridSampler:
+    """The dump grid, x fastest, located in one mesh on first use, and the element
+    basis tabulated there once per degree: a row's field dumps share one."""
+
+    def __init__(self, mesh):
+        self.mesh, self._tables = mesh, {}
+
+    @cached_property
+    def _located(self):
+        xs = np.linspace(0.0, 1.0, GRID_RESOLUTION)
+        pts = np.column_stack([np.tile(xs, xs.size), np.repeat(xs, xs.size)])
+        return (pts, *_locate_points(self.mesh, pts))
+
+    def sample(self, solution):
+        """The grid points and the field there of ``solution``, which must live on this mesh."""
+        pts, elems, ref = self._located
+        if solution.degree not in self._tables:
+            self._tables[solution.degree] = get_element_basis(solution.degree).values(ref)
+        return pts, (solution.u[elems] * self._tables[solution.degree]).sum(axis=1)
+
+
+def dump_field_grid(solution, path, grid=None):
+    """Sample the element field on the regular grid, x fastest, as (x, y, value) rows;
+    ``grid``, a :class:`GridSampler` of the solution's mesh, shares its location."""
+    _write_samples(path, *(grid or GridSampler(solution.mesh)).sample(solution))
 
 
 def dump_trace(solution, path):
@@ -193,8 +207,9 @@ def _layer_row(config, case, mesh):
     cells["overshoot_hdg"] = overshoot_metric(sol, case.exact_max)
     supg_sol = solve_supg(case.problem, mesh, quad_order=_quad_order(case, 1))
     cells["overshoot_supg"] = overshoot_metric(supg_sol, case.exact_max)
-    return cells, (("uh_hdg", dump_field_grid, sol), ("uhat_hdg", dump_trace, sol),
-                   ("uh_supg", dump_field_grid, supg_sol))
+    dump_grid = partial(dump_field_grid, grid=GridSampler(mesh))
+    return cells, (("uh_hdg", dump_grid, sol), ("uhat_hdg", dump_trace, sol),
+                   ("uh_supg", dump_grid, supg_sol))
 
 
 def _reduced_limit_row(config, case, mesh):

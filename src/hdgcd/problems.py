@@ -24,7 +24,8 @@ SOURCE_CHECK_POINTS = 1000
 SOURCE_CHECK_SEED = 20240214
 SOURCE_TOL = 1e-8
 GRAD_TOL = 1e-7
-# 4th-order central stencils on the shifts 2, 1, 0, -1, -2 (times h)
+# 4th-order central stencils on the shifts _FD_SHIFTS (times h)
+_FD_SHIFTS = (2.0, 1.0, 0.0, -1.0, -2.0)
 _FD_FIRST = (-1.0, 8.0, 0.0, -8.0, 1.0)
 _FD_SECOND = (-1.0, 16.0, -30.0, 16.0, -1.0)
 
@@ -79,6 +80,13 @@ def _layer_value(t, eps):
     return np.sin(0.5 * np.pi * t) * (1.0 - np.exp((t - 1.0) / eps))
 
 
+def _layer_slope(t, eps):
+    """(A, A') alone, in the expression order of :func:`_layer_profile`."""
+    s = np.sin(0.5 * np.pi * t)
+    e = np.exp((t - 1.0) / eps)
+    return s * (1.0 - e), 0.5 * np.pi * np.cos(0.5 * np.pi * t) * (1.0 - e) - s * e / eps
+
+
 def _layer_profile(t, eps):
     """1-D factor A(t) = sin(pi t / 2) (1 - exp((t - 1) / eps)) and its first
     two derivatives, (A, A', A''), from one sin, cos and exp."""
@@ -120,8 +128,8 @@ def case_layer(epsilon):
         return _layer_value(x, epsilon) * _layer_value(y, epsilon)
 
     def exact_grad(x, y):
-        ax, dax, _ = _layer_profile(x, epsilon)
-        ay, day, _ = _layer_profile(y, epsilon)
+        ax, dax = _layer_slope(x, epsilon)
+        ay, day = _layer_slope(y, epsilon)
         return dax * ay, ax * day
 
     def f(x, y):
@@ -186,15 +194,20 @@ def _fd_step(eps):
     return min(1e-3, max(2e-4, 0.02 * eps))
 
 
-def _fd(exact, x, y, h, axis, weights, order):
-    """Finite-difference derivative of the given ``order`` of the exact solution
-    along ``axis``: the stencil ``weights`` (see ``_FD_FIRST``) over 12 h^order."""
-    def at(shift):
-        xs, ys = (x + shift * h, y) if axis == 0 else (x, y + shift * h)
+def _fd_derivatives(exact, x, y, h):
+    """The exact solution at (x, y) and its first and second derivatives
+    along x and along y by the stencils above, ``(u, (ux, uy), (uxx, uyy))``;
+    each stencil point is evaluated once, the unshifted one for both axes."""
+    def at(xs, ys):
         return eval_field(exact, xs, ys, "exact")
 
-    total = sum(w * at(s) for s, w in zip((2.0, 1.0, 0.0, -1.0, -2.0), weights) if w)
-    return total / (12.0 * h ** order)
+    def fd(samples, weights, order):
+        return sum(w * v for v, w in zip(samples, weights) if w) / (12.0 * h ** order)
+
+    center = at(x, y)
+    along = ([at(x + s * h, y) if s else center for s in _FD_SHIFTS],
+             [at(x, y + s * h) if s else center for s in _FD_SHIFTS])
+    return center, [fd(a, _FD_FIRST, 1) for a in along], [fd(a, _FD_SECOND, 2) for a in along]
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
@@ -218,8 +231,7 @@ def verify_source_term(case):
     h = _fd_step(problem.epsilon)
 
     gx, gy = eval_field(case.exact_grad, x, y, "exact_grad", vector=True)
-    fx = _fd(case.exact, x, y, h, 0, _FD_FIRST, 1)
-    fy = _fd(case.exact, x, y, h, 1, _FD_FIRST, 1)
+    center, (fx, fy), (uxx, uyy) = _fd_derivatives(case.exact, x, y, h)
     grad_resid = np.maximum(np.abs(gx - fx) / (1.0 + np.abs(gx)),
                             np.abs(gy - fy) / (1.0 + np.abs(gy)))
     worst_grad = float(grad_resid.max())
@@ -231,11 +243,9 @@ def verify_source_term(case):
     bx, by = eval_field(problem.b, x, y, "b", vector=True)
     pde = bx * gx + by * gy
     if problem.c is not None:
-        pde = pde + eval_field(problem.c, x, y, "c") * eval_field(case.exact, x, y, "exact")
+        pde = pde + eval_field(problem.c, x, y, "c") * center
     if not case.reduced_exact:
-        lap = (_fd(case.exact, x, y, h, 0, _FD_SECOND, 2)
-               + _fd(case.exact, x, y, h, 1, _FD_SECOND, 2))
-        pde = pde - problem.epsilon * lap
+        pde = pde - problem.epsilon * (uxx + uyy)
     fv = eval_field(problem.f, x, y, "f")
     resid = np.abs(fv - pde) / (1.0 + np.abs(fv))
     worst = float(resid.max())

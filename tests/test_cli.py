@@ -178,11 +178,12 @@ def test_overflowing_field_fails_by_name_without_a_warning(capsys):
 @pytest.mark.parametrize("argv", [["--problem", "layer", "--epsilon", "1e160"],
                                   ["--study", "layer", "--epsilon", "1e308"]])
 def test_a_field_that_raises_overflow_fails_by_name(argv, capsys):
-    # eps ** 2 of a Python float raises OverflowError in the layer profile
+    # eps ** 2 of a Python float raises OverflowError in the layer source;
+    # the gradient forms no eps ** 2, so f is the first field to overflow
     assert main(argv + ["--n", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: field exact_grad fails to evaluate: OverflowError: ")
+    assert captured.err.startswith("error: field f fails to evaluate: OverflowError: ")
     assert captured.err.count("\n") == 1
 
 
@@ -282,6 +283,30 @@ def test_dumps_write_the_formatted_samples(tmp_path):
     first = (tmp_path / "trace.npy").read_bytes()
     dump_trace(odd, tmp_path / "trace.npy")
     assert (tmp_path / "trace.npy").read_bytes() == first
+
+
+def test_a_row_sampler_samples_as_each_dump_did_alone():
+    # One GridSampler serves solutions of several degrees on its mesh and
+    # gives what a dump that located the grid by itself gives: bit for bit
+    # at k <= 2; at k = 3 within 1e-15 of the largest |value|, so that a
+    # sampler may sum the basis terms in another order.
+    from hdgcd.fespace import get_element_basis
+    from hdgcd.supg import solve_supg
+    case = case_smooth(1e-2)
+    mesh = build_uniform_triangulation(5, case.problem.boundary)
+    grid = hdgcd.cli.GridSampler(mesh)
+    xs = np.linspace(0.0, 1.0, 101)
+    pts = np.column_stack([np.tile(xs, 101), np.repeat(xs, 101)])
+    elems, ref = _locate_points(mesh, pts)
+    sols = [solve_hdg(case.problem, mesh, degree=k) for k in (1, 2, 3)]
+    for sol in sols + [solve_supg(case.problem, mesh)]:
+        expected = (sol.u[elems] * get_element_basis(sol.degree).values(ref)).sum(axis=1)
+        got_pts, got = grid.sample(sol)
+        assert np.array_equal(got_pts, pts)
+        if sol.degree <= 2:
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        else:
+            assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
 def test_main_writes_csv_and_exit_codes(tmp_path, capsys):

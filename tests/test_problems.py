@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hdgcd.problems import (CASE_NAMES, ManufacturedCase, _layer_max, _layer_profile,
-                            _layer_value, case_layer, case_reduced_limit, case_smooth, get_case,
-                            verify_source_term)
+                            _layer_slope, _layer_value, case_layer, case_reduced_limit,
+                            case_smooth, get_case, verify_source_term)
 
 # maximum of the 1-D layer factor as the bounded Brent search that preceded
 # the bisection found it (grid start, xatol 1e-14), recorded per epsilon
@@ -69,6 +69,19 @@ def test_layer_exact_max_dominates_grid():
     assert vals.max() <= case.exact_max + 1e-15
     assert vals.max() > case.exact_max - 1e-4
     assert case.exact_max < 1.0
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-3, 1e-6])
+def test_layer_slope_is_the_profile_without_its_second_derivative(eps):
+    # the gradient's (A, A') are the profile's first two outputs bit for
+    # bit, also inside the layer, within 50 eps of t = 1
+    rng = np.random.default_rng(29)
+    t = np.concatenate([rng.uniform(0.0, 1.0, 2000), 1.0 - eps * rng.uniform(0.0, 50.0, 2000),
+                        [0.0, 1.0]])
+    t = t[t >= 0.0]
+    for got, want in zip(_layer_slope(t, eps), _layer_profile(t, eps)[:2]):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert len(_layer_slope(t, eps)) == 2
 
 
 @pytest.mark.parametrize("eps", BRENT_LAYER_MAX)
@@ -151,6 +164,22 @@ def test_get_case_dispatch():
     for name in CASE_NAMES:
         with pytest.raises(ValueError, match="^diffusion coefficient must be positive and finite"):
             get_case(name, 0.0)
+
+
+@pytest.mark.parametrize("make", [case_smooth, case_layer, case_reduced_limit])
+def test_verify_source_term_evaluates_each_stencil_point_once(make):
+    # the first- and second-derivative stencils share their samples of the
+    # exact solution, and the reaction term reads the unshifted one: (x, y)
+    # and four shifts per axis, where each check once took 18 evaluations
+    case = make(1e-3)
+    points = []
+
+    def exact(x, y):
+        points.append(np.column_stack([x, y]).tobytes())
+        return case.exact(x, y)
+
+    assert verify_source_term(replace(case, exact=exact)) == verify_source_term(case)
+    assert len(points) == len(set(points)) == 9
 
 
 def test_verify_source_term_catches_wrong_source():

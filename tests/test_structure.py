@@ -29,11 +29,12 @@
   ``sparse_solve`` names ``RESIDUAL_RTOL`` or calls ``sparse_factor``.
 
 Two guards run code instead.  A layer study keeps nothing past its rows:
-``hdgcd.cli``'s module globals keep their names and objects, and each
-study mesh holds only the assembly contexts the solves and norms use.  The
-volume kernels read the context's per-point product tables, which only a
-kernel builds: ``transport`` returns one stacked matrix array, and the
-context has no ``streamline`` derivatives.
+``hdgcd.cli``'s module globals keep their names and objects, each study
+mesh holds only the assembly contexts the solves and norms use, and a
+row's one grid sampler, which locates the dump grid once, dies with the
+row.  The volume kernels read the context's per-point product tables,
+which only a kernel builds: ``transport`` returns one stacked matrix
+array, and the context has no ``streamline`` derivatives.
 """
 
 import ast
@@ -270,15 +271,24 @@ def test_only_sparse_solve_solves_and_checks_a_global_system():
 
 
 def test_a_layer_study_keeps_no_cache(tmp_path, monkeypatch):
-    meshes, solutions = [], []
-    build = hdgcd.cli.build_uniform_triangulation
+    meshes, solutions, samplers, located = [], [], [], []
+    build, locate = hdgcd.cli.build_uniform_triangulation, hdgcd.cli._locate_points
 
     def recording_build(*args, **kwargs):
-        # no solution of the previous rows is alive when the next row's
-        # mesh is built
-        assert [ref() for ref in solutions] == [None] * len(solutions)
+        # no solution or grid sampler of the previous rows is alive when
+        # the next row's mesh is built
+        assert [ref() for ref in solutions + samplers] == [None] * len(solutions + samplers)
         meshes.append(build(*args, **kwargs))
         return meshes[-1]
+
+    class RecordedSampler(hdgcd.cli.GridSampler):
+        def __init__(self, mesh):
+            super().__init__(mesh)
+            samplers.append(weakref.ref(self))
+
+    def counted_locate(mesh, pts):
+        located.append(len(meshes))
+        return locate(mesh, pts)
 
     def weakly_recorded(solve):
         def call(*args, **kwargs):
@@ -294,11 +304,17 @@ def test_a_layer_study_keeps_no_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(hdgcd.cli, "build_uniform_triangulation", recording_build)
     for name in ("solve_hdg", "solve_supg"):
         monkeypatch.setattr(hdgcd.cli, name, weakly_recorded(getattr(hdgcd.cli, name)))
+    monkeypatch.setattr(hdgcd.cli, "GridSampler", RecordedSampler)
+    monkeypatch.setattr(hdgcd.cli, "_locate_points", counted_locate)
     before = state()
     run_study(RunConfig(study="layer", epsilon=1e-6, mesh_sizes=(4, 6, 8),
                         out=str(tmp_path / "layer.csv")))
     assert state() == before
     assert len(meshes) == 3 and len(solutions) == 6
+    # one sampler per row, which locates the grid once for the row's two
+    # grid dumps and is gone once the study returns
+    assert len(samplers) == 3 and [ref() for ref in samplers] == [None] * 3
+    assert located == [1, 2, 3]
     # the case's order-12 context, and the scheme norm's at the default 2k + 2
     assert [set(mesh.contexts) for mesh in meshes] == [{(1, 4), (1, 12)}] * 3
 
