@@ -121,7 +121,7 @@ def _projection(exact, dofmap, ctx, exact_vol):
     if dofmap.skeleton_mode == "dg":
         free = dofmap.free_edges
         if free.size:
-            E = dofmap.edge_basis.values(ctx.edge.points)
+            E = dofmap.trace_values(ctx.edge.points)
             uhat[dofmap.edge_dofs[free]] = _project(
                 E, ctx.edge.weights, ctx.edge_values(exact, "exact", edges=free))
     else:
@@ -151,13 +151,13 @@ def _project(vals, weights, f):
     return np.linalg.solve(vals.T @ w_vals, (f @ w_vals).T).T
 
 
-def _trace_gap(ctx, tr, pair):
-    """uhat - u of the discrete ``pair`` at the points of the trace tables
-    ``tr`` (nt, 3nqe)."""
+def _trace_gap(ctx, pair):
+    """uhat - u of the discrete ``pair`` at the edge points of every element's
+    slots, each in the element's direction (nt, 3nqe), as in the trace tables."""
     dofmap = pair.dofmap
     E = dofmap.slot_values(ctx.edge.points)
     uhat = dofmap.gather(pair.uhat, dofmap.element_trace_dofs()) @ E.T
-    return uhat - tr.select(pair.u @ ctx.N_tr.reshape(-1, pair.u.shape[1]).T)
+    return uhat - pair.u @ ctx.N_tr.reshape(-1, pair.u.shape[1]).T
 
 
 def _scheme_norm(pair, problem, eta, elems):
@@ -177,9 +177,8 @@ def _scheme_norm(pair, problem, eta, elems):
         h2_sq_elem = (h2 * w).sum(axis=1) * mesh.h_K ** 2
 
     # edge quantities: the gap on every slot, then the slots of those elements
-    tr = ctx.traces(mesh)
-    diff2 = _trace_gap(ctx, tr, pair)[elems] ** 2
-    tr = TraceTables._make(table[elems] for table in tr)
+    diff2 = _trace_gap(ctx, pair)[elems] ** 2
+    tr = TraceTables._make(table[elems] for table in ctx.traces(mesh))
     bn = tr.normal_velocity(*ctx.edge_values(problem.b, "b", vector=True))
     skel = ~tr.neumann
     jump_sq = float(((eta / tr.h) * tr.weights * diff2)[skel].sum())
@@ -272,9 +271,9 @@ def conservation_residual(solution, problem):
     residual = ((conv - f) * ctx.volume_weights(mesh)).sum(axis=1)
 
     tr = ctx.traces(mesh)
-    diff = _trace_gap(ctx, tr, solution)
+    diff = _trace_gap(ctx, solution)
     u, nt = solution.u, mesh.n_elements
-    grad_ref = tr.select(u @ np.swapaxes(ctx.dN_tr, -1, -2).reshape(-1, u.shape[1]).T)
+    grad_ref = u @ np.swapaxes(ctx.dN_tr, -1, -2).reshape(-1, u.shape[1]).T
     dn = np.einsum("tsqb,tsb->tsq", grad_ref.reshape(nt, 3, -1, 2), tr.normals_ref).reshape(nt, -1)
     w_u = flux_weights(ctx, tr, problem, info["eta"])[1]
     flux = problem.epsilon * dn + w_u * diff

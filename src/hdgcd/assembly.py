@@ -212,7 +212,7 @@ class ElementSystems:
     Blocks are (nt, nd, nd) ``A_uu``, (nt, nd, ntr) ``A_ut``, (nt, ntr, nd)
     ``A_tu``, (nt, ntr, ntr) ``A_tt`` and the load ``b_u`` (nt, nd); no
     term loads a trace row.  Trace columns are grouped by local edge slot,
-    ``ndof_edge`` entries per slot in canonical edge orientation, as in
+    ``ndof_edge`` entries per slot in the element's direction along it, as in
     :meth:`hdgcd.fespace.DofMap.element_trace_dofs`.  ``systems[t]`` gives
     element t's blocks as views.
     """
@@ -244,42 +244,25 @@ def _swap(a):
 
 
 class TraceTables(NamedTuple):
-    """The three edge slots of each of nt elements in canonical edge
-    orientation, with the slot and point axes flattened to p = s * nqe + q.
-    They hold no element basis: slot s of element t reads the context's
-    ``N_tr[s, o]`` and ``dN_tr[s, o]``, o = ``orientation[t, s]``."""
+    """The three edge slots of each of nt elements, each in its element's
+    direction, with the slot and point axes flattened to p = s * nqe + q.
+    They hold no element basis: slot s of every element reads the context's
+    ``N_tr[s]`` and ``dN_tr[s]``."""
 
-    edges: np.ndarray          # (nt, 3) global edge index of each slot
+    points: np.ndarray         # (nt, 3nqe) index of each slot point into per-edge rows (ne, nqe)
     neumann: np.ndarray        # (nt, 3nqe) True on Neumann edges (no trace)
     h: np.ndarray              # (nt, 3nqe) edge length h_e
     normals: np.ndarray        # (nt, 3nqe, 2) unit outward normal
     weights: np.ndarray        # (nt, 3nqe) edge quadrature weights times h_e
-    orientation: np.ndarray    # (nt, 3) 1 where the slot runs forward along its edge, else 0
     normals_ref: np.ndarray    # (nt, 3, 2) pulled-back normal J^{-1} n: dn phi = n_ref . grad_ref phi
 
     def gather(self, per_edge):
-        """Rows (ne, m) of per-edge data at every element's slots, (nt, 3m)."""
-        slots = per_edge[self.edges]
-        return slots.reshape(len(slots), 3 * per_edge.shape[1])
+        """Values (ne, nqe) per edge point at every element's slot points, (nt, 3nqe)."""
+        return per_edge.take(self.points)
 
     def normal_velocity(self, bx_e, by_e):
         """b . n at the trace points, from velocity values per edge (ne, nqe)."""
         return self.gather(bx_e) * self.normals[..., 0] + self.gather(by_e) * self.normals[..., 1]
-
-    def expand(self, coef):
-        """Coefficients (nt, 3nqe[, c]) laid out over (slot, orientation, point[,
-        component]), (nt, 3 * 2 * nqe[* c]): zero in the orientation a slot does not read."""
-        nt = len(coef)
-        out = np.zeros((nt, 3, 2, coef[0].size // 3))
-        out[np.arange(nt)[:, None], np.arange(3), self.orientation] = coef.reshape(nt, 3, -1)
-        return out.reshape(nt, -1)
-
-    def select(self, values):
-        """Values (nt, 3 * 2 * nqe[* c]) over (slot, orientation, point[, component])
-        in the orientation each slot reads, (nt, 3nqe[* c])."""
-        nt = len(values)
-        slots = values.reshape(nt, 3, 2, -1)[np.arange(nt)[:, None], np.arange(3), self.orientation]
-        return slots.reshape(nt, -1)
 
 
 def pull_back(mesh, v):
@@ -299,12 +282,12 @@ class AssemblyContext:
     tensors ``R[a, b] = sum_q w_q d_a phi_i d_b phi_j`` (2, 2, nd, nd), and
     the element metric maps coefficients, never the basis (:func:`pull_back`).
     The per-point product tables of :func:`table_product` are built on first use.
-    Element traces along an edge, ``N_tr`` and ``dN_tr`` [s, o, q, ...], are
-    tabulated for both traversal directions o, so that every edge quantity is
-    expressed in the canonical (ascending vertex index) parameterization shared
-    by the trace basis; :meth:`traces` records the direction each slot reads.  The trace
-    basis itself belongs to the dof map (:meth:`hdgcd.fespace.DofMap.slot_values`
-    tabulates it at ``edge.points``), so the context holds element tables only.
+    Element traces along an edge, ``N_tr`` and ``dN_tr`` [s, q, ...], run from
+    local vertex s to s + 1; the edge's direction enters only through the index
+    maps :meth:`traces` and :meth:`hdgcd.fespace.DofMap.element_trace_dofs`
+    (:meth:`hdgcd.mesh.Mesh.slot_index`).  The trace basis belongs to the dof map
+    (:meth:`hdgcd.fespace.DofMap.trace_values` tabulates it at ``edge.points``),
+    so the context holds element tables only.
     The context keeps no reference to its mesh, so it can live in
     ``mesh.contexts`` and be freed with it, and with it the one problem
     whose volume fields it holds (:meth:`fields`).  It is the only place that
@@ -320,12 +303,12 @@ class AssemblyContext:
         self.R = np.einsum("q,qia,qjb->abij", self.vol.weights, self.dN, self.dN)
         self.N_vert = basis.values(REF_VERTICES)
         t = self.edge.points
-        # slot s from vertex s to s + 1, traversed backward (o = 0) or forward (o = 1)
-        r0 = REF_VERTICES[:, None, None]
-        r1 = np.roll(REF_VERTICES, -1, axis=0)[:, None, None]
-        pts = (r0 + np.stack([1.0 - t, t])[..., None] * (r1 - r0)).reshape(-1, 2)
-        self.N_tr = basis.values(pts).reshape(3, 2, t.size, -1)   # [s, o, q, i]
-        self.dN_tr = basis.gradients(pts).reshape(3, 2, t.size, -1, 2)
+        # slot s from vertex s to s + 1
+        r0 = REF_VERTICES[:, None]
+        r1 = np.roll(REF_VERTICES, -1, axis=0)[:, None]
+        pts = (r0 + t[:, None] * (r1 - r0)).reshape(-1, 2)
+        self.N_tr = basis.values(pts).reshape(3, t.size, -1)   # [s, q, i]
+        self.dN_tr = basis.gradients(pts).reshape(3, t.size, -1, 2)
         self.X_vol = mesh.physical_points(self.vol.points)
         self.X_edge = mesh.edge_points(t)
         self._fields = (None, None)
@@ -388,16 +371,17 @@ class AssemblyContext:
     def traces(self, mesh):
         """:class:`TraceTables` of all three edge slots of every element.
 
-        The slot orientations ``edge_forward`` are read here only; the
-        tables are built per call and not cached.
+        Each slot reads the edge's points in its element's direction
+        (:meth:`hdgcd.mesh.Mesh.slot_index`; the edge rule is symmetric about
+        the midpoint).  The tables are built per call and not cached.
         """
         nqe = self.edge.weights.size
         edges = mesh.elem_edges
         neumann, h, normals = (np.repeat(a, nqe, axis=1) for a in
                                (mesh.edge_tags[edges] == _NEUMANN, mesh.h_e[edges], mesh.normals))
         n_ref = np.moveaxis(pull_back(mesh, np.moveaxis(mesh.normals, -1, 0)), 0, -1)
-        return TraceTables(edges, neumann, h, normals, np.tile(self.edge.weights, 3) * h,
-                           mesh.edge_forward.astype(np.intp), n_ref)
+        return TraceTables(mesh.slot_index(nqe), neumann, h, normals,
+                           np.tile(self.edge.weights, 3) * h, n_ref)
 
 
 def get_context(mesh, degree, quad_order=None):
@@ -455,7 +439,7 @@ def load(ctx, w_f, g, tr):
     ``g``, which meets the trace tables ``tr``; both may be None without g_N."""
     out = w_f @ ctx.N
     if g is not None:
-        out += tr.expand(tr.weights * tr.gather(g)) @ ctx.N_tr.reshape(-1, ctx.N.shape[1])
+        out += (tr.weights * tr.gather(g)) @ ctx.N_tr.reshape(-1, ctx.N.shape[1])
     return out
 
 
@@ -479,31 +463,30 @@ def flux_weights(ctx, tr, problem, eta, parts=("diffusion", "convection")):
 
 def _edge_terms(ctx, tr, dofmap, out, problem, eta, parts):
     """Consistency terms and the gap coupling on every non-Neumann slot of ``tr``,
-    each one :func:`table_product` of a coefficient spread over both slot
-    orientations (:meth:`TraceTables.expand`) with a table of basis products
-    along the slots, built per call from the trace basis, ``N_tr`` and ``dN_tr``."""
-    E = dofmap.slot_values(ctx.edge.points)
-    E_o = E.reshape(3, 1, -1, E.shape[1], 1)            # [s, o, q, a, 1], alike in both orientations
-    N, dN = ctx.N_tr[..., None, :], _swap(ctx.dN_tr)[..., None, :]   # [s, o, q(, b), 1, i]
-    E_N = E_o * N
+    each one :func:`table_product` of a coefficient at the slot points with a
+    table of basis products along the slots, built per call from the trace
+    basis, ``N_tr`` and ``dN_tr``."""
+    E = dofmap.slot_values(ctx.edge.points)[:, :, None]   # [p, a, 1], p = s * nqe + q
+    N_tr = ctx.N_tr.reshape(len(E), -1)
+    N, dN = N_tr[:, None], _swap(ctx.dN_tr).reshape(len(E), 2, 1, -1)   # [p(, b), 1, i]
+    E_N = E * N
     we = tr.weights * ~tr.neumann
     if "diffusion" in parts:
         # consistency term <eps dn(u), vhat - v> and its adjoint, weighted eps w J^{-1} n
-        wdn = tr.expand((problem.epsilon * we).reshape(len(we), 3, -1, 1)
-                        * tr.normals_ref[:, :, None])
-        E_dN = table_product(wdn, E_o[..., None, :, :] * dN)
-        N_dN = table_product(wdn, ctx.N_tr[..., None, :, None] * dN)
+        wdn = ((problem.epsilon * we).reshape(len(we), 3, -1, 1)
+               * tr.normals_ref[:, :, None]).reshape(len(we), -1)
+        E_dN = table_product(wdn, E[:, None] * dN)
+        N_dN = table_product(wdn, N_tr[:, None, :, None] * dN)
         out.A_tu += E_dN
         out.A_ut += _swap(E_dN)
         out.A_uu -= N_dN + _swap(N_dN)
         del wdn   # freed before the gap weights form theirs
     # gap coupling <uhat - u, w_t vhat - w_u v>
     w_t, w_u = (we * w for w in flux_weights(ctx, tr, problem, eta, parts))
-    out.A_tt += table_product(w_t, E[:, :, None] * E[:, None])
-    out.A_tu -= table_product(tr.expand(w_t), E_N)
-    w_u = tr.expand(w_u)
+    out.A_tt += table_product(w_t, E * _swap(E))
+    out.A_tu -= table_product(w_t, E_N)
     out.A_ut -= _swap(table_product(w_u, E_N))
-    out.A_uu += table_product(w_u, ctx.N_tr[..., None] * N)
+    out.A_uu += table_product(w_u, N_tr[..., None] * N)
 
 
 def neumann_data(problem, mesh, ctx):

@@ -161,7 +161,7 @@ def dump_trace(solution, path):
     skel = solution.dofmap.skeleton_edges
     ts = np.asarray(TRACE_SAMPLES)
     pts = solution.mesh.edge_points(ts, skel).reshape(-1, 2)
-    vals = solution.edge_traces()[skel] @ solution.dofmap.edge_basis.values(ts).T
+    vals = solution.edge_traces()[skel] @ solution.dofmap.trace_values(ts).T
     _write_samples(path, pts, vals.ravel())
 
 

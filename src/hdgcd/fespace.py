@@ -178,7 +178,8 @@ class DofMap:
     edges are fixed to zero and removed from the global index space (marked
     -1, which :meth:`gather` reads as 0), not penalized.  ``free_edges``
     ("dg") or ``free_vertices`` ("cg") lists the entities with active dofs.
-    The trace basis is ``edge_basis`` (``ndof_edge`` functions, see :meth:`slot_values`).
+    The trace basis is ``edge_basis`` (``ndof_edge`` functions), read through
+    :meth:`trace_values` only.
 
     ``skeleton_mode`` (see :func:`check_skeleton_mode`):
       * ``"dg"``: one independent P_k trace per skeleton edge,
@@ -222,15 +223,28 @@ class DofMap:
     def n_total(self):
         return self.n_interior + self.n_trace_active
 
+    def trace_values(self, t):
+        """The trace basis (nq, ndof_edge) at points ``t`` (nq,) symmetric about the
+        edge midpoint (else ValueError), averaged with its mirror image: reversing
+        the points and the functions gives it back bit for bit, so an edge read
+        backward with its dofs reversed (:meth:`element_trace_dofs`) sees this table."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if not (np.abs(t + t[::-1] - 1.0) <= 1e-14).all():
+            raise ValueError(f"trace points must be symmetric about the edge midpoint "
+                             f"(t[i] + t[-1 - i] == 1), got {t.tolist()}")
+        E = self.edge_basis.values(t)
+        return 0.5 * (E + E[::-1, ::-1])
+
     def slot_values(self, t):
-        """Block-diagonal table (3 nq, 3 ndof_edge) of the trace basis at ``t`` (nq,) per slot."""
-        return np.kron(np.eye(3), self.edge_basis.values(t))
+        """Block-diagonal table (3 nq, 3 ndof_edge) of :meth:`trace_values` at ``t`` per slot."""
+        return np.kron(np.eye(3), self.trace_values(t))
 
     def element_trace_dofs(self):
         """Active-trace indices of every element's three edge slots, slot by
         slot, (nt, 3 (k+1)); -1 where the slot is constrained (Dirichlet) or
-        off the skeleton (Neumann)."""
-        return self.edge_dofs[self.mesh.elem_edges].reshape(self.mesh.n_elements, -1)
+        off the skeleton (Neumann); each slot's dofs in its element's direction
+        (:meth:`hdgcd.mesh.Mesh.slot_index`)."""
+        return self.edge_dofs.take(self.mesh.slot_index(self.ndof_edge))
 
     def element_global_dofs(self):
         """Global indices (nt, nd + 3 (k+1)) of every element's interior dofs,

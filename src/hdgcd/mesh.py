@@ -77,7 +77,7 @@ class Mesh:
         to the mesh, so a dropped mesh is freed by refcount.
     """
 
-    def __init__(self, vertices, triangles, boundary=None, generator_n=None):
+    def __init__(self, vertices, triangles, boundary=None):
         vertices = np.ascontiguousarray(vertices, dtype=float)
         triangles = np.asarray(triangles)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -109,7 +109,7 @@ class Mesh:
 
         self.vertices = vertices
         self.triangles = triangles
-        self.generator_n = generator_n
+        self.generator_n = None   # build_uniform_triangulation's n, whose numbering dumps read
 
         tri_pts = vertices[triangles]  # (nt, 3, 2)
         d1 = tri_pts[:, 1] - tri_pts[:, 0]
@@ -245,6 +245,14 @@ class Mesh:
         vb = self.vertices[self.edges[edges, 1]]
         return va[:, None, :] + t[None, :, None] * (vb - va)[:, None, :]
 
+    def slot_index(self, m):
+        """Index (nt, 3m) into per-edge rows (ne, m), ordered from the lower to the
+        higher vertex index and symmetric about the edge midpoint, that reads each
+        element's slot s from its local vertex s to s + 1: reversed on a backward slot."""
+        q = np.arange(m)
+        rows = self.elem_edges[..., None] * m + np.where(self.edge_forward[..., None], q, q[::-1])
+        return rows.reshape(self.n_elements, -1)
+
 
 def build_uniform_triangulation(n, boundary=None):
     """Uniform n-by-n triangulation of the unit square.
@@ -267,7 +275,9 @@ def build_uniform_triangulation(n, boundary=None):
     # cell (i, j): triangle 2 (j n + i) below its diagonal, 2 (j n + i) + 1 above
     triangles = np.stack([np.column_stack([p00, p10, p11]),
                           np.column_stack([p00, p11, p01])], axis=1).reshape(-1, 3)
-    return Mesh(vertices, triangles, boundary=boundary, generator_n=n)
+    mesh = Mesh(vertices, triangles, boundary=boundary)
+    mesh.generator_n = n
+    return mesh
 
 
 def _locate_points(mesh, pts):

@@ -75,27 +75,20 @@ def case_smooth(epsilon):
                             sample_box=((0.01, 0.99), (0.01, 0.99)))
 
 
-def _layer_value(t, eps):
-    """The 1-D factor A(t) alone, in the expression order of :func:`_layer_profile`."""
-    return np.sin(0.5 * np.pi * t) * (1.0 - np.exp((t - 1.0) / eps))
-
-
-def _layer_slope(t, eps):
-    """(A, A') alone, in the expression order of :func:`_layer_profile`."""
-    s = np.sin(0.5 * np.pi * t)
-    e = np.exp((t - 1.0) / eps)
-    return s * (1.0 - e), 0.5 * np.pi * np.cos(0.5 * np.pi * t) * (1.0 - e) - s * e / eps
-
-
-def _layer_profile(t, eps):
+def _layer_profile(t, eps, order):
     """1-D factor A(t) = sin(pi t / 2) (1 - exp((t - 1) / eps)) and its first
-    two derivatives, (A, A', A''), from one sin, cos and exp."""
+    ``order`` (0, 1 or 2) derivatives, (A, A', A'')[:order + 1], from one sin,
+    exp and, for a derivative, cos; a derivative it does not return is not formed."""
     s = np.sin(0.5 * np.pi * t)
-    ds = 0.5 * np.pi * np.cos(0.5 * np.pi * t)
-    d2s = -(0.5 * np.pi) ** 2 * s
     e = np.exp((t - 1.0) / eps)
-    return (s * (1.0 - e), ds * (1.0 - e) - s * e / eps,
-            d2s * (1.0 - e) - 2.0 * ds * e / eps - s * e / eps ** 2)
+    out = [s * (1.0 - e)]
+    if order >= 1:
+        ds = 0.5 * np.pi * np.cos(0.5 * np.pi * t)
+        out.append(ds * (1.0 - e) - s * e / eps)
+    if order >= 2:
+        d2s = -(0.5 * np.pi) ** 2 * s
+        out.append(d2s * (1.0 - e) - 2.0 * ds * e / eps - s * e / eps ** 2)
+    return tuple(out)
 
 
 def _layer_max(eps):
@@ -110,7 +103,7 @@ def _layer_max(eps):
         s, e = np.sin(0.5 * np.pi * mid), np.exp((mid - 1.0) / eps)
         rising = eps * 0.5 * np.pi * np.cos(0.5 * np.pi * mid) * (1.0 - e) > s * e
         lo, hi = (mid, hi) if rising else (lo, mid)
-    return float(max(_layer_value(lo, eps), _layer_value(hi, eps)))
+    return float(max(_layer_profile(lo, eps, 0)[0], _layer_profile(hi, eps, 0)[0]))
 
 
 def case_layer(epsilon):
@@ -125,16 +118,16 @@ def case_layer(epsilon):
     has accepted epsilon.
     """
     def exact(x, y):
-        return _layer_value(x, epsilon) * _layer_value(y, epsilon)
+        return _layer_profile(x, epsilon, 0)[0] * _layer_profile(y, epsilon, 0)[0]
 
     def exact_grad(x, y):
-        ax, dax = _layer_slope(x, epsilon)
-        ay, day = _layer_slope(y, epsilon)
+        ax, dax = _layer_profile(x, epsilon, 1)
+        ay, day = _layer_profile(y, epsilon, 1)
         return dax * ay, ax * day
 
     def f(x, y):
-        ax, dax, d2ax = _layer_profile(x, epsilon)
-        ay, day, d2ay = _layer_profile(y, epsilon)
+        ax, dax, d2ax = _layer_profile(x, epsilon, 2)
+        ay, day, d2ay = _layer_profile(y, epsilon, 2)
         return -epsilon * (d2ax * ay + ax * d2ay) + dax * ay + ax * day
 
     problem = ProblemSpec(epsilon=epsilon, b=lambda x, y: (np.ones_like(x), np.ones_like(y)),

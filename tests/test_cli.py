@@ -235,6 +235,23 @@ def test_dump_field_grid_matches_solution(tmp_path):
         dump_field_grid(generic, tmp_path / "generic.npy")
 
 
+def test_a_hand_built_mesh_refuses_a_field_dump(tmp_path):
+    # the dump grid is located by the uniform mesh's numbering, which only
+    # build_uniform_triangulation vouches for: its triangles on moved
+    # vertices are another mesh, and Mesh takes no subdivision count
+    case = case_smooth(1.0)
+    uniform = build_uniform_triangulation(8, case.problem.boundary)
+    inner = ((uniform.vertices > 0.0) & (uniform.vertices < 1.0)).all(axis=1)
+    moved = uniform.vertices + 0.02 * inner[:, None] * np.sin(7.0 * uniform.vertices[:, ::-1])
+    with pytest.raises(TypeError, match="generator_n"):
+        Mesh(moved, uniform.triangles, generator_n=8)
+    sol = solve_hdg(case.problem, Mesh(moved, uniform.triangles), degree=2)
+    assert sol.mesh.generator_n is None and uniform.generator_n == 8
+    with pytest.raises(ValueError, match="^field dumps need a build_uniform_triangulation mesh$"):
+        dump_field_grid(sol, tmp_path / "moved.npy")
+    assert not (tmp_path / "moved.npy").exists()
+
+
 def _same_bits(path, pts, vals):
     """The dump at ``path`` holds exactly the float64 rows (x, y, value),
     compared bit for bit so that NaN, -0.0 and subnormals count."""

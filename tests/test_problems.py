@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hdgcd.problems import (CASE_NAMES, ManufacturedCase, _layer_max, _layer_profile,
-                            _layer_slope, _layer_value, case_layer, case_reduced_limit,
-                            case_smooth, get_case, verify_source_term)
+                            case_layer, case_reduced_limit, case_smooth, get_case,
+                            verify_source_term)
 
 # maximum of the 1-D layer factor as the bounded Brent search that preceded
 # the bisection found it (grid start, xatol 1e-14), recorded per epsilon
@@ -73,26 +73,34 @@ def test_layer_exact_max_dominates_grid():
 
 @pytest.mark.parametrize("eps", [1.0, 1e-3, 1e-6])
 def test_layer_slope_is_the_profile_without_its_second_derivative(eps):
-    # the gradient's (A, A') are the profile's first two outputs bit for
-    # bit, also inside the layer, within 50 eps of t = 1
+    # the exact solution's A and the gradient's (A, A') are the order-2
+    # profile's first outputs bit for bit, also inside the layer, within
+    # 50 eps of t = 1, and each is the one expression it always was
     rng = np.random.default_rng(29)
     t = np.concatenate([rng.uniform(0.0, 1.0, 2000), 1.0 - eps * rng.uniform(0.0, 50.0, 2000),
                         [0.0, 1.0]])
     t = t[t >= 0.0]
-    for got, want in zip(_layer_slope(t, eps), _layer_profile(t, eps)[:2]):
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert len(_layer_slope(t, eps)) == 2
+    s, e = np.sin(0.5 * np.pi * t), np.exp((t - 1.0) / eps)
+    formulas = (s * (1.0 - e), 0.5 * np.pi * np.cos(0.5 * np.pi * t) * (1.0 - e) - s * e / eps)
+    full = _layer_profile(t, eps, 2)
+    assert len(full) == 3
+    for order in (0, 1):
+        got = _layer_profile(t, eps, order)
+        assert len(got) == order + 1
+        for a, b, c in zip(got, full, formulas):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+            assert np.array_equal(a.view(np.uint64), c.view(np.uint64))
 
 
 @pytest.mark.parametrize("eps", BRENT_LAYER_MAX)
 def test_layer_max_bisection(eps):
     # its premise: A'' <= 0 on [0, 1], sampled densely overall and in the layer
     t = np.concatenate([np.linspace(0.0, 1.0, 100001), 1.0 - eps * np.linspace(0.0, 80.0, 8001)])
-    assert _layer_profile(t[t >= 0.0], eps)[2].max() <= 0.0
+    assert _layer_profile(t[t >= 0.0], eps, 2)[2].max() <= 0.0
     # at least the best A on the grid the Brent search started from, less 1 ulp
     grid = np.clip(np.concatenate([np.linspace(0.0, 1.0, 4001),
                                    1.0 - eps * np.linspace(0.0, 80.0, 4001)]), 0.0, 1.0)
-    best = _layer_value(grid, eps).max()
+    best = _layer_profile(grid, eps, 0)[0].max()
     amax = _layer_max(eps)
     assert amax >= best - np.spacing(best)
     assert amax == pytest.approx(BRENT_LAYER_MAX[eps], rel=1e-14, abs=0.0)

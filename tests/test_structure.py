@@ -1,8 +1,9 @@
 """Each rule has one home in the source: a static (ast) pass over src/hdgcd.
 
 * The trace basis belongs to the dof map: only ``fespace.py`` (and the
-  package's re-export) names ``get_edge_basis`` or ``EdgeBasis``, and
-  ``AssemblyContext`` keeps no trace table.
+  package's re-export) names ``get_edge_basis`` or ``EdgeBasis``, only it
+  calls ``edge_basis.values`` (everything else reads the one symmetric
+  table ``DofMap.trace_values``), and ``AssemblyContext`` keeps no trace table.
 * User fields reach numbers only through ``assembly.eval_field``: no other
   function calls ``.b``, ``.c``, ``.f``, ``.exact`` or ``.exact_grad``, or a
   callable named ``velocity`` or ``func``.
@@ -11,10 +12,11 @@
   ``element_trace_dofs()`` appear only in ``fespace.py``.
 * ``mesh.py`` owns the uniform mesh's numbering: only it reads
   ``generator_n``.  Only ``AssemblyContext`` reads its edge points ``X_edge``.
-* Orientation has one home: outside ``mesh.py`` only
-  ``AssemblyContext.traces`` reads ``edge_forward``, and the
-  ``TraceTables`` it builds hold no per-element basis axis, so their shapes
-  do not depend on the degree.
+* Orientation reaches two index maps only: nothing outside ``mesh.py``
+  reads ``edge_forward``, only ``DofMap.element_trace_dofs`` and
+  ``AssemblyContext.traces`` read ``Mesh.slot_index``, and the
+  ``TraceTables`` the latter builds hold no per-element basis axis, so
+  their shapes do not depend on the degree.
 * A study row reads one config: every ``Study.row`` takes exactly
   ``(config, case, mesh)``.
 * The error measures have one evaluation domain, the whole mesh: the
@@ -98,6 +100,18 @@ def test_the_edge_basis_is_named_only_in_fespace():
     assert found == []
 
 
+def test_only_the_dof_map_tabulates_the_edge_basis():
+    trees = modules()
+    calls = {name: [sub.lineno for sub in ast.walk(tree)
+                    if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                    and sub.func.attr == "values" and isinstance(sub.func.value, ast.Attribute)
+                    and sub.func.value.attr == "edge_basis"]
+             for name, tree in trees.items()}
+    assert {name: lines for name, lines in calls.items() if lines and name != "fespace.py"} == {}
+    # the guard does see trace_values' own call
+    assert calls["fespace.py"]
+
+
 def test_assembly_context_keeps_no_trace_table():
     tree = modules()["assembly.py"]
     cls = next(node for node in tree.body
@@ -166,17 +180,24 @@ def test_edge_points_are_read_only_in_the_context():
     assert found == [] and inside
 
 
+def method(tree, cls_name, name):
+    """The definition of method ``name`` of class ``cls_name`` in ``tree``."""
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == cls_name)
+    return next(node for node in cls.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
 def test_orientation_is_read_only_where_the_trace_tables_are_built():
     trees = modules()
-    cls = next(node for node in trees["assembly.py"].body
-               if isinstance(node, ast.ClassDef) and node.name == "AssemblyContext")
-    traces = next(node for node in cls.body
-                  if isinstance(node, ast.FunctionDef) and node.name == "traces")
-    inside = set(attribute_reads(traces, "edge_forward"))
-    found = [f"{name}:{line}" for name, tree in trees.items() if name != "mesh.py"
-             for line in attribute_reads(tree, "edge_forward")
-             if not (name == "assembly.py" and line in inside)]
-    assert found == [] and inside
+    assert [f"{name}:{line}" for name, tree in trees.items() if name != "mesh.py"
+            for line in attribute_reads(tree, "edge_forward")] == []
+    homes = {"assembly.py": method(trees["assembly.py"], "AssemblyContext", "traces"),
+             "fespace.py": method(trees["fespace.py"], "DofMap", "element_trace_dofs")}
+    inside = {name: set(attribute_reads(home, "slot_index")) for name, home in homes.items()}
+    found = [f"{name}:{line}" for name, tree in trees.items()
+             for line in attribute_reads(tree, "slot_index") if line not in inside.get(name, ())]
+    assert found == [] and all(inside.values())
     # no field carries a basis axis: degrees 1 and 4 build equal shapes
     mesh = build_uniform_triangulation(3)
     shapes = [[np.shape(field) for field in get_context(mesh, k, 8).traces(mesh)] for k in (1, 4)]

@@ -124,6 +124,28 @@ def test_smooth_rates_on_a_perturbed_family():
         np.testing.assert_allclose(rates, [k + 1, k, k], rtol=0.0, atol=0.2, err_msg=f"k={k}")
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3, 6, 8, 10])
+def test_solutions_do_not_depend_on_the_vertex_numbering(degree):
+    # relabelling vertex v as nv - 1 - v keeps every element and its local
+    # vertex order but flips every edge slot; the element fields must agree
+    # to the round-off of the solves, also where the monomial edge basis is
+    # reversal-symmetric only to about 1e-9 (k = 10), and so must the trace on
+    # every edge, whose coefficients now run the other way along it
+    problem, _, _ = bilinear_problem()
+    problem = replace(problem, epsilon=0.05, b=lambda x, y: (1.0 + y * y, x - 0.5 * y),
+                      boundary=None)
+    mesh = jittered_mesh(6, problem.boundary)
+    nv = mesh.n_vertices
+    flipped = Mesh(mesh.vertices[::-1], nv - 1 - mesh.triangles)
+    assert not (flipped.edge_forward == mesh.edge_forward).any()
+    sol, sol_flipped = (solve_hdg(problem, m, degree=degree) for m in (mesh, flipped))
+    assert np.abs(sol_flipped.u - sol.u).max() <= 1e-12 * np.abs(sol.u).max()
+    index = {edge: e for e, edge in enumerate(map(tuple, flipped.edges.tolist()))}
+    image = [index[nv - 1 - b, nv - 1 - a] for a, b in mesh.edges.tolist()]
+    uhat, uhat_flipped = sol.edge_traces(), sol_flipped.edge_traces()[image, ::-1]
+    assert np.abs(uhat_flipped - uhat).max() <= 1e-12 * np.abs(uhat).max()
+
+
 def test_local_diffusion_matches_stacked_slice():
     # the one-element path keeps slot order, orientation and Neumann edges
     problem, _, _ = bilinear_problem()
@@ -161,8 +183,22 @@ def physical_gradients(table, mesh):
     return table @ np.swapaxes(mesh.inv_jacobians_t, -1, -2)[:, None]
 
 
+def canonical_slot(ctx, mesh, s):
+    """Forward mask (nt,) of slot s, read from the vertex labels, and the
+    element basis (nt, nqe, nd) and its reference gradients (nt, nqe, nd, 2)
+    along slot s at the edge rule's points in the edge's own direction, from
+    the lower to the higher vertex index: a backward slot reads the points
+    of the element's direction in reverse order."""
+    tri = mesh.triangles
+    forward = tri[:, s] < tri[:, (s + 1) % 3]
+    phi, dphi = (np.where(forward.reshape((-1,) + (1,) * table.ndim), table, table[::-1])
+                 for table in (ctx.N_tr[s], ctx.dN_tr[s]))
+    return forward, phi, dphi
+
+
 def reference_residual(sol, problem):
-    """conservation_residual from physical gradients at the volume and edge points."""
+    """conservation_residual from physical gradients at the volume and edge
+    points, each edge read in its own direction."""
     mesh, eta, eps = sol.mesh, sol.info["eta"], problem.epsilon
     ctx = get_context(mesh, sol.degree, sol.info["quad_order"])
     grad = np.einsum("tqia,ti->tqa", physical_gradients(ctx.dN, mesh), sol.u)
@@ -172,14 +208,13 @@ def reference_residual(sol, problem):
     residual = (vol * ctx.volume_weights(mesh)).sum(axis=1)
     bx_e, by_e = ctx.edge_values(problem.b, "b", vector=True)
     g_n = ctx.edge_values(problem.g_N, "g_N")
-    trace = get_edge_basis(sol.degree).values(ctx.edge.points)
+    trace = sol.dofmap.trace_values(ctx.edge.points)
     for s in range(3):
         # slot s read straight from the mesh, independently of the trace tables
         edges, normals = mesh.elem_edges[:, s], mesh.normals[:, s]
-        o = mesh.edge_forward[:, s].astype(np.intp)
-        dphi = physical_gradients(ctx.dN_tr[s, o], mesh)
-        dn = np.einsum("tqia,ta,ti->tq", dphi, normals, sol.u)
-        gap = sol.edge_traces()[edges] @ trace.T - np.einsum("tqi,ti->tq", ctx.N_tr[s, o], sol.u)
+        _, phi, dphi = canonical_slot(ctx, mesh, s)
+        dn = np.einsum("tqia,ta,ti->tq", physical_gradients(dphi, mesh), normals, sol.u)
+        gap = sol.edge_traces()[edges] @ trace.T - np.einsum("tqi,ti->tq", phi, sol.u)
         bn = bx_e[edges] * normals[:, :1] + by_e[edges] * normals[:, 1:]
         h = mesh.h_e[edges][:, None]
         flux = eps * (dn + eta / h * gap) + np.maximum(-bn, 0.0) * gap
@@ -191,10 +226,12 @@ def reference_residual(sol, problem):
 def reference_edge_blocks(mesh, degree, quad_order, problem, eta):
     """The edge part of the element systems, the consistency terms
     <eps dn(u), vhat - v> + <uhat - u, eps dn(v)> and the gap coupling
-    <uhat - u, w_t vhat - w_u v>, from physical gradients one slot at a time."""
+    <uhat - u, w_t vhat - w_u v>, from physical gradients one slot at a time,
+    each edge read in its own direction; a backward slot's trace rows and
+    columns are then put in its element's direction."""
     ctx = get_context(mesh, degree, quad_order)
     eps, nt = problem.epsilon, mesh.n_elements
-    trace = get_edge_basis(degree).values(ctx.edge.points)
+    trace = build_dofmap(mesh, degree).trace_values(ctx.edge.points)
     psi, m = np.broadcast_to(trace, (nt,) + trace.shape), trace.shape[1]
     out = ElementSystems.zeros(nt, ctx.N.shape[1], 3 * m)
     bx_e, by_e = ctx.edge_values(problem.b, "b", vector=True)
@@ -205,17 +242,20 @@ def reference_edge_blocks(mesh, degree, quad_order, problem, eta):
     for s in range(3):
         # slot s read straight from the mesh, independently of the trace tables
         edges, normals = mesh.elem_edges[:, s], mesh.normals[:, s]
-        o = mesh.edge_forward[:, s].astype(np.intp)
-        phi = ctx.N_tr[s, o]
-        dn = eps * np.einsum("tqia,ta->tqi", physical_gradients(ctx.dN_tr[s, o], mesh), normals)
+        forward, phi, dphi = canonical_slot(ctx, mesh, s)
+        dn = eps * np.einsum("tqia,ta->tqi", physical_gradients(dphi, mesh), normals)
         bn = bx_e[edges] * normals[:, :1] + by_e[edges] * normals[:, 1:]
         h = mesh.h_e[edges][:, None]
         w = ctx.edge.weights * h * (mesh.edge_tags[edges] != BoundaryTag.NEUMANN)[:, None]
         w_t, w_u = (w * (eps * eta / h + np.maximum(sign * bn, 0.0)) for sign in (1.0, -1.0))
+        tt, tu = form(w_t, psi, psi), form(w, psi, dn) - form(w_t, psi, phi)
+        ut = form(w, dn, psi) - form(w_u, phi, psi)
+        back = ~forward
+        tt[back], tu[back], ut[back] = tt[back, ::-1, ::-1], tu[back, ::-1], ut[back, :, ::-1]
         slot = slice(s * m, (s + 1) * m)
-        out.A_tt[:, slot, slot] += form(w_t, psi, psi)
-        out.A_tu[:, slot] += form(w, psi, dn) - form(w_t, psi, phi)
-        out.A_ut[:, :, slot] += form(w, dn, psi) - form(w_u, phi, psi)
+        out.A_tt[:, slot, slot] += tt
+        out.A_tu[:, slot] += tu
+        out.A_ut[:, :, slot] += ut
         out.A_uu += form(w_u, phi, phi) - form(w, phi, dn) - form(w, dn, phi)
     return out
 
@@ -228,8 +268,9 @@ def assert_close_to_max(got, want):
 @pytest.mark.parametrize("quad_order", [None, 12], ids=["default", "q12"])
 @pytest.mark.parametrize("degree", [1, 2, 3, 6])
 def test_edge_kernels_match_slot_by_slot_reference(degree, quad_order, neumann):
-    # the one-product edge kernels, their orientation expansion included,
-    # against the edge forms assembled per slot with a swirling velocity,
+    # the one-product edge kernels, each slot in its element's direction,
+    # against the edge forms assembled per slot along the edge's own direction
+    # and put in the element's direction afterwards, with a swirling velocity,
     # so that both upwind brackets and the diffusive terms count
     problem, _, _ = bilinear_problem()
     problem = replace(problem, epsilon=0.05, b=lambda x, y: (1.0 + y * y, x - 0.5 * y),
