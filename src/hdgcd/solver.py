@@ -50,14 +50,16 @@ class SingularSystemError(RuntimeError):
 class CondensedSystem:
     """Skeleton system together with the element data needed for recovery.
 
-    ``W`` (nt, nd, ntr + 1) holds A_uu^{-1} [A_ut | b_u] of every element.
+    ``inv`` (nt, nd, nd) holds A_uu^{-1} of every element, and
+    ``max_block_cond`` the largest of their condition estimates.
     """
 
     S: sp.csr_matrix
     g: np.ndarray
     dofmap: object
     systems: ElementSystems
-    W: np.ndarray
+    inv: np.ndarray
+    max_block_cond: float
 
 
 @dataclass
@@ -91,18 +93,16 @@ class HdgSolution:
 def condense(local_systems, dofmap):
     """Eliminate interior unknowns from every element of the stacked systems.
 
-    One batched solve against [A_ut | b_u | I] gives W and A_uu^{-1}, whose
-    1-norm condition estimate |A_uu|_1 |A_uu^{-1}|_1 is checked.  Raises
+    One batched inverse of A_uu gives the Schur complements
+    A_tt - A_tu (A_uu^{-1} A_ut) and -A_tu (A_uu^{-1} b_u), and the 1-norm
+    condition estimate |A_uu|_1 |A_uu^{-1}|_1, which is checked.  Raises
     :class:`ElementSolvabilityError` naming the first element whose
     interior block has a condition estimate beyond ``COND_LIMIT``.
     """
     sy = local_systems
-    ntr, nd = sy.A_ut.shape[-1], sy.A_uu.shape[-1]
-    eye = np.broadcast_to(np.eye(nd), sy.A_uu.shape)
     try:
-        X = np.linalg.solve(sy.A_uu, np.concatenate([sy.A_ut, sy.b_u[..., None], eye], axis=-1))
-        cond = (np.linalg.norm(sy.A_uu, 1, axis=(-2, -1))
-                * np.linalg.norm(X[..., ntr + 1:], 1, axis=(-2, -1)))
+        inv = np.linalg.inv(sy.A_uu)
+        cond = np.linalg.norm(sy.A_uu, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
     except np.linalg.LinAlgError:   # an exactly singular block: inf there
         cond = np.linalg.cond(sy.A_uu, 1)
     bad = ~(cond <= COND_LIMIT)
@@ -110,12 +110,13 @@ def condense(local_systems, dofmap):
         t = int(np.argmax(bad))
         raise ElementSolvabilityError(f"element {t}: interior block condition estimate "
                                       f"{cond[t]:.3e} exceeds {COND_LIMIT:.1e}")
-    W = X[..., :ntr + 1].copy()
-    del X   # the inverse columns would otherwise stay alive through the scatter below
-    s_loc = sy.A_tt - sy.A_tu @ W[..., :-1]
-    g_loc = -(sy.A_tu @ W[..., -1:])[..., 0]
+    # A_tu (inv A_ut), not (A_tu inv) A_ut: the latter's (nt, ntr, nd) temporary raises the peak
+    s_loc = sy.A_tu @ (inv @ sy.A_ut)
+    np.subtract(sy.A_tt, s_loc, out=s_loc)
+    g_loc = -(sy.A_tu @ (inv @ sy.b_u[..., None]))[..., 0]
     s_mat, g = scatter_systems(s_loc, g_loc, dofmap.element_trace_dofs(), dofmap.n_trace_active)
-    return CondensedSystem(S=s_mat, g=g, dofmap=dofmap, systems=sy, W=W)
+    return CondensedSystem(S=s_mat, g=g, dofmap=dofmap, systems=sy, inv=inv,
+                           max_block_cond=float(cond.max()))
 
 
 def sparse_factor(mat, name):
@@ -158,7 +159,7 @@ def recover_interior(traces, system):
     """Back-substitute the trace solution into every element.
 
     Each element touches only its own three edges, so recovery is local:
-    u = A_uu^{-1} b_u - A_uu^{-1} A_ut uhat.  The worst relative residual
+    u = A_uu^{-1} (b_u - A_ut uhat).  The worst relative residual
     of the interior equations is recorded in ``info["max_recovery_residual"]``;
     one above ``RECOVERY_RTOL`` raises :class:`SingularSystemError`.
     """
@@ -166,8 +167,8 @@ def recover_interior(traces, system):
     sy = system.systems
     traces = np.asarray(traces, dtype=float)
     uhat = dofmap.gather(traces, dofmap.element_trace_dofs())
-    u = system.W[..., -1] - (system.W[..., :-1] @ uhat[..., None])[..., 0]
     rhs = sy.b_u - (sy.A_ut @ uhat[..., None])[..., 0]
+    u = (system.inv @ rhs[..., None])[..., 0]
     resid = np.abs((sy.A_uu @ u[..., None])[..., 0] - rhs).max(axis=1)
     worst = float((resid / (1.0 + np.abs(rhs).max(axis=1))).max())
     if not worst <= RECOVERY_RTOL:
@@ -199,14 +200,16 @@ def solve_hdg(problem, mesh, degree=1, eta=None, skeleton_mode="dg", quad_order=
     """Full driver: validate, assemble, condense, solve, recover.
 
     Returns an :class:`HdgSolution` whose ``info`` dict records the skeleton
-    and total dof counts, the penalty, quadrature order, method and recovery residual.
+    and total dof counts, the penalty, quadrature order, method, worst
+    interior-block condition estimate and recovery residual.
     """
     eta, dofmap = _prepare(problem, mesh, degree, eta, skeleton_mode)
     systems = assemble_local_systems(mesh, dofmap, problem, eta=eta, quad_order=quad_order)
     condensed = condense(systems, dofmap)
     traces = solve_skeleton(condensed)
     sol = recover_interior(traces, condensed)
-    sol.info.update(_solution_info(dofmap, eta, quad_order, "condensed"))
+    sol.info.update(_solution_info(dofmap, eta, quad_order, "condensed"),
+                    max_block_cond=condensed.max_block_cond)
     return sol
 
 

@@ -1,15 +1,19 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hdgcd.assembly import ProblemSpec, assemble_local_systems
+from hdgcd.assembly import ProblemSpec, assemble_local_systems, scatter_systems
 from hdgcd.fespace import build_dofmap
 from hdgcd.mesh import BoundaryTag, build_uniform_triangulation, dirichlet_where
 from hdgcd.problems import case_layer, case_smooth
-from hdgcd.solver import (ElementSolvabilityError, SingularSystemError, condense,
+from hdgcd.solver import (COND_LIMIT, ElementSolvabilityError, SingularSystemError, condense,
                           recover_interior, solve_hdg, solve_monolithic, solve_skeleton,
                           sparse_factor, sparse_solve)
 from hdgcd.supg import solve_supg
+from test_unstructured import bilinear_problem, jittered_mesh
 
 
 def relative_gap(a, b):
@@ -129,14 +133,69 @@ def test_rejects_pure_neumann_problem_without_reaction(f):
 
 def test_recovery_residual_is_enforced():
     # a perturbed elimination makes the recovered interior miss its own
-    # equations (relative residual about 5e-7)
+    # equations (relative residual about 3e-7)
     case = case_smooth(1.0)
     mesh = build_uniform_triangulation(4, case.problem.boundary)
     dm = build_dofmap(mesh, 2)
     system = condense(assemble_local_systems(mesh, dm, case.problem), dm)
-    system.W[5, 0, -1] += 1e-6
+    system.inv[5, 0, 0] += 1e-6
     with pytest.raises(SingularSystemError, match="^interior recovery residual .* exceeds 1.0e-11"):
         recover_interior(solve_skeleton(system), system)
+
+
+def swirling_systems(degree):
+    """Problem, mesh, dof map and element systems of the jittered n = 6 mesh,
+    all Dirichlet, with eps = 0.05 and a swirling b."""
+    problem, _, _ = bilinear_problem()
+    problem = replace(problem, epsilon=0.05, b=lambda x, y: (1.0 + y * y, x - 0.5 * y),
+                      boundary=None)
+    mesh = jittered_mesh(6, problem.boundary)
+    dm = build_dofmap(mesh, degree)
+    return problem, mesh, dm, assemble_local_systems(mesh, dm, problem)
+
+
+# measured moves of S, g and u against the per-element solves, relative to
+# the largest entry: <= 3.5e-15 at k <= 3, 8.1e-15 at k = 6, 3.1e-14 at
+# k = 8 and 3.2e-13 at k = 10, where max_block_cond is 6.8e4
+ELIMINATION_RTOL = {1: 1e-14, 2: 1e-14, 3: 1e-14, 6: 1e-13, 8: 5e-13, 10: 5e-12}
+
+
+@pytest.mark.parametrize("degree", sorted(ELIMINATION_RTOL))
+def test_elimination_matches_per_element_solves(degree):
+    # the reference solves each interior block against its coupling and
+    # load columns, W = A_uu^{-1} [A_ut | b_u], one element at a time
+    _, _, dm, sy = swirling_systems(degree)
+    system = condense(sy, dm)
+    W = np.stack([np.linalg.solve(a, np.column_stack([a_ut, b_u]))
+                  for a, a_ut, b_u in zip(sy.A_uu, sy.A_ut, sy.b_u)])
+    S, g = scatter_systems(sy.A_tt - sy.A_tu @ W[..., :-1], -(sy.A_tu @ W[..., -1:])[..., 0],
+                           dm.element_trace_dofs(), dm.n_trace_active)
+    traces = solve_skeleton(system)
+    uhat = dm.gather(traces, dm.element_trace_dofs())
+    u = W[..., -1] - (W[..., :-1] @ uhat[..., None])[..., 0]
+    rtol = ELIMINATION_RTOL[degree]
+    assert abs(system.S - S).max() <= rtol * abs(S).max()
+    assert np.abs(system.g - g).max() <= rtol * np.abs(g).max()
+    assert np.abs(recover_interior(traces, system).u - u).max() <= rtol * np.abs(u).max()
+
+
+@pytest.mark.parametrize("degree", [1, 3, 10])
+def test_condition_estimate_is_the_one_norm_product(degree, monkeypatch):
+    # per block |A_uu|_1 |A_uu^{-1}|_1 with the inverse from a solve against I,
+    # bit for bit; with two blocks above the limit the check names the first
+    problem, mesh, dm, sy = swirling_systems(degree)
+    eye = np.eye(sy.A_uu.shape[-1])
+    cond = np.array([np.linalg.norm(a, 1) * np.linalg.norm(np.linalg.solve(a, eye), 1)
+                     for a in sy.A_uu])
+    assert condense(sy, dm).max_block_cond == cond.max()
+    info = solve_hdg(problem, mesh, degree=degree).info
+    assert info["max_block_cond"] == cond.max() < COND_LIMIT
+    limit = float(np.sort(cond)[-3])
+    monkeypatch.setattr("hdgcd.solver.COND_LIMIT", limit)
+    t = int(np.argmax(cond > limit))
+    message = f"element {t}: interior block condition estimate {cond[t]:.3e} exceeds"
+    with pytest.raises(ElementSolvabilityError, match=f"^{re.escape(message)}"):
+        condense(sy, dm)
 
 
 @pytest.mark.parametrize("singular", [True, False], ids=["exactly_singular", "nearly_singular"])

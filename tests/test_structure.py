@@ -29,6 +29,8 @@
   ``traces``.
 * Every global system is solved and verified in one place: only
   ``sparse_solve`` names ``RESIDUAL_RTOL`` or calls ``sparse_factor``.
+* Condensation eliminates through one inverse per block: ``condense``
+  calls ``np.linalg.inv`` and never ``np.linalg.solve``.
 
 Two guards run code instead.  A layer study keeps nothing past its rows:
 ``hdgcd.cli``'s module globals keep their names and objects, each study
@@ -289,6 +291,23 @@ def test_only_sparse_solve_solves_and_checks_a_global_system():
     assert found == []
     # the guard does see the solver's own factor call and bound
     assert {what for _, what in inside} == {"RESIDUAL_RTOL", "sparse_factor("}
+
+
+def linalg_calls(tree):
+    """Names of the ``np.linalg`` functions ``tree`` calls."""
+    return {node.func.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "linalg"
+            and isinstance(node.func.value.value, ast.Name) and node.func.value.value.id == "np"}
+
+
+def test_condensation_eliminates_through_one_inverse():
+    condense = next(node for node in modules()["solver.py"].body
+                    if isinstance(node, ast.FunctionDef) and node.name == "condense")
+    calls = linalg_calls(condense)
+    assert "inv" in calls and "solve" not in calls, calls
+    # the guard does see a batched solve
+    assert linalg_calls(ast.parse("X = np.linalg.solve(A, B)")) == {"solve"}
 
 
 def test_a_layer_study_keeps_no_cache(tmp_path, monkeypatch):
