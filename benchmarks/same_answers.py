@@ -40,9 +40,12 @@ from pathlib import Path
 import numpy as np
 
 # The eleven runs every "same answers" check has used since the verified
-# sparse solve, plus the highest degree at its round-off floor.
+# sparse solve, plus the highest degree at its round-off floor and the
+# layer study at its default sizes (n = 10, 20, 40, 80), where the field
+# values held between solves are largest.
 RUNS = (
     "--study layer --epsilon 1e-6 --n 8,16,32",
+    "--study layer --epsilon 1e-6",
     "--epsilon 1e-3 --n 4,8,16",
     "--degree 3 --n 4,8",
     "--method supg --n 4,8,16",

@@ -80,7 +80,8 @@ class ProblemSpec:
     claimed lower bound of rho = c - div(b)/2.  ``b``, ``c`` and ``f`` are evaluated
     once per problem and point set (:meth:`AssemblyContext.fields`) and shared by the
     HDG and SUPG assemblies and ``conservation_residual``, so fields must be pure
-    functions of (x, y): a problem solved twice on one mesh reuses its values.
+    functions of (x, y): a problem solved twice on one mesh reuses its values.  They are
+    read-only, and no consumer may write into them: a constant field is one broadcast scalar.
     """
 
     epsilon: float
@@ -126,6 +127,9 @@ def eval_field(func, x, y, name, vector=False):
 
     A vector field (``vector=True``) may return any sequence or array of two
     components and comes back stacked as (2, *x.shape); None stays None.
+    The values are read-only, and no consumer may write into them: a field whose
+    every component is one value, bit for bit (+0.0 and -0.0 differ), comes back
+    as a broadcast view of those scalars.
     Raises ValueError naming the field when the values do not broadcast to
     the points, a vector field has no two components, a value is not
     finite, or ``func`` raises an ArithmeticError (a Python float overflow);
@@ -142,12 +146,19 @@ def eval_field(func, x, y, name, vector=False):
         comps = list(vals) if vector else [vals]
         if len(comps) != (2 if vector else 1):
             raise ValueError(f"got {len(comps)} components")
-        out = np.stack([np.broadcast_to(np.asarray(v, dtype=float), x.shape) for v in comps])
+        comps = [np.broadcast_to(np.asarray(v, dtype=float), x.shape) for v in comps]
     except (TypeError, ValueError) as exc:
         shape = f"two components of point shape {x.shape}" if vector else f"point shape {x.shape}"
         raise ValueError(f"field {name} does not evaluate to {shape}: {exc}") from None
-    if not np.isfinite(out).all():
+    if not all(np.isfinite(v).all() for v in comps):
         raise ValueError(f"field {name} has non-finite values")
+    bits = [v.view(np.uint64) for v in comps]   # a varying field mostly stops at its last value
+    if x.size and all(b.flat[-1] == b.flat[0] and (b == b.flat[0]).all() for b in bits):
+        first = [v.flat[0] for v in comps]
+        out = np.moveaxis(np.broadcast_to(first, (*x.shape, len(first))), -1, 0)
+    else:
+        out = np.stack(comps)
+        out.flags.writeable = False
     return out if vector else out[0]
 
 
@@ -352,14 +363,12 @@ class AssemblyContext:
     def fields(self, problem):
         """Read-only :meth:`volume_values` of ``problem``'s b (2, nt, nq), c (nt, nq)
         or None and f (nt, nq), evaluated once per problem: the context keeps the
-        last problem it was asked for and its values, and drops them first."""
+        last problem it was asked for and its values, and drops them first; a constant
+        field is a broadcast view (:func:`eval_field`), and no consumer may write into one."""
         if self._fields[0] is not problem:
             self._fields = (None, None)   # the last problem's values go first
             values = (self.volume_values(problem.b, "b", vector=True),
                       self.volume_values(problem.c, "c"), self.volume_values(problem.f, "f"))
-            for v in values:
-                if v is not None:
-                    v.flags.writeable = False
             self._fields = (problem, values)
         return self._fields[1]
 

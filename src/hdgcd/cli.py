@@ -21,6 +21,7 @@ import argparse
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
+from pathlib import Path
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -93,6 +94,8 @@ class RunConfig:
         if study.sweeps_epsilon and len(config.mesh_sizes) != 1:
             raise ValueError(f"--n {_joined(config.mesh_sizes)} does not apply to the "
                              f"{self.study} study, which sweeps epsilon on one mesh size")
+        if config.out and (Path(config.out).is_dir() or not Path(config.out).parent.is_dir()):
+            raise ValueError(f"--out {config.out} must name a file in an existing directory")
         if config.eta is None:
             return replace(config, eta=default_eta(config.degree))
         check_penalty(config.eta)
@@ -409,7 +412,10 @@ def build_parser():
 def _build_config(args):
     """RunConfig from the config file's values overridden by the flags;
     :meth:`RunConfig.validate` fills in the defaults."""
-    values = _parse_config_file(args.config) if args.config else {}
+    try:
+        values = _parse_config_file(args.config) if args.config else {}
+    except OSError as exc:
+        raise ValueError(f"--config {args.config}: {exc.strerror}") from None
     values.update((key, getattr(args, key)) for key in _KEYS if getattr(args, key) is not None)
     fields = {}
     for key, value in values.items():

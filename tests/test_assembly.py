@@ -1,7 +1,9 @@
 import gc
 import itertools
+import tracemalloc
 import weakref
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import hdgcd.cli
 import hdgcd.supg
 from hdgcd.assembly import (AssemblyContext, ProblemSpec, assemble_local_systems,
                             assemble_monolithic, bracket, check_problem,
-                            default_eta, default_quad_order, get_context,
+                            default_eta, default_quad_order, eval_field, get_context,
                             local_diffusion)
 from hdgcd.fespace import build_dofmap, get_edge_basis, get_element_basis, quad_triangle
 from hdgcd.mesh import build_uniform_triangulation, dirichlet_where
@@ -19,7 +21,8 @@ from hdgcd.cli import RunConfig, run_study
 from hdgcd.problems import case_smooth, get_case
 from hdgcd.solver import HdgSolution, solve_hdg, solve_monolithic
 from hdgcd.supg import assemble_supg, solve_supg
-from hdgcd.analysis import error_h1_broken, error_hdg, error_l2, hdg_norm
+from hdgcd.analysis import (conservation_residual, error_h1_broken, error_hdg, error_l2,
+                            hdg_norm)
 from test_unstructured import jittered_mesh
 
 
@@ -415,6 +418,87 @@ def test_the_field_slot_holds_one_problem():
     solve_hdg(make_problem(epsilon=1e-2, f=lambda x, y: y), mesh)
     gc.collect()
     assert ref() is None
+
+
+POINTS = np.linspace(0.0, 1.0, 24).reshape(4, 6)
+
+
+def test_a_field_one_ulp_off_constant_keeps_every_value():
+    # a tolerance, or a look at the first and last values alone, would
+    # broadcast the first value over the one in between
+    values = np.full(POINTS.shape, 0.3)
+    values[2, 3] = np.nextafter(0.3, 1.0)
+    got = eval_field(lambda x, y: values, POINTS, POINTS, "f")
+    assert np.array_equal(got, values)
+
+
+def test_a_field_of_signed_zeros_keeps_its_sign_bits():
+    # -0.0 == 0.0, so a plain comparison would broadcast the first zero
+    values = np.zeros(POINTS.shape)
+    values[1, ::2] = -0.0
+    got = eval_field(lambda x, y: values, POINTS, POINTS, "f")
+    assert np.array_equal(np.signbit(got), np.signbit(values))
+
+
+def test_a_vector_field_with_one_constant_component_keeps_both():
+    got = eval_field(lambda x, y: (np.full_like(x, -2.0), x * y), POINTS, POINTS, "b",
+                     vector=True)
+    assert got.shape == (2,) + POINTS.shape
+    assert np.array_equal(got[0], np.full(POINTS.shape, -2.0))
+    assert np.array_equal(got[1], POINTS * POINTS)
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+def test_constant_fields_come_back_read_only(vector):
+    func = (lambda x, y: (np.ones_like(x), -np.zeros_like(x))) if vector else (lambda x, y: 2.5)
+    got = eval_field(func, POINTS, POINTS, "g", vector=vector)
+    assert got.shape == (2,) * vector + POINTS.shape and not got.flags.writeable
+    expected = [np.ones(POINTS.shape), -np.zeros(POINTS.shape)] if vector else 2.5
+    assert np.array_equal(got, np.broadcast_to(expected, got.shape))
+    assert np.array_equal(np.signbit(got), np.signbit(np.broadcast_to(expected, got.shape)))
+    with pytest.raises(ValueError, match="read-only"):
+        got[...] = 0.0
+
+
+def test_the_layer_fields_keep_only_the_source_at_full_size():
+    # b = (1, 1) is kept as one broadcast pair; f, which varies, is the only
+    # full (nt, nq) array in the slot (with b stacked, it held 2.30 MiB)
+    ctx = get_context(build_uniform_triangulation(32), 1, 12)
+    problem = get_case("layer", 1e-6).problem
+    tracemalloc.start()
+    try:
+        b, c, f = ctx.fields(problem)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert c is None and b.shape == (2,) + f.shape
+    assert retained <= f.nbytes + 64 * 1024
+
+
+def materialized(func, *args, **kwargs):
+    """:func:`eval_field` with every result a fresh, writeable full array."""
+    out = func(*args, **kwargs)
+    return None if out is None else np.array(out)
+
+
+@pytest.mark.parametrize("name", ["layer", "reduced_limit"])
+def test_constant_fields_as_views_give_the_same_numbers(monkeypatch, name):
+    # every consumer of b and c gives the same bits from the broadcast view
+    # as from a full array: element systems, both solves, rho and conservation
+    case = get_case(name, 1e-2)
+
+    def run():
+        mesh = jittered_mesh(5, case.problem.boundary, 303)
+        systems = assemble_local_systems(mesh, build_dofmap(mesh, 2), case.problem)
+        sol = solve_hdg(case.problem, mesh, degree=2)
+        return [*vars(systems).values(), sol.u, sol.uhat, conservation_residual(sol, case.problem),
+                solve_supg(case.problem, mesh).nodal, check_problem(case.problem, mesh).min_rho]
+
+    views = run()
+    monkeypatch.setattr(hdgcd.assembly, "eval_field",
+                        partial(materialized, hdgcd.assembly.eval_field))
+    full = run()
+    assert all(np.array_equal(a, b) for a, b in zip(views, full, strict=True))
 
 
 BAD_FIELDS = {

@@ -386,6 +386,30 @@ def test_main_rejects_bad_flag_value(flag, value, message, capsys):
     assert captured.err.startswith(f"error: {message}")
 
 
+def never_solve(*args, **kwargs):
+    raise AssertionError("a row was solved before the flags were checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "4,8", "--out", "{missing}/c.csv"],
+    ["--n", "4,8", "--out", "{dir}"],
+    ["--study", "layer", "--epsilon", "1e-6", "--out", "{missing}/layer.csv"],
+    ["--config", "{missing}/run.cfg"],
+    ["--config", "{dir}"],
+], ids=["out-missing-dir", "out-is-dir", "layer-out-missing-dir", "config-missing", "config-is-dir"])
+def test_unusable_out_or_config_fails_before_any_solve(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(hdgcd.cli, "solve_hdg", never_solve)
+    monkeypatch.setattr(hdgcd.cli, "solve_supg", never_solve)
+    argv = [arg.format(missing=tmp_path / "missing", dir=tmp_path) for arg in argv]
+    flag = next(arg for arg in argv if arg in ("--out", "--config"))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} {argv[argv.index(flag) + 1]}")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("study,epsilon,degree", [
     ("convergence", 1.0, 7), ("convergence", 1.0, 8), ("layer", 1e-2, 7), ("layer", 1e-2, 8)])
 def test_high_degree_rows_use_a_quadrature_that_follows_k(study, epsilon, degree):
