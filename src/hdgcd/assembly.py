@@ -31,9 +31,9 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from hdgcd.fespace import (MAX_DEGREE, MAX_QUAD_ORDER, REF_VERTICES, _bounded_int, build_dofmap,
-                           get_element_basis, quad_edge, quad_triangle)
-from hdgcd.mesh import BoundaryTag
+from hdgcd.fespace import (MAX_DEGREE, MAX_QUAD_ORDER, REF_VERTICES, get_element_basis, quad_edge,
+                           quad_triangle)
+from hdgcd.mesh import BoundaryTag, _bounded_int
 
 _NEUMANN = int(BoundaryTag.NEUMANN)
 # well-posedness check: rho is sampled at the points of this volume rule
@@ -224,8 +224,7 @@ class ElementSystems:
     ``A_tu``, (nt, ntr, ntr) ``A_tt`` and the load ``b_u`` (nt, nd); no
     term loads a trace row.  Trace columns are grouped by local edge slot,
     ``ndof_edge`` entries per slot in the element's direction along it, as in
-    :meth:`hdgcd.fespace.DofMap.element_trace_dofs`.  ``systems[t]`` gives
-    element t's blocks as views.
+    :meth:`hdgcd.fespace.DofMap.element_trace_dofs`.
     """
 
     A_uu: np.ndarray
@@ -240,9 +239,6 @@ class ElementSystems:
         return cls(A_uu=np.zeros((nt, nd, nd)), A_ut=np.zeros((nt, nd, ntr)),
                    A_tu=np.zeros((nt, ntr, nd)), A_tt=np.zeros((nt, ntr, ntr)),
                    b_u=np.zeros((nt, nd)))
-
-    def __getitem__(self, element):
-        return ElementSystems(**{name: arr[element] for name, arr in vars(self).items()})
 
     def full_matrix(self):
         """Dense (interior + trace) local matrices, test rows x trial cols."""
@@ -509,21 +505,6 @@ def neumann_data(problem, mesh, ctx):
     g = np.zeros((mesh.n_edges, ctx.edge.weights.size))
     g[neu] = ctx.edge_values(problem.g_N, "g_N", edges=neu)
     return g
-
-
-def local_diffusion(mesh, element, basis, edge_basis, epsilon, eta):
-    """Diffusive local blocks of one element (stiffness, flux, penalty): its
-    slice of the ``("diffusion",)`` assembly with degree ``basis.degree``,
-    which ``edge_basis`` must share."""
-    if not 0 <= element < mesh.n_elements:
-        raise ValueError(f"element index {element} out of range")
-    dofmap = build_dofmap(mesh, basis.degree)
-    if edge_basis.degree != dofmap.edge_basis.degree:
-        raise ValueError(f"edge basis degree {edge_basis.degree} does not match "
-                         f"element basis degree {basis.degree}")
-    # the diffusive part never evaluates b or f
-    problem = ProblemSpec(epsilon=epsilon, b=lambda x, y: (0 * x, 0 * y), f=lambda x, y: 0 * x)
-    return assemble_local_systems(mesh, dofmap, problem, eta=eta, parts=("diffusion",))[element]
 
 
 def assemble_local_systems(mesh, dofmap, problem, eta=None, quad_order=None,

@@ -13,23 +13,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from hdgcd.mesh import BoundaryTag
+from hdgcd.mesh import BoundaryTag, _bounded_int
 
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 MAX_DEGREE = 10
 MAX_QUAD_ORDER = 60
-
-
-def _bounded_int(name, value, lo, hi):
-    """``int(value)`` for an integer ``lo <= value <= hi``; ValueError naming ``name``
-    otherwise.  A bool is not an integer here, though ``isinstance(True, int)``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < lo:
-        raise ValueError(f"{name} must be >= {lo}, got {value!r}")
-    if value > hi:
-        raise ValueError(f"{name} {value} exceeds supported maximum {hi}")
-    return int(value)
 
 
 def _exponents(degree):

@@ -15,6 +15,18 @@ import numpy as np
 ON_BOUNDARY_TOL = 1e-12
 
 
+def _bounded_int(name, value, lo, hi):
+    """``int(value)`` for an integer ``lo <= value <= hi``; ValueError naming ``name``
+    otherwise.  A bool is not an integer here, though ``isinstance(True, int)``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value!r}")
+    if value > hi:
+        raise ValueError(f"{name} {value} exceeds supported maximum {hi}")
+    return int(value)
+
+
 class MeshError(ValueError):
     """Invalid mesh topology or geometry."""
 
@@ -48,8 +60,8 @@ class Mesh:
     ``vertices`` and ``triangles`` are as below; every vertex must belong
     to a triangle.  ``boundary`` tags the boundary edges: a rule
     ``(x, y) -> BoundaryTag`` evaluated at each edge midpoint, a dict from
-    every boundary edge's vertex pair ``(a, b)`` with ``a < b`` to its tag,
-    or None for all Dirichlet.
+    every boundary edge's vertex pair ``(a, b)`` with ``a < b`` to its tag
+    (any other key is an error), or None for all Dirichlet.
 
     Attributes
     ----------
@@ -189,6 +201,11 @@ class Mesh:
                     raise MeshError(f"missing boundary tag for edge {key} "
                                     "(keys are vertex pairs (a, b) with a < b)")
                 tags[e] = int(boundary[key])
+            pairs = set(map(tuple, edges[boundary_mask].tolist()))
+            stray = [key for key in boundary if key not in pairs]
+            if stray:
+                raise MeshError(f"boundary tag given for {stray[0]}, which is not a boundary "
+                                "edge (keys are vertex pairs (a, b) with a < b)")
         else:
             rule = all_dirichlet if boundary is None else boundary
             mids = self.edge_midpoints
@@ -261,9 +278,7 @@ def build_uniform_triangulation(n, boundary=None):
     ``boundary`` is an optional rule ``(x, y) -> BoundaryTag`` applied at
     boundary edge midpoints; by default every boundary edge is Dirichlet.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"subdivision count must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _bounded_int("subdivision count", n, 1, np.inf)
     xs = np.linspace(0.0, 1.0, n + 1)
     xg, yg = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([xg.ravel(), yg.ravel()])
@@ -352,8 +367,4 @@ def load_mesh(path):
     order = np.lexsort((edges[:, 1], edges[:, 0]))
     if not np.array_equal(edges[order], mesh.edges):
         raise MeshError("edge list in file does not match triangle connectivity")
-    bad = np.flatnonzero(tags[order] != mesh.edge_tags)
-    if bad.size:
-        a, b = mesh.edges[bad[0]]
-        raise MeshError(f"edge ({a}, {b}) has inconsistent tag")
     return mesh

@@ -13,9 +13,8 @@ import hdgcd.cli
 import hdgcd.supg
 from hdgcd.assembly import (AssemblyContext, ProblemSpec, assemble_local_systems,
                             assemble_monolithic, bracket, check_problem,
-                            default_eta, default_quad_order, eval_field, get_context,
-                            local_diffusion)
-from hdgcd.fespace import build_dofmap, get_edge_basis, get_element_basis, quad_triangle
+                            default_eta, default_quad_order, eval_field, get_context)
+from hdgcd.fespace import build_dofmap, quad_triangle
 from hdgcd.mesh import build_uniform_triangulation, dirichlet_where
 from hdgcd.cli import RunConfig, run_study
 from hdgcd.problems import case_smooth, get_case
@@ -141,31 +140,25 @@ def test_check_problem_builds_the_rho_context_only_for_c_or_div_b():
         "rho = c - div(b)/2 drops to 0.000e+00, below the declared bound 1.000e+00",)
 
 
+def diffusion_blocks(mesh, k, epsilon=1.0, eta=None):
+    """The stacked ``("diffusion",)`` assembly of a problem with diffusion ``epsilon``."""
+    problem = make_problem(epsilon=epsilon)
+    return assemble_local_systems(mesh, build_dofmap(mesh, k), problem,
+                                  eta=default_eta(k) if eta is None else eta, parts=("diffusion",))
+
+
 def test_diffusive_local_matrices_symmetric():
     mesh = build_uniform_triangulation(3)
     for k in (1, 2, 3):
-        basis = get_element_basis(k)
-        eb = get_edge_basis(k)
-        for t in range(mesh.n_elements):
-            blk = local_diffusion(mesh, t, basis, eb, epsilon=1.0,
-                                  eta=default_eta(k))
-            full = blk.full_matrix()
-            assert np.abs(full - full.T).max() < 1e-12
+        full = diffusion_blocks(mesh, k).full_matrix()
+        assert np.abs(full - np.swapaxes(full, -1, -2)).max() < 1e-12
 
 
 def test_diffusion_scales_linearly_in_epsilon():
     mesh = build_uniform_triangulation(2)
-    basis, eb = get_element_basis(1), get_edge_basis(1)
-    one = local_diffusion(mesh, 5, basis, eb, epsilon=1.0, eta=10.0).full_matrix()
-    tiny = local_diffusion(mesh, 5, basis, eb, epsilon=1e-6, eta=10.0).full_matrix()
+    one = diffusion_blocks(mesh, 1, epsilon=1.0, eta=10.0).full_matrix()
+    tiny = diffusion_blocks(mesh, 1, epsilon=1e-6, eta=10.0).full_matrix()
     np.testing.assert_allclose(tiny, 1e-6 * one, rtol=1e-12)
-
-
-def test_local_diffusion_rejects_an_element_past_the_mesh():
-    mesh = build_uniform_triangulation(1)
-    basis, eb = get_element_basis(1), get_edge_basis(1)
-    with pytest.raises(ValueError, match="^element index 2 out of range$"):
-        local_diffusion(mesh, mesh.n_elements, basis, eb, epsilon=1.0, eta=10.0)
 
 
 def test_convective_form_nonnegative_globally():
@@ -203,21 +196,16 @@ def test_convective_form_jump_identity():
             assert v @ A @ v == pytest.approx(0.5 * rep.conv_sq, rel=1e-12)
 
 
-def test_local_diffusion_rejects_mismatched_edge_basis():
-    mesh = build_uniform_triangulation(2)
-    with pytest.raises(ValueError, match="^edge basis degree 3 does not match element basis degree 1"):
-        local_diffusion(mesh, 0, get_element_basis(1), get_edge_basis(3), epsilon=1.0, eta=10.0)
-
-
 def test_local_blocks_shapes():
     mesh = build_uniform_triangulation(2)
-    basis, eb = get_element_basis(2), get_edge_basis(2)
-    blk = local_diffusion(mesh, 0, basis, eb, epsilon=1.0, eta=40.0)
-    assert blk.A_uu.shape == (6, 6)
-    assert blk.A_ut.shape == (6, 9)
-    assert blk.A_tu.shape == (9, 6)
-    assert blk.A_tt.shape == (9, 9)
-    assert blk.full_matrix().shape == (15, 15)
+    blocks = diffusion_blocks(mesh, 2, eta=40.0)
+    nt = mesh.n_elements
+    assert blocks.A_uu.shape == (nt, 6, 6)
+    assert blocks.A_ut.shape == (nt, 6, 9)
+    assert blocks.A_tu.shape == (nt, 9, 6)
+    assert blocks.A_tt.shape == (nt, 9, 9)
+    assert blocks.b_u.shape == (nt, 6)
+    assert blocks.full_matrix().shape == (nt, 15, 15)
 
 
 def counting(monkeypatch, owner, name, calls):
@@ -288,12 +276,11 @@ def test_neumann_flux_integral_value():
     rule = dirichlet_where(lambda x, y: y > 1e-12)  # Dirichlet only at y=0
     mesh = build_uniform_triangulation(1, rule)
     prob = make_problem(boundary=rule, g_N=lambda x, y: np.ones_like(x))
-    blocks = assemble_local_systems(mesh, build_dofmap(mesh, 1), prob, parts=("load",))
+    b_u = assemble_local_systems(mesh, build_dofmap(mesh, 1), prob, parts=("load",)).b_u
     for t in range(mesh.n_elements):
-        blk = blocks[t]
         # integrating g_N = 1 over the element's Neumann edges gives their
         # total length, split h/2 per endpoint test function
-        assert blk.b_u.sum() == pytest.approx(
+        assert b_u[t].sum() == pytest.approx(
             sum(mesh.h_e[e] for e in mesh.elem_edges[t]
                 if mesh.edge_tags[e] == 2), rel=1e-12)
 
@@ -312,16 +299,15 @@ def test_monolithic_matches_local_blocks():
     ni = dm.n_interior
     elem_dofs, trace_dofs = np.arange(ni).reshape(mesh.n_elements, -1), dm.element_trace_dofs()
     for t in range(mesh.n_elements):
-        blk = blocks[t]
         rows_u = elem_dofs[t]
         gids = trace_dofs[t]
         act = gids >= 0
         rows_t = ni + gids[act]
-        dense[np.ix_(rows_u, rows_u)] += blk.A_uu
-        dense[np.ix_(rows_u, rows_t)] += blk.A_ut[:, act]
-        dense[np.ix_(rows_t, rows_u)] += blk.A_tu[act, :]
-        dense[np.ix_(rows_t, rows_t)] += blk.A_tt[np.ix_(act, act)]
-        vec[rows_u] += blk.b_u
+        dense[np.ix_(rows_u, rows_u)] += blocks.A_uu[t]
+        dense[np.ix_(rows_u, rows_t)] += blocks.A_ut[t][:, act]
+        dense[np.ix_(rows_t, rows_u)] += blocks.A_tu[t][act, :]
+        dense[np.ix_(rows_t, rows_t)] += blocks.A_tt[t][np.ix_(act, act)]
+        vec[rows_u] += blocks.b_u[t]
     np.testing.assert_allclose(A.toarray(), dense, atol=1e-13)
     np.testing.assert_allclose(rhs, vec, atol=1e-13)
 

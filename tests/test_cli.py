@@ -410,6 +410,18 @@ def test_unusable_out_or_config_fails_before_any_solve(argv, tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+def test_bool_mesh_size_fails_before_any_solve(tmp_path, monkeypatch):
+    # isinstance(True, int) holds, so unchecked, n=True would build a 1x1 mesh
+    # and write a row and a config comment that read n=True
+    with pytest.raises(ValueError, match="^subdivision count must be an integer, got True$"):
+        build_uniform_triangulation(True)
+    monkeypatch.setattr(hdgcd.cli, "solve_hdg", never_solve)
+    out = tmp_path / "c.csv"
+    with pytest.raises(ValueError, match="^subdivision count must be an integer, got True$"):
+        run_study(RunConfig(mesh_sizes=(True, 2), out=str(out)))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("study,epsilon,degree", [
     ("convergence", 1.0, 7), ("convergence", 1.0, 8), ("layer", 1e-2, 7), ("layer", 1e-2, 8)])
 def test_high_degree_rows_use_a_quadrature_that_follows_k(study, epsilon, degree):

@@ -128,6 +128,21 @@ def test_boundary_dict_rule():
         Mesh(mesh.vertices, mesh.triangles, boundary=reversed_key)
 
 
+@pytest.mark.parametrize("stray", ["interior", "no_edge"])
+def test_boundary_dict_rejects_a_pair_that_is_not_a_boundary_edge(stray):
+    # a key beyond the boundary edges is named, never dropped: dropped, an
+    # interior edge tagged Neumann would keep tag 0
+    mesh = build_uniform_triangulation(2)
+    tags = {(int(a), int(b)): BoundaryTag.DIRICHLET for a, b in mesh.edges[mesh.boundary_edges]}
+    interior = np.flatnonzero(mesh.edge_elems[:, 1] >= 0)[0]
+    pair = tuple(mesh.edges[interior].tolist()) if stray == "interior" else (0, 99)
+    tags[pair] = BoundaryTag.NEUMANN
+    with pytest.raises(MeshError, match=rf"^boundary tag given for \({pair[0]}, {pair[1]}\), "
+                                        r"which is not a boundary edge \(keys are vertex pairs "
+                                        r"\(a, b\) with a < b\)$"):
+        Mesh(mesh.vertices, mesh.triangles, boundary=tags)
+
+
 def test_inflow_check():
     rule = dirichlet_where(lambda x, y: x < 1e-12)
     mesh = build_uniform_triangulation(4, rule)
@@ -168,7 +183,7 @@ def test_invalid_meshes_rejected():
     with pytest.raises(MeshError):
         # clockwise orientation
         Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 2, 1]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^subdivision count must be >= 1, got 0$"):
         build_uniform_triangulation(0)
 
 
@@ -263,7 +278,8 @@ def test_load_rejects_tampered_tags(tmp_path):
             text[i] = text[i][:-1] + "1"
             break
     path.write_text("\n".join(text) + "\n")
-    with pytest.raises(MeshError, match=r"^edge \(\d+, \d+\) has inconsistent tag$"):
+    with pytest.raises(MeshError, match=r"^boundary tag given for \(\d+, \d+\), which is not a "
+                                        r"boundary edge "):
         load_mesh(path)
 
 

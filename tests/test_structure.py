@@ -31,6 +31,8 @@
   ``sparse_solve`` names ``RESIDUAL_RTOL`` or calls ``sparse_factor``.
 * Condensation eliminates through one inverse per block: ``condense``
   calls ``np.linalg.inv`` and never ``np.linalg.solve``.
+* Element systems exist only as stacks: nothing but ``ElementSystems.zeros``
+  constructs an ``ElementSystems``, so no per-element view can return.
 
 Two guards run code instead.  A layer study keeps nothing past its rows:
 ``hdgcd.cli``'s module globals keep their names and objects, each study
@@ -42,6 +44,7 @@ array, and the context has no ``streamline`` derivatives.
 """
 
 import ast
+import functools
 import inspect
 import weakref
 from pathlib import Path
@@ -64,7 +67,10 @@ FIELD_PARAMS = {"velocity", "func"}
 DOF_TABLES = {"edge_dofs", "vertex_dofs", "element_trace_dofs"}
 
 
+@functools.cache
 def modules():
+    """The parsed modules of ``src/hdgcd`` by file name, parsed once per session;
+    no test may mutate a tree."""
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
     assert {"assembly.py", "fespace.py"} <= set(trees)
     return trees
@@ -308,6 +314,44 @@ def test_condensation_eliminates_through_one_inverse():
     assert "inv" in calls and "solve" not in calls, calls
     # the guard does see a batched solve
     assert linalg_calls(ast.parse("X = np.linalg.solve(A, B)")) == {"solve"}
+
+
+def element_systems_builds(tree):
+    """(line, enclosing class and function path) of each call in ``tree`` that
+    constructs an ``ElementSystems``: by name, or as ``cls(...)`` or
+    ``type(...)(...)`` inside that class."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            named = (isinstance(f, ast.Name) and f.id == "ElementSystems"
+                     or isinstance(f, ast.Attribute) and f.attr == "ElementSystems")
+            own = (isinstance(f, ast.Name) and f.id == "cls"
+                   or isinstance(f, ast.Call) and isinstance(f.func, ast.Name)
+                   and f.func.id == "type")
+            if named or own and where.startswith("ElementSystems."):
+                found.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_element_systems_exist_only_as_stacks():
+    builds = {name: element_systems_builds(tree) for name, tree in modules().items()}
+    found = [f"{name}:{line} {where}" for name, calls in builds.items()
+             for line, where in calls if where != "ElementSystems.zeros"]
+    assert found == []
+    # the guard does see zeros' own call and a per-element view
+    assert [where for _, where in builds["assembly.py"]] == ["ElementSystems.zeros"]
+    view = ("class ElementSystems:\n"
+            "    def element(self, t):\n"
+            "        return ElementSystems(**{k: a[t] for k, a in vars(self).items()})\n")
+    assert element_systems_builds(ast.parse(view)) == [(3, "ElementSystems.element")]
 
 
 def test_a_layer_study_keeps_no_cache(tmp_path, monkeypatch):

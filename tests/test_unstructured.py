@@ -14,9 +14,9 @@ import pytest
 
 from hdgcd.analysis import conservation_residual, convergence_table, error_l2, errors
 from hdgcd.assembly import (ElementSystems, ProblemSpec, _edge_terms, assemble_local_systems,
-                            default_eta, get_context, load, local_diffusion, neumann_data,
+                            default_eta, get_context, load, neumann_data,
                             pull_back, scatter_systems, stiffness, transport)
-from hdgcd.fespace import build_dofmap, get_edge_basis, get_element_basis, quad_triangle
+from hdgcd.fespace import build_dofmap, quad_triangle
 from hdgcd.mesh import BoundaryTag, Mesh, build_uniform_triangulation, dirichlet_where
 from hdgcd.problems import case_smooth
 from hdgcd.solver import solve_hdg, solve_monolithic
@@ -144,19 +144,6 @@ def test_solutions_do_not_depend_on_the_vertex_numbering(degree):
     image = [index[nv - 1 - b, nv - 1 - a] for a, b in mesh.edges.tolist()]
     uhat, uhat_flipped = sol.edge_traces(), sol_flipped.edge_traces()[image, ::-1]
     assert np.abs(uhat_flipped - uhat).max() <= 1e-12 * np.abs(uhat).max()
-
-
-def test_local_diffusion_matches_stacked_slice():
-    # the one-element path keeps slot order, orientation and Neumann edges
-    problem, _, _ = bilinear_problem()
-    mesh = jittered_mesh(4, problem.boundary)
-    stacked = assemble_local_systems(mesh, build_dofmap(mesh, 2), problem,
-                                     eta=13.0, parts=("diffusion",))
-    basis, eb = get_element_basis(2), get_edge_basis(2)
-    for t in range(mesh.n_elements):
-        one = local_diffusion(mesh, t, basis, eb, epsilon=problem.epsilon, eta=13.0)
-        np.testing.assert_allclose(one.full_matrix(), stacked[t].full_matrix(),
-                                   rtol=0.0, atol=1e-12 * np.abs(stacked[t].A_uu).max())
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
