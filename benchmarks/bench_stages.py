@@ -119,7 +119,8 @@ def pipeline(case, n, degree, times, rss, traced=None):
     problem = case.problem
     quad_order = hdgcd.cli._quad_order(case, degree)
     mesh = timed("mesh", hdgcd.build_uniform_triangulation, n, problem.boundary)
-    eta, dofmap = timed("prepare", solver._prepare, problem, mesh, degree, None, "dg")
+    # the first two of _prepare's values, which later checkouts follow with the check's report
+    eta, dofmap = timed("prepare", solver._prepare, problem, mesh, degree, None, "dg")[:2]
     systems = timed("assemble", hdgcd.assemble_local_systems, mesh, dofmap, problem,
                     eta=eta, quad_order=quad_order)
     condensed = timed("condense", solver.condense, systems, dofmap)

@@ -13,7 +13,8 @@ inside, and its edge terms follow the element.  Fields are evaluated and
 element integrals formed on the whole mesh; the region only selects which
 of them are summed, so an exact field must be finite everywhere.
 :func:`errors` gives the three distances of a case's solution from one
-evaluation of the exact solution per point set and one of its gradient.
+evaluation of the exact solution's jet (value and gradient) at the volume
+points and one of the exact solution at the trace points.
 """
 
 from __future__ import annotations
@@ -85,13 +86,11 @@ def _l2_sq(ctx, solution, exact):
     return (diff * ctx.volume_weights(solution.mesh)).sum(axis=1)
 
 
-def _h1_sq(ctx, solution, exact_grad):
-    """Integrals of |grad u_h - exact_grad|^2 over each element.
-
-    The field ``exact_grad`` is evaluated after the discrete gradients, whose
-    evaluation peaks at twice their size, so the two peaks do not add."""
-    grads = ctx.field_gradients(solution.mesh, solution.u)
-    gx, gy = ctx.volume_values(exact_grad, "exact_grad", vector=True)
+def _h1_sq(ctx, solution, grads, exact_grad):
+    """Integrals of |grad u_h - exact_grad|^2 over each element, from the
+    discrete gradients ``grads`` (nt, nq, 2) and the exact ones (2, nt, nq)
+    at the volume points."""
+    gx, gy = exact_grad
     diff = (grads[..., 0] - gx) ** 2 + (grads[..., 1] - gy) ** 2
     return (diff * ctx.volume_weights(solution.mesh)).sum(axis=1)
 
@@ -109,7 +108,11 @@ def error_h1_broken(solution, exact_grad, region=None):
     mesh = solution.mesh
     ctx = _error_context(mesh, solution.degree)
     elems = _elements(region, mesh)   # checked before any field is evaluated
-    return _root(_h1_sq(ctx, solution, exact_grad)[elems])
+    # the field after the discrete gradients, whose evaluation peaks at twice
+    # their size, so the two peaks do not add
+    grads = ctx.field_gradients(mesh, solution.u)
+    exact_grad = ctx.volume_values(exact_grad, "exact_grad", vector=True)
+    return _root(_h1_sq(ctx, solution, grads, exact_grad)[elems])
 
 
 def _projection(exact, dofmap, ctx, exact_vol):
@@ -229,21 +232,24 @@ def errors(solution, case, eta):
     ``case.region``: the values of :func:`error_l2`, :func:`error_h1_broken`
     and :func:`error_hdg` (an :class:`ErrorReport`) with penalty ``eta``.
 
-    ``case.exact`` is evaluated once at the volume points, for the L2
-    distance and the projection alike, and once at the edge points (at the
-    vertices for continuous traces); ``case.exact_grad`` once at the volume
-    points.  All of them on the whole mesh; ``case.region`` selects the
-    element integrals that are summed.
+    ``case.exact_jet`` is evaluated once at the volume points: its value
+    serves the L2 distance and the projection alike, its gradient the H1
+    distance.  ``case.exact`` is evaluated once at the edge points (at the
+    vertices for continuous traces).  All of them on the whole mesh;
+    ``case.region`` selects the element integrals that are summed.
     """
     check_penalty(eta)
     mesh = solution.mesh
     ctx = _error_context(mesh, solution.degree)
     elems = _elements(case.region, mesh)
-    exact = ctx.volume_values(case.exact, "exact")
+    x, y = ctx.X_vol[..., 0], ctx.X_vol[..., 1]
+    exact, exact_grad = eval_field(case.exact_jet, x, y, "exact", grad_name="exact_grad")
     err_l2 = _root(_l2_sq(ctx, solution, exact)[elems])
     projection = _projection(case.exact, solution.dofmap, ctx, exact)
     del exact   # freed before the H1 peak, which is the largest
-    err_h1 = _root(_h1_sq(ctx, solution, case.exact_grad)[elems])
+    grads = ctx.field_gradients(mesh, solution.u)
+    err_h1 = _root(_h1_sq(ctx, solution, grads, exact_grad)[elems])
+    del grads, exact_grad   # freed before the scheme norm's peaks
     return err_l2, err_h1, _distance(solution, projection, case.problem, eta, elems)
 
 

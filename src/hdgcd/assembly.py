@@ -122,17 +122,21 @@ class ProblemReport:
                              + "; ".join(self.messages))
 
 
-def eval_field(func, x, y, name, vector=False):
+def eval_field(func, x, y, name, vector=False, grad_name=None):
     """Values of the field ``func`` at the points (x, y), broadcast to x.shape.
 
     A vector field (``vector=True``) may return any sequence or array of two
     components and comes back stacked as (2, *x.shape); None stays None.
+    With ``grad_name`` the field is a jet: ``func`` returns ``(value, (gx, gy))``,
+    the value is checked as the scalar field ``name`` and the gradient as the
+    vector field ``grad_name``, and the pair of checked values comes back; each
+    raw part is released once its checked copy is made.
     The values are read-only, and no consumer may write into them: a field whose
     every component is one value, bit for bit (+0.0 and -0.0 differ), comes back
     as a broadcast view of those scalars.
     Raises ValueError naming the field when the values do not broadcast to
-    the points, a vector field has no two components, a value is not
-    finite, or ``func`` raises an ArithmeticError (a Python float overflow);
+    the points, a vector field has no two components, a jet is no pair, a value
+    is not finite, or ``func`` raises an ArithmeticError (a Python float overflow);
     ``func`` runs with floating-point warnings off, so that is all it reports.
     """
     if func is None:
@@ -142,20 +146,34 @@ def eval_field(func, x, y, name, vector=False):
             vals = func(x, y)
     except ArithmeticError as exc:
         raise ValueError(f"field {name} fails to evaluate: {type(exc).__name__}: {exc}") from None
+    if grad_name is None:
+        return _checked(vals, x.shape, name, vector)
+    try:
+        value, grad = vals
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {name} does not evaluate to a pair ({name}, {grad_name}): "
+                         f"{exc}") from None
+    del vals
+    value = _checked(value, x.shape, name, False)
+    return value, _checked(grad, x.shape, grad_name, True)
+
+
+def _checked(vals, shape, name, vector):
+    """The raw values ``vals`` of the field ``name`` as :func:`eval_field` returns them."""
     try:
         comps = list(vals) if vector else [vals]
         if len(comps) != (2 if vector else 1):
             raise ValueError(f"got {len(comps)} components")
-        comps = [np.broadcast_to(np.asarray(v, dtype=float), x.shape) for v in comps]
+        comps = [np.broadcast_to(np.asarray(v, dtype=float), shape) for v in comps]
     except (TypeError, ValueError) as exc:
-        shape = f"two components of point shape {x.shape}" if vector else f"point shape {x.shape}"
-        raise ValueError(f"field {name} does not evaluate to {shape}: {exc}") from None
+        what = f"two components of point shape {shape}" if vector else f"point shape {shape}"
+        raise ValueError(f"field {name} does not evaluate to {what}: {exc}") from None
     if not all(np.isfinite(v).all() for v in comps):
         raise ValueError(f"field {name} has non-finite values")
     bits = [v.view(np.uint64) for v in comps]   # a varying field mostly stops at its last value
-    if x.size and all(b.flat[-1] == b.flat[0] and (b == b.flat[0]).all() for b in bits):
+    if comps[0].size and all(b.flat[-1] == b.flat[0] and (b == b.flat[0]).all() for b in bits):
         first = [v.flat[0] for v in comps]
-        out = np.moveaxis(np.broadcast_to(first, (*x.shape, len(first))), -1, 0)
+        out = np.moveaxis(np.broadcast_to(first, (*shape, len(first))), -1, 0)
     else:
         out = np.stack(comps)
         out.flags.writeable = False
@@ -169,12 +187,11 @@ def verify_inflow_in_dirichlet(mesh, velocity):
     non-Dirichlet boundary edge and returns the ``(edge_index, (x, y))``
     pairs where it drops below ``-INFLOW_TOL``; empty when the check passes.
     """
-    gl, _ = np.polynomial.legendre.leggauss(INFLOW_SAMPLES)
     bnd = mesh.boundary_edges
     edges = bnd[mesh.edge_tags[bnd] != int(BoundaryTag.DIRICHLET)]
     t = mesh.edge_elems[edges, 0]
     nrm = mesh.normals[t, (mesh.elem_edges[t] == edges[:, None]).argmax(axis=1)]
-    pts = mesh.edge_points(0.5 * (gl + 1.0), edges)
+    pts = mesh.edge_points(quad_edge(2 * INFLOW_SAMPLES - 1).points, edges)
     bx, by = eval_field(velocity, pts[..., 0], pts[..., 1], "b", vector=True)
     bn = bx * nrm[:, None, 0] + by * nrm[:, None, 1]
     return tuple((int(edges[i]), (float(pts[i, q, 0]), float(pts[i, q, 1])))

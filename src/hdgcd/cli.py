@@ -30,7 +30,7 @@ from hdgcd.analysis import (convergence_table, error_hdg, error_l2,
                             error_h1_broken, errors, overshoot_metric)
 from hdgcd.assembly import check_penalty, default_eta, default_quad_order
 from hdgcd.fespace import check_skeleton_mode, get_element_basis
-from hdgcd.mesh import _locate_points, build_uniform_triangulation
+from hdgcd.mesh import _bounded_int, _locate_points, build_uniform_triangulation
 from hdgcd.problems import CASE_NAMES, get_case, verify_source_term
 from hdgcd.solver import ElementSolvabilityError, SingularSystemError, solve_hdg
 from hdgcd.supg import solve_supg
@@ -66,7 +66,7 @@ class RunConfig:
         """A copy with every default filled in: the study's fixed settings,
         its mesh sizes, the global defaults and the penalty 10 k^2. Raises
         ValueError naming the flag at fault, or the library's own message for
-        a bad problem, epsilon, degree, skeleton mode or penalty."""
+        a bad problem, epsilon, degree, skeleton mode, mesh size or penalty."""
         if self.study not in STUDIES:
             raise ValueError(f"unknown study {self.study!r}; available: {', '.join(STUDIES)}")
         study = STUDIES[self.study]
@@ -89,6 +89,8 @@ class RunConfig:
         get_element_basis(config.degree)
         check_skeleton_mode(config.skeleton, config.degree)
         sizes = config.mesh_sizes
+        for n in sizes:   # as the mesh builder checks it, before any row is solved
+            _bounded_int("subdivision count", n, -np.inf, np.inf)
         if not sizes or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
             raise ValueError(f"--n {_joined(sizes)} must list strictly increasing positive mesh sizes")
         if study.sweeps_epsilon and len(config.mesh_sizes) != 1:

@@ -1,8 +1,9 @@
 """Manufactured convection-diffusion cases used by the studies and tests.
 
 Each case bundles a :class:`~hdgcd.assembly.ProblemSpec` with the exact
-solution, its gradient, the measurement region, the exact maximum (for
-overshoot checks) and a quadrature floor for data with sharp gradients.
+solution, its gradient, the two at once (its jet), the measurement region,
+the exact maximum (for overshoot checks) and a quadrature floor for data
+with sharp gradients.
 Sources are hard-coded analytically; :func:`verify_source_term`
 cross-checks them against finite differences of the exact solution.
 """
@@ -34,6 +35,12 @@ _FD_SECOND = (-1.0, 16.0, -30.0, 16.0, -1.0)
 class ManufacturedCase:
     """A problem with known exact solution and measurement metadata.
 
+    ``exact_jet`` gives ``(exact, (exact_x, exact_y))`` at once, from the
+    factors the value and the gradient share.  The three must agree: the
+    jet's value and gradient equal ``exact`` and ``exact_grad`` bit for bit,
+    so :func:`~hdgcd.analysis.errors` equals the single measures.  ``exact``
+    and ``exact_grad`` stay functions of their own, so a caller of one alone
+    forms nothing of the other.
     ``reduced_exact`` marks cases whose ``exact`` solves the limiting
     first-order problem (epsilon = 0) rather than the full equation; for
     those the source check drops the diffusion term.  ``region`` is the
@@ -46,6 +53,7 @@ class ManufacturedCase:
     problem: ProblemSpec
     exact: Callable
     exact_grad: Callable
+    exact_jet: Callable
     region: Optional[Callable]
     exact_max: float
     sample_box: Tuple[Tuple[float, float], Tuple[float, float]]
@@ -62,6 +70,12 @@ def case_smooth(epsilon):
         return (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
                 np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
 
+    def exact_jet(x, y):
+        sx, sy = np.sin(np.pi * x), np.sin(np.pi * y)
+        # the gradient first: u's product then meets no temporary of it
+        grad = (np.pi * np.cos(np.pi * x) * sy, np.pi * sx * np.cos(np.pi * y))
+        return sx * sy, grad
+
     def f(x, y):
         sx, cx = np.sin(np.pi * x), np.cos(np.pi * x)
         sy, cy = np.sin(np.pi * y), np.cos(np.pi * y)
@@ -70,7 +84,7 @@ def case_smooth(epsilon):
     problem = ProblemSpec(epsilon=epsilon, b=lambda x, y: (np.ones_like(x), np.ones_like(y)),
                           f=f)
     return ManufacturedCase(name="smooth", problem=problem, exact=exact,
-                            exact_grad=exact_grad, region=None,
+                            exact_grad=exact_grad, exact_jet=exact_jet, region=None,
                             exact_max=1.0,
                             sample_box=((0.01, 0.99), (0.01, 0.99)))
 
@@ -125,6 +139,11 @@ def case_layer(epsilon):
         ay, day = _layer_profile(y, epsilon, 1)
         return dax * ay, ax * day
 
+    def exact_jet(x, y):
+        ax, dax = _layer_profile(x, epsilon, 1)
+        ay, day = _layer_profile(y, epsilon, 1)
+        return ax * ay, (dax * ay, ax * day)
+
     def f(x, y):
         ax, dax, d2ax = _layer_profile(x, epsilon, 2)
         ay, day, d2ay = _layer_profile(y, epsilon, 2)
@@ -134,7 +153,7 @@ def case_layer(epsilon):
                           f=f)
     amax = _layer_max(epsilon)
     return ManufacturedCase(name="layer", problem=problem, exact=exact,
-                            exact_grad=exact_grad, region=subsquare(0.9),
+                            exact_grad=exact_grad, exact_jet=exact_jet, region=subsquare(0.9),
                             exact_max=amax * amax,
                             sample_box=((0.01, 0.89), (0.01, 0.89)),
                             quad_order=12)
@@ -155,6 +174,10 @@ def case_reduced_limit(epsilon):
     def exact_grad(x, y):
         return (1.0 - x) * np.exp(-x) * np.ones_like(y), np.zeros_like(y)
 
+    def exact_jet(x, y):
+        e = np.exp(-x)
+        return x * e * np.ones_like(y), ((1.0 - x) * e * np.ones_like(y), np.zeros_like(y))
+
     def f(x, y):
         return np.exp(-x) * np.ones_like(y)
 
@@ -164,7 +187,7 @@ def case_reduced_limit(epsilon):
                           boundary=dirichlet_where(lambda x, y: x < ON_BOUNDARY_TOL),
                           rho0=1.0)
     return ManufacturedCase(name="reduced_limit", problem=problem, exact=exact,
-                            exact_grad=exact_grad, region=None,
+                            exact_grad=exact_grad, exact_jet=exact_jet, region=None,
                             exact_max=float(np.exp(-1.0)),
                             sample_box=((0.01, 0.99), (0.01, 0.99)),
                             reduced_exact=True)

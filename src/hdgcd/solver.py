@@ -179,15 +179,19 @@ def recover_interior(traces, system):
 
 def _prepare(problem, mesh, degree, eta, skeleton_mode):
     """Shared preamble of the drivers: default penalty, well-posedness
-    check and dof map; returns (eta, dofmap)."""
+    check and dof map; returns (eta, dofmap, report) with the check's
+    :class:`~hdgcd.assembly.ProblemReport`."""
     if eta is None:
         eta = default_eta(degree)
-    check_problem(problem, mesh).require_ok()
-    return eta, build_dofmap(mesh, degree, skeleton_mode)
+    report = check_problem(problem, mesh)
+    report.require_ok()
+    return eta, build_dofmap(mesh, degree, skeleton_mode), report
 
 
-def _solution_info(dofmap, eta, quad_order, method):
+def _solution_info(dofmap, eta, quad_order, method, report):
     return {
+        "min_rho": report.min_rho,
+        "inflow_ok": report.inflow_ok,
         "dofs_skeleton": dofmap.n_trace_active,
         "dofs_total": dofmap.n_total,
         "eta": float(eta),
@@ -199,28 +203,29 @@ def _solution_info(dofmap, eta, quad_order, method):
 def solve_hdg(problem, mesh, degree=1, eta=None, skeleton_mode="dg", quad_order=None):
     """Full driver: validate, assemble, condense, solve, recover.
 
-    Returns an :class:`HdgSolution` whose ``info`` dict records the skeleton
-    and total dof counts, the penalty, quadrature order, method, worst
+    Returns an :class:`HdgSolution` whose ``info`` dict records the
+    well-posedness check's ``min_rho`` and ``inflow_ok``, the skeleton and
+    total dof counts, the penalty, quadrature order, method, worst
     interior-block condition estimate and recovery residual.
     """
-    eta, dofmap = _prepare(problem, mesh, degree, eta, skeleton_mode)
+    eta, dofmap, report = _prepare(problem, mesh, degree, eta, skeleton_mode)
     systems = assemble_local_systems(mesh, dofmap, problem, eta=eta, quad_order=quad_order)
     condensed = condense(systems, dofmap)
     traces = solve_skeleton(condensed)
     sol = recover_interior(traces, condensed)
-    sol.info.update(_solution_info(dofmap, eta, quad_order, "condensed"),
+    sol.info.update(_solution_info(dofmap, eta, quad_order, "condensed", report),
                     max_block_cond=condensed.max_block_cond)
     return sol
 
 
 def solve_monolithic(problem, mesh, degree=1, quad_order=None):
     """Reference driver solving the uncondensed system (default penalty, dg traces) directly."""
-    eta, dofmap = _prepare(problem, mesh, degree, None, "dg")
+    eta, dofmap, report = _prepare(problem, mesh, degree, None, "dg")
     mat, rhs = assemble_monolithic(mesh, dofmap, problem, eta=eta, quad_order=quad_order)
     x = sparse_solve(mat, rhs, "uncondensed")
     n_int = dofmap.n_interior
     u = x[:n_int].reshape(mesh.n_elements, dofmap.ndof_elem)
     sol = HdgSolution(dofmap=dofmap, u=u, uhat=x[n_int:])
-    sol.info.update(_solution_info(dofmap, eta, quad_order, "monolithic"))
+    sol.info.update(_solution_info(dofmap, eta, quad_order, "monolithic", report))
     return sol
 

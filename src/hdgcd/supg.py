@@ -106,10 +106,14 @@ def assemble_supg(problem, mesh, quad_order=None):
 
 
 def solve_supg(problem, mesh, quad_order=None):
-    """Solve the stabilized P1 system; Dirichlet vertices are fixed to zero."""
-    check_problem(problem, mesh).require_ok()
+    """Solve the stabilized P1 system; Dirichlet vertices are fixed to zero.
+    The solution's ``info`` records the well-posedness check's ``min_rho``
+    and ``inflow_ok``, the dof count and the method."""
+    report = check_problem(problem, mesh)
+    report.require_ok()
     mat, rhs, free = assemble_supg(problem, mesh, quad_order=quad_order)
     nodal = np.zeros(mesh.n_vertices)
     nodal[free] = sparse_solve(mat, rhs, "stabilized")
     return SupgSolution(mesh=mesh, nodal=nodal,
-                        info={"dofs_total": int(free.size), "method": "supg"})
+                        info={"min_rho": report.min_rho, "inflow_ok": report.inflow_ok,
+                              "dofs_total": int(free.size), "method": "supg"})

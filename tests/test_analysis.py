@@ -227,8 +227,9 @@ def test_errors_evaluate_each_field_once_per_point_set(mode):
     mesh = sol.mesh
     inside = case.region(mesh.barycenters[:, 0], mesh.barycenters[:, 1])
     assert 0 < inside.sum() < mesh.n_elements
-    exact_sizes, grad_sizes = [], []
-    counted = replace(case, exact=_counted(case.exact, exact_sizes),
+    jet_sizes, exact_sizes, grad_sizes = [], [], []
+    counted = replace(case, exact_jet=_counted(case.exact_jet, jet_sizes),
+                      exact=_counted(case.exact, exact_sizes),
                       exact_grad=_counted(case.exact_grad, grad_sizes))
     assert errors(sol, counted, 7.5) == errors(sol, case, 7.5)
 
@@ -238,14 +239,20 @@ def test_errors_evaluate_each_field_once_per_point_set(mode):
         trace = int((sol.dofmap.edge_dofs[:, 0] >= 0).sum()) * ctx.edge.weights.size
     else:              # every free vertex
         trace = int((sol.dofmap.vertex_dofs >= 0).sum())
-    assert exact_sizes == [volume, trace]
-    assert grad_sizes == [volume]
+    assert jet_sizes == [volume]
+    assert exact_sizes == [trace]
+    assert grad_sizes == []
 
 
 def test_an_exact_field_must_be_finite_outside_the_region():
     # the region selects element integrals; it does not hide a field's values
     case, sol = _case_solution("layer", 1e-6, 1, "dg", n=8)
-    broken = replace(case, exact=lambda x, y: np.where(x < 0.95, case.exact(x, y), np.nan))
+
+    def broken_exact(x, y):
+        return np.where(x < 0.95, case.exact(x, y), np.nan)
+
+    broken = replace(case, exact=broken_exact,
+                     exact_jet=lambda x, y: (broken_exact(x, y), case.exact_grad(x, y)))
     assert not case.region(0.95, 0.5)
     with pytest.raises(ValueError, match="^field exact has non-finite values$"):
         errors(sol, broken, 7.5)

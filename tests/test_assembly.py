@@ -434,6 +434,25 @@ def test_a_vector_field_with_one_constant_component_keeps_both():
     assert np.array_equal(got[1], POINTS * POINTS)
 
 
+def test_a_jet_comes_back_as_its_checked_value_and_gradient():
+    got, grad = eval_field(lambda x, y: (x * y, [y, 2.0]), POINTS, POINTS, "exact",
+                           grad_name="exact_grad")
+    assert np.array_equal(got, POINTS * POINTS) and not got.flags.writeable
+    assert grad.shape == (2,) + POINTS.shape and not grad.flags.writeable
+    assert np.array_equal(grad, [POINTS, np.full(POINTS.shape, 2.0)])
+
+
+@pytest.mark.parametrize("jet,message", [
+    (lambda x, y: x, r"field exact does not evaluate to a pair \(exact, exact_grad\): "),
+    (lambda x, y: (np.full_like(x, np.nan), (x, y)), "field exact has non-finite values$"),
+    (lambda x, y: (x, (x,)), "field exact_grad does not evaluate to two components "),
+    (lambda x, y: (x, (x, np.full_like(y, np.inf))), "field exact_grad has non-finite values$"),
+], ids=["no-pair", "value", "gradient-shape", "gradient-value"])
+def test_a_bad_jet_names_its_part(jet, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        eval_field(jet, POINTS, POINTS, "exact", grad_name="exact_grad")
+
+
 @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
 def test_constant_fields_come_back_read_only(vector):
     func = (lambda x, y: (np.ones_like(x), -np.zeros_like(x))) if vector else (lambda x, y: 2.5)

@@ -412,14 +412,17 @@ def test_unusable_out_or_config_fails_before_any_solve(argv, tmp_path, monkeypat
 
 def test_bool_mesh_size_fails_before_any_solve(tmp_path, monkeypatch):
     # isinstance(True, int) holds, so unchecked, n=True would build a 1x1 mesh
-    # and write a row and a config comment that read n=True
-    with pytest.raises(ValueError, match="^subdivision count must be an integer, got True$"):
-        build_uniform_triangulation(True)
+    # and write a row and a config comment that read n=True; a non-integer
+    # size past the first failed only after the rows before it were solved
     monkeypatch.setattr(hdgcd.cli, "solve_hdg", never_solve)
     out = tmp_path / "c.csv"
-    with pytest.raises(ValueError, match="^subdivision count must be an integer, got True$"):
-        run_study(RunConfig(mesh_sizes=(True, 2), out=str(out)))
-    assert not out.exists()
+    for bad, sizes in ((True, (True, 2)), (2.5, (2, 2.5))):
+        message = f"^subdivision count must be an integer, got {bad}$"
+        with pytest.raises(ValueError, match=message):
+            build_uniform_triangulation(bad)
+        with pytest.raises(ValueError, match=message):
+            run_study(RunConfig(mesh_sizes=sizes, out=str(out)))
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("study,epsilon,degree", [

@@ -3,9 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hdgcd.analysis import _error_context
 from hdgcd.problems import (CASE_NAMES, ManufacturedCase, _layer_max, _layer_profile,
                             case_layer, case_reduced_limit, case_smooth, get_case,
                             verify_source_term)
+from test_unstructured import jittered_mesh
 
 # maximum of the 1-D layer factor as the bounded Brent search that preceded
 # the bisection found it (grid start, xatol 1e-14), recorded per epsilon
@@ -199,7 +201,7 @@ def test_verify_source_term_catches_wrong_source():
         boundary=good.problem.boundary, rho0=good.problem.rho0)
     bad = ManufacturedCase(
         name="smooth", problem=bad_problem, exact=good.exact,
-        exact_grad=good.exact_grad, region=good.region,
+        exact_grad=good.exact_grad, exact_jet=good.exact_jet, region=good.region,
         exact_max=good.exact_max, sample_box=good.sample_box)
     with pytest.raises(ValueError) as err:
         verify_source_term(bad)
@@ -235,3 +237,27 @@ def test_verify_source_term_catches_wrong_gradient():
 
     with pytest.raises(ValueError, match="^case smooth: gradient mismatch"):
         verify_source_term(replace(good, exact_grad=grad))
+
+
+JET_CASES = [("smooth", 1e-3), ("layer", 1e-6), ("layer", 1e-2), ("reduced_limit", 1e-3)]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("name,eps", JET_CASES)
+def test_exact_jet_equals_exact_and_exact_grad_bit_for_bit(name, eps):
+    # errors reads the value and gradient from the jet alone; the single
+    # measures read exact and exact_grad, and both must give one number
+    assert {case for case, _ in JET_CASES} == set(CASE_NAMES)
+    case = get_case(name, eps)
+    mesh = jittered_mesh(5, case.problem.boundary)
+    points = _error_context(mesh, 1).X_vol   # the order-12 volume points
+    x, y = points[..., 0], points[..., 1]
+    value, (gx, gy) = case.exact_jet(x, y)
+    exact_gx, exact_gy = case.exact_grad(x, y)
+    assert value.shape == gx.shape == gy.shape == x.shape
+    assert (_bits(value) == _bits(case.exact(x, y))).all()
+    assert (_bits(gx) == _bits(exact_gx)).all()
+    assert (_bits(gy) == _bits(exact_gy)).all()

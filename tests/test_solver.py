@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hdgcd.assembly import ProblemSpec, assemble_local_systems, scatter_systems
+from hdgcd.assembly import ProblemSpec, assemble_local_systems, check_problem, scatter_systems
 from hdgcd.fespace import build_dofmap
 from hdgcd.mesh import BoundaryTag, build_uniform_triangulation, dirichlet_where
-from hdgcd.problems import case_layer, case_smooth
+from hdgcd.problems import case_layer, case_reduced_limit, case_smooth
 from hdgcd.solver import (COND_LIMIT, ElementSolvabilityError, SingularSystemError, condense,
                           recover_interior, solve_hdg, solve_monolithic, solve_skeleton,
                           sparse_factor, sparse_solve)
@@ -64,6 +64,17 @@ def test_solution_info_populated():
     assert info["eta"] == pytest.approx(10.0)
     assert info["quad_order"] == 4
     assert 0.0 <= info["max_recovery_residual"] < 1e-10
+
+
+@pytest.mark.parametrize("make,min_rho", [(case_smooth, 0.0), (case_reduced_limit, 1.0)])
+def test_solves_record_the_well_posedness_check(make, min_rho):
+    case = make(1e-2)
+    mesh = build_uniform_triangulation(4, case.problem.boundary)
+    report = check_problem(case.problem, mesh)
+    assert (report.min_rho, report.inflow_ok) == (min_rho, True)
+    for solve in (solve_hdg, solve_monolithic, solve_supg):
+        info = solve(case.problem, mesh).info
+        assert (info["min_rho"], info["inflow_ok"]) == (report.min_rho, report.inflow_ok)
 
 
 def test_skeleton_dimension_formulas():

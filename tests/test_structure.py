@@ -31,6 +31,8 @@
   ``sparse_solve`` names ``RESIDUAL_RTOL`` or calls ``sparse_factor``.
 * Condensation eliminates through one inverse per block: ``condense``
   calls ``np.linalg.inv`` and never ``np.linalg.solve``.
+* Gauss-Legendre nodes come from the cached rules: only ``fespace._gauss01``
+  calls ``leggauss``, an eigenvalue solve per call.
 * Element systems exist only as stacks: nothing but ``ElementSystems.zeros``
   constructs an ``ElementSystems``, so no per-element view can return.
 
@@ -314,6 +316,33 @@ def test_condensation_eliminates_through_one_inverse():
     assert "inv" in calls and "solve" not in calls, calls
     # the guard does see a batched solve
     assert linalg_calls(ast.parse("X = np.linalg.solve(A, B)")) == {"solve"}
+
+
+def leggauss_callers(tree):
+    """(line, enclosing function path) of each ``leggauss`` call in ``tree``."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Call) and "leggauss" in {i for i, _ in names(node.func)}:
+            found.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_gauss_legendre_nodes_come_from_the_cached_rules():
+    callers = {name: leggauss_callers(tree) for name, tree in modules().items()}
+    found = [f"{name}:{line} {where}" for name, calls in callers.items()
+             for line, where in calls if (name, where) != ("fespace.py", "_gauss01")]
+    assert found == []
+    # the guard does see _gauss01's own call and one by another import path
+    assert [where for _, where in callers["fespace.py"]] == ["_gauss01"]
+    inline = "def check():\n    gl, _ = leggauss(4)\n"
+    assert leggauss_callers(ast.parse(inline)) == [(2, "check")]
 
 
 def element_systems_builds(tree):
